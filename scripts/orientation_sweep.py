@@ -52,7 +52,7 @@ def main() -> None:
         print(head)
         print(f"          triad relations all '<': {all(triads)}")
         for vertex in tet.vertices:
-            point = embed(vertex).as_tuple()
+            point = embed(vertex)
             print(f"          vertex {' '.join(vertex.as_strings()):28s}"
                   f" -> ({point[0]:.6f}, {point[1]:.6f}, {point[2]:.6f})")
         print()

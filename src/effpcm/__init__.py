@@ -6,94 +6,38 @@ of three tetrahedra of path-tree weight vectors, classifies matrices by
 their consistent-cycle structure, and exports the 3-simplex geometry.
 """
 
-from .efficiency import (
-    BccDigraph,
-    DominanceVerdict,
-    bcc_digraph,
-    dominates,
-    find_dominator_sample,
-    float_equality_band,
-    hamiltonian_cycle_exists,
-    is_efficient,
-    strongly_connected,
+from .efficiency import bcc_digraph, is_efficient, strongly_connected
+from .errors import InputError
+from .export import (
+    dump_json,
+    geometry_document,
+    load_matrix,
+    load_weights,
+    matrix_document,
+    obj_mesh,
 )
-from .errors import (
-    BadNumeralError,
-    ConsistentTriadPresentError,
-    DimensionMismatchError,
-    DimensionTooLargeError,
-    GenerationFailedError,
-    ImpossibleCombinationError,
-    IndexOutOfRangeError,
-    InputError,
-    NonPositiveEntryError,
-    NonPositiveWeightError,
-    NonSquareError,
-    NotACanonicalCycleError,
-    NotConsistentError,
-    NotNormalizedError,
-    ReciprocityViolationError,
-    RepeatedIndexError,
-    TooShortError,
-    UnsupportedDimensionError,
-)
-from .generators import generate_pcm, random_exact_weights
+from .generators import generate_pcm
 from .geometry import (
-    CANONICAL_CYCLES,
-    CoincidenceReport,
-    CuttingPlane,
-    CycleOrientation,
-    Direction,
-    EfficientSet,
-    EmbeddedPoint,
-    PerturbClass,
     PerturbTag,
-    Tetrahedron,
-    affine_rank,
     barycentric,
     canonical_rearrangement,
     classify,
-    coincidence_structure,
     contains_cycle_region,
-    cutting_planes,
     cycle_orientation,
     efficient_set,
     embed,
-    is_efficient_geometric,
-    plane_clip_polygon,
     tetrahedron_for_cycle,
     triad_rearrangement,
 )
 from .pcm import (
-    CANONICAL_TRIADS,
-    IncompletePcm,
-    Pcm,
-    Permutation,
-    Rational,
-    WeightVector,
-    apply_permutation,
-    consistent_four_cycles,
-    consistent_triads,
-    consistent_weights,
+    CANONICAL_CYCLES,
     cycle_product,
     format_rational,
-    is_consistent,
     parse_pcm,
-    parse_rational,
     pcm_from_upper,
-    permute_weights,
     triad_product,
     weight_vector,
 )
-from .sampling import EquivalenceReport, run_equivalence_trials
-from .trees import (
-    LabeledPath,
-    SpanningTree,
-    enumerate_labeled_paths,
-    enumerate_spanning_trees,
-    paths_of_cycle,
-    restrict,
-    tree_weight_vector,
-)
+from .sampling import run_equivalence_trials
 
 __version__ = "0.1.0"

@@ -103,7 +103,7 @@ def _cmd_vertices(args) -> int:
         cycle_text = ",".join(map(str, cycle))
         print(f"cycle ({cycle_text}) {tet.orientation.direction.value}, rank {tet.degenerate_rank}:")
         for k, vertex in enumerate(tet.vertices, start=1):
-            point = embed(vertex).as_tuple()
+            point = embed(vertex)
             exact = " ".join(vertex.as_strings())
             print(f"  T{k}: {exact}  ->  ({point[0]!r}, {point[1]!r}, {point[2]!r})")
     return 0

@@ -15,22 +15,31 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import (
-    DimensionMismatchError,
-    DimensionTooLargeError,
-)
+from .errors import BadToleranceError, DimensionMismatchError
 from .pcm import Pcm, WeightVector, compare_ratio
 
 DEFAULT_EQUALITY_BAND = 1e-9
 
 
 def float_equality_band() -> float:
-    """Relative tolerance for treating a float ratio as a perfect estimate."""
-    return float(os.environ.get("EFFPCM_TOL", DEFAULT_EQUALITY_BAND))
+    """Relative tolerance for treating a float ratio as a perfect estimate.
+
+    EFFPCM_TOL overrides the default; it must be a finite number >= 0.
+    """
+    text = os.environ.get("EFFPCM_TOL")
+    if text is None:
+        return DEFAULT_EQUALITY_BAND
+    try:
+        band = float(text)
+    except ValueError:
+        band = math.nan  # unparsable: rejected below
+    if not (math.isfinite(band) and band >= 0):
+        raise BadToleranceError(
+            f"BadTolerance: EFFPCM_TOL={text!r} is not a finite number >= 0"
+        )
+    return band
 
 
 @dataclass(frozen=True)
@@ -43,9 +52,6 @@ class BccDigraph:
 
     def has_arc(self, i: int, j: int) -> bool:
         return (i, j) in self.arcs
-
-    def successors(self, i: int) -> list[int]:
-        return [j for j in range(1, self.n + 1) if (i, j) in self.arcs]
 
 
 def bcc_digraph(pcm: Pcm, w: WeightVector, band: float | None = None) -> BccDigraph:
@@ -132,118 +138,3 @@ def _tarjan_components(n: int, succ: dict[int, list[int]]) -> list[list[int]]:
 def is_efficient(pcm: Pcm, w: WeightVector, band: float | None = None) -> bool:
     """Efficiency test: strong connectivity of the BCC digraph."""
     return strongly_connected(bcc_digraph(pcm, w, band))
-
-
-def hamiltonian_cycle_exists(g: BccDigraph) -> bool:
-    """Brute-force directed Hamiltonian cycle search, capped at n <= 8."""
-    if g.n > 8:
-        raise DimensionTooLargeError(
-            f"DimensionTooLarge: Hamiltonian enumeration capped at n=8, got n={g.n}"
-        )
-    if g.n == 1:
-        return True
-    vertices = list(range(2, g.n + 1))
-    for rest in itertools.permutations(vertices):
-        ordering = (1,) + rest
-        if all(
-            (ordering[k], ordering[(k + 1) % g.n]) in g.arcs
-            for k in range(g.n)
-        ):
-            return True
-    return False
-
-
-@dataclass(frozen=True)
-class DominanceVerdict:
-    dominates: bool
-    strict_pair: tuple[int, int] | None
-
-    def __post_init__(self):
-        if self.dominates and self.strict_pair is None:
-            raise ValueError("a dominating vector must exhibit a strict pair")
-
-
-def dominates(pcm: Pcm, w_new: WeightVector, w_old: WeightVector) -> DominanceVerdict:
-    """Pareto dominance: w_new approximates every entry at least as well as
-    w_old, and at least one entry strictly better.
-
-    Exact arithmetic when both vectors are exact; otherwise float arithmetic.
-    The first strictly improved ordered pair (row-major) is reported.
-    """
-    if pcm.n != w_new.n or pcm.n != w_old.n:
-        raise DimensionMismatchError("DimensionMismatch: matrix and weight vectors disagree")
-    exact = w_new.exact and w_old.exact
-    strict: tuple[int, int] | None = None
-    for i in range(1, pcm.n + 1):
-        for j in range(1, pcm.n + 1):
-            if i == j:
-                continue
-            a = pcm.entries[i - 1][j - 1]
-            if exact:
-                err_new = abs(a - w_new.ratio(i, j))
-                err_old = abs(a - w_old.ratio(i, j))
-            else:
-                a = float(a)
-                err_new = abs(a - float(w_new.components[i - 1]) / float(w_new.components[j - 1]))
-                err_old = abs(a - float(w_old.components[i - 1]) / float(w_old.components[j - 1]))
-            if err_new > err_old:
-                return DominanceVerdict(False, None)
-            if strict is None and err_new < err_old:
-                strict = (i, j)
-    if strict is None:
-        return DominanceVerdict(False, None)
-    return DominanceVerdict(True, strict)
-
-
-_PERTURBATION_SCALES = (1.0, 0.25, 0.0625)
-
-
-def find_dominator_sample(
-    pcm: Pcm,
-    w: WeightVector,
-    trials: int,
-    seed: int,
-) -> WeightVector | None:
-    """Randomized multiplicative search for a dominating vector.
-
-    Each trial perturbs w by component-wise factors exp(u) with u uniform on
-    a symmetric range (base [-0.5, 0.5], cycled down for fine moves) and
-    normalizes; the first candidate that dominates w is returned.  Trials
-    alternate between independent per-component factors and a single shared
-    factor on a random vertex subset.  The shared-factor move keeps ratios
-    inside the subset exactly unchanged, which is essential whenever some
-    entry is estimated perfectly: a dominator must reproduce that equality
-    exactly, an event of probability zero under independent factors.
-
-    For exact w the factors are converted to rationals, so the dominance
-    re-check is exact and a returned vector always truly dominates.
-    Positivity is preserved by construction; deterministic for a fixed seed.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    n = pcm.n
-    subsets = [
-        [i for i in range(n) if mask >> i & 1]
-        for mask in range(1, 2 ** n - 1)
-    ]
-    for trial in range(trials):
-        scale = _PERTURBATION_SCALES[trial % len(_PERTURBATION_SCALES)]
-        if rng.random() < 0.5:
-            shifts = [rng.uniform(-0.5, 0.5) * scale for _ in range(n)]
-        else:
-            shift = rng.uniform(-0.5, 0.5) * scale
-            member = rng.choice(subsets)
-            shifts = [shift if i in member else 0.0 for i in range(n)]
-        factors = [math.exp(u) for u in shifts]
-        if w.exact:
-            components = tuple(
-                c * Fraction(f).limit_denominator(10 ** 6)
-                for c, f in zip(w.components, factors)
-            )
-        else:
-            components = tuple(c * f for c, f in zip(w.components, factors))
-        candidate = WeightVector(components).normalized()
-        if dominates(pcm, candidate, w).dominates:
-            return candidate
-    return None

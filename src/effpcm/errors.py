@@ -70,6 +70,18 @@ class NonPositiveWeightError(InputError):
     code = "NonPositiveWeight"
 
 
+class NonFiniteWeightError(InputError):
+    code = "NonFiniteWeight"
+
+
+class BadToleranceError(InputError):
+    code = "BadTolerance"
+
+
+class BadTrialCountError(InputError):
+    code = "BadTrialCount"
+
+
 class NotNormalizedError(InputError):
     code = "NotNormalized"
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
 
 from .errors import BadNumeralError, NonSquareError
 from .geometry import (
@@ -20,6 +19,7 @@ from .geometry import (
     cutting_planes,
     efficient_set,
     embed,
+    embed_exact,
     plane_clip_polygon,
 )
 from .trees import paths_of_cycle
@@ -74,11 +74,16 @@ def load_weights(path: str | Path) -> WeightVector:
 
 
 def _load_json(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadNumeralError(f"BadNumeral: {path} is not UTF-8 text ({exc.reason})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise BadNumeralError(f"BadNumeral: {path} is not valid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise BadNumeralError(f"BadNumeral: {path} nests too deeply to parse") from exc
 
 
 def _coincidences_dict(effset: EfficientSet) -> dict:
@@ -116,7 +121,7 @@ def geometry_document(pcm: Pcm) -> dict:
                 for path in paths_of_cycle(tet.cycle)
             ],
             "vertices_exact": [v.as_strings() for v in tet.vertices],
-            "vertices_embedded": [list(embed(v).as_tuple()) for v in tet.vertices],
+            "vertices_embedded": [list(embed(v)) for v in tet.vertices],
             "rank": tet.degenerate_rank,
         })
     planes = []
@@ -125,7 +130,7 @@ def geometry_document(pcm: Pcm) -> dict:
         planes.append({
             "pair": list(plane.pair),
             "value": format_rational(plane.value),
-            "clip_polygon": [list(embed(point).as_tuple()) for point in polygon],
+            "clip_polygon": [list(embed(point)) for point in polygon],
         })
     return {
         "schema_version": SCHEMA_VERSION,
@@ -136,22 +141,6 @@ def geometry_document(pcm: Pcm) -> dict:
         "planes": planes,
         "simplex_corners": [list(corner) for corner in SIMPLEX_CORNERS],
     }
-
-
-def parse_exact_vertices(doc: dict) -> list[list[tuple[Fraction, ...]]]:
-    """Recover the exact tetrahedron vertices from a geometry document."""
-    out = []
-    for tet in doc["tetrahedra"]:
-        out.append([
-            tuple(parse_rational(s) for s in vertex)
-            for vertex in tet["vertices_exact"]
-        ])
-    return out
-
-
-def _embed_exact(components: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
-    w1, w2, w3, _ = components
-    return (w1 + w2, w1 + w3, w2 + w3)
 
 
 def _oriented_faces(points: list[tuple[Fraction, Fraction, Fraction]]) -> list[tuple[int, int, int]]:
@@ -190,13 +179,13 @@ def obj_mesh(pcm: Pcm) -> str:
         if tet.degenerate_rank < 3:
             seen = []
             for v in tet.vertices:
-                point = embed(v).as_tuple()
+                point = embed(v)
                 if point not in seen:
                     seen.append(point)
             for point in seen:
                 lines.append(f"# point {point[0]!r} {point[1]!r} {point[2]!r}")
             continue
-        exact_points = [_embed_exact(v.components) for v in tet.vertices]
+        exact_points = [embed_exact(v.components) for v in tet.vertices]
         for point in exact_points:
             lines.append("v " + " ".join(repr(float(c)) for c in point))
         for (a, b, c) in _oriented_faces(exact_points):

@@ -27,13 +27,13 @@ from .errors import (
     DimensionMismatchError,
     ImpossibleCombinationError,
     NotNormalizedError,
-    UnsupportedDimensionError,
 )
 from .pcm import (
     CANONICAL_CYCLES,
     Pcm,
     Permutation,
     WeightVector,
+    _require_n4,
     apply_permutation,
     compare_ratio,
     consistent_four_cycles,
@@ -42,11 +42,6 @@ from .pcm import (
     triad_product,
 )
 from .trees import paths_of_cycle, tree_weight_vector
-
-
-def _require_n4(pcm: Pcm) -> None:
-    if pcm.n != 4:
-        raise UnsupportedDimensionError(f"UnsupportedDimension: requires n=4, got n={pcm.n}")
 
 
 class Direction(str, Enum):
@@ -81,23 +76,23 @@ def cycle_orientation(pcm: Pcm, cycle: tuple[int, int, int, int]) -> CycleOrient
     return CycleOrientation(cycle, Direction.CONSISTENT_BOTH, cycle)
 
 
-def _all_products_at_most_one(pcm: Pcm) -> bool:
-    return all(cycle_product(pcm, c) <= 1 for c in CANONICAL_CYCLES)
-
-
 def canonical_rearrangement(pcm: Pcm) -> tuple[Permutation, Pcm]:
     """Reindex the alternatives so all three canonical cycle products are <= 1.
 
     Equality is allowed exactly when the corresponding cycle is consistent.
     Several reindexings always qualify; the lexicographically smallest image
     sequence is returned, so a matrix already in shape maps to the identity.
+    A relabelling is tested on the original matrix, through the identity
+    cycle_product(apply_permutation(A, p), c) = cycle_product(A, p(c)).
     """
     _require_n4(pcm)
     for mapping in itertools.permutations((1, 2, 3, 4)):
-        perm = Permutation(mapping)
-        candidate = apply_permutation(pcm, perm)
-        if _all_products_at_most_one(candidate):
-            return perm, candidate
+        if all(
+            cycle_product(pcm, tuple(mapping[v - 1] for v in cycle)) <= 1
+            for cycle in CANONICAL_CYCLES
+        ):
+            perm = Permutation(mapping)
+            return perm, apply_permutation(pcm, perm)
     raise AssertionError("unreachable: some reindexing always exists")
 
 
@@ -114,18 +109,16 @@ def triad_rearrangement(pcm: Pcm) -> tuple[Permutation, Pcm, int]:
             "ConsistentTriadPresent: triad relations must all be strict"
         )
     for mapping in itertools.permutations((1, 2, 3, 4)):
-        perm = Permutation(mapping)
-        candidate = apply_permutation(pcm, perm)
-        relations = (
-            triad_product(candidate, (1, 2, 3)) < 1,
-            triad_product(candidate, (2, 3, 4)) < 1,
-            triad_product(candidate, (1, 3, 4)) < 1,
-            triad_product(candidate, (1, 2, 4)) < 1,
-        )
-        if all(relations):
-            return perm, candidate, 1
-        if relations[0] and relations[1] and relations[2] and not relations[3]:
-            return perm, candidate, 2
+        # triad (i, j, k) of the relabelled matrix is (m_i, m_j, m_k) here
+        m1, m2, m3, m4 = mapping
+        if (
+            triad_product(pcm, (m1, m2, m3)) < 1
+            and triad_product(pcm, (m2, m3, m4)) < 1
+            and triad_product(pcm, (m1, m3, m4)) < 1
+        ):
+            perm = Permutation(mapping)
+            case = 1 if triad_product(pcm, (m1, m2, m4)) < 1 else 2
+            return perm, apply_permutation(pcm, perm), case
     raise AssertionError("unreachable: parity argument guarantees one of the two cases")
 
 
@@ -180,6 +173,8 @@ def contains_cycle_region(
 def is_efficient_geometric(pcm: Pcm, w: WeightVector, band: float | None = None) -> bool:
     """Efficiency by geometry: membership in at least one cycle region."""
     _require_n4(pcm)
+    if band is None:
+        band = float_equality_band()
     return any(
         contains_cycle_region(pcm, cycle_orientation(pcm, cycle), w, band)
         for cycle in CANONICAL_CYCLES
@@ -190,62 +185,31 @@ def is_efficient_geometric(pcm: Pcm, w: WeightVector, band: float | None = None)
 # exact linear algebra on small systems
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Gauss-Jordan solve of M x = b over the rationals.
+def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over the rationals, in place.
 
-    Returns ("unique", xs), ("many", None) or ("none", None).
+    Returns the reduced rows and the pivot column of each leading row; the
+    pivot count is the rank.  Rows past the last pivot are zero.
     """
-    m = len(matrix)
-    k = len(matrix[0]) if m else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    m = len(rows)
+    k = len(rows[0]) if m else 0
     pivot_cols: list[int] = []
-    r = 0
     for c in range(k):
-        pivot_row = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pivot = aug[r][c]
-        aug[r] = [v / pivot for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
+        r = len(pivot_cols)
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][k] != 0:
-            return "none", None
-    if len(pivot_cols) < k:
-        return "many", None
-    xs = [Fraction(0)] * k
-    for row, col in enumerate(pivot_cols):
-        xs[col] = aug[row][k]
-    return "unique", tuple(xs)
-
-
-def _matrix_rank(rows: list[list[Fraction]]) -> int:
-    work = [list(row) for row in rows]
-    m = len(work)
-    k = len(work[0]) if m else 0
-    rank = 0
-    for c in range(k):
-        pivot_row = next((i for i in range(rank, m) if work[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][c]
-        work[rank] = [v / pivot for v in work[rank]]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [v / pivot for v in rows[r]]
         for i in range(m):
-            if i != rank and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+    return rows, pivot_cols
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
@@ -254,7 +218,7 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
         return 0
     base = points[0]
     rows = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return _matrix_rank(rows)
+    return len(_row_reduce(rows)[1])
 
 
 def barycentric(tet: Tetrahedron, w: WeightVector):
@@ -275,20 +239,28 @@ def barycentric(tet: Tetrahedron, w: WeightVector):
     ]
     threshold = Fraction(0) if w.exact else Fraction(-1, 10**12)
     columns = [v.components for v in tet.vertices]
-    matrix = [[columns[k][i] for k in range(4)] for i in range(4)]
-    status, solution = _solve_exact(matrix, target)
-    if status == "unique":
-        if all(lam >= threshold for lam in solution):
-            return solution
-        return None
-    if status == "none":
+
+    def solve(subset):
+        """(solvable, coefficients over ``subset`` if they are unique)."""
+        rows, pivots = _row_reduce(
+            [[columns[k][i] for k in subset] + [target[i]] for i in range(4)]
+        )
+        if len(subset) in pivots:  # a pivot in the target column: no solution
+            return False, None
+        if len(pivots) < len(subset):
+            return True, None
+        return True, tuple(row[-1] for row in rows[:len(subset)])
+
+    solvable, solution = solve(range(4))
+    if solution is not None:
+        return solution if all(lam >= threshold for lam in solution) else None
+    if not solvable:
         return None
     # Degenerate vertex set: try affinely independent subsets.
     for size in range(1, 5):
         for subset in itertools.combinations(range(4), size):
-            sub_matrix = [[columns[k][i] for k in subset] for i in range(4)]
-            sub_status, sub_solution = _solve_exact(sub_matrix, target)
-            if sub_status == "unique" and all(lam >= threshold for lam in sub_solution):
+            _, sub_solution = solve(subset)
+            if sub_solution is not None and all(lam >= threshold for lam in sub_solution):
                 lambdas = [Fraction(0)] * 4
                 for pos, k in enumerate(subset):
                     lambdas[k] = sub_solution[pos]
@@ -366,50 +338,40 @@ class CoincidenceReport:
     def shared_points(self, cycle_a: tuple, cycle_b: tuple) -> int:
         """Number of distinct shared locations between two tetrahedra.
 
-        Index pairs are complete per location (equality is transitive), so
-        distinct locations are the connected components of the bipartite
-        index graph for this cycle pair.
+        Equality is transitive, so each location is a complete bipartite
+        block of index pairs: its first-cycle indices share one neighbour
+        set, and distinct locations have disjoint neighbour sets.
         """
-        edges = [
-            ((ca, ia), (cb, ib))
-            for (ca, ia, cb, ib) in self.shared_vertices
-            if {ca, cb} == {cycle_a, cycle_b}
-        ]
-        parent: dict = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in edges:
-            parent[find(u)] = find(v)
-        return len({find(node) for pair in edges for node in pair})
+        neighbours: dict[tuple, set] = {}
+        for (ca, ia, cb, ib) in self.shared_vertices:
+            if {ca, cb} == {cycle_a, cycle_b}:
+                neighbours.setdefault((ca, ia), set()).add((cb, ib))
+        return len({frozenset(block) for block in neighbours.values()})
 
 
 def _coincidence_report(tetrahedra: Sequence[Tetrahedron]) -> CoincidenceReport:
+    parts = []
+    for tet in tetrahedra:
+        points = tet.vertex_points()
+        parts.append((tet.cycle, points, _nondegenerate_edges(points), _nondegenerate_faces(points)))
     shared = []
     collinear = []
     coplanar = []
-    for a, b in itertools.combinations(range(len(tetrahedra)), 2):
-        ta, tb = tetrahedra[a], tetrahedra[b]
-        pa, pb = ta.vertex_points(), tb.vertex_points()
+    for (ca, pa, edges_a, faces_a), (cb, pb, edges_b, faces_b) in itertools.combinations(parts, 2):
         for ia in range(4):
             for ib in range(4):
                 if pa[ia] == pb[ib]:
-                    shared.append((ta.cycle, ia + 1, tb.cycle, ib + 1))
-        for ea in _nondegenerate_edges(pa):
-            for eb in _nondegenerate_edges(pb):
+                    shared.append((ca, ia + 1, cb, ib + 1))
+        for ea in edges_a:
+            for eb in edges_b:
                 pts = [pa[ea[0] - 1], pa[ea[1] - 1], pb[eb[0] - 1], pb[eb[1] - 1]]
                 if affine_rank(pts) <= 1:
-                    collinear.append(((ta.cycle, ea), (tb.cycle, eb)))
-        for fa in _nondegenerate_faces(pa):
-            for fb in _nondegenerate_faces(pb):
+                    collinear.append(((ca, ea), (cb, eb)))
+        for fa in faces_a:
+            for fb in faces_b:
                 pts = [pa[i - 1] for i in fa] + [pb[i - 1] for i in fb]
                 if affine_rank(pts) <= 2:
-                    coplanar.append(((ta.cycle, fa), (tb.cycle, fb)))
+                    coplanar.append(((ca, fa), (cb, fb)))
     points = tuple(t.cycle for t in tetrahedra if t.degenerate_rank == 0)
     return CoincidenceReport(tuple(shared), tuple(collinear), tuple(coplanar), points)
 
@@ -454,28 +416,17 @@ def efficient_set(pcm: Pcm) -> EfficientSet:
     return EfficientSet(tetrahedra, classify(pcm), _coincidence_report(tetrahedra))
 
 
-def coincidence_structure(effset: EfficientSet) -> CoincidenceReport:
-    """Recompute the coincidence report from the tetrahedron vertices."""
-    return _coincidence_report(effset.tetrahedra)
-
-
 # ---------------------------------------------------------------------------
 # 3-simplex embedding and cutting planes
 
 
-@dataclass(frozen=True)
-class EmbeddedPoint:
-    """(w1+w2, w1+w3, w2+w3): the normalized 4-simplex drawn in 3-space."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+def embed_exact(components: Sequence) -> tuple:
+    """(w1+w2, w1+w3, w2+w3): the normalized 4-simplex drawn in 3-space, unrounded."""
+    w1, w2, w3, _ = components
+    return (w1 + w2, w1 + w3, w2 + w3)
 
 
-def embed(w: WeightVector | Sequence) -> EmbeddedPoint:
+def embed(w: WeightVector | Sequence) -> tuple[float, float, float]:
     """Embed a normalized vector; rationals are rounded to nearest double."""
     components = w.components if isinstance(w, WeightVector) else tuple(w)
     if len(components) != 4:
@@ -484,8 +435,8 @@ def embed(w: WeightVector | Sequence) -> EmbeddedPoint:
     exact = all(isinstance(c, (Fraction, int)) for c in components)
     if (total != 1) if exact else (abs(total - 1.0) > 1e-12):
         raise NotNormalizedError("NotNormalized: components must sum to 1")
-    w1, w2, w3, _ = components
-    return EmbeddedPoint(float(w1 + w2), float(w1 + w3), float(w2 + w3))
+    x, y, z = embed_exact(components)
+    return (float(x), float(y), float(z))
 
 
 SIMPLEX_CORNERS = (

@@ -12,6 +12,7 @@ function is pure.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .errors import (
     BadNumeralError,
     DimensionMismatchError,
     IndexOutOfRangeError,
+    NonFiniteWeightError,
     NonPositiveEntryError,
     NonPositiveWeightError,
     NonSquareError,
@@ -139,47 +141,6 @@ def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int]) -> Pcm:
 
 
 @dataclass(frozen=True)
-class IncompletePcm:
-    """A reciprocal matrix with symmetric missing pairs (None entries)."""
-
-    entries: tuple[tuple[Fraction | None, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
-            raise NonSquareError("NonSquare: entries must form a nonempty square grid")
-        for i in range(1, n + 1):
-            if self.entries[i - 1][i - 1] != 1:
-                raise ReciprocityViolationError(i, i, "diagonal must be 1")
-            for j in range(i + 1, n + 1):
-                a_ij = self.entries[i - 1][j - 1]
-                a_ji = self.entries[j - 1][i - 1]
-                if (a_ij is None) != (a_ji is None):
-                    raise ReciprocityViolationError(j, i, "missing entries must be symmetric")
-                if a_ij is not None:
-                    if a_ij <= 0:
-                        raise NonPositiveEntryError(i, j)
-                    if a_ij * a_ji != 1:
-                        raise ReciprocityViolationError(j, i)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> Fraction | None:
-        return self.entries[i - 1][j - 1]
-
-    def known_pairs(self) -> frozenset[tuple[int, int]]:
-        """Edges {i,j}, i<j, of the representing graph of known comparisons."""
-        return frozenset(
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(i + 1, self.n + 1)
-            if self.entries[i - 1][j - 1] is not None
-        )
-
-
-@dataclass(frozen=True)
 class WeightVector:
     """A positive weight vector, either exact (Fraction) or float-valued."""
 
@@ -194,9 +155,12 @@ class WeightVector:
                 raise NonPositiveWeightError(
                     f"NonPositiveWeight: component {c!r} must be Fraction or float"
                 )
-            kinds.add(isinstance(c, Fraction))
+            exact = isinstance(c, Fraction)
+            kinds.add(exact)
             if not c > 0:
                 raise NonPositiveWeightError(f"NonPositiveWeight: component {c!r}")
+            if not exact and not math.isfinite(c):
+                raise NonFiniteWeightError(f"NonFiniteWeight: component {c!r}")
         if len(kinds) != 1:
             raise NonPositiveWeightError("NonPositiveWeight: mixed exact/float components")
 

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .efficiency import is_efficient
+from .errors import BadTrialCountError
 from .generators import generate_with_rng, random_exact_weights
 from .geometry import PerturbTag, is_efficient_geometric
 
@@ -40,7 +41,7 @@ class EquivalenceReport:
 def run_equivalence_trials(seed: int, trials: int, class_tag: PerturbTag | str) -> EquivalenceReport:
     """Run the harness; deterministic verdict stream for a fixed seed."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise BadTrialCountError(f"BadTrialCount: trials must be >= 1, got {trials}")
     tag = PerturbTag(class_tag)
     rng = random.Random(seed)
     start = time.perf_counter()

@@ -10,18 +10,11 @@ vertices used by the efficient-set geometry.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DimensionMismatchError,
-    DimensionTooLargeError,
-    NotACanonicalCycleError,
-)
-from .pcm import CANONICAL_CYCLES, IncompletePcm, Pcm, WeightVector
-
-MAX_ENUMERATION_N = 6
+from .errors import DimensionMismatchError, NotACanonicalCycleError
+from .pcm import CANONICAL_CYCLES, Pcm, WeightVector
 
 
 @dataclass(frozen=True)
@@ -86,42 +79,6 @@ class LabeledPath:
         )
         return SpanningTree(self.n, edges)
 
-    def canonical(self) -> "LabeledPath":
-        """Identify a path with its reverse: first endpoint smaller than last."""
-        if self.sequence[0] > self.sequence[-1]:
-            return LabeledPath(tuple(reversed(self.sequence)))
-        return self
-
-
-def _check_enumeration_size(n: int) -> None:
-    if not 2 <= n <= MAX_ENUMERATION_N:
-        raise DimensionTooLargeError(
-            f"DimensionTooLarge: enumeration supported for 2 <= n <= {MAX_ENUMERATION_N}, got {n}"
-        )
-
-
-def enumerate_spanning_trees(n: int) -> list[SpanningTree]:
-    """All labeled spanning trees of K_n, ordered by sorted edge list."""
-    _check_enumeration_size(n)
-    all_edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    trees = []
-    for subset in itertools.combinations(all_edges, n - 1):
-        edges = frozenset(subset)
-        if _is_spanning_forestless(n, edges):
-            trees.append(SpanningTree(n, edges))
-    trees.sort(key=lambda t: t.sorted_edges())
-    return trees
-
-
-def enumerate_labeled_paths(n: int) -> list[LabeledPath]:
-    """One representative per undirected Hamiltonian path (first < last endpoint)."""
-    _check_enumeration_size(n)
-    paths = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        if perm[0] < perm[-1]:
-            paths.append(LabeledPath(perm))
-    return paths
-
 
 def paths_of_cycle(cycle: tuple[int, int, int, int]) -> list[LabeledPath]:
     """The four paths obtained from a canonical 4-cycle by deleting one edge each.
@@ -137,21 +94,6 @@ def paths_of_cycle(cycle: tuple[int, int, int, int]) -> list[LabeledPath]:
         LabeledPath(tuple(cycle[(k + m) % 4] for m in range(4)))
         for k in range(4)
     ]
-
-
-def restrict(pcm: Pcm, tree: SpanningTree) -> IncompletePcm:
-    """Keep exactly the tree-edge comparisons (plus the diagonal)."""
-    if tree.n != pcm.n:
-        raise DimensionMismatchError(
-            f"DimensionMismatch: tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix"
-        )
-    grid: list[list[Fraction | None]] = [[None] * pcm.n for _ in range(pcm.n)]
-    for i in range(pcm.n):
-        grid[i][i] = Fraction(1)
-    for (a, b) in tree.edges:
-        grid[a - 1][b - 1] = pcm.entries[a - 1][b - 1]
-        grid[b - 1][a - 1] = pcm.entries[b - 1][a - 1]
-    return IncompletePcm(tuple(tuple(row) for row in grid))
 
 
 def tree_weight_vector(pcm: Pcm, tree: SpanningTree | LabeledPath) -> WeightVector:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from effpcm import Pcm, parse_pcm, pcm_from_upper
+from effpcm.pcm import Pcm, parse_pcm, pcm_from_upper
 
 RUNNING_ROWS = [
     ["1", "1", "5", "7"],

@@ -9,32 +9,32 @@ import random
 import time
 from fractions import Fraction
 
-from effpcm import (
+from effpcm.pcm import (
     CANONICAL_CYCLES,
-    Direction,
     Permutation,
     apply_permutation,
-    bcc_digraph,
-    canonical_rearrangement,
-    classify,
     consistent_weights,
-    cycle_orientation,
     cycle_product,
-    efficient_set,
-    embed,
-    enumerate_spanning_trees,
-    is_efficient,
-    is_efficient_geometric,
     permute_weights,
-    strongly_connected,
-    tetrahedron_for_cycle,
-    tree_weight_vector,
     weight_vector,
 )
+from effpcm.efficiency import bcc_digraph, is_efficient, strongly_connected
 from effpcm.generators import generate_with_rng, random_exact_weights
-from effpcm.geometry import PerturbTag
+from effpcm.geometry import (
+    Direction,
+    PerturbTag,
+    canonical_rearrangement,
+    classify,
+    cycle_orientation,
+    efficient_set,
+    embed,
+    is_efficient_geometric,
+    tetrahedron_for_cycle,
+)
 from effpcm.sampling import run_equivalence_trials
+from effpcm.trees import tree_weight_vector
 from conftest import flip_family
+from oracles import enumerate_spanning_trees
 
 ALL_TAGS = [tag.value for tag in PerturbTag]
 
@@ -90,12 +90,12 @@ def test_criterion_2_vertex_coordinates(running_example):
         start = time.perf_counter()
         tetrahedra = [tetrahedron_for_cycle(running_example, c) for c in CANONICAL_CYCLES]
         points = [
-            embed(v).as_tuple() for tet in tetrahedra for v in tet.vertices
+            embed(v) for tet in tetrahedra for v in tet.vertices
         ]
         best = min(best, time.perf_counter() - start)
     for tet in tetrahedra:
         for vertex, want in zip(tet.vertices, REFERENCE_EMBEDS[tet.cycle]):
-            got = embed(vertex).as_tuple()
+            got = embed(vertex)
             for g, w in zip(got, want):
                 assert abs(g - w) < 1e-6
     highlighted = [

@@ -1,14 +1,20 @@
 """End-to-end CLI behavior: commands, exit codes, file formats."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from effpcm import efficient_set, parse_pcm
+import effpcm
 from effpcm.cli import main
-from effpcm.export import parse_exact_vertices
+from effpcm.geometry import efficient_set
+from effpcm.pcm import parse_pcm
 from conftest import RUNNING_ROWS
+from oracles import parse_exact_vertices
 
 
 def write_matrix(path, rows, n=None):
@@ -201,3 +207,41 @@ class TestSample:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["class"] == "consistent"
         assert payload["seed"] == 3
+
+
+class TestInputFaults:
+    """Every malformed input ends with exit 2 and one error line, in a real process."""
+
+    @staticmethod
+    def _write_inputs(tmp_path):
+        write_matrix(tmp_path / "matrix.json", RUNNING_ROWS)
+        write_weights(tmp_path / "w.json", [0.25, 0.25, 0.25, 0.25])
+        write_weights(tmp_path / "infinite.json", [float("inf"), 1.0, 1.0, 1.0])
+        (tmp_path / "non-utf8.json").write_bytes(
+            b'{"n": 2, "entries": [["1", "\xff\xfe"], ["1", "1"]]}')
+        (tmp_path / "deep.json").write_text("[" * 50_000 + "]" * 50_000, encoding="utf-8")
+
+    @pytest.mark.parametrize("argv,tol", [
+        pytest.param(["validate", "non-utf8.json"], None, id="non-utf8"),
+        pytest.param(["validate", "deep.json"], None, id="deep-json"),
+        pytest.param(["sample", "--seed", "1", "--trials", "0", "--class", "triple"], None,
+                     id="zero-trials"),
+        *[pytest.param(["check", "matrix.json", "--weights", "w.json"], tol, id=f"tol-{tol}")
+          for tol in ("abc", "-1", "nan", "inf")],
+        pytest.param(["check", "matrix.json", "--weights", "infinite.json"], None,
+                     id="infinite-weight"),
+    ])
+    def test_exit_2_without_traceback(self, tmp_path, argv, tol):
+        self._write_inputs(tmp_path)
+        env = {k: v for k, v in os.environ.items() if k != "EFFPCM_TOL"}
+        src = str(Path(effpcm.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if tol is not None:
+            env["EFFPCM_TOL"] = tol
+        proc = subprocess.run([sys.executable, "-m", "effpcm.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, errors="replace",
+                              timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr

@@ -6,22 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from effpcm import (
-    BccDigraph,
-    DimensionMismatchError,
-    DimensionTooLargeError,
-    Permutation,
-    apply_permutation,
-    bcc_digraph,
-    dominates,
-    find_dominator_sample,
-    hamiltonian_cycle_exists,
-    is_efficient,
-    permute_weights,
-    strongly_connected,
-    weight_vector,
-)
+from effpcm.errors import DimensionMismatchError, DimensionTooLargeError
+from effpcm.pcm import Permutation, apply_permutation, permute_weights, weight_vector
+from effpcm.efficiency import BccDigraph, bcc_digraph, is_efficient, strongly_connected
 from effpcm.generators import generate_with_rng, random_exact_weights
+from oracles import dominates, find_dominator_sample, hamiltonian_cycle_exists
 from test_pcm import positive_rationals, random_pcm4
 
 UNIFORM = weight_vector([Fraction(1, 4)] * 4)
@@ -37,7 +26,7 @@ class TestBccDigraph:
         assert g.equality_pairs == frozenset({(1, 2)})
 
     def test_consistent_weights_give_complete_digraph(self, consistent_example):
-        from effpcm import consistent_weights
+        from effpcm.pcm import consistent_weights
         w = consistent_weights(consistent_example)
         g = bcc_digraph(consistent_example, w)
         assert len(g.arcs) == 12
@@ -117,7 +106,7 @@ class TestEfficiency:
         assert is_efficient(running_example, vertex)
 
     def test_consistent_weights_are_efficient(self, consistent_example):
-        from effpcm import consistent_weights
+        from effpcm.pcm import consistent_weights
         assert is_efficient(consistent_example, consistent_weights(consistent_example))
 
     @given(random_pcm4, st.tuples(*([st.integers(1, 300)] * 4)),
@@ -163,7 +152,7 @@ class TestDominatorSampler:
         assert find_dominator_sample(running_example, vertex, trials=10_000, seed=3) is None
 
     def test_consistent_weights_have_no_dominator(self, consistent_example):
-        from effpcm import consistent_weights
+        from effpcm.pcm import consistent_weights
         w = consistent_weights(consistent_example)
         assert find_dominator_sample(consistent_example, w, trials=2_000, seed=5) is None
 

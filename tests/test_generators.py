@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from effpcm import classify, generate_pcm, random_exact_weights
+from effpcm.generators import generate_pcm, random_exact_weights
 from effpcm.generators import UPPER_PAIRS, OPPOSITE_PAIRS, TRIAD_SHARING_PAIRS
-from effpcm.geometry import PerturbTag
+from effpcm.geometry import PerturbTag, classify
 
 ALL_TAGS = [tag.value for tag in PerturbTag]
 

@@ -6,40 +6,45 @@ import random
 from fractions import Fraction
 
 import pytest
-from effpcm import (
-    CANONICAL_CYCLES,
+from effpcm.errors import (
     ConsistentTriadPresentError,
-    Direction,
     NotNormalizedError,
-    Permutation,
     UnsupportedDimensionError,
+)
+from effpcm.pcm import (
+    CANONICAL_CYCLES,
+    Permutation,
     apply_permutation,
+    consistent_triads,
+    consistent_weights,
+    cycle_product,
+    parse_pcm,
+    permute_weights,
+    triad_product,
+    weight_vector,
+)
+from effpcm.efficiency import bcc_digraph, is_efficient
+from effpcm.generators import _candidate, generate_with_rng, random_exact_weights
+from effpcm.geometry import (
+    Direction,
+    PerturbTag,
+    affine_rank,
     barycentric,
-    bcc_digraph,
     canonical_rearrangement,
     classify,
-    coincidence_structure,
-    consistent_weights,
     contains_cycle_region,
     cutting_planes,
     cycle_orientation,
-    cycle_product,
     efficient_set,
     embed,
-    is_efficient,
     is_efficient_geometric,
-    parse_pcm,
-    paths_of_cycle,
-    permute_weights,
     plane_clip_polygon,
     tetrahedron_for_cycle,
-    triad_product,
     triad_rearrangement,
-    weight_vector,
 )
-from effpcm.generators import _candidate, generate_with_rng, random_exact_weights
-from effpcm.geometry import PerturbTag, affine_rank
+from effpcm.trees import paths_of_cycle
 from conftest import flip_family
+from oracles import canonical_rearrangement_search, triad_rearrangement_search
 
 ALL_TAGS = ["triple", "double-triad", "double-one-cycle",
             "double-two-cycles", "simple", "consistent"]
@@ -163,7 +168,7 @@ class TestTriadRearrangement:
         pcm = flip_family(4)
         upper = pcm.upper_entries()
         upper[(1, 3)] = Fraction(1, 2)  # makes exactly the (1,2,3) relation '>'
-        from effpcm import pcm_from_upper
+        from effpcm.pcm import pcm_from_upper
         pcm = pcm_from_upper(4, upper)
         signs = [
             triad_product(pcm, (1, 2, 3)) > 1,
@@ -192,6 +197,33 @@ class TestTriadRearrangement:
             triad_rearrangement(double_triad_example)
 
 
+class TestRearrangementsMatchSearch:
+    """Both rearrangements return exactly what the 24-matrix search returns."""
+
+    @staticmethod
+    def _check(pcm):
+        assert canonical_rearrangement(pcm) == canonical_rearrangement_search(pcm)
+        if consistent_triads(pcm):
+            with pytest.raises(ConsistentTriadPresentError):
+                triad_rearrangement(pcm)
+        else:
+            assert triad_rearrangement(pcm) == triad_rearrangement_search(pcm)
+
+    def test_generated_matrices(self):
+        rng = random.Random(79)
+        for k in range(2000):
+            self._check(generate_with_rng(rng, ALL_TAGS[k % 6]))
+
+    def test_every_relabelling_of_the_reference_matrices(
+        self, running_example, double_triad_example, double_one_cycle_example,
+        double_two_cycles_example, simple_example, consistent_example,
+    ):
+        for pcm in (running_example, double_triad_example, double_one_cycle_example,
+                    double_two_cycles_example, simple_example, consistent_example):
+            for mapping in itertools.permutations((1, 2, 3, 4)):
+                self._check(apply_permutation(pcm, Permutation(mapping)))
+
+
 class TestTetrahedra:
     def test_running_vertices_match_reference_embeddings(self, running_example):
         all_vertices = set()
@@ -199,13 +231,13 @@ class TestTetrahedra:
             tet = tetrahedron_for_cycle(running_example, cycle)
             assert tet.degenerate_rank == 3
             for vertex, want in zip(tet.vertices, expected_points):
-                got = embed(vertex).as_tuple()
+                got = embed(vertex)
                 assert got == pytest.approx(want, abs=1e-6)
                 all_vertices.add(vertex.components)
         assert len(all_vertices) == 12
 
     def test_vertices_follow_path_order(self, running_example):
-        from effpcm import tree_weight_vector
+        from effpcm.trees import tree_weight_vector
         for cycle in CANONICAL_CYCLES:
             tet = tetrahedron_for_cycle(running_example, cycle)
             for vertex, path in zip(tet.vertices, paths_of_cycle(cycle)):
@@ -533,10 +565,6 @@ class TestCoincidences:
             else:
                 assert points == CANONICAL_CYCLES
 
-    def test_recompute_matches(self, simple_example):
-        effset = efficient_set(simple_example)
-        assert coincidence_structure(effset) == effset.coincidences
-
 
 class TestEfficientSetEquivariance:
     def test_vertices_permute_with_matrix(self):
@@ -559,14 +587,14 @@ class TestEfficientSetEquivariance:
 
 class TestEmbedding:
     def test_simplex_corner(self):
-        assert embed((1, 0, 0, 0)).as_tuple() == (1.0, 1.0, 0.0)
+        assert embed((1, 0, 0, 0)) == (1.0, 1.0, 0.0)
 
     def test_uniform_center(self):
-        assert embed(UNIFORM).as_tuple() == (0.5, 0.5, 0.5)
+        assert embed(UNIFORM) == (0.5, 0.5, 0.5)
 
     def test_tree_vertex(self):
         w = weight_vector([Fraction(1, 4), Fraction(1, 4), Fraction(1, 8), Fraction(3, 8)])
-        assert embed(w).as_tuple() == (0.5, 0.375, 0.375)
+        assert embed(w) == (0.5, 0.375, 0.375)
 
     def test_requires_normalized(self):
         with pytest.raises(NotNormalizedError):
@@ -580,12 +608,12 @@ class TestCuttingPlanes:
         assert planes[0].pair == (1, 2) and planes[0].value == 1
 
     def test_split_point_ratio(self):
-        from effpcm import pcm_from_upper
+        from effpcm.pcm import pcm_from_upper
         pcm = pcm_from_upper(4, {(1, 2): 2, (1, 3): 1, (1, 4): 1, (2, 3): 1, (2, 4): 1, (3, 4): 1})
         plane = cutting_planes(pcm)[0]
         polygon = plane_clip_polygon(plane)
         assert polygon[0] == (Fraction(2, 3), Fraction(1, 3), 0, 0)
-        assert embed(polygon[0]).as_tuple() == (1.0, pytest.approx(2 / 3), pytest.approx(1 / 3))
+        assert embed(polygon[0]) == (1.0, pytest.approx(2 / 3), pytest.approx(1 / 3))
         # the other two vertices are the opposite simplex corners
         assert polygon[1] == (0, 0, 1, 0)
         assert polygon[2] == (0, 0, 0, 1)

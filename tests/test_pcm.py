@@ -5,17 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from effpcm import (
+from effpcm.errors import (
     BadNumeralError,
     IndexOutOfRangeError,
     NonPositiveEntryError,
     NonSquareError,
     NotConsistentError,
-    Permutation,
     ReciprocityViolationError,
     RepeatedIndexError,
     TooShortError,
     UnsupportedDimensionError,
+)
+from effpcm.pcm import (
+    Permutation,
     apply_permutation,
     consistent_four_cycles,
     consistent_triads,
@@ -245,6 +247,6 @@ class TestWeightVector:
         assert w.is_normalized
 
     def test_positivity(self):
-        from effpcm import NonPositiveWeightError
+        from effpcm.errors import NonPositiveWeightError
         with pytest.raises(NonPositiveWeightError):
             weight_vector([1, 0, 2])

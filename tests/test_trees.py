@@ -5,22 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from effpcm import (
-    DimensionTooLargeError,
-    LabeledPath,
-    NotACanonicalCycleError,
-    SpanningTree,
-    consistent_weights,
-    embed,
-    enumerate_labeled_paths,
-    enumerate_spanning_trees,
-    is_efficient,
-    is_efficient_geometric,
-    paths_of_cycle,
-    restrict,
-    tree_weight_vector,
-)
+from effpcm.errors import DimensionTooLargeError, NotACanonicalCycleError
+from effpcm.pcm import consistent_weights
+from effpcm.efficiency import is_efficient
 from effpcm.generators import generate_with_rng
+from effpcm.geometry import embed, is_efficient_geometric
+from effpcm.trees import LabeledPath, SpanningTree, paths_of_cycle, tree_weight_vector
+from oracles import enumerate_labeled_paths, enumerate_spanning_trees, restrict
 
 
 class TestEnumeration:
@@ -118,7 +109,7 @@ class TestTreeWeights:
         for sequence, expected in cases.items():
             w = tree_weight_vector(running_example, LabeledPath(sequence))
             assert w.components == expected
-            point = embed(w).as_tuple()
+            point = embed(w)
             for got, want in zip(point, embeds[sequence]):
                 assert got == pytest.approx(want, abs=1e-6)
 
