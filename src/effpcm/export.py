@@ -16,14 +16,20 @@ from .errors import BadNumeralError, NonSquareError
 from .geometry import (
     SIMPLEX_CORNERS,
     EfficientSet,
+    classify,
+    cross,
     cutting_planes,
+    dot,
     efficient_set,
     embed,
     embed_exact,
     plane_clip_polygon,
+    sub,
+    tetrahedron_for_cycle,
 )
 from .trees import paths_of_cycle
 from .pcm import (
+    CANONICAL_CYCLES,
     Pcm,
     WeightVector,
     format_rational,
@@ -82,6 +88,8 @@ def _load_json(path: str | Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise BadNumeralError(f"BadNumeral: {path} is not valid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # a number literal past the interpreter's digit limit
+        raise BadNumeralError(f"BadNumeral: {path} has a number too long to read") from exc
     except RecursionError as exc:
         raise BadNumeralError(f"BadNumeral: {path} nests too deeply to parse") from exc
 
@@ -152,29 +160,22 @@ def _oriented_faces(points: list[tuple[Fraction, Fraction, Fraction]]) -> list[t
     faces = []
     for opposite in range(4):
         a, b, c = [k for k in range(4) if k != opposite]
-        pa, pb, pc, pd = points[a], points[b], points[c], points[opposite]
-        u = tuple(pb[i] - pa[i] for i in range(3))
-        v = tuple(pc[i] - pa[i] for i in range(3))
-        normal = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-        towards = tuple(pd[i] - pa[i] for i in range(3))
-        dot = sum(n * t for n, t in zip(normal, towards))
-        faces.append((a, b, c) if dot < 0 else (a, c, b))
+        pa = points[a]
+        normal = cross(sub(points[b], pa), sub(points[c], pa))
+        faces.append((a, b, c) if dot(normal, sub(points[opposite], pa)) < 0 else (a, c, b))
     return faces
 
 
 def obj_mesh(pcm: Pcm) -> str:
     """Wavefront OBJ mesh of the efficient set's nondegenerate tetrahedra.
 
-    Degenerate tetrahedra produce comment lines only.
+    Degenerate tetrahedra produce comment lines only.  The mesh needs only
+    the tetrahedra and the classification, so no coincidence report is built.
     """
-    effset = efficient_set(pcm)
-    lines = ["# effpcm efficient-set mesh", f"# classification: {effset.classification.tag.value}"]
+    tetrahedra = [tetrahedron_for_cycle(pcm, cycle) for cycle in CANONICAL_CYCLES]
+    lines = ["# effpcm efficient-set mesh", f"# classification: {classify(pcm).tag.value}"]
     vertex_count = 0
-    for tet in effset.tetrahedra:
+    for tet in tetrahedra:
         lines.append(f"# tetrahedron cycle={','.join(map(str, tet.cycle))} rank={tet.degenerate_rank}")
         if tet.degenerate_rank < 3:
             seen = []

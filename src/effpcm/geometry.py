@@ -11,11 +11,16 @@ single point.
 
 Everything here is exact rational arithmetic; floats appear only in the
 3-space embedding (w1+w2, w1+w3, w2+w3) used for visualization exports.
+Tetrahedron ranks and the coincidence report are decided on integer points:
+the vertices scaled to a common denominator with the fourth coordinate
+dropped, where every rank, collinearity and coplanarity question is one
+integer cross or triple product.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -138,7 +143,7 @@ class Tetrahedron:
 def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahedron:
     _require_n4(pcm)
     vertices = tuple(tree_weight_vector(pcm, path) for path in paths_of_cycle(cycle))
-    rank = affine_rank([v.components for v in vertices])
+    rank = _integer_rank(*integer_points([v.components for v in vertices]))
     return Tetrahedron(cycle, cycle_orientation(pcm, cycle), vertices, rank)
 
 
@@ -219,6 +224,51 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     base = points[0]
     rows = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
     return len(_row_reduce(rows)[1])
+
+
+def integer_points(points: Sequence[Sequence[Fraction]]) -> list[tuple[int, int, int]]:
+    """Exact points on one hyperplane sum = const, as integer 3-tuples.
+
+    Scales every point by the common denominator of all coordinates and
+    drops the fourth coordinate.  Dropping it is an affine bijection of the
+    hyperplane, so equality, collinearity, coplanarity and affine rank are
+    those of the original points.
+    """
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    return [tuple(c.numerator * (scale // c.denominator) for c in p[:3]) for p in points]
+
+
+ORIGIN = (0, 0, 0)
+
+
+def sub(p: Sequence, q: Sequence) -> tuple:
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+
+
+def cross(u: Sequence, v: Sequence) -> tuple:
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def dot(u: Sequence, v: Sequence):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _integer_rank(a, b, c, d) -> int:
+    """Affine rank of four integer 3-space points.
+
+    3 when the triple product is nonzero; else 2 when a face through ``a``
+    has a nonzero normal; else 1 when the points are not all equal.
+    """
+    u, v, w = sub(b, a), sub(c, a), sub(d, a)
+    if dot(cross(u, v), w) != 0:
+        return 3
+    if any(cross(x, y) != ORIGIN for x, y in ((u, v), (u, w), (v, w))):
+        return 2
+    return 1 if any(x != ORIGIN for x in (u, v, w)) else 0
 
 
 def barycentric(tet: Tetrahedron, w: WeightVector):
@@ -327,7 +377,11 @@ class CoincidenceReport:
     Vertex indices are 1-based positions in the tetrahedron vertex order;
     edges and faces are sorted index tuples.  Only nondegenerate edges
     (distinct endpoints) and faces (affine rank 2) participate in the
-    collinearity and coplanarity listings.
+    collinearity and coplanarity listings.  All twelve vertices are scaled
+    to one common denominator (see ``integer_points``); two edges are
+    collinear when the integer cross products of the first edge's direction
+    with the second edge's endpoints vanish, and two faces coplanar when the
+    first face's normal has a zero dot product with the second face's points.
     """
 
     shared_vertices: tuple[tuple[tuple, int, tuple, int], ...]
@@ -350,10 +404,21 @@ class CoincidenceReport:
 
 
 def _coincidence_report(tetrahedra: Sequence[Tetrahedron]) -> CoincidenceReport:
+    points = integer_points([p for tet in tetrahedra for p in tet.vertex_points()])
     parts = []
-    for tet in tetrahedra:
-        points = tet.vertex_points()
-        parts.append((tet.cycle, points, _nondegenerate_edges(points), _nondegenerate_faces(points)))
+    for first, tet in zip(range(0, len(points), 4), tetrahedra):
+        pts = points[first:first + 4]
+        edges = [
+            ((i + 1, j + 1), pts[i], sub(pts[j], pts[i]))
+            for i, j in itertools.combinations(range(4), 2)
+            if pts[i] != pts[j]
+        ]
+        faces = []
+        for i, j, k in itertools.combinations(range(4), 3):
+            normal = cross(sub(pts[j], pts[i]), sub(pts[k], pts[i]))
+            if normal != ORIGIN:
+                faces.append(((i + 1, j + 1, k + 1), pts[i], normal))
+        parts.append((tet.cycle, pts, edges, faces))
     shared = []
     collinear = []
     coplanar = []
@@ -362,36 +427,18 @@ def _coincidence_report(tetrahedra: Sequence[Tetrahedron]) -> CoincidenceReport:
             for ib in range(4):
                 if pa[ia] == pb[ib]:
                     shared.append((ca, ia + 1, cb, ib + 1))
-        for ea in edges_a:
-            for eb in edges_b:
-                pts = [pa[ea[0] - 1], pa[ea[1] - 1], pb[eb[0] - 1], pb[eb[1] - 1]]
-                if affine_rank(pts) <= 1:
+        # edge ea is nondegenerate, so eb lies on its line iff both of eb's
+        # endpoints do; face fa has rank 2, so likewise for fb and its plane
+        for ea, base, direction in edges_a:
+            for eb, _, _ in edges_b:
+                if all(cross(direction, sub(pb[i - 1], base)) == ORIGIN for i in eb):
                     collinear.append(((ca, ea), (cb, eb)))
-        for fa in faces_a:
-            for fb in faces_b:
-                pts = [pa[i - 1] for i in fa] + [pb[i - 1] for i in fb]
-                if affine_rank(pts) <= 2:
+        for fa, base, normal in faces_a:
+            for fb, _, _ in faces_b:
+                if all(dot(normal, sub(pb[i - 1], base)) == 0 for i in fb):
                     coplanar.append(((ca, fa), (cb, fb)))
-    points = tuple(t.cycle for t in tetrahedra if t.degenerate_rank == 0)
-    return CoincidenceReport(tuple(shared), tuple(collinear), tuple(coplanar), points)
-
-
-def _nondegenerate_edges(points: list[tuple[Fraction, ...]]) -> list[tuple[int, int]]:
-    return [
-        (i + 1, j + 1)
-        for i in range(4)
-        for j in range(i + 1, 4)
-        if points[i] != points[j]
-    ]
-
-
-def _nondegenerate_faces(points: list[tuple[Fraction, ...]]) -> list[tuple[int, int, int]]:
-    faces = []
-    for combo in itertools.combinations(range(4), 3):
-        pts = [points[i] for i in combo]
-        if affine_rank(pts) == 2:
-            faces.append(tuple(i + 1 for i in combo))
-    return faces
+    point_cycles = tuple(t.cycle for t in tetrahedra if t.degenerate_rank == 0)
+    return CoincidenceReport(tuple(shared), tuple(collinear), tuple(coplanar), point_cycles)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ None of this is needed to decide efficiency or build the efficient set; the
 tests use it as independent reference implementations: exhaustive
 Hamiltonian-cycle search (Camion), Pareto dominance and a randomized
 dominator search, spanning-tree and path enumeration, tree restrictions to
-incomplete matrices, the geometry document's exact-vertex reader, and the
+incomplete matrices, the geometry document's exact-vertex reader, the
 24-matrix rearrangement searches that the library's rearrangements must
-reproduce.
+reproduce, and the coincidence report by fraction row reduction that the
+library's integer cross and triple products must reproduce.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from effpcm.efficiency import BccDigraph
+from effpcm.geometry import CoincidenceReport, affine_rank
 from effpcm.errors import (
     ConsistentTriadPresentError,
     DimensionMismatchError,
@@ -301,3 +303,53 @@ def triad_rearrangement_search(pcm: Pcm) -> tuple[Permutation, Pcm, int]:
         if relations[0] and relations[1] and relations[2] and not relations[3]:
             return perm, candidate, 2
     raise AssertionError("unreachable: parity argument guarantees one of the two cases")
+
+
+# ---------------------------------------------------------------------------
+# reference coincidence report: every question is one fraction affine rank
+
+
+def coincidence_report_by_rank(tetrahedra) -> CoincidenceReport:
+    """Shared vertices, collinear edges and coplanar faces by ``affine_rank``."""
+    parts = []
+    for tet in tetrahedra:
+        points = tet.vertex_points()
+        parts.append((tet.cycle, points, _nondegenerate_edges(points), _nondegenerate_faces(points)))
+    shared = []
+    collinear = []
+    coplanar = []
+    for (ca, pa, edges_a, faces_a), (cb, pb, edges_b, faces_b) in itertools.combinations(parts, 2):
+        for ia in range(4):
+            for ib in range(4):
+                if pa[ia] == pb[ib]:
+                    shared.append((ca, ia + 1, cb, ib + 1))
+        for ea in edges_a:
+            for eb in edges_b:
+                pts = [pa[ea[0] - 1], pa[ea[1] - 1], pb[eb[0] - 1], pb[eb[1] - 1]]
+                if affine_rank(pts) <= 1:
+                    collinear.append(((ca, ea), (cb, eb)))
+        for fa in faces_a:
+            for fb in faces_b:
+                pts = [pa[i - 1] for i in fa] + [pb[i - 1] for i in fb]
+                if affine_rank(pts) <= 2:
+                    coplanar.append(((ca, fa), (cb, fb)))
+    points = tuple(t.cycle for t in tetrahedra if t.degenerate_rank == 0)
+    return CoincidenceReport(tuple(shared), tuple(collinear), tuple(coplanar), points)
+
+
+def _nondegenerate_edges(points) -> list[tuple[int, int]]:
+    return [
+        (i + 1, j + 1)
+        for i in range(4)
+        for j in range(i + 1, 4)
+        if points[i] != points[j]
+    ]
+
+
+def _nondegenerate_faces(points) -> list[tuple[int, int, int]]:
+    faces = []
+    for combo in itertools.combinations(range(4), 3):
+        pts = [points[i] for i in combo]
+        if affine_rank(pts) == 2:
+            faces.append(tuple(i + 1 for i in combo))
+    return faces

@@ -1,20 +1,24 @@
 """End-to-end CLI behavior: commands, exit codes, file formats."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import effpcm
-from effpcm.cli import main
+from effpcm.cli import CLASS_CHOICES, main
 from effpcm.geometry import efficient_set
 from effpcm.pcm import parse_pcm
 from conftest import RUNNING_ROWS
 from oracles import parse_exact_vertices
+from test_pcm import random_pcm4
 
 
 def write_matrix(path, rows, n=None):
@@ -220,10 +224,12 @@ class TestInputFaults:
         (tmp_path / "non-utf8.json").write_bytes(
             b'{"n": 2, "entries": [["1", "\xff\xfe"], ["1", "1"]]}')
         (tmp_path / "deep.json").write_text("[" * 50_000 + "]" * 50_000, encoding="utf-8")
+        (tmp_path / "long.json").write_text("1" * 5000, encoding="utf-8")
 
     @pytest.mark.parametrize("argv,tol", [
         pytest.param(["validate", "non-utf8.json"], None, id="non-utf8"),
         pytest.param(["validate", "deep.json"], None, id="deep-json"),
+        pytest.param(["validate", "long.json"], None, id="long-number"),
         pytest.param(["sample", "--seed", "1", "--trials", "0", "--class", "triple"], None,
                      id="zero-trials"),
         *[pytest.param(["check", "matrix.json", "--weights", "w.json"], tol, id=f"tol-{tol}")
@@ -245,3 +251,90 @@ class TestInputFaults:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["1", "2", "1/2", "5", "1/5", "0.25", "4", "0", "-1", "1/0", "x", "", " 3 "]),
+    st.integers(-2, 9),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+_RANDOM_DOCUMENTS = st.one_of(
+    st.binary(max_size=64),
+    st.fixed_dictionaries({}, optional={
+        "n": st.integers(0, 5),
+        "entries": st.lists(st.lists(_CELLS, max_size=5), max_size=5),
+        "w": st.lists(_CELLS, max_size=5),
+    }).map(lambda doc: json.dumps(doc).encode()),
+)
+_MATRIX_DOCUMENTS = st.one_of(
+    random_pcm4.map(lambda pcm: {"n": 4, "entries": pcm.rows_as_strings()}),
+    st.sampled_from([
+        {"n": 4, "entries": RUNNING_ROWS},
+        {"n": 4, "entries": [["1"] * 4] * 4},
+        {"n": 2, "entries": [["1", "3"], ["1/3", "1"]]},
+    ]),
+).map(lambda doc: json.dumps(doc).encode())
+_WEIGHT_DOCUMENTS = st.one_of(
+    st.lists(st.integers(1, 50), min_size=4, max_size=4).map(lambda w: [str(c) for c in w]),
+    st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+    st.sampled_from([["7/20", "2/5", "1/5", "1/20"], [0.35, 0.4, 0.2, 0.05]]),
+).map(lambda w: json.dumps({"w": w}).encode())
+
+
+@st.composite
+def _invocations(draw):
+    """An argv the CLI grammar accepts, naming a matrix-like document a.json,
+    a weights-like document b.json, or an absent file or a directory, and the
+    bytes of the two documents, each valid or random."""
+    docs = [draw(st.one_of(_MATRIX_DOCUMENTS, _RANDOM_DOCUMENTS)),
+            draw(st.one_of(_WEIGHT_DOCUMENTS, _RANDOM_DOCUMENTS))]
+    other = st.sampled_from(["a.json", "b.json", "missing.json", "."])
+    command = draw(st.sampled_from(
+        ["validate", "check", "classify", "rearrange", "vertices", "member", "export", "sample"]))
+    if command == "sample":
+        argv = ["sample", "--seed", str(draw(st.integers(0, 2**32))),
+                "--trials", str(draw(st.integers(-1, 2))),
+                "--class", draw(st.sampled_from(CLASS_CHOICES))]
+        if draw(st.booleans()):
+            argv += ["-o", draw(st.sampled_from(["out.json", "missing/out.json"]))]
+        return argv, docs
+    argv = [command, draw(st.one_of(st.just("a.json"), other))]
+    if command in ("check", "member"):
+        argv += ["--weights", draw(st.one_of(st.just("b.json"), other))]
+    if command == "check" and draw(st.booleans()):
+        argv.append("--json")
+    if command == "rearrange" and draw(st.booleans()):
+        argv += ["--mode", draw(st.sampled_from(["cycles", "triads"]))]
+    if command == "export":
+        argv += ["-o", draw(st.sampled_from(["out.json", "missing/out.obj", "."]))]
+        if draw(st.booleans()):
+            argv += ["--format", draw(st.sampled_from(["json", "obj"]))]
+    return argv, docs
+
+
+class TestFuzz:
+    """Exit 0 or 1 is a result, exit 2 one error line; nothing else ever escapes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_invocations())
+    def test_exit_code_contract(self, tmp_path_factory, invocation):
+        argv, docs = invocation
+        workdir = tmp_path_factory.mktemp("fuzz")
+        for name, content in zip(("a.json", "b.json"), docs):
+            (workdir / name).write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(workdir)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                rc = main(argv)
+        finally:
+            os.chdir(cwd)
+        assert rc in (0, 1, 2)
+        if rc == 1:  # only a semantic negative: an inefficient verdict or a sampler disagreement
+            assert argv[0] in ("check", "member", "sample") and err.getvalue() == ""
+        if rc == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:")

@@ -4,12 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from effpcm.errors import DimensionMismatchError, DimensionTooLargeError
-from effpcm.pcm import Permutation, apply_permutation, permute_weights, weight_vector
-from effpcm.efficiency import BccDigraph, bcc_digraph, is_efficient, strongly_connected
+from effpcm.pcm import (
+    CANONICAL_CYCLES,
+    Permutation,
+    apply_permutation,
+    permute_weights,
+    weight_vector,
+)
+from effpcm.efficiency import (
+    DEFAULT_EQUALITY_BAND,
+    BccDigraph,
+    bcc_digraph,
+    is_efficient,
+    strongly_connected,
+)
 from effpcm.generators import generate_with_rng, random_exact_weights
+from effpcm.geometry import PerturbTag, tetrahedron_for_cycle
 from oracles import dominates, find_dominator_sample, hamiltonian_cycle_exists
 from test_pcm import positive_rationals, random_pcm4
 
@@ -122,6 +135,38 @@ class TestEfficiency:
         perm = Permutation(tuple(mapping))
         assert is_efficient(apply_permutation(pcm, perm), permute_weights(w, perm)) \
             == is_efficient(pcm, w)
+
+
+@st.composite
+def _matrix_and_float_weights(draw):
+    """A generated 4x4 matrix of any class and a positive float weight vector,
+    either arbitrary or a float convex combination of one tetrahedron's vertices
+    (so that efficient vectors are drawn too)."""
+    pcm = generate_with_rng(random.Random(draw(st.integers(0, 2**32 - 1))),
+                            draw(st.sampled_from(list(PerturbTag))))
+    if draw(st.booleans()):
+        return pcm, draw(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
+    tet = tetrahedron_for_cycle(pcm, draw(st.sampled_from(CANONICAL_CYCLES)))
+    mix = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+               .filter(lambda m: max(m) >= 0.01))
+    return pcm, [
+        sum(m * float(v.components[i]) for m, v in zip(mix, tet.vertices)) for i in range(4)
+    ]
+
+
+class TestFloatPath:
+    @settings(max_examples=200, deadline=None)
+    @given(_matrix_and_float_weights())
+    def test_off_band_float_vector_agrees_with_its_exact_twin(self, case):
+        pcm, floats = case
+        exact = [Fraction(f) for f in floats]
+        band = 2 * Fraction(DEFAULT_EQUALITY_BAND)  # twice the band: clear of its edge
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    a = pcm.entries[i][j]
+                    assume(abs(exact[i] / exact[j] - a) > band * max(1, a))
+        assert is_efficient(pcm, weight_vector(floats)) == is_efficient(pcm, weight_vector(exact))
 
 
 class TestDominance:

@@ -19,6 +19,7 @@ from effpcm.pcm import (
     consistent_weights,
     cycle_product,
     parse_pcm,
+    pcm_from_upper,
     permute_weights,
     triad_product,
     weight_vector,
@@ -28,6 +29,7 @@ from effpcm.generators import _candidate, generate_with_rng, random_exact_weight
 from effpcm.geometry import (
     Direction,
     PerturbTag,
+    _integer_rank,
     affine_rank,
     barycentric,
     canonical_rearrangement,
@@ -37,6 +39,7 @@ from effpcm.geometry import (
     cycle_orientation,
     efficient_set,
     embed,
+    integer_points,
     is_efficient_geometric,
     plane_clip_polygon,
     tetrahedron_for_cycle,
@@ -44,7 +47,11 @@ from effpcm.geometry import (
 )
 from effpcm.trees import paths_of_cycle
 from conftest import flip_family
-from oracles import canonical_rearrangement_search, triad_rearrangement_search
+from oracles import (
+    canonical_rearrangement_search,
+    coincidence_report_by_rank,
+    triad_rearrangement_search,
+)
 
 ALL_TAGS = ["triple", "double-triad", "double-one-cycle",
             "double-two-cycles", "simple", "consistent"]
@@ -564,6 +571,79 @@ class TestCoincidences:
                 assert report.shared_points(others[0], others[1]) == 3
             else:
                 assert points == CANONICAL_CYCLES
+
+
+def _decimal(rng):
+    """A rational in [0.1, 10) with 15 fraction digits."""
+    return Fraction(rng.randrange(10**14, 10**16), 10**15)
+
+
+def _decimal_matrices(rng):
+    """Each class rescaled by 15-digit decimal weights (a_ij * d_i / d_j keeps
+    every triad and cycle product; vertices of about 60 bits), and three
+    matrices of 15-digit decimal entries (vertices of about 150 bits)."""
+    for tag in ALL_TAGS:
+        base = generate_with_rng(rng, tag)
+        d = [_decimal(rng) for _ in range(4)]
+        yield pcm_from_upper(4, {
+            (i, j): v * d[i - 1] / d[j - 1] for (i, j), v in base.upper_entries().items()
+        })
+    for _ in range(3):
+        yield pcm_from_upper(4, {
+            (i, j): _decimal(rng) for i in range(1, 5) for j in range(i + 1, 5)
+        })
+
+
+class TestIntegerGeometryMatchesRank:
+    """The integer cross and triple products decide what fraction ranks decide."""
+
+    @staticmethod
+    def _check(pcm):
+        effset = efficient_set(pcm)
+        assert effset.coincidences == coincidence_report_by_rank(effset.tetrahedra)
+        for tet in effset.tetrahedra:
+            assert tet.degenerate_rank == affine_rank(tet.vertex_points())
+        return effset
+
+    def test_every_relabelling_of_the_reference_matrices(
+        self, running_example, double_triad_example, double_one_cycle_example,
+        double_two_cycles_example, simple_example, consistent_example,
+    ):
+        for pcm in (running_example, double_triad_example, double_one_cycle_example,
+                    double_two_cycles_example, simple_example, consistent_example):
+            for mapping in itertools.permutations((1, 2, 3, 4)):
+                self._check(apply_permutation(pcm, Permutation(mapping)))
+
+    def test_generated_matrices(self):
+        rng = random.Random(83)
+        for k in range(300):
+            self._check(generate_with_rng(rng, ALL_TAGS[k % 6]))
+
+    def test_decimal_matrices(self):
+        rng = random.Random(89)
+        bits = []
+        for pcm in _decimal_matrices(rng):
+            effset = self._check(pcm)
+            bits.append(max(
+                c.denominator.bit_length()
+                for tet in effset.tetrahedra for p in tet.vertex_points() for c in p
+            ))
+        assert sum(b >= 140 for b in bits) == 3
+
+    def test_rank_of_degenerate_point_sets(self):
+        # real tetrahedra have rank 0 or 3; these reach ranks 1 and 2 as well
+        rng = random.Random(97)
+        for _ in range(400):
+            base = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(3)]
+            spans = [[Fraction(rng.randint(-3, 3)) for _ in range(3)]
+                     for _ in range(rng.randint(0, 3))]
+            points = []
+            for _ in range(4):
+                coefficients = [rng.randint(-2, 2) for _ in spans]
+                xyz = [base[i] + sum(c * s[i] for c, s in zip(coefficients, spans))
+                       for i in range(3)]
+                points.append((*xyz, 1 - sum(xyz)))
+            assert _integer_rank(*integer_points(points)) == affine_rank(points)
 
 
 class TestEfficientSetEquivariance:
