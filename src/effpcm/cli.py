@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .efficiency import bcc_digraph, strongly_connected
-from .errors import InputError
+from .errors import InputError, UsageError
 from .export import (
     dump_json,
     geometry_document,
@@ -30,7 +30,7 @@ from .geometry import (
     canonical_rearrangement,
     classify,
     contains_cycle_region,
-    cycle_orientation,
+    canonical_orientations,
     embed,
     tetrahedron_for_cycle,
     triad_rearrangement,
@@ -113,8 +113,8 @@ def _cmd_member(args) -> int:
     pcm = load_matrix(args.matrix)
     w = load_weights(args.weights)
     inside_any = False
-    for cycle in CANONICAL_CYCLES:
-        orientation = cycle_orientation(pcm, cycle)
+    for orientation in canonical_orientations(pcm):
+        cycle = orientation.cycle
         inside = contains_cycle_region(pcm, orientation, w)
         cycle_text = ",".join(map(str, cycle))
         print(f"cycle ({cycle_text}) {orientation.direction.value}: "
@@ -150,8 +150,21 @@ def _cmd_sample(args) -> int:
     return 1 if report.disagreements else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line like every other input error.
+
+    argparse's own ``error`` prints a usage block and exits; this one raises
+    a ``UsageError``, so ``main`` prints one ``error:`` line and returns 2.
+    Subparsers are built with the same class (``parser_class`` defaults to
+    the parent's type).
+    """
+
+    def error(self, message):
+        raise UsageError(f"Usage: {self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="effpcm",
         description="Exact Pareto-efficiency analysis of pairwise comparison matrices",
     )
@@ -202,14 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

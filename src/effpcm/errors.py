@@ -14,6 +14,12 @@ class InputError(ValueError):
     code = "InputError"
 
 
+class UsageError(InputError):
+    """A command line the argument parser rejects."""
+
+    code = "Usage"
+
+
 class NonSquareError(InputError):
     code = "NonSquare"
 

@@ -106,5 +106,6 @@ def generate_pcm(seed: int, class_tag: PerturbTag | str) -> Pcm:
 
 def random_exact_weights(rng: random.Random, n: int = 4, max_component: int = 9999) -> WeightVector:
     """A random exact normalized weight vector with integer-born components."""
-    components = tuple(Fraction(rng.randint(1, max_component)) for _ in range(n))
-    return WeightVector(components).normalized()
+    draws = [rng.randint(1, max_component) for _ in range(n)]
+    total = sum(draws)
+    return WeightVector(tuple(Fraction(k, total) for k in draws))

@@ -9,6 +9,12 @@ A cycle's admissible orientation is fixed by whether its entry product lies
 below or above 1; a product of exactly 1 collapses the tetrahedron to a
 single point.
 
+Classification, the canonical cycles' orientations, the region test and both
+rearrangements read the seven signs of ``pcm.product_signs`` (four triads,
+three 4-cycles), computed once per call.  A relabelling maps each canonical
+cycle or triad onto a canonical one, forward or reversed, so the
+rearrangements scan a 24-entry table of those images built at import.
+
 Everything here is exact rational arithmetic; floats appear only in the
 3-space embedding (w1+w2, w1+w3, w2+w3) used for visualization exports.
 Tetrahedron ranks and the coincidence report are decided on integer points:
@@ -35,16 +41,15 @@ from .errors import (
 )
 from .pcm import (
     CANONICAL_CYCLES,
+    CANONICAL_TRIADS,
     Pcm,
     Permutation,
     WeightVector,
     _require_n4,
     apply_permutation,
     compare_ratio,
-    consistent_four_cycles,
-    consistent_triads,
     cycle_product,
-    triad_product,
+    product_signs,
 )
 from .trees import paths_of_cycle, tree_weight_vector
 
@@ -69,16 +74,56 @@ class CycleOrientation:
     directed: tuple[int, int, int, int]
 
 
-def cycle_orientation(pcm: Pcm, cycle: tuple[int, int, int, int]) -> CycleOrientation:
-    """Forward when the cycle product is < 1, backward when > 1, both on equality."""
-    _require_n4(pcm)
-    product = cycle_product(pcm, cycle)
-    if product < 1:
+def _oriented(cycle: tuple[int, int, int, int], sign: int) -> CycleOrientation:
+    """The orientation of a cycle whose product minus 1 has the given sign."""
+    if sign < 0:
         return CycleOrientation(cycle, Direction.FORWARD, cycle)
-    if product > 1:
+    if sign > 0:
         reversed_listing = (cycle[0],) + tuple(reversed(cycle[1:]))
         return CycleOrientation(cycle, Direction.BACKWARD, reversed_listing)
     return CycleOrientation(cycle, Direction.CONSISTENT_BOTH, cycle)
+
+
+def cycle_orientation(pcm: Pcm, cycle: tuple[int, int, int, int]) -> CycleOrientation:
+    """Forward when the cycle product is < 1, backward when > 1, both on equality.
+
+    Takes any vertex listing; the canonical cycles' orientations come
+    cheaper from ``canonical_orientations``.
+    """
+    _require_n4(pcm)
+    product = cycle_product(pcm, cycle)
+    return _oriented(cycle, (product > 1) - (product < 1))
+
+
+def canonical_orientations(pcm: Pcm) -> tuple[CycleOrientation, CycleOrientation, CycleOrientation]:
+    """The orientations of the three canonical cycles, in CANONICAL_CYCLES order."""
+    _, cycle_signs = product_signs(pcm)
+    return tuple(_oriented(c, s) for c, s in zip(CANONICAL_CYCLES, cycle_signs))
+
+
+def _images(listings: Sequence[tuple[int, ...]]):
+    """For each relabelling in lexicographic order: (mapping, images).
+
+    images[q] = (k, e) says that listings[q] relabelled, i.e. the walk
+    (mapping[v - 1] for v in listings[q]), is a rotation of listings[k]
+    (e = +1) or of its reversal (e = -1).  Its entry product is then the
+    k-th listing's product raised to e, so its sign against 1 is e times
+    the k-th sign.  Every listing of a triad is a rotation of the sorted
+    triad or of its reversal, so the table covers triads too.
+    """
+    rotations = {}
+    for k, listing in enumerate(listings):
+        for e, walk in ((1, listing), (-1, tuple(reversed(listing)))):
+            for r in range(len(walk)):
+                rotations[walk[r:] + walk[:r]] = (k, e)
+    return tuple(
+        (mapping, tuple(rotations[tuple(mapping[v - 1] for v in listing)] for listing in listings))
+        for mapping in itertools.permutations((1, 2, 3, 4))
+    )
+
+
+_CYCLE_IMAGES = _images(CANONICAL_CYCLES)
+_TRIAD_IMAGES = _images(CANONICAL_TRIADS)
 
 
 def canonical_rearrangement(pcm: Pcm) -> tuple[Permutation, Pcm]:
@@ -87,15 +132,13 @@ def canonical_rearrangement(pcm: Pcm) -> tuple[Permutation, Pcm]:
     Equality is allowed exactly when the corresponding cycle is consistent.
     Several reindexings always qualify; the lexicographically smallest image
     sequence is returned, so a matrix already in shape maps to the identity.
-    A relabelling is tested on the original matrix, through the identity
-    cycle_product(apply_permutation(A, p), c) = cycle_product(A, p(c)).
+    A relabelling is tested on the original matrix's cycle signs, through the
+    identity cycle_product(apply_permutation(A, p), c) = cycle_product(A, p(c))
+    and the image table.
     """
-    _require_n4(pcm)
-    for mapping in itertools.permutations((1, 2, 3, 4)):
-        if all(
-            cycle_product(pcm, tuple(mapping[v - 1] for v in cycle)) <= 1
-            for cycle in CANONICAL_CYCLES
-        ):
+    _, s = product_signs(pcm)
+    for mapping, ((k0, e0), (k1, e1), (k2, e2)) in _CYCLE_IMAGES:
+        if e0 * s[k0] <= 0 and e1 * s[k1] <= 0 and e2 * s[k2] <= 0:
             perm = Permutation(mapping)
             return perm, apply_permutation(pcm, perm)
     raise AssertionError("unreachable: some reindexing always exists")
@@ -108,21 +151,16 @@ def triad_rearrangement(pcm: Pcm) -> tuple[Permutation, Pcm, int]:
     first three '<' and the (1,2,4) relation '>'.  Which case is reachable is
     decided by the parity of the '>' relations, which index swaps preserve.
     """
-    _require_n4(pcm)
-    if consistent_triads(pcm):
+    t, _ = product_signs(pcm)
+    if 0 in t:
         raise ConsistentTriadPresentError(
             "ConsistentTriadPresent: triad relations must all be strict"
         )
-    for mapping in itertools.permutations((1, 2, 3, 4)):
-        # triad (i, j, k) of the relabelled matrix is (m_i, m_j, m_k) here
-        m1, m2, m3, m4 = mapping
-        if (
-            triad_product(pcm, (m1, m2, m3)) < 1
-            and triad_product(pcm, (m2, m3, m4)) < 1
-            and triad_product(pcm, (m1, m3, m4)) < 1
-        ):
+    # relabelled triads in CANONICAL_TRIADS order: (1,2,3), (1,2,4), (1,3,4), (2,3,4)
+    for mapping, ((k0, e0), (k1, e1), (k2, e2), (k3, e3)) in _TRIAD_IMAGES:
+        if e0 * t[k0] < 0 and e2 * t[k2] < 0 and e3 * t[k3] < 0:
             perm = Permutation(mapping)
-            case = 1 if triad_product(pcm, (m1, m2, m4)) < 1 else 2
+            case = 1 if e1 * t[k1] < 0 else 2
             return perm, apply_permutation(pcm, perm), case
     raise AssertionError("unreachable: parity argument guarantees one of the two cases")
 
@@ -144,7 +182,8 @@ def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahe
     _require_n4(pcm)
     vertices = tuple(tree_weight_vector(pcm, path) for path in paths_of_cycle(cycle))
     rank = _integer_rank(*integer_points([v.components for v in vertices]))
-    return Tetrahedron(cycle, cycle_orientation(pcm, cycle), vertices, rank)
+    orientation = canonical_orientations(pcm)[CANONICAL_CYCLES.index(cycle)]
+    return Tetrahedron(cycle, orientation, vertices, rank)
 
 
 def contains_cycle_region(
@@ -181,8 +220,8 @@ def is_efficient_geometric(pcm: Pcm, w: WeightVector, band: float | None = None)
     if band is None:
         band = float_equality_band()
     return any(
-        contains_cycle_region(pcm, cycle_orientation(pcm, cycle), w, band)
-        for cycle in CANONICAL_CYCLES
+        contains_cycle_region(pcm, orientation, w, band)
+        for orientation in canonical_orientations(pcm)
     )
 
 
@@ -361,9 +400,9 @@ def classify(pcm: Pcm) -> PerturbClass:
     The raise doubles as a falsification probe: no positive reciprocal 4x4
     matrix should ever produce a pair outside the six admissible ones.
     """
-    _require_n4(pcm)
-    t = len(consistent_triads(pcm))
-    c = len(consistent_four_cycles(pcm))
+    triad_signs, cycle_signs = product_signs(pcm)
+    t = triad_signs.count(0)
+    c = cycle_signs.count(0)
     tag = _ADMISSIBLE_COUNTS.get((t, c))
     if tag is None:
         raise ImpossibleCombinationError(t, c)

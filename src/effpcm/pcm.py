@@ -8,6 +8,13 @@ acceptable.  Decimal input is converted exactly ("0.25" becomes 1/4).
 All indices in the public API are 1-based, matching the usual notation for
 alternatives 1..n.  Values are immutable after construction and every
 function is pure.
+
+For n = 4 the theory needs seven numbers: the products of the four
+canonical triads and of the three canonical 4-cycles, each only through how
+it compares with 1.  ``product_signs`` computes those seven signs at once by
+integer cross-multiplication; classification, orientation, the region test
+and both rearrangements in ``geometry`` derive from it.  ``triad_product``
+and ``cycle_product`` remain for arbitrary listings.
 """
 
 from __future__ import annotations
@@ -78,22 +85,29 @@ class Pcm:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
+        entries = self.entries
+        n = len(entries)
+        if n == 0 or any(len(row) != n for row in entries):
             raise NonSquareError("NonSquare: entries must form a nonempty square grid")
-        for i, row in enumerate(self.entries, start=1):
+        for i, row in enumerate(entries, start=1):
             for j, value in enumerate(row, start=1):
-                if value <= 0:
+                if not isinstance(value, (Fraction, int)) or isinstance(value, bool):
+                    raise BadNumeralError(
+                        f"BadNumeral: a[{i},{j}]={value!r} is not a Fraction or an int"
+                    )
+                if value.numerator <= 0:
                     raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                a_ij = self.entries[i - 1][j - 1]
-                a_ji = self.entries[j - 1][i - 1]
-                if a_ij * a_ji != 1:
+        # Both entries are positive and in lowest terms, so a_ij * a_ji = 1
+        # exactly when one is the other with numerator and denominator swapped.
+        for i in range(n):
+            for j in range(i, n):
+                a_ij = entries[i][j]
+                a_ji = entries[j][i]
+                if a_ij.numerator != a_ji.denominator or a_ij.denominator != a_ji.numerator:
                     raise ReciprocityViolationError(
-                        j, i,
-                        f"a[{j},{i}]={format_rational(a_ji)} is not the reciprocal "
-                        f"of a[{i},{j}]={format_rational(a_ij)}",
+                        j + 1, i + 1,
+                        f"a[{j + 1},{i + 1}]={format_rational(a_ji)} is not the reciprocal "
+                        f"of a[{i + 1},{j + 1}]={format_rational(a_ij)}",
                     )
 
     @property
@@ -136,7 +150,7 @@ def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int]) -> Pcm:
     for (i, j), value in upper.items():
         value = Fraction(value)
         grid[i - 1][j - 1] = value
-        grid[j - 1][i - 1] = 1 / value
+        grid[j - 1][i - 1] = Fraction(value.denominator, value.numerator)
     return Pcm(tuple(tuple(row) for row in grid))
 
 
@@ -313,16 +327,52 @@ def _require_n4(pcm: Pcm) -> None:
         raise UnsupportedDimensionError(f"UnsupportedDimension: requires n=4, got n={pcm.n}")
 
 
+def _sign(lhs: int, rhs: int) -> int:
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def product_signs(pcm: Pcm) -> tuple[tuple[int, int, int, int], tuple[int, int, int]]:
+    """Signs of product - 1 for the canonical triads and 4-cycles of a 4x4 matrix.
+
+    Returns (triad signs in CANONICAL_TRIADS order, cycle signs in
+    CANONICAL_CYCLES order), each -1, 0 or +1: 0 marks a consistent triad or
+    cycle, and a cycle's sign fixes its orientation.  Each product is a ratio
+    of upper entries a_ij = n_ij / d_ij (i < j), all positive, so its sign is
+    that of an integer cross-multiplication: no Fraction is built and no gcd
+    is taken.
+    """
+    _require_n4(pcm)
+    (_, a12, a13, a14), (_, _, a23, a24), (_, _, _, a34), _ = pcm.entries
+    n12, d12 = a12.numerator, a12.denominator
+    n13, d13 = a13.numerator, a13.denominator
+    n14, d14 = a14.numerator, a14.denominator
+    n23, d23 = a23.numerator, a23.denominator
+    n24, d24 = a24.numerator, a24.denominator
+    n34, d34 = a34.numerator, a34.denominator
+    triads = (
+        _sign(n12 * n23 * d13, d12 * d23 * n13),  # a12 a23 a31
+        _sign(n12 * n24 * d14, d12 * d24 * n14),  # a12 a24 a41
+        _sign(n13 * n34 * d14, d13 * d34 * n14),  # a13 a34 a41
+        _sign(n23 * n34 * d24, d23 * d34 * n24),  # a23 a34 a42
+    )
+    cycles = (
+        _sign(n12 * n23 * n34 * d14, d12 * d23 * d34 * n14),  # a12 a23 a34 a41
+        _sign(n14 * n23 * d13 * d24, d14 * d23 * n13 * n24),  # a14 a42 a23 a31
+        _sign(n13 * n34 * d12 * d24, d13 * d34 * n12 * n24),  # a13 a34 a42 a21
+    )
+    return triads, cycles
+
+
 def consistent_triads(pcm: Pcm) -> list[tuple[int, int, int]]:
     """The canonical triads of a 4x4 matrix whose product is exactly 1."""
-    _require_n4(pcm)
-    return [t for t in CANONICAL_TRIADS if triad_product(pcm, t) == 1]
+    triad_signs, _ = product_signs(pcm)
+    return [t for t, s in zip(CANONICAL_TRIADS, triad_signs) if s == 0]
 
 
 def consistent_four_cycles(pcm: Pcm) -> list[tuple[int, int, int, int]]:
     """The canonical undirected 4-cycles of a 4x4 matrix whose product is exactly 1."""
-    _require_n4(pcm)
-    return [c for c in CANONICAL_CYCLES if cycle_product(pcm, c) == 1]
+    _, cycle_signs = product_signs(pcm)
+    return [c for c, s in zip(CANONICAL_CYCLES, cycle_signs) if s == 0]
 
 
 def is_consistent(pcm: Pcm) -> bool:

@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .efficiency import is_efficient
+from .efficiency import float_equality_band, is_efficient
 from .errors import BadTrialCountError
 from .generators import generate_with_rng, random_exact_weights
 from .geometry import PerturbTag, is_efficient_geometric
@@ -43,6 +43,7 @@ def run_equivalence_trials(seed: int, trials: int, class_tag: PerturbTag | str) 
     if trials < 1:
         raise BadTrialCountError(f"BadTrialCount: trials must be >= 1, got {trials}")
     tag = PerturbTag(class_tag)
+    band = float_equality_band()
     rng = random.Random(seed)
     start = time.perf_counter()
     disagreements = []
@@ -50,8 +51,8 @@ def run_equivalence_trials(seed: int, trials: int, class_tag: PerturbTag | str) 
     for index in range(trials):
         pcm = generate_with_rng(rng, tag)
         w = random_exact_weights(rng)
-        scc_verdict = is_efficient(pcm, w)
-        geometric_verdict = is_efficient_geometric(pcm, w)
+        scc_verdict = is_efficient(pcm, w, band)
+        geometric_verdict = is_efficient_geometric(pcm, w, band)
         if scc_verdict == geometric_verdict:
             agreements += 1
         else:

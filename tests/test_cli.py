@@ -236,6 +236,11 @@ class TestInputFaults:
           for tol in ("abc", "-1", "nan", "inf")],
         pytest.param(["check", "matrix.json", "--weights", "infinite.json"], None,
                      id="infinite-weight"),
+        pytest.param(["sample", "--seed", "1", "--trials", "2", "--class", "triple"], "abc",
+                     id="sample-tol-abc"),
+        pytest.param(["sample", "--seed", "1", "--trials", "x", "--class", "triple"], None,
+                     id="argparse-non-integer-trials"),
+        pytest.param(["frobnicate", "matrix.json"], None, id="argparse-unknown-command"),
     ])
     def test_exit_2_without_traceback(self, tmp_path, argv, tol):
         self._write_inputs(tmp_path)
@@ -250,7 +255,25 @@ class TestInputFaults:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [["--help"], ["sample", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_rejection_is_one_error_line(self, capsys):
+        assert main(["sample", "--seed", "1", "--trials", "x", "--class", "triple"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Usage: effpcm sample: argument --trials: invalid int value: 'x'\n"
+        )
 
 
 _CELLS = st.one_of(
@@ -283,23 +306,59 @@ _WEIGHT_DOCUMENTS = st.one_of(
 ).map(lambda w: json.dumps({"w": w}).encode())
 
 
+COMMANDS = ("validate", "check", "classify", "rearrange", "vertices", "member", "export", "sample")
+_WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=12).filter(
+    lambda word: not word.startswith("-"))
+
+
+@st.composite
+def _rejected_argv(draw):
+    """An argv argparse itself rejects: a non-integer --trials, an unknown
+    --class, a missing required option or argument, or an unknown command."""
+    kind = draw(st.sampled_from(["trials", "class", "missing", "command"]))
+    if kind == "command":
+        return [draw(_WORDS.filter(lambda word: word not in COMMANDS)), "a.json"]
+    options = {
+        "--seed": str(draw(st.integers(0, 99))),
+        "--trials": str(draw(st.integers(1, 3))),
+        "--class": draw(st.sampled_from(CLASS_CHOICES)),
+    }
+    if kind == "trials":
+        options["--trials"] = draw(st.one_of(
+            st.sampled_from(["x", "1.5", "", "1e3", "two", "0x10"]), _WORDS))
+    elif kind == "class":
+        options["--class"] = draw(_WORDS.filter(lambda word: word not in CLASS_CHOICES))
+    else:
+        dropped = draw(st.sampled_from([*options, "--weights", "-o", "matrix"]))
+        if dropped == "matrix":
+            return [draw(st.sampled_from(COMMANDS[:-1]))]
+        if dropped == "--weights":
+            return [draw(st.sampled_from(["check", "member"])), "a.json"]
+        if dropped == "-o":
+            return ["export", "a.json"]
+        del options[dropped]
+    return ["sample", *(part for pair in options.items() for part in pair)]
+
+
 @st.composite
 def _invocations(draw):
-    """An argv the CLI grammar accepts, naming a matrix-like document a.json,
-    a weights-like document b.json, or an absent file or a directory, and the
-    bytes of the two documents, each valid or random."""
+    """An argv, naming a matrix-like document a.json, a weights-like document
+    b.json, or an absent file or a directory, and the bytes of the two
+    documents, each valid or random; the third item says whether the argv is
+    one argparse rejects.  Most argv are ones the CLI grammar accepts."""
     docs = [draw(st.one_of(_MATRIX_DOCUMENTS, _RANDOM_DOCUMENTS)),
             draw(st.one_of(_WEIGHT_DOCUMENTS, _RANDOM_DOCUMENTS))]
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_rejected_argv()), docs, True
     other = st.sampled_from(["a.json", "b.json", "missing.json", "."])
-    command = draw(st.sampled_from(
-        ["validate", "check", "classify", "rearrange", "vertices", "member", "export", "sample"]))
+    command = draw(st.sampled_from(COMMANDS))
     if command == "sample":
         argv = ["sample", "--seed", str(draw(st.integers(0, 2**32))),
                 "--trials", str(draw(st.integers(-1, 2))),
                 "--class", draw(st.sampled_from(CLASS_CHOICES))]
         if draw(st.booleans()):
             argv += ["-o", draw(st.sampled_from(["out.json", "missing/out.json"]))]
-        return argv, docs
+        return argv, docs, False
     argv = [command, draw(st.one_of(st.just("a.json"), other))]
     if command in ("check", "member"):
         argv += ["--weights", draw(st.one_of(st.just("b.json"), other))]
@@ -311,7 +370,7 @@ def _invocations(draw):
         argv += ["-o", draw(st.sampled_from(["out.json", "missing/out.obj", "."]))]
         if draw(st.booleans()):
             argv += ["--format", draw(st.sampled_from(["json", "obj"]))]
-    return argv, docs
+    return argv, docs, False
 
 
 class TestFuzz:
@@ -320,7 +379,7 @@ class TestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(_invocations())
     def test_exit_code_contract(self, tmp_path_factory, invocation):
-        argv, docs = invocation
+        argv, docs, rejected = invocation
         workdir = tmp_path_factory.mktemp("fuzz")
         for name, content in zip(("a.json", "b.json"), docs):
             (workdir / name).write_bytes(content)
@@ -333,8 +392,11 @@ class TestFuzz:
         finally:
             os.chdir(cwd)
         assert rc in (0, 1, 2)
+        if rejected:
+            assert rc == 2
         if rc == 1:  # only a semantic negative: an inefficient verdict or a sampler disagreement
             assert argv[0] in ("check", "member", "sample") and err.getvalue() == ""
         if rc == 2:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error:")
+            assert err.getvalue().count("\n") == 1

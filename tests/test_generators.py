@@ -8,6 +8,7 @@ import pytest
 from effpcm.generators import generate_pcm, random_exact_weights
 from effpcm.generators import UPPER_PAIRS, OPPOSITE_PAIRS, TRIAD_SHARING_PAIRS
 from effpcm.geometry import PerturbTag, classify
+from effpcm.pcm import WeightVector
 
 ALL_TAGS = [tag.value for tag in PerturbTag]
 
@@ -41,6 +42,18 @@ def test_random_exact_weights_properties():
     assert w.exact and w.is_normalized and w.n == 4
     rng_a, rng_b = random.Random(42), random.Random(42)
     assert random_exact_weights(rng_a) == random_exact_weights(rng_b)
+
+
+def test_random_exact_weights_match_fraction_normalization():
+    """One integer sum gives the components that dividing Fractions gave."""
+    for seed in range(300):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            expected = WeightVector(
+                tuple(Fraction(reference.randint(1, 9999)) for _ in range(4))
+            ).normalized()
+            assert random_exact_weights(rng) == expected
+        assert rng.random() == reference.random()
 
 
 def test_entries_are_positive_rationals():

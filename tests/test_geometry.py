@@ -3,6 +3,7 @@ coincidence structure, and the 3-simplex embedding."""
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from effpcm.pcm import (
     weight_vector,
 )
 from effpcm.efficiency import bcc_digraph, is_efficient
-from effpcm.generators import _candidate, generate_with_rng, random_exact_weights
+from effpcm.generators import _candidate, generate_pcm, generate_with_rng, random_exact_weights
 from effpcm.geometry import (
     Direction,
     PerturbTag,
@@ -229,6 +230,36 @@ class TestRearrangementsMatchSearch:
                     double_two_cycles_example, simple_example, consistent_example):
             for mapping in itertools.permutations((1, 2, 3, 4)):
                 self._check(apply_permutation(pcm, Permutation(mapping)))
+
+
+class TestNoFractionProducts:
+    """Class, region test, rearrangements and generation read the seven signs alone."""
+
+    def test_product_functions_are_not_called(
+        self, monkeypatch, running_example, double_triad_example, double_one_cycle_example,
+        double_two_cycles_example, simple_example, consistent_example,
+    ):
+        def forbidden(*args):
+            raise AssertionError("a Fraction product was computed")
+
+        for name, module in list(sys.modules.items()):
+            if name == "effpcm" or name.startswith("effpcm."):
+                for attribute in ("cycle_product", "triad_product"):
+                    if hasattr(module, attribute):
+                        monkeypatch.setattr(module, attribute, forbidden)
+        for pcm in (running_example, double_triad_example, double_one_cycle_example,
+                    double_two_cycles_example, simple_example, consistent_example):
+            classify(pcm)
+            for w in (UNIFORM, *tetrahedron_for_cycle(pcm, (1, 2, 3, 4)).vertices):
+                is_efficient_geometric(pcm, w)
+            canonical_rearrangement(pcm)
+            if classify(pcm).consistent_triad_count:
+                with pytest.raises(ConsistentTriadPresentError):
+                    triad_rearrangement(pcm)
+            else:
+                triad_rearrangement(pcm)
+        for tag in ALL_TAGS:
+            generate_pcm(11, tag)
 
 
 class TestTetrahedra:

@@ -1,6 +1,10 @@
 """Parsing, validation and exact cycle/triad algebra."""
 
+import itertools
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +20,12 @@ from effpcm.errors import (
     TooShortError,
     UnsupportedDimensionError,
 )
+from effpcm.generators import generate_with_rng
+from effpcm.geometry import PerturbTag
 from effpcm.pcm import (
+    CANONICAL_CYCLES,
+    CANONICAL_TRIADS,
+    Pcm,
     Permutation,
     apply_permutation,
     consistent_four_cycles,
@@ -27,6 +36,7 @@ from effpcm.pcm import (
     parse_pcm,
     parse_rational,
     pcm_from_upper,
+    product_signs,
     triad_product,
     weight_vector,
 )
@@ -89,6 +99,44 @@ class TestParsing:
         for i in range(1, 5):
             for j in range(1, 5):
                 assert pcm.entry(i, j) * pcm.entry(j, i) == 1
+
+    @pytest.mark.parametrize("entries", [
+        ((1.0, 2.0), (0.5, 1.0)),
+        ((Fraction(1), True), (Fraction(1), Fraction(1))),
+        ((Fraction(1), "2"), (Fraction(1, 2), Fraction(1))),
+        ((Fraction(1), None), (Fraction(1), Fraction(1))),
+    ])
+    def test_non_rational_entries_rejected(self, entries):
+        with pytest.raises(BadNumeralError):
+            Pcm(entries)
+
+    def test_int_entries_accepted(self):
+        pcm = Pcm(((1, 2), (Fraction(1, 2), 1)))
+        assert pcm.rows_as_strings() == [["1", "2"], ["1/2", "1"]]
+
+
+# Entries whose pairs are often reciprocal: whole values come as Fraction and
+# as int, and the pool holds each value's reciprocal.
+_POOL_ENTRIES = st.one_of(
+    st.sampled_from([Fraction(1), 1, Fraction(2), 2, Fraction(1, 2), Fraction(3, 4),
+                     Fraction(4, 3), Fraction(9, 2), Fraction(2, 9)]),
+    positive_rationals,
+)
+_DIAGONAL = st.sampled_from([Fraction(1), 1, Fraction(1), 1, Fraction(2), Fraction(1, 2)])
+
+
+class TestReciprocitySwapCheck:
+    @given(_DIAGONAL, _DIAGONAL, _POOL_ENTRIES, _POOL_ENTRIES, st.booleans())
+    def test_rejects_exactly_the_non_reciprocal_pairs(self, a11, a22, a12, other, invert):
+        """The numerator/denominator swap agrees with a_ij * a_ji != 1."""
+        inverse = 1 / Fraction(a12)
+        a21 = (int(inverse) if inverse.denominator == 1 else inverse) if invert else other
+        reciprocal = a11 * a11 == 1 and a22 * a22 == 1 and a12 * a21 == 1
+        if reciprocal:
+            Pcm(((a11, a12), (a21, a22)))
+        else:
+            with pytest.raises(ReciprocityViolationError):
+                Pcm(((a11, a12), (a21, a22)))
 
 
 class TestTriadAndCycleProducts:
@@ -160,6 +208,58 @@ class TestConsistencyEnumeration:
         full = is_consistent(pcm)
         assert full == (len(consistent_triads(pcm)) == 4)
         assert full == (len(consistent_four_cycles(pcm)) == 3)
+
+
+def _sign_of_product(product):
+    return (product > 1) - (product < 1)
+
+
+def _reference_signs(pcm):
+    """The seven signs through Fraction products."""
+    return (
+        tuple(_sign_of_product(triad_product(pcm, t)) for t in CANONICAL_TRIADS),
+        tuple(_sign_of_product(cycle_product(pcm, c)) for c in CANONICAL_CYCLES),
+    )
+
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "pool.json"
+
+
+class TestProductSigns:
+    """The integer cross-multiplications agree with the Fraction products."""
+
+    def test_generated_matrices(self):
+        rng = random.Random(71)
+        tags = list(PerturbTag)
+        seen = set()
+        for k in range(2000):
+            pcm = generate_with_rng(rng, tags[k % 6])
+            signs = product_signs(pcm)
+            assert signs == _reference_signs(pcm)
+            seen.update(signs[1])
+        assert seen == {-1, 0, 1}
+
+    def test_every_relabelling_of_the_reference_matrices(
+        self, running_example, double_triad_example, double_one_cycle_example,
+        double_two_cycles_example, simple_example, consistent_example,
+    ):
+        for pcm in (running_example, double_triad_example, double_one_cycle_example,
+                    double_two_cycles_example, simple_example, consistent_example):
+            for mapping in itertools.permutations((1, 2, 3, 4)):
+                relabelled = apply_permutation(pcm, Permutation(mapping))
+                assert product_signs(relabelled) == _reference_signs(relabelled)
+
+    def test_decimal_matrices_of_the_benchmark_pool(self):
+        docs = [doc for doc in json.loads(POOL.read_text(encoding="utf-8"))["n4"]
+                if doc["half"] == "decimal"]
+        assert len(docs) == 36
+        for doc in docs:
+            pcm = parse_pcm(doc["entries"])
+            assert product_signs(pcm) == _reference_signs(pcm)
+
+    def test_requires_n4(self):
+        with pytest.raises(UnsupportedDimensionError):
+            product_signs(parse_pcm([["1", "2"], ["1/2", "1"]]))
 
 
 class TestConsistentWeights:
