@@ -12,9 +12,9 @@ perfectly estimated pair is still recognized as carrying both arcs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import BadToleranceError, DimensionMismatchError
@@ -82,57 +82,26 @@ def strongly_connected(g: BccDigraph) -> bool:
     if n <= 1:
         return True
     succ = {i: [] for i in range(1, n + 1)}
+    pred = {i: [] for i in range(1, n + 1)}
     for (a, b) in g.arcs:
         succ[a].append(b)
-    order = _tarjan_components(n, succ)
-    return len(order) == 1
+        pred[b].append(a)
+    # vertex 1 reaches every vertex, and every vertex reaches vertex 1
+    return all(sum(1 for _ in _walk(adjacency, 1)) == n - 1 for adjacency in (succ, pred))
 
 
-def _tarjan_components(n: int, succ: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan strongly-connected-components over vertices 1..n."""
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = itertools.count()
-
-    for root in range(1, n + 1):
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for u in it:
-                if u not in index:
-                    index[u] = lowlink[u] = next(counter)
-                    stack.append(u)
-                    on_stack.add(u)
-                    work.append((u, iter(succ[u])))
-                    advanced = True
-                    break
-                if u in on_stack:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                component = []
-                while True:
-                    u = stack.pop()
-                    on_stack.discard(u)
-                    component.append(u)
-                    if u == v:
-                        break
-                components.append(component)
-    return components
+def _walk(adjacency: dict[int, list[int]], start: int) -> Iterator[tuple[int, int]]:
+    """Each (parent, child) pair by which a walk over adjacency from start first
+    reaches child: every vertex reachable from start, bar start, once."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        parent = frontier.pop()
+        for child in adjacency[parent]:
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+                yield parent, child
 
 
 def is_efficient(pcm: Pcm, w: WeightVector, band: float | None = None) -> bool:

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import BadNumeralError, NonSquareError
+from .errors import BadNumeralError, NonFiniteWeightError, NonSquareError
 from .geometry import (
     SIMPLEX_CORNERS,
     EfficientSet,
@@ -69,7 +69,12 @@ def weights_from_document(doc) -> WeightVector:
             raise BadNumeralError(f"BadNumeral: {cell!r} is not a weight")
         elif isinstance(cell, (int, float)):
             # JSON numbers are the float variant; only strings are exact
-            values.append(float(cell))
+            try:
+                values.append(float(cell))
+            except OverflowError:
+                raise NonFiniteWeightError(
+                    f"NonFiniteWeight: a {cell.bit_length()}-bit integer is past the float range"
+                ) from None
         else:
             raise BadNumeralError(f"BadNumeral: {cell!r} is not a weight")
     return weight_vector(values)

@@ -18,6 +18,10 @@ from .pcm import Pcm, WeightVector, pcm_from_upper
 
 MAX_ATTEMPTS = 10_000
 
+# random_exact_weights draws WEIGHT_COUNT integers in 1..WEIGHT_MAX_COMPONENT
+WEIGHT_COUNT = 4
+WEIGHT_MAX_COMPONENT = 9999
+
 UPPER_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 # The three element pairs that do not share a triad ("opposite" entries).
@@ -104,8 +108,8 @@ def generate_pcm(seed: int, class_tag: PerturbTag | str) -> Pcm:
     return generate_with_rng(random.Random(seed), class_tag)
 
 
-def random_exact_weights(rng: random.Random, n: int = 4, max_component: int = 9999) -> WeightVector:
+def random_exact_weights(rng: random.Random) -> WeightVector:
     """A random exact normalized weight vector with integer-born components."""
-    draws = [rng.randint(1, max_component) for _ in range(n)]
+    draws = [rng.randint(1, WEIGHT_MAX_COMPONENT) for _ in range(WEIGHT_COUNT)]
     total = sum(draws)
     return WeightVector(tuple(Fraction(k, total) for k in draws))

@@ -201,8 +201,14 @@ class WeightVector:
         return abs(total - 1.0) <= 1e-12
 
     def normalized(self) -> "WeightVector":
-        total = sum(self.components)
-        return WeightVector(tuple(c / total for c in self.components))
+        components = self.components
+        total = sum(components)
+        if not self.exact and math.isinf(total):
+            # finite floats whose sum overflows; a power-of-two scale keeps
+            # every normal float's mantissa
+            components = tuple(math.ldexp(c, -self.n.bit_length()) for c in components)
+            total = sum(components)
+        return WeightVector(tuple(c / total for c in components))
 
     def scaled(self, factor) -> "WeightVector":
         return WeightVector(tuple(c * factor for c in self.components))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .efficiency import _walk
 from .errors import DimensionMismatchError, NotACanonicalCycleError
 from .pcm import CANONICAL_CYCLES, Pcm, WeightVector
 
@@ -25,7 +26,12 @@ class SpanningTree:
     edges: frozenset[tuple[int, int]]  # unordered pairs stored with i < j
 
     def __post_init__(self):
-        if len(self.edges) != self.n - 1 or not _is_spanning_forestless(self.n, self.edges):
+        # n - 1 edges that connect all n vertices form a tree
+        if (
+            len(self.edges) != self.n - 1
+            or not all(1 <= a < b <= self.n for (a, b) in self.edges)
+            or sum(1 for _ in _walk(_undirected(self.n, self.edges), 1)) != self.n - 1
+        ):
             raise ValueError(f"not a spanning tree of 1..{self.n}: {sorted(self.edges)}")
 
     def sorted_edges(self) -> list[tuple[int, int]]:
@@ -39,23 +45,12 @@ class SpanningTree:
         return deg
 
 
-def _is_spanning_forestless(n: int, edges: frozenset[tuple[int, int]]) -> bool:
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _undirected(n: int, edges: frozenset[tuple[int, int]]) -> dict[int, list[int]]:
+    adjacency: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     for (a, b) in edges:
-        if not (1 <= a < b <= n):
-            return False
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return len({find(v) for v in range(1, n + 1)}) == 1
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return adjacency
 
 
 @dataclass(frozen=True)
@@ -108,17 +103,8 @@ def tree_weight_vector(pcm: Pcm, tree: SpanningTree | LabeledPath) -> WeightVect
         raise DimensionMismatchError(
             f"DimensionMismatch: tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix"
         )
-    adjacency: dict[int, list[int]] = {v: [] for v in range(1, pcm.n + 1)}
-    for (a, b) in tree.edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
     raw: dict[int, Fraction] = {pcm.n: Fraction(1)}
-    frontier = [pcm.n]
-    while frontier:
-        parent = frontier.pop()
-        for child in adjacency[parent]:
-            if child not in raw:
-                # w_child / w_parent = a_{child,parent} on a tree edge
-                raw[child] = raw[parent] * pcm.entries[child - 1][parent - 1]
-                frontier.append(child)
+    for parent, child in _walk(_undirected(pcm.n, tree.edges), pcm.n):
+        # w_child / w_parent = a_{child,parent} on a tree edge
+        raw[child] = raw[parent] * pcm.entries[child - 1][parent - 1]
     return WeightVector(tuple(raw[v] for v in range(1, pcm.n + 1))).normalized()

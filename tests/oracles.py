@@ -2,12 +2,13 @@
 
 None of this is needed to decide efficiency or build the efficient set; the
 tests use it as independent reference implementations: exhaustive
-Hamiltonian-cycle search (Camion), Pareto dominance and a randomized
-dominator search, spanning-tree and path enumeration, tree restrictions to
-incomplete matrices, the geometry document's exact-vertex reader, the
-24-matrix rearrangement searches that the library's rearrangements must
-reproduce, and the coincidence report by fraction row reduction that the
-library's integer cross and triple products must reproduce.
+Hamiltonian-cycle search (Camion), strong connectivity by transitive
+closure, Pareto dominance and a randomized dominator search, spanning-tree
+and path enumeration, tree restrictions to incomplete matrices, the
+geometry document's exact-vertex reader, the 24-matrix rearrangement
+searches that the library's rearrangements must reproduce, and the
+coincidence report by fraction row reduction that the library's integer
+cross and triple products must reproduce.
 """
 
 from __future__ import annotations
@@ -46,6 +47,16 @@ MAX_ENUMERATION_N = 6
 
 # ---------------------------------------------------------------------------
 # digraphs and dominance
+
+
+def strongly_connected_by_closure(g: BccDigraph) -> bool:
+    """Strong connectivity from the boolean transitive closure (Warshall)."""
+    reach = [[i == j or (i, j) in g.arcs for j in range(1, g.n + 1)] for i in range(1, g.n + 1)]
+    for k in range(g.n):
+        for i in range(g.n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return all(all(row) for row in reach)
 
 
 def hamiltonian_cycle_exists(g: BccDigraph) -> bool:

@@ -140,6 +140,17 @@ class TestMember:
         assert main(["member", matrix_file, "--weights", wfile]) == 1
         assert "efficient: no" in capsys.readouterr().out
 
+    def test_float_sum_overflow_agrees_with_check(self, matrix_file, tmp_path, capsys):
+        # finite weights whose float sum is infinite
+        wfile = write_weights(tmp_path / "w.json", [1.4875e308, 1.7e308, 8.5e307, 2.125e307])
+        assert main(["check", matrix_file, "--weights", wfile]) == 0
+        capsys.readouterr()
+        assert main(["member", matrix_file, "--weights", wfile]) == 0
+        captured = capsys.readouterr()
+        assert "barycentric:" in captured.out
+        assert "efficient: yes" in captured.out
+        assert captured.err == ""
+
 
 class TestExport:
     def test_json_round_trip(self, matrix_file, tmp_path, capsys):
@@ -221,6 +232,7 @@ class TestInputFaults:
         write_matrix(tmp_path / "matrix.json", RUNNING_ROWS)
         write_weights(tmp_path / "w.json", [0.25, 0.25, 0.25, 0.25])
         write_weights(tmp_path / "infinite.json", [float("inf"), 1.0, 1.0, 1.0])
+        write_weights(tmp_path / "huge.json", [10**400, 1, 1, 1])
         (tmp_path / "non-utf8.json").write_bytes(
             b'{"n": 2, "entries": [["1", "\xff\xfe"], ["1", "1"]]}')
         (tmp_path / "deep.json").write_text("[" * 50_000 + "]" * 50_000, encoding="utf-8")
@@ -236,6 +248,10 @@ class TestInputFaults:
           for tol in ("abc", "-1", "nan", "inf")],
         pytest.param(["check", "matrix.json", "--weights", "infinite.json"], None,
                      id="infinite-weight"),
+        pytest.param(["check", "matrix.json", "--weights", "huge.json"], None,
+                     id="huge-int-weight"),
+        pytest.param(["member", "matrix.json", "--weights", "huge.json"], None,
+                     id="huge-int-weight-member"),
         pytest.param(["sample", "--seed", "1", "--trials", "2", "--class", "triple"], "abc",
                      id="sample-tol-abc"),
         pytest.param(["sample", "--seed", "1", "--trials", "x", "--class", "triple"], None,
@@ -279,6 +295,7 @@ class TestUsage:
 _CELLS = st.one_of(
     st.sampled_from(["1", "2", "1/2", "5", "1/5", "0.25", "4", "0", "-1", "1/0", "x", "", " 3 "]),
     st.integers(-2, 9),
+    st.just(10**400),  # past the float range
     st.floats(),
     st.booleans(),
     st.none(),

@@ -23,7 +23,12 @@ from effpcm.efficiency import (
 )
 from effpcm.generators import generate_with_rng, random_exact_weights
 from effpcm.geometry import PerturbTag, tetrahedron_for_cycle
-from oracles import dominates, find_dominator_sample, hamiltonian_cycle_exists
+from oracles import (
+    dominates,
+    find_dominator_sample,
+    hamiltonian_cycle_exists,
+    strongly_connected_by_closure,
+)
 from test_pcm import positive_rationals, random_pcm4
 
 UNIFORM = weight_vector([Fraction(1, 4)] * 4)
@@ -110,6 +115,29 @@ class TestStrongConnectivity:
             w = random_exact_weights(rng)
             g = bcc_digraph(pcm, w)
             assert strongly_connected(g) == hamiltonian_cycle_exists(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_no_arcs(self, n):
+        g = BccDigraph(n, frozenset(), frozenset())
+        assert strongly_connected(g) == (n <= 1) == strongly_connected_by_closure(g)
+
+    def test_matches_transitive_closure(self):
+        # random digraphs, most of them with pairs joined by no arc in
+        # either direction, which no BCC digraph has
+        rng = random.Random(77)
+        verdicts = set()
+        for k in range(3000):
+            n = 1 + k % 12
+            density = rng.choice([0.1, 0.2, 0.3, 0.5, 0.8])
+            arcs = frozenset(
+                (i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                if i != j and rng.random() < density
+            )
+            g = BccDigraph(n, arcs, frozenset())
+            expected = strongly_connected_by_closure(g)
+            assert strongly_connected(g) == expected, sorted(arcs)
+            verdicts.add((n > 1, expected))
+        assert verdicts == {(False, True), (True, True), (True, False)}
 
 
 class TestEfficiency:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -345,6 +346,15 @@ class TestWeightVector:
         w = weight_vector([2, 2, 4]).normalized()
         assert w.components == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
         assert w.is_normalized
+
+    def test_normalization_when_float_sum_overflows(self):
+        raw = (1.4875e308, 1.7e308, 8.5e307, 2.125e307)
+        assert sum(raw) == math.inf
+        w = weight_vector(raw).normalized()
+        assert all(0 < c < 1 for c in w.components)
+        assert w.is_normalized
+        for i in range(1, 4):
+            assert w.ratio(i, 4) == pytest.approx(raw[i - 1] / raw[3], rel=1e-15)
 
     def test_positivity(self):
         from effpcm.errors import NonPositiveWeightError

@@ -49,6 +49,24 @@ class TestEnumeration:
         assert len(groups) == 3
         assert all(len(g) == 4 for g in groups.values())
 
+    @pytest.mark.parametrize("n,edges", [
+        pytest.param(4, {(1, 2), (2, 3), (3, 5)}, id="out-of-range-vertex"),
+        pytest.param(4, {(0, 1), (1, 2), (2, 3)}, id="vertex-zero"),
+        pytest.param(4, {(1, 2), (3, 2), (3, 4)}, id="reversed-pair"),
+        pytest.param(4, {(1, 2), (2, 3)}, id="n-minus-2-edges"),
+        pytest.param(4, {(1, 2), (2, 3), (3, 4), (1, 4)}, id="n-edges"),
+        pytest.param(4, {(1, 2), (2, 3), (1, 3)}, id="cycle-leaves-vertex-out"),
+        pytest.param(5, {(1, 2), (3, 4), (4, 5), (3, 5)}, id="cycle-away-from-vertex-1"),
+        pytest.param(3, {(1, 1), (2, 3)}, id="loop"),
+        pytest.param(0, set(), id="no-vertices"),
+    ])
+    def test_rejects_non_trees(self, n, edges):
+        with pytest.raises(ValueError, match=rf"not a spanning tree of 1\.\.{n}"):
+            SpanningTree(n, frozenset(edges))
+
+    def test_single_vertex_tree(self):
+        assert SpanningTree(1, frozenset()).degrees() == {1: 0}
+
 
 class TestPathsOfCycle:
     def test_rotations(self):
