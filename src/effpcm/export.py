@@ -9,22 +9,19 @@ coordinates, so re-parsing loses nothing.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import BadNumeralError, NonFiniteWeightError, NonSquareError
 from .geometry import (
     SIMPLEX_CORNERS,
+    Direction,
     EfficientSet,
     classify,
-    cross,
     cutting_planes,
-    dot,
     efficient_set,
     embed,
     embed_exact,
     plane_clip_polygon,
-    sub,
     tetrahedron_for_cycle,
 )
 from .trees import paths_of_cycle
@@ -156,19 +153,15 @@ def geometry_document(pcm: Pcm) -> dict:
     }
 
 
-def _oriented_faces(points: list[tuple[Fraction, Fraction, Fraction]]) -> list[tuple[int, int, int]]:
-    """Outward-oriented faces of a nondegenerate tetrahedron (0-based indices).
-
-    Orientation is decided exactly: the face normal (cross product) must
-    point away from the opposite vertex.
-    """
-    faces = []
-    for opposite in range(4):
-        a, b, c = [k for k in range(4) if k != opposite]
-        pa = points[a]
-        normal = cross(sub(points[b], pa), sub(points[c], pa))
-        faces.append((a, b, c) if dot(normal, sub(points[opposite], pa)) < 0 else (a, c, b))
-    return faces
+# Outward faces of a solid tetrahedron, the k-th opposite vertex k (0-based).
+# Its region's slack rows S, each ordered by the vertex whose path omits that
+# arc's edge, satisfy S [T_1..T_4] = diag(s_k(T_k)) > 0, so det[T_1..T_4] has
+# the sign of det S = sign(perm) * (1 - p), p < 1 in the admissible direction.
+# perm is odd forward and even backward for every canonical cycle.
+_OUTWARD_FACES = {
+    Direction.FORWARD: ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2)),
+    Direction.BACKWARD: ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)),
+}
 
 
 def obj_mesh(pcm: Pcm) -> str:
@@ -191,10 +184,9 @@ def obj_mesh(pcm: Pcm) -> str:
             for point in seen:
                 lines.append(f"# point {point[0]!r} {point[1]!r} {point[2]!r}")
             continue
-        exact_points = [embed_exact(v.components) for v in tet.vertices]
-        for point in exact_points:
-            lines.append("v " + " ".join(repr(float(c)) for c in point))
-        for (a, b, c) in _oriented_faces(exact_points):
+        for v in tet.vertices:
+            lines.append("v " + " ".join(repr(float(c)) for c in embed_exact(v.components)))
+        for (a, b, c) in _OUTWARD_FACES[tet.orientation.direction]:
             lines.append(f"f {vertex_count + a + 1} {vertex_count + b + 1} {vertex_count + c + 1}")
         vertex_count += 4
     return "\n".join(lines) + "\n"

@@ -17,16 +17,19 @@ rearrangements scan a 24-entry table of those images built at import.
 
 Everything here is exact rational arithmetic; floats appear only in the
 3-space embedding (w1+w2, w1+w3, w2+w3) used for visualization exports.
-Tetrahedron ranks and the coincidence report are decided on integer points:
-the vertices scaled to a common denominator with the fourth coordinate
-dropped, where every rank, collinearity and coplanarity question is one
-integer cross or triple product.
+The tetrahedra read the same signs.  A tetrahedron is solid (rank 3)
+unless its cycle is consistent, when it is a point.  Vertex k's path omits
+one cycle edge that the other three vertices keep, so one 2x2 determinant
+per vertex gives its barycentric coordinate, and each face lies on the
+cutting plane of the edge omitted by the opposite vertex.  Which vertices
+coincide and which edges and faces share a line or plane depends only on
+which triads and cycles are consistent: a table per pair of canonical
+cycles, built at import, lists those conditions.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -181,8 +184,10 @@ class Tetrahedron:
 def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahedron:
     _require_n4(pcm)
     vertices = tuple(tree_weight_vector(pcm, path) for path in paths_of_cycle(cycle))
-    rank = _integer_rank(*integer_points([v.components for v in vertices]))
     orientation = canonical_orientations(pcm)[CANONICAL_CYCLES.index(cycle)]
+    # an inconsistent cycle's four inequalities have a strictly feasible
+    # point, so its tetrahedron is solid; a consistent one's is a point
+    rank = 0 if orientation.direction is Direction.CONSISTENT_BOTH else 3
     return Tetrahedron(cycle, orientation, vertices, rank)
 
 
@@ -265,96 +270,33 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     return len(_row_reduce(rows)[1])
 
 
-def integer_points(points: Sequence[Sequence[Fraction]]) -> list[tuple[int, int, int]]:
-    """Exact points on one hyperplane sum = const, as integer 3-tuples.
-
-    Scales every point by the common denominator of all coordinates and
-    drops the fourth coordinate.  Dropping it is an affine bijection of the
-    hyperplane, so equality, collinearity, coplanarity and affine rank are
-    those of the original points.
-    """
-    scale = math.lcm(*(c.denominator for p in points for c in p))
-    return [tuple(c.numerator * (scale // c.denominator) for c in p[:3]) for p in points]
-
-
-ORIGIN = (0, 0, 0)
-
-
-def sub(p: Sequence, q: Sequence) -> tuple:
-    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
-
-
-def cross(u: Sequence, v: Sequence) -> tuple:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def dot(u: Sequence, v: Sequence):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _integer_rank(a, b, c, d) -> int:
-    """Affine rank of four integer 3-space points.
-
-    3 when the triple product is nonzero; else 2 when a face through ``a``
-    has a nonzero normal; else 1 when the points are not all equal.
-    """
-    u, v, w = sub(b, a), sub(c, a), sub(d, a)
-    if dot(cross(u, v), w) != 0:
-        return 3
-    if any(cross(x, y) != ORIGIN for x, y in ((u, v), (u, w), (v, w))):
-        return 2
-    return 1 if any(x != ORIGIN for x in (u, v, w)) else 0
-
-
 def barycentric(tet: Tetrahedron, w: WeightVector):
     """Exact convex coefficients of w over the tetrahedron vertices, if any.
 
-    Solves sum(lambda_k * v_k) = w over the rationals; the unit-sum constraint
-    is implied because the vertices and w are normalized.  For degenerate
-    vertex sets a convex representation is searched over affinely independent
-    vertex subsets, which is exhaustive by Caratheodory's theorem; w must then
-    lie in the affine hull exactly.  Float vectors are admitted with a -1e-12
-    slack on the coefficients.
+    Vertex k's path omits the cycle edge {a, b} = {cycle[k-1], cycle[k]};
+    the other three vertices keep it, as does vertex k+1 (mod 4), u.  So
+    x_a*u_b - x_b*u_a vanishes on every vertex but k, and on
+    w = sum(lambda_j * v_j) it leaves lambda_k times its value at v = vertex
+    k, which is nonzero unless the cycle is consistent.  The unit sum is
+    implied because the vertices and w are normalized.  A point tetrahedron
+    holds w only when w is an exact multiple of its point.  Float vectors
+    are admitted with a -1e-12 slack on the coefficients.
     """
     if not w.is_normalized:
         raise NotNormalizedError("NotNormalized: barycentric needs a normalized vector")
-    target = [
-        c if isinstance(c, Fraction) else Fraction(c)
-        for c in w.components
-    ]
+    target = [c if isinstance(c, Fraction) else Fraction(c) for c in w.components]
     threshold = Fraction(0) if w.exact else Fraction(-1, 10**12)
-    columns = [v.components for v in tet.vertices]
-
-    def solve(subset):
-        """(solvable, coefficients over ``subset`` if they are unique)."""
-        rows, pivots = _row_reduce(
-            [[columns[k][i] for k in subset] + [target[i]] for i in range(4)]
-        )
-        if len(subset) in pivots:  # a pivot in the target column: no solution
-            return False, None
-        if len(pivots) < len(subset):
-            return True, None
-        return True, tuple(row[-1] for row in rows[:len(subset)])
-
-    solvable, solution = solve(range(4))
-    if solution is not None:
-        return solution if all(lam >= threshold for lam in solution) else None
-    if not solvable:
-        return None
-    # Degenerate vertex set: try affinely independent subsets.
-    for size in range(1, 5):
-        for subset in itertools.combinations(range(4), size):
-            _, sub_solution = solve(subset)
-            if sub_solution is not None and all(lam >= threshold for lam in sub_solution):
-                lambdas = [Fraction(0)] * 4
-                for pos, k in enumerate(subset):
-                    lambdas[k] = sub_solution[pos]
-                return tuple(lambdas)
-    return None
+    vertices = [v.components for v in tet.vertices]
+    if tet.degenerate_rank == 0:
+        scale = target[0] / vertices[0][0]
+        multiple = all(t == scale * c for t, c in zip(target, vertices[0]))
+        return (scale, Fraction(0), Fraction(0), Fraction(0)) if multiple else None
+    lambdas = []
+    for k in range(4):
+        a, b = tet.cycle[k - 1] - 1, tet.cycle[k] - 1
+        v, u = vertices[k], vertices[(k + 1) % 4]
+        lambdas.append((target[a] * u[b] - target[b] * u[a]) / (v[a] * u[b] - v[b] * u[a]))
+    return tuple(lambdas) if all(lam >= threshold for lam in lambdas) else None
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +358,9 @@ class CoincidenceReport:
     Vertex indices are 1-based positions in the tetrahedron vertex order;
     edges and faces are sorted index tuples.  Only nondegenerate edges
     (distinct endpoints) and faces (affine rank 2) participate in the
-    collinearity and coplanarity listings.  All twelve vertices are scaled
-    to one common denominator (see ``integer_points``); two edges are
-    collinear when the integer cross products of the first edge's direction
-    with the second edge's endpoints vanish, and two faces coplanar when the
-    first face's normal has a zero dot product with the second face's points.
+    collinearity and coplanarity listings, so only pairs of solid
+    tetrahedra have any.  Every entry is decided by which triads and cycles
+    are consistent (see ``_coincidence_table``).
     """
 
     shared_vertices: tuple[tuple[tuple, int, tuple, int], ...]
@@ -442,42 +382,74 @@ class CoincidenceReport:
         return len({frozenset(block) for block in neighbours.values()})
 
 
-def _coincidence_report(tetrahedra: Sequence[Tetrahedron]) -> CoincidenceReport:
-    points = integer_points([p for tet in tetrahedra for p in tet.vertex_points()])
-    parts = []
-    for first, tet in zip(range(0, len(points), 4), tetrahedra):
-        pts = points[first:first + 4]
-        edges = [
-            ((i + 1, j + 1), pts[i], sub(pts[j], pts[i]))
-            for i, j in itertools.combinations(range(4), 2)
-            if pts[i] != pts[j]
+def _omitted(cycle: tuple[int, int, int, int], k: int) -> frozenset:
+    """The cycle edge that the path of vertex k (0-based) leaves out."""
+    return frozenset((cycle[k - 1], cycle[k]))
+
+
+def _coincidence_table():
+    """Per pair of canonical cycles: their sign indices and every possible
+    shared vertex, collinear edge pair and coplanar face pair, each with the
+    indices of the signs (0-3 triads, 4-6 cycles) that must be 0.
+
+    Two path vectors are equal iff every edge {x, y} of the second path
+    that the first lacks closes a consistent triad, or the first path's
+    whole cycle, with the first path's walk from x to y.  A face of a solid tetrahedron lies on
+    the cutting plane of the edge its opposite vertex omits; distinct edges
+    give distinct planes.  An edge lies on the planes of its two opposite
+    vertices, and on the third plane of their triad when they share a
+    vertex and the triad is consistent.  Lines on the same planes are
+    equal, so two edges are collinear iff they lie on the same two planes
+    or all four of their planes are pairs of one consistent triad.
+    """
+    table = []
+    for (a, ca), (b, cb) in itertools.combinations(enumerate(CANONICAL_CYCLES), 2):
+        vertex_pairs = []
+        for i, j in itertools.product(range(4), repeat=2):
+            path, other, needs = ca[i:] + ca[:i], cb[j:] + cb[:j], set()
+            for x, y in zip(other, other[1:]):
+                lo, hi = sorted((path.index(x), path.index(y)))
+                if hi - lo == 2:
+                    needs.add(CANONICAL_TRIADS.index(tuple(sorted(path[lo:hi + 1]))))
+                elif hi - lo == 3:
+                    needs.add(4 + a)
+            vertex_pairs.append(((ca, i + 1, cb, j + 1), tuple(needs)))
+        lines = [
+            [((c, (i + 1, j + 1)), frozenset(_omitted(c, k) for k in range(4) if k not in (i, j)))
+             for i, j in itertools.combinations(range(4), 2)]
+            for c in (ca, cb)
         ]
-        faces = []
-        for i, j, k in itertools.combinations(range(4), 3):
-            normal = cross(sub(pts[j], pts[i]), sub(pts[k], pts[i]))
-            if normal != ORIGIN:
-                faces.append(((i + 1, j + 1, k + 1), pts[i], normal))
-        parts.append((tet.cycle, pts, edges, faces))
-    shared = []
-    collinear = []
-    coplanar = []
-    for (ca, pa, edges_a, faces_a), (cb, pb, edges_b, faces_b) in itertools.combinations(parts, 2):
-        for ia in range(4):
-            for ib in range(4):
-                if pa[ia] == pb[ib]:
-                    shared.append((ca, ia + 1, cb, ib + 1))
-        # edge ea is nondegenerate, so eb lies on its line iff both of eb's
-        # endpoints do; face fa has rank 2, so likewise for fb and its plane
-        for ea, base, direction in edges_a:
-            for eb, _, _ in edges_b:
-                if all(cross(direction, sub(pb[i - 1], base)) == ORIGIN for i in eb):
-                    collinear.append(((ca, ea), (cb, eb)))
-        for fa, base, normal in faces_a:
-            for fb, _, _ in faces_b:
-                if all(dot(normal, sub(pb[i - 1], base)) == 0 for i in fb):
-                    coplanar.append(((ca, fa), (cb, fb)))
-    point_cycles = tuple(t.cycle for t in tetrahedra if t.degenerate_rank == 0)
-    return CoincidenceReport(tuple(shared), tuple(collinear), tuple(coplanar), point_cycles)
+        edge_pairs = []
+        for (ea, planes_a), (eb, planes_b) in itertools.product(*lines):
+            corners = tuple(sorted(frozenset().union(*planes_a, *planes_b)))
+            if planes_a == planes_b:
+                edge_pairs.append(((ea, eb), ()))
+            elif len(corners) == 3:
+                edge_pairs.append(((ea, eb), (CANONICAL_TRIADS.index(corners),)))
+        faces = [  # in index order, the faces opposite vertex 3, 2, 1, 0
+            [((c, tuple(m + 1 for m in range(4) if m != k)), _omitted(c, k)) for k in (3, 2, 1, 0)]
+            for c in (ca, cb)
+        ]
+        face_pairs = [(fa, fb) for (fa, pa), (fb, pb) in itertools.product(*faces) if pa == pb]
+        table.append((4 + a, 4 + b, vertex_pairs, edge_pairs, face_pairs))
+    return tuple(table)
+
+
+_COINCIDENCES = _coincidence_table()
+
+
+def _coincidence_report(signs) -> CoincidenceReport:
+    """The report of a matrix whose ``product_signs`` are given."""
+    triad_signs, cycle_signs = signs
+    zero = [s == 0 for s in triad_signs + cycle_signs]
+    shared, collinear, coplanar = [], [], []
+    for a, b, vertex_pairs, edge_pairs, face_pairs in _COINCIDENCES:
+        shared += [entry for entry, needs in vertex_pairs if all(zero[i] for i in needs)]
+        if not (zero[a] or zero[b]):
+            collinear += [entry for entry, needs in edge_pairs if all(zero[i] for i in needs)]
+            coplanar += face_pairs
+    points = tuple(c for c, z in zip(CANONICAL_CYCLES, zero[4:]) if z)
+    return CoincidenceReport(tuple(shared), tuple(collinear), tuple(coplanar), points)
 
 
 @dataclass(frozen=True)
@@ -499,7 +471,7 @@ def efficient_set(pcm: Pcm) -> EfficientSet:
     """Construct the full efficient set of a 4x4 matrix, exactly."""
     _require_n4(pcm)
     tetrahedra = tuple(tetrahedron_for_cycle(pcm, cycle) for cycle in CANONICAL_CYCLES)
-    return EfficientSet(tetrahedra, classify(pcm), _coincidence_report(tetrahedra))
+    return EfficientSet(tetrahedra, classify(pcm), _coincidence_report(product_signs(pcm)))
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,8 @@ def compare_ratio(w: WeightVector, i: int, j: int, target: Fraction, band: float
 
     Exact vectors compare exactly (integer cross-multiplication, no Fraction
     division in the hot path).  Float vectors treat |ratio - target| within
-    band * max(1, target) as equality.
+    band * max(1, target) as equality; a target past the float range gets
+    the same test in exact arithmetic.
     """
     wi = w.components[i - 1]
     wj = w.components[j - 1]
@@ -241,8 +242,11 @@ def compare_ratio(w: WeightVector, i: int, j: int, target: Fraction, band: float
         rhs = target.numerator * wj.numerator * wi.denominator
         return (lhs > rhs) - (lhs < rhs)
     ratio = wi / wj
-    t = float(target)
-    if abs(ratio - t) <= band * max(1.0, t):
+    try:
+        t = float(target)
+    except OverflowError:
+        ratio, t, band = Fraction(ratio), target, Fraction(band)
+    if abs(ratio - t) <= band * max(1, t):
         return 0
     return 1 if ratio > t else -1
 

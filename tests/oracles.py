@@ -6,9 +6,10 @@ Hamiltonian-cycle search (Camion), strong connectivity by transitive
 closure, Pareto dominance and a randomized dominator search, spanning-tree
 and path enumeration, tree restrictions to incomplete matrices, the
 geometry document's exact-vertex reader, the 24-matrix rearrangement
-searches that the library's rearrangements must reproduce, and the
-coincidence report by fraction row reduction that the library's integer
-cross and triple products must reproduce.
+searches that the library's rearrangements must reproduce, the
+coincidence report by fraction row reduction and the mesh faces' outward
+orientation by cross and dot products, both of which the library derives
+from the seven product signs instead.
 """
 
 from __future__ import annotations
@@ -364,3 +365,31 @@ def _nondegenerate_faces(points) -> list[tuple[int, int, int]]:
         if affine_rank(pts) == 2:
             faces.append(tuple(i + 1 for i in combo))
     return faces
+
+
+# ---------------------------------------------------------------------------
+# reference mesh orientation: cross and dot products on exact points
+
+
+def _sub(p, q):
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def _cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def points_outward(points, face, opposite) -> bool:
+    """Does the normal of face (a, b, c), by the right-hand rule, point away
+    from the opposite vertex?  ``points`` are exact 3-space points."""
+    a, b, c = (points[k] for k in face)
+    normal = _cross(_sub(b, a), _sub(c, a))
+    return _dot(normal, _sub(points[opposite], a)) < 0

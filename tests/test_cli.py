@@ -152,6 +152,33 @@ class TestMember:
         assert captured.err == ""
 
 
+# a_12 and a_14 past the float range, every other upper entry 1; the cycle
+# (1,2,3,4) is then forward, so the region test of `member` reads a_12 too
+HUGE_ENTRY_ROWS = [
+    ["1", str(10**400), "1", str(10**401)],
+    ["1/" + str(10**400), "1", "1", "1"],
+    ["1", "1", "1", "1"],
+    ["1/" + str(10**401), "1", "1", "1"],
+]
+
+
+class TestEntryPastFloatRange:
+    """Float weights against an entry no float can hold: a verdict, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["check", "member"])
+    @pytest.mark.parametrize("floats,exact,rc", [
+        ([0.4, 0.2, 0.2, 0.2], ["2/5", "1/5", "1/5", "1/5"], 0),
+        ([0.1, 0.3, 0.3, 0.3], ["1/10", "3/10", "3/10", "3/10"], 1),
+    ])
+    def test_same_verdict_as_exact_twin(self, tmp_path, capsys, command, floats, exact, rc):
+        matrix = write_matrix(tmp_path / "matrix.json", HUGE_ENTRY_ROWS)
+        float_file = write_weights(tmp_path / "wf.json", floats)
+        exact_file = write_weights(tmp_path / "wx.json", exact)
+        assert main([command, matrix, "--weights", float_file]) == rc
+        assert capsys.readouterr().err == ""
+        assert main([command, matrix, "--weights", exact_file]) == rc
+
+
 class TestExport:
     def test_json_round_trip(self, matrix_file, tmp_path, capsys):
         out = tmp_path / "geometry.json"
@@ -313,6 +340,7 @@ _MATRIX_DOCUMENTS = st.one_of(
     st.sampled_from([
         {"n": 4, "entries": RUNNING_ROWS},
         {"n": 4, "entries": [["1"] * 4] * 4},
+        {"n": 4, "entries": HUGE_ENTRY_ROWS},
         {"n": 2, "entries": [["1", "3"], ["1/3", "1"]]},
     ]),
 ).map(lambda doc: json.dumps(doc).encode())

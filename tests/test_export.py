@@ -1,13 +1,20 @@
 """Export bytes: the geometry document and OBJ mesh of every benchmark pool
 matrix still hash to the digests recorded when the benchmark was introduced,
-and the mesh is built without a coincidence report."""
+the mesh is built without a coincidence report, and every mesh face points
+outward."""
 
 import hashlib
+import itertools
 import json
+import random
 from pathlib import Path
 
 import effpcm.export
 from effpcm.export import geometry_document, obj_mesh, pcm_from_document
+from effpcm.generators import generate_with_rng
+from effpcm.geometry import PerturbTag, embed_exact, tetrahedron_for_cycle
+from effpcm.pcm import CANONICAL_CYCLES, Permutation, apply_permutation
+from oracles import points_outward
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -47,3 +54,44 @@ def test_obj_mesh_builds_no_efficient_set(monkeypatch, running_example):
     assert calls == []
     geometry_document(running_example)
     assert len(calls) == 1
+
+
+def _inward_faces(pcm) -> list[str]:
+    """The mesh's ``f`` lines that fail the cross/dot reference, checked on
+    the exact embedded vertices; also any solid tetrahedron without exactly
+    its four faces."""
+    points = [
+        embed_exact(v.components)
+        for cycle in CANONICAL_CYCLES
+        for tet in [tetrahedron_for_cycle(pcm, cycle)] if tet.degenerate_rank == 3
+        for v in tet.vertices
+    ]
+    opposites: dict[int, list[int]] = {block: [] for block in range(len(points) // 4)}
+    bad = []
+    for line in obj_mesh(pcm).splitlines():
+        if not line.startswith("f "):
+            continue
+        face = [int(k) - 1 for k in line.split()[1:]]
+        block = face[0] // 4
+        opposite = next(k for k in range(4 * block, 4 * block + 4) if k not in face)
+        opposites[block].append(opposite % 4)
+        if not points_outward(points, face, opposite):
+            bad.append(line)
+    return bad + [f"block {b}: {o}" for b, o in opposites.items() if sorted(o) != [0, 1, 2, 3]]
+
+
+def test_faces_point_outward_on_relabelled_reference_matrices(
+    running_example, double_triad_example, double_one_cycle_example,
+    double_two_cycles_example, simple_example, consistent_example,
+):
+    for pcm in (running_example, double_triad_example, double_one_cycle_example,
+                double_two_cycles_example, simple_example, consistent_example):
+        for mapping in itertools.permutations((1, 2, 3, 4)):
+            assert _inward_faces(apply_permutation(pcm, Permutation(mapping))) == []
+
+
+def test_faces_point_outward_on_generated_matrices():
+    rng = random.Random(101)
+    tags = [tag.value for tag in PerturbTag]
+    for k in range(300):
+        assert _inward_faces(generate_with_rng(rng, tags[k % 6])) == []

@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
 from effpcm.errors import (
     ConsistentTriadPresentError,
     NotNormalizedError,
@@ -30,7 +32,6 @@ from effpcm.generators import _candidate, generate_pcm, generate_with_rng, rando
 from effpcm.geometry import (
     Direction,
     PerturbTag,
-    _integer_rank,
     affine_rank,
     barycentric,
     canonical_rearrangement,
@@ -40,7 +41,6 @@ from effpcm.geometry import (
     cycle_orientation,
     efficient_set,
     embed,
-    integer_points,
     is_efficient_geometric,
     plane_clip_polygon,
     tetrahedron_for_cycle,
@@ -425,6 +425,28 @@ class TestBarycentric:
         assert lams is not None and sum(lams) == 1
         assert barycentric(tet, UNIFORM) is None
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tag=st.sampled_from(ALL_TAGS),
+        mapping=st.permutations((1, 2, 3, 4)),
+        cycle=st.sampled_from(CANONICAL_CYCLES),
+        weights=st.lists(st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+                         min_size=4, max_size=4),
+    )
+    def test_recovers_exact_coefficients(self, seed, tag, mapping, cycle, weights):
+        pcm = generate_with_rng(random.Random(seed), tag)
+        tet = tetrahedron_for_cycle(apply_permutation(pcm, Permutation(tuple(mapping))), cycle)
+        if tet.degenerate_rank == 0:
+            assert barycentric(tet, tet.vertices[0]) == (1, 0, 0, 0)
+            return
+        lambdas = tuple(x / sum(weights) for x in weights)
+        w = weight_vector([
+            sum(lam * v.components[i] for lam, v in zip(lambdas, tet.vertices))
+            for i in range(4)
+        ])
+        assert barycentric(tet, w) == lambdas
+
     def test_region_iff_barycentric_fuzz(self):
         rng = random.Random(59)
         for k in range(500):
@@ -626,7 +648,7 @@ def _decimal_matrices(rng):
 
 
 class TestIntegerGeometryMatchesRank:
-    """The integer cross and triple products decide what fraction ranks decide."""
+    """The signs decide the ranks and the coincidence report that fraction ranks decide."""
 
     @staticmethod
     def _check(pcm):
@@ -660,21 +682,6 @@ class TestIntegerGeometryMatchesRank:
                 for tet in effset.tetrahedra for p in tet.vertex_points() for c in p
             ))
         assert sum(b >= 140 for b in bits) == 3
-
-    def test_rank_of_degenerate_point_sets(self):
-        # real tetrahedra have rank 0 or 3; these reach ranks 1 and 2 as well
-        rng = random.Random(97)
-        for _ in range(400):
-            base = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(3)]
-            spans = [[Fraction(rng.randint(-3, 3)) for _ in range(3)]
-                     for _ in range(rng.randint(0, 3))]
-            points = []
-            for _ in range(4):
-                coefficients = [rng.randint(-2, 2) for _ in spans]
-                xyz = [base[i] + sum(c * s[i] for c, s in zip(coefficients, spans))
-                       for i in range(3)]
-                points.append((*xyz, 1 - sum(xyz)))
-            assert _integer_rank(*integer_points(points)) == affine_rank(points)
 
 
 class TestEfficientSetEquivariance:
