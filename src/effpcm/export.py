@@ -13,18 +13,17 @@ from pathlib import Path
 
 from .errors import BadNumeralError, NonFiniteWeightError, NonSquareError
 from .geometry import (
+    _PATH_TREES,
     SIMPLEX_CORNERS,
     Direction,
     EfficientSet,
-    classify,
+    _classify,
+    _tetrahedron,
     cutting_planes,
     efficient_set,
     embed,
-    embed_exact,
     plane_clip_polygon,
-    tetrahedron_for_cycle,
 )
-from .trees import paths_of_cycle
 from .pcm import (
     CANONICAL_CYCLES,
     Pcm,
@@ -32,6 +31,7 @@ from .pcm import (
     format_rational,
     parse_pcm,
     parse_rational,
+    product_signs,
     weight_vector,
 )
 
@@ -127,8 +127,7 @@ def geometry_document(pcm: Pcm) -> dict:
                 "directed": list(tet.orientation.directed),
             },
             "path_trees": [
-                [list(edge) for edge in path.tree().sorted_edges()]
-                for path in paths_of_cycle(tet.cycle)
+                [list(edge) for edge in tree.sorted_edges()] for tree in _PATH_TREES[tet.cycle]
             ],
             "vertices_exact": [v.as_strings() for v in tet.vertices],
             "vertices_embedded": [list(embed(v)) for v in tet.vertices],
@@ -170,10 +169,10 @@ def obj_mesh(pcm: Pcm) -> str:
     Degenerate tetrahedra produce comment lines only.  The mesh needs only
     the tetrahedra and the classification, so no coincidence report is built.
     """
-    tetrahedra = [tetrahedron_for_cycle(pcm, cycle) for cycle in CANONICAL_CYCLES]
-    lines = ["# effpcm efficient-set mesh", f"# classification: {classify(pcm).tag.value}"]
+    signs = product_signs(pcm)
+    lines = ["# effpcm efficient-set mesh", f"# classification: {_classify(*signs).tag.value}"]
     vertex_count = 0
-    for tet in tetrahedra:
+    for tet in (_tetrahedron(pcm, c, s) for c, s in zip(CANONICAL_CYCLES, signs[1])):
         lines.append(f"# tetrahedron cycle={','.join(map(str, tet.cycle))} rank={tet.degenerate_rank}")
         if tet.degenerate_rank < 3:
             seen = []
@@ -185,7 +184,7 @@ def obj_mesh(pcm: Pcm) -> str:
                 lines.append(f"# point {point[0]!r} {point[1]!r} {point[2]!r}")
             continue
         for v in tet.vertices:
-            lines.append("v " + " ".join(repr(float(c)) for c in embed_exact(v.components)))
+            lines.append("v " + " ".join(repr(c) for c in embed(v)))
         for (a, b, c) in _OUTWARD_FACES[tet.orientation.direction]:
             lines.append(f"f {vertex_count + a + 1} {vertex_count + b + 1} {vertex_count + c + 1}")
         vertex_count += 4

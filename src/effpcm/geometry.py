@@ -16,20 +16,23 @@ cycle or triad onto a canonical one, forward or reversed, so the
 rearrangements scan a 24-entry table of those images built at import.
 
 Everything here is exact rational arithmetic; floats appear only in the
-3-space embedding (w1+w2, w1+w3, w2+w3) used for visualization exports.
-The tetrahedra read the same signs.  A tetrahedron is solid (rank 3)
-unless its cycle is consistent, when it is a point.  Vertex k's path omits
-one cycle edge that the other three vertices keep, so one 2x2 determinant
-per vertex gives its barycentric coordinate, and each face lies on the
-cutting plane of the edge omitted by the opposite vertex.  Which vertices
-coincide and which edges and faces share a line or plane depends only on
-which triads and cycles are consistent: a table per pair of canonical
-cycles, built at import, lists those conditions.
+3-space embedding (w1+w2, w1+w3, w2+w3) used for visualization exports,
+each rounded once from integer numerators over one denominator.  The
+tetrahedra read the same signs; their vertices are the tree vectors of the
+twelve canonical path trees, built once at import.  A tetrahedron is solid
+(rank 3) unless its cycle is consistent, when it is a point.  Vertex k's
+path omits one cycle edge that the other three vertices keep, so one 2x2
+determinant per vertex gives its barycentric coordinate, and each face
+lies on the cutting plane of the edge omitted by the opposite vertex.
+Which vertices coincide and which edges and faces share a line or plane
+depends only on which triads and cycles are consistent: a table per pair
+of canonical cycles, built at import, lists those conditions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -181,14 +184,22 @@ class Tetrahedron:
         return [v.components for v in self.vertices]
 
 
-def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahedron:
-    _require_n4(pcm)
-    vertices = tuple(tree_weight_vector(pcm, path) for path in paths_of_cycle(cycle))
-    orientation = canonical_orientations(pcm)[CANONICAL_CYCLES.index(cycle)]
+_PATH_TREES = {c: tuple(path.tree() for path in paths_of_cycle(c)) for c in CANONICAL_CYCLES}
+
+
+def _tetrahedron(pcm: Pcm, cycle: tuple[int, int, int, int], sign: int) -> Tetrahedron:
+    """The tetrahedron of a canonical cycle whose product minus 1 has the given sign."""
+    vertices = tuple(tree_weight_vector(pcm, tree) for tree in _PATH_TREES[cycle])
     # an inconsistent cycle's four inequalities have a strictly feasible
     # point, so its tetrahedron is solid; a consistent one's is a point
-    rank = 0 if orientation.direction is Direction.CONSISTENT_BOTH else 3
-    return Tetrahedron(cycle, orientation, vertices, rank)
+    return Tetrahedron(cycle, _oriented(cycle, sign), vertices, 3 if sign else 0)
+
+
+def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahedron:
+    _require_n4(pcm)
+    if cycle not in _PATH_TREES:
+        paths_of_cycle(cycle)  # raises NotACanonicalCycle
+    return _tetrahedron(pcm, cycle, product_signs(pcm)[1][CANONICAL_CYCLES.index(cycle)])
 
 
 def contains_cycle_region(
@@ -342,7 +353,11 @@ def classify(pcm: Pcm) -> PerturbClass:
     The raise doubles as a falsification probe: no positive reciprocal 4x4
     matrix should ever produce a pair outside the six admissible ones.
     """
-    triad_signs, cycle_signs = product_signs(pcm)
+    return _classify(*product_signs(pcm))
+
+
+def _classify(triad_signs, cycle_signs) -> PerturbClass:
+    """The class of a matrix whose ``product_signs`` are given."""
     t = triad_signs.count(0)
     c = cycle_signs.count(0)
     tag = _ADMISSIBLE_COUNTS.get((t, c))
@@ -469,9 +484,9 @@ class EfficientSet:
 
 def efficient_set(pcm: Pcm) -> EfficientSet:
     """Construct the full efficient set of a 4x4 matrix, exactly."""
-    _require_n4(pcm)
-    tetrahedra = tuple(tetrahedron_for_cycle(pcm, cycle) for cycle in CANONICAL_CYCLES)
-    return EfficientSet(tetrahedra, classify(pcm), _coincidence_report(product_signs(pcm)))
+    signs = product_signs(pcm)
+    tetrahedra = tuple(_tetrahedron(pcm, c, s) for c, s in zip(CANONICAL_CYCLES, signs[1]))
+    return EfficientSet(tetrahedra, _classify(*signs), _coincidence_report(signs))
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +504,16 @@ def embed(w: WeightVector | Sequence) -> tuple[float, float, float]:
     components = w.components if isinstance(w, WeightVector) else tuple(w)
     if len(components) != 4:
         raise DimensionMismatchError("DimensionMismatch: embedding needs 4 components")
-    total = sum(components)
-    exact = all(isinstance(c, (Fraction, int)) for c in components)
-    if (total != 1) if exact else (abs(total - 1.0) > 1e-12):
+    if all(isinstance(c, (Fraction, int)) for c in components):
+        # over one denominator; int / int rounds correctly, as float(Fraction) does
+        d = math.lcm(*(c.denominator for c in components))
+        n1, n2, n3, n4 = (c.numerator * (d // c.denominator) for c in components)
+        if n1 + n2 + n3 + n4 != d:
+            raise NotNormalizedError("NotNormalized: components must sum to 1")
+        return ((n1 + n2) / d, (n1 + n3) / d, (n2 + n3) / d)
+    if abs(sum(components) - 1.0) > 1e-12:
         raise NotNormalizedError("NotNormalized: components must sum to 1")
-    x, y, z = embed_exact(components)
-    return (float(x), float(y), float(z))
+    return tuple(float(c) for c in embed_exact(components))
 
 
 SIMPLEX_CORNERS = (
@@ -530,10 +549,10 @@ def plane_clip_polygon(plane: CuttingPlane) -> list[tuple[Fraction, Fraction, Fr
     corners (where w_i = w_j = 0).
     """
     i, j = plane.pair
-    a = plane.value
+    n, d = plane.value.numerator, plane.value.denominator
     split = [Fraction(0)] * 4
-    split[i - 1] = a / (1 + a)
-    split[j - 1] = 1 / (1 + a)
+    split[i - 1] = Fraction(n, n + d)
+    split[j - 1] = Fraction(d, n + d)
     corners = []
     for k in range(1, 5):
         if k not in (i, j):

@@ -5,11 +5,13 @@ down a weight vector: fixing one weight and propagating the exact ratios
 along tree edges yields the unique vector reproducing every tree entry
 perfectly.  Path-shaped trees are singled out because deleting one edge of
 a 4-cycle leaves a path, and those four paths supply the tetrahedron
-vertices used by the efficient-set geometry.
+vertices used by the efficient-set geometry.  The propagation runs on
+integer numerator and denominator chains, normalized by one division each.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,8 +105,13 @@ def tree_weight_vector(pcm: Pcm, tree: SpanningTree | LabeledPath) -> WeightVect
         raise DimensionMismatchError(
             f"DimensionMismatch: tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix"
         )
-    raw: dict[int, Fraction] = {pcm.n: Fraction(1)}
+    numerators, denominators = {pcm.n: 1}, {pcm.n: 1}
     for parent, child in _walk(_undirected(pcm.n, tree.edges), pcm.n):
         # w_child / w_parent = a_{child,parent} on a tree edge
-        raw[child] = raw[parent] * pcm.entries[child - 1][parent - 1]
-    return WeightVector(tuple(raw[v] for v in range(1, pcm.n + 1))).normalized()
+        entry = pcm.entries[child - 1][parent - 1]
+        numerators[child] = numerators[parent] * entry.numerator
+        denominators[child] = denominators[parent] * entry.denominator
+    common = math.lcm(*denominators.values())
+    scaled = [numerators[v] * (common // denominators[v]) for v in range(1, pcm.n + 1)]
+    total = sum(scaled)
+    return WeightVector(tuple(Fraction(x, total) for x in scaled))

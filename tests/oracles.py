@@ -4,7 +4,8 @@ None of this is needed to decide efficiency or build the efficient set; the
 tests use it as independent reference implementations: exhaustive
 Hamiltonian-cycle search (Camion), strong connectivity by transitive
 closure, Pareto dominance and a randomized dominator search, spanning-tree
-and path enumeration, tree restrictions to incomplete matrices, the
+and path enumeration, tree restrictions to incomplete matrices, tree
+vectors by Fraction products (the library uses integer chains), the
 geometry document's exact-vertex reader, the 24-matrix rearrangement
 searches that the library's rearrangements must reproduce, the
 coincidence report by fraction row reduction and the mesh faces' outward
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from effpcm.efficiency import BccDigraph
+from effpcm.efficiency import BccDigraph, _walk
 from effpcm.geometry import CoincidenceReport, affine_rank
 from effpcm.errors import (
     ConsistentTriadPresentError,
@@ -41,7 +42,7 @@ from effpcm.pcm import (
     parse_rational,
     triad_product,
 )
-from effpcm.trees import LabeledPath, SpanningTree
+from effpcm.trees import LabeledPath, SpanningTree, _undirected
 
 MAX_ENUMERATION_N = 6
 
@@ -264,6 +265,23 @@ def restrict(pcm: Pcm, tree: SpanningTree) -> IncompletePcm:
         grid[a - 1][b - 1] = pcm.entries[a - 1][b - 1]
         grid[b - 1][a - 1] = pcm.entries[b - 1][a - 1]
     return IncompletePcm(tuple(tuple(row) for row in grid))
+
+
+def tree_weight_vector_by_fractions(pcm: Pcm, tree: SpanningTree | LabeledPath) -> WeightVector:
+    """The tree vector by Fraction products along the walk from root n and a
+    Fraction normalization; the library carries integer numerator and
+    denominator chains instead."""
+    if isinstance(tree, LabeledPath):
+        tree = tree.tree()
+    if tree.n != pcm.n:
+        raise DimensionMismatchError(
+            f"DimensionMismatch: tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix"
+        )
+    raw: dict[int, Fraction] = {pcm.n: Fraction(1)}
+    for parent, child in _walk(_undirected(pcm.n, tree.edges), pcm.n):
+        # w_child / w_parent = a_{child,parent} on a tree edge
+        raw[child] = raw[parent] * pcm.entries[child - 1][parent - 1]
+    return WeightVector(tuple(raw[v] for v in range(1, pcm.n + 1))).normalized()
 
 
 # ---------------------------------------------------------------------------

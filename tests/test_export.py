@@ -1,7 +1,7 @@
 """Export bytes: the geometry document and OBJ mesh of every benchmark pool
 matrix still hash to the digests recorded when the benchmark was introduced,
-the mesh is built without a coincidence report, and every mesh face points
-outward."""
+the mesh is built without a coincidence report, each exporter computes the
+seven product signs once, and every mesh face points outward."""
 
 import hashlib
 import itertools
@@ -10,10 +10,11 @@ import random
 from pathlib import Path
 
 import effpcm.export
+import effpcm.geometry
 from effpcm.export import geometry_document, obj_mesh, pcm_from_document
 from effpcm.generators import generate_with_rng
-from effpcm.geometry import PerturbTag, embed_exact, tetrahedron_for_cycle
-from effpcm.pcm import CANONICAL_CYCLES, Permutation, apply_permutation
+from effpcm.geometry import PerturbTag, efficient_set, embed_exact, tetrahedron_for_cycle
+from effpcm.pcm import CANONICAL_CYCLES, Permutation, apply_permutation, product_signs
 from oracles import points_outward
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -54,6 +55,21 @@ def test_obj_mesh_builds_no_efficient_set(monkeypatch, running_example):
     assert calls == []
     geometry_document(running_example)
     assert len(calls) == 1
+
+
+def test_seven_signs_computed_once_per_call(monkeypatch, running_example):
+    calls = []
+
+    def counting(pcm):
+        calls.append(pcm)
+        return product_signs(pcm)
+
+    for module in (effpcm.geometry, effpcm.export):
+        monkeypatch.setattr(module, "product_signs", counting)
+    for build in (efficient_set, geometry_document, obj_mesh):
+        calls.clear()
+        build(running_example)
+        assert len(calls) == 1, build.__name__
 
 
 def _inward_faces(pcm) -> list[str]:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from effpcm.errors import (
     ConsistentTriadPresentError,
+    NotACanonicalCycleError,
     NotNormalizedError,
     UnsupportedDimensionError,
 )
@@ -32,6 +33,7 @@ from effpcm.generators import _candidate, generate_pcm, generate_with_rng, rando
 from effpcm.geometry import (
     Direction,
     PerturbTag,
+    SIMPLEX_CORNERS,
     affine_rank,
     barycentric,
     canonical_rearrangement,
@@ -41,6 +43,7 @@ from effpcm.geometry import (
     cycle_orientation,
     efficient_set,
     embed,
+    embed_exact,
     is_efficient_geometric,
     plane_clip_polygon,
     tetrahedron_for_cycle,
@@ -280,6 +283,11 @@ class TestTetrahedra:
             tet = tetrahedron_for_cycle(running_example, cycle)
             for vertex, path in zip(tet.vertices, paths_of_cycle(cycle)):
                 assert vertex == tree_weight_vector(running_example, path)
+
+    def test_rejects_non_canonical_cycle(self, running_example):
+        for listing in ((1, 2, 4, 3), (2, 3, 4, 1), (1, 4, 3, 2)):
+            with pytest.raises(NotACanonicalCycleError):
+                tetrahedron_for_cycle(running_example, listing)
 
     def test_point_tetrahedron_of_consistent_cycle(self, double_one_cycle_example):
         tet = tetrahedron_for_cycle(double_one_cycle_example, (1, 4, 2, 3))
@@ -706,6 +714,8 @@ class TestEfficientSetEquivariance:
 class TestEmbedding:
     def test_simplex_corner(self):
         assert embed((1, 0, 0, 0)) == (1.0, 1.0, 0.0)
+        for k, corner in enumerate(SIMPLEX_CORNERS):
+            assert embed(tuple(int(i == k) for i in range(4))) == corner
 
     def test_uniform_center(self):
         assert embed(UNIFORM) == (0.5, 0.5, 0.5)
@@ -717,6 +727,30 @@ class TestEmbedding:
     def test_requires_normalized(self):
         with pytest.raises(NotNormalizedError):
             embed((1, 1, 0, 0))
+        with pytest.raises(NotNormalizedError):
+            embed((1, 0, 0, -Fraction(1, 10**40)))
+
+    @given(st.lists(st.one_of(st.just(0), st.integers(2**150, 2**200)), min_size=4, max_size=4)
+           .filter(any), st.booleans())
+    def test_exact_vector_rounds_its_exact_sums(self, parts, as_vector):
+        """Components of 150 bits or more, or int zero cells, normalized exactly."""
+        total = sum(parts)
+        w = tuple(Fraction(p, total) if p else 0 for p in parts)
+        rounded = tuple(float(x) for x in embed_exact(w))
+        if as_vector and all(w):
+            assert embed(weight_vector(w)) == rounded
+        assert embed(w) == rounded
+        off = (w[0] + Fraction(1, 10**40),) + w[1:]
+        with pytest.raises(NotNormalizedError):
+            embed(off)
+
+    @given(st.lists(st.floats(1e-6, 1e6), min_size=4, max_size=4))
+    def test_float_vector_sums_in_float(self, values):
+        w = weight_vector(values).normalized()
+        w1, w2, w3, _ = w.components
+        assert embed(w) == (w1 + w2, w1 + w3, w2 + w3)
+        with pytest.raises(NotNormalizedError):
+            embed(w.components[:3] + (w.components[3] + 1e-9,))
 
 
 class TestCuttingPlanes:

@@ -4,14 +4,41 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from effpcm.errors import DimensionTooLargeError, NotACanonicalCycleError
-from effpcm.pcm import consistent_weights
+from effpcm.pcm import consistent_weights, pcm_from_upper
 from effpcm.efficiency import is_efficient
 from effpcm.generators import generate_with_rng
 from effpcm.geometry import embed, is_efficient_geometric
 from effpcm.trees import LabeledPath, SpanningTree, paths_of_cycle, tree_weight_vector
-from oracles import enumerate_labeled_paths, enumerate_spanning_trees, restrict
+from oracles import (
+    enumerate_labeled_paths,
+    enumerate_spanning_trees,
+    restrict,
+    tree_weight_vector_by_fractions,
+)
+
+# Saaty-scale values, 15-digit decimals up to 10, and entries past the float range
+_ENTRIES = st.one_of(
+    st.sampled_from([Fraction(k) for k in range(1, 10)] + [Fraction(1, k) for k in range(2, 10)]),
+    st.integers(1, 10**16).map(lambda k: Fraction(k, 10**15)),
+    st.sampled_from([Fraction(10**400), Fraction(1, 10**400), Fraction(10**400 + 1, 10**399)]),
+)
+
+
+@st.composite
+def _matrix_and_tree(draw):
+    """A random n x n matrix, n = 2..8, and a random path or spanning tree on it."""
+    n = draw(st.integers(2, 8))
+    upper = {(i, j): draw(_ENTRIES) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    order = draw(st.permutations(range(1, n + 1)))
+    if draw(st.booleans()):
+        tree = LabeledPath(tuple(order))
+    else:  # each later vertex hangs off an earlier one
+        edges = {tuple(sorted((order[k], order[draw(st.integers(0, k - 1))]))) for k in range(1, n)}
+        tree = SpanningTree(n, frozenset(edges))
+    return pcm_from_upper(n, upper), tree
 
 
 class TestEnumeration:
@@ -170,6 +197,15 @@ class TestTreeWeights:
             pcm = generate_with_rng(rng, ["triple", "simple", "consistent"][k % 3])
             for star in stars:
                 assert is_efficient_geometric(pcm, tree_weight_vector(pcm, star))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrix_and_tree())
+    def test_integer_chains_match_fraction_products(self, matrix_and_tree):
+        pcm, tree = matrix_and_tree
+        expected = tree_weight_vector_by_fractions(pcm, tree)
+        assert tree_weight_vector(pcm, tree) == expected
+        if isinstance(tree, LabeledPath):
+            assert tree_weight_vector(pcm, tree.tree()) == expected
 
     def test_accepts_path_or_tree(self, running_example):
         path = LabeledPath((1, 2, 3, 4))
