@@ -9,6 +9,7 @@ sampler's elapsed-seconds field depends on the wall clock.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -163,7 +164,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"Usage: {self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: it depends only on the code,
+    ``parse_args`` returns a fresh namespace per call and ``error`` raises."""
     parser = _Parser(
         prog="effpcm",
         description="Exact Pareto-efficiency analysis of pairwise comparison matrices",

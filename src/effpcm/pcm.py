@@ -43,7 +43,8 @@ from .errors import (
 # Exact rational scalar used throughout.
 Rational = Fraction
 
-_NUMERAL_RE = re.compile(r"^[+-]?\d+(?:/\d+|\.\d{1,15})?$")
+# Groups: the signed whole part, then a denominator or the fraction digits.
+_NUMERAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+)|\.(\d{1,15}))?")
 
 # Canonical n=4 enumeration order for triads and undirected 4-cycles.
 CANONICAL_TRIADS = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
@@ -62,11 +63,18 @@ def parse_rational(text: str | int) -> Fraction:
         text = repr(text)
     if not isinstance(text, str):
         raise BadNumeralError(f"BadNumeral: expected a rational string, got {text!r}")
-    stripped = text.strip()
-    if not _NUMERAL_RE.match(stripped):
+    match = _NUMERAL_RE.fullmatch(text.strip())
+    if match is None:
         raise BadNumeralError(f"BadNumeral: {text!r} is not 'p', 'p/q' or a short decimal")
+    whole, den, digits = match.groups()
     try:
-        return Fraction(stripped)
+        if den is not None:
+            return Fraction(int(whole), int(den))
+        if digits is None:
+            return Fraction(int(whole))
+        scale = 10 ** len(digits)
+        numerator = abs(int(whole)) * scale + int(digits)
+        return Fraction(-numerator if whole[0] == "-" else numerator, scale)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadNumeralError(f"BadNumeral: {text!r} ({exc})") from exc
 

@@ -5,7 +5,8 @@ tests use it as independent reference implementations: exhaustive
 Hamiltonian-cycle search (Camion), strong connectivity by transitive
 closure, Pareto dominance and a randomized dominator search, spanning-tree
 and path enumeration, tree restrictions to incomplete matrices, tree
-vectors by Fraction products (the library uses integer chains), the
+vectors by Fraction products (the library uses integer chains), numerals
+converted by ``Fraction(str)`` (the library converts its regex groups), the
 geometry document's exact-vertex reader, the 24-matrix rearrangement
 searches that the library's rearrangements must reproduce, the
 coincidence report by fraction row reduction and the mesh faces' outward
@@ -18,12 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from effpcm.efficiency import BccDigraph, _walk
 from effpcm.geometry import CoincidenceReport, affine_rank
 from effpcm.errors import (
+    BadNumeralError,
     ConsistentTriadPresentError,
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -282,6 +285,33 @@ def tree_weight_vector_by_fractions(pcm: Pcm, tree: SpanningTree | LabeledPath) 
         # w_child / w_parent = a_{child,parent} on a tree edge
         raw[child] = raw[parent] * pcm.entries[child - 1][parent - 1]
     return WeightVector(tuple(raw[v] for v in range(1, pcm.n + 1))).normalized()
+
+
+# ---------------------------------------------------------------------------
+# numerals
+
+_NUMERAL_RE = re.compile(r"^[+-]?\d+(?:/\d+|\.\d{1,15})?$")
+
+
+def parse_rational_by_fraction_string(text: str | int) -> Fraction:
+    """The numeral checked by one regex and then converted by ``Fraction(str)``,
+    which matches it a second time; the library converts its regex groups
+    with ``int`` instead."""
+    if isinstance(text, bool):
+        raise BadNumeralError(f"BadNumeral: {text!r} is not a numeral")
+    if isinstance(text, int):
+        return Fraction(text)
+    if isinstance(text, float):
+        text = repr(text)
+    if not isinstance(text, str):
+        raise BadNumeralError(f"BadNumeral: expected a rational string, got {text!r}")
+    stripped = text.strip()
+    if not _NUMERAL_RE.match(stripped):
+        raise BadNumeralError(f"BadNumeral: {text!r} is not 'p', 'p/q' or a short decimal")
+    try:
+        return Fraction(stripped)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadNumeralError(f"BadNumeral: {text!r} ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import effpcm
-from effpcm.cli import CLASS_CHOICES, main
+from effpcm.cli import CLASS_CHOICES, build_parser, main
 from effpcm.geometry import efficient_set
 from effpcm.pcm import parse_pcm
 from conftest import RUNNING_ROWS
@@ -317,6 +317,36 @@ class TestUsage:
         assert captured.err == (
             "error: Usage: effpcm sample: argument --trials: invalid int value: 'x'\n"
         )
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as stop:
+            rc = stop.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestSharedParser:
+    def test_one_parser_serves_every_call(self, matrix_file, tmp_path):
+        """A rejection and ``--help`` leave the shared tree as they found it."""
+        wfile = write_weights(tmp_path / "w.json", ["7/20", "2/5", "1/5", "1/20"])
+        check = ["check", matrix_file, "--weights", wfile, "--json"]
+        build_parser.cache_clear()
+        first = _run(check)
+        assert first[0] == 0 and first[2] == ""
+        rc, out, err = _run(["sample", "--seed", "1", "--trials", "x", "--class", "triple"])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: Usage:") and err.count("\n") == 1
+        rc, out, err = _run(["--help"])
+        assert rc == 0 and "usage:" in out
+        assert _run(check) == first
+        assert _run(check) == first
+        assert build_parser.cache_info().misses == 1
+        assert build_parser.cache_info().hits == 4
 
 
 _CELLS = st.one_of(

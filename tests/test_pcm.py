@@ -41,6 +41,7 @@ from effpcm.pcm import (
     triad_product,
     weight_vector,
 )
+from oracles import parse_rational_by_fraction_string
 
 positive_rationals = st.builds(Fraction, st.integers(1, 60), st.integers(1, 60))
 
@@ -79,7 +80,7 @@ class TestParsing:
         with pytest.raises(NonSquareError):
             parse_pcm([])
 
-    @pytest.mark.parametrize("cell", ["", "abc", "1/0", "1e3", "0.1234567890123456"])
+    @pytest.mark.parametrize("cell", ["", "abc", "1/0", "1e3", ".5", "1.", "0.1234567890123456"])
     def test_bad_numerals(self, cell):
         with pytest.raises(BadNumeralError):
             parse_rational(cell)
@@ -114,6 +115,56 @@ class TestParsing:
     def test_int_entries_accepted(self):
         pcm = Pcm(((1, 2), (Fraction(1, 2), 1)))
         assert pcm.rows_as_strings() == [["1", "2"], ["1/2", "1"]]
+
+
+def _parse_outcome(parse, value):
+    """The parsed value, or the type and message of the error raised."""
+    try:
+        return parse(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Numerals and near misses: ASCII digits, one non-ASCII digit (Arabic-Indic
+# three), signs, separators, an exponent, an underscore and whitespace.
+_NUMERAL_ALPHABET = "0123456789\u0663+-/.e_ \t"
+_DIGITS = st.text("0123456789\u0663", min_size=1, max_size=18)
+_BUILT_NUMERALS = st.builds(
+    lambda pad, sign, whole, tail, end: pad + sign + whole + tail + end,
+    st.sampled_from(["", " ", "\t", " \t"]),
+    st.sampled_from(["", "+", "-"]),
+    _DIGITS,
+    st.one_of(st.just(""), _DIGITS.map(lambda d: "/" + d), _DIGITS.map(lambda d: "." + d)),
+    st.sampled_from(["", " ", "\t"]),
+)
+
+
+class TestParseRationalByGroups:
+    """``parse_rational`` converts its regex groups with ``int``; it must agree
+    with ``Fraction(str)`` on every value and on every error message."""
+
+    @given(st.one_of(st.text(_NUMERAL_ALPHABET, max_size=24), _BUILT_NUMERALS))
+    def test_matches_fraction_string(self, text):
+        assert _parse_outcome(parse_rational, text) == _parse_outcome(
+            parse_rational_by_fraction_string, text)
+
+    @pytest.mark.parametrize("value", [
+        "3/0", "-3/0", "00/0", "-0.5", "-0.0", "1.", ".5",
+        "0." + "1" * 15, "0." + "1" * 16,
+        pytest.param("7" * 5000, id="whole-5000-digits"),
+        pytest.param("-" + "7" * 5000, id="signed-whole-5000-digits"),
+        pytest.param("7" * 5000 + ".5", id="whole-5000-digits-tail"),
+        pytest.param("1/" + "7" * 5000, id="denominator-5000-digits"),
+        12, -3, True, 0.1, 1e-05, None,
+    ])
+    def test_fixed_cases(self, value):
+        assert _parse_outcome(parse_rational, value) == _parse_outcome(
+            parse_rational_by_fraction_string, value)
+
+    def test_sign_and_whitespace(self):
+        """The README's example: a signed numeral padded with whitespace."""
+        assert parse_rational(" -0.5\t") == Fraction(-1, 2)
+        assert parse_rational("+3/4 ") == Fraction(3, 4)
 
 
 # Entries whose pairs are often reciprocal: whole values come as Fraction and
