@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import BadToleranceError, DimensionMismatchError
-from .pcm import Pcm, WeightVector, compare_ratio
+from .pcm import Pcm, Record, WeightVector, compare_ratio
 
 DEFAULT_EQUALITY_BAND = 1e-9
 
@@ -42,13 +41,17 @@ def float_equality_band() -> float:
     return band
 
 
-@dataclass(frozen=True)
-class BccDigraph:
+class BccDigraph(Record):
     """Arc set over the alternatives induced by comparing w_i/w_j to a_ij."""
 
     n: int
     arcs: frozenset[tuple[int, int]]
     equality_pairs: frozenset[tuple[int, int]]  # unordered, stored with i < j
+
+    def __init__(self, n, arcs, equality_pairs):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "equality_pairs", equality_pairs)
 
     def has_arc(self, i: int, j: int) -> bool:
         return (i, j) in self.arcs

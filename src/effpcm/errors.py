@@ -64,10 +64,6 @@ class UnsupportedDimensionError(InputError):
     code = "UnsupportedDimension"
 
 
-class DimensionTooLargeError(InputError):
-    code = "DimensionTooLarge"
-
-
 class NotConsistentError(InputError):
     code = "NotConsistent"
 

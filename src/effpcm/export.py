@@ -46,8 +46,12 @@ def pcm_from_document(doc) -> Pcm:
     if not isinstance(doc, dict) or "entries" not in doc:
         raise BadNumeralError("BadNumeral: expected a JSON object with an 'entries' grid")
     pcm = parse_pcm(doc["entries"])
-    if "n" in doc and doc["n"] != pcm.n:
-        raise NonSquareError(f"NonSquare: declared n={doc['n']} but grid is {pcm.n}x{pcm.n}")
+    if "n" in doc:
+        n = doc["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise NonSquareError(f"NonSquare: declared n={n!r} is not an integer")
+        if n != pcm.n:
+            raise NonSquareError(f"NonSquare: declared n={n} but grid is {pcm.n}x{pcm.n}")
     return pcm
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -50,6 +49,7 @@ from .pcm import (
     CANONICAL_TRIADS,
     Pcm,
     Permutation,
+    Record,
     WeightVector,
     _require_n4,
     apply_permutation,
@@ -66,8 +66,7 @@ class Direction(str, Enum):
     CONSISTENT_BOTH = "consistent"
 
 
-@dataclass(frozen=True)
-class CycleOrientation:
+class CycleOrientation(Record):
     """The admissible direction of a canonical 4-cycle for a given matrix.
 
     ``directed`` is the vertex listing to iterate arcs in the valid
@@ -78,6 +77,11 @@ class CycleOrientation:
     cycle: tuple[int, int, int, int]
     direction: Direction
     directed: tuple[int, int, int, int]
+
+    def __init__(self, cycle, direction, directed):
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "directed", directed)
 
 
 def _oriented(cycle: tuple[int, int, int, int], sign: int) -> CycleOrientation:
@@ -171,14 +175,19 @@ def triad_rearrangement(pcm: Pcm) -> tuple[Permutation, Pcm, int]:
     raise AssertionError("unreachable: parity argument guarantees one of the two cases")
 
 
-@dataclass(frozen=True)
-class Tetrahedron:
+class Tetrahedron(Record):
     """Four path-tree weight vectors of one cycle, with exact degeneracy rank."""
 
     cycle: tuple[int, int, int, int]
     orientation: CycleOrientation
     vertices: tuple[WeightVector, WeightVector, WeightVector, WeightVector]
     degenerate_rank: int
+
+    def __init__(self, cycle, orientation, vertices, degenerate_rank):
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "degenerate_rank", degenerate_rank)
 
     def vertex_points(self) -> list[tuple[Fraction, ...]]:
         return [v.components for v in self.vertices]
@@ -333,13 +342,18 @@ _ADMISSIBLE_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class PerturbClass:
+class PerturbClass(Record):
     """Taxonomy by counts of exactly consistent triads and 4-cycles."""
 
     tag: PerturbTag
     consistent_triad_count: int
     consistent_cycle_count: int
+
+    def __init__(self, tag, consistent_triad_count, consistent_cycle_count):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "consistent_triad_count", consistent_triad_count)
+        object.__setattr__(self, "consistent_cycle_count", consistent_cycle_count)
+        self.__post_init__()
 
     def __post_init__(self):
         counts = (self.consistent_triad_count, self.consistent_cycle_count)
@@ -366,8 +380,7 @@ def _classify(triad_signs, cycle_signs) -> PerturbClass:
     return PerturbClass(tag, t, c)
 
 
-@dataclass(frozen=True)
-class CoincidenceReport:
+class CoincidenceReport(Record):
     """Exact shared-vertex / collinear-edge / coplanar-face structure.
 
     Vertex indices are 1-based positions in the tetrahedron vertex order;
@@ -382,6 +395,14 @@ class CoincidenceReport:
     collinear_edge_pairs: tuple[tuple[tuple[tuple, tuple], tuple[tuple, tuple]], ...]
     coplanar_face_pairs: tuple[tuple[tuple[tuple, tuple], tuple[tuple, tuple]], ...]
     point_tetrahedra: tuple[tuple, ...]
+
+    def __init__(
+        self, shared_vertices, collinear_edge_pairs, coplanar_face_pairs, point_tetrahedra
+    ):
+        object.__setattr__(self, "shared_vertices", shared_vertices)
+        object.__setattr__(self, "collinear_edge_pairs", collinear_edge_pairs)
+        object.__setattr__(self, "coplanar_face_pairs", coplanar_face_pairs)
+        object.__setattr__(self, "point_tetrahedra", point_tetrahedra)
 
     def shared_points(self, cycle_a: tuple, cycle_b: tuple) -> int:
         """Number of distinct shared locations between two tetrahedra.
@@ -467,13 +488,17 @@ def _coincidence_report(signs) -> CoincidenceReport:
     return CoincidenceReport(tuple(shared), tuple(collinear), tuple(coplanar), points)
 
 
-@dataclass(frozen=True)
-class EfficientSet:
+class EfficientSet(Record):
     """The three tetrahedra, classification and coincidence structure."""
 
     tetrahedra: tuple[Tetrahedron, Tetrahedron, Tetrahedron]
     classification: PerturbClass
     coincidences: CoincidenceReport
+
+    def __init__(self, tetrahedra, classification, coincidences):
+        object.__setattr__(self, "tetrahedra", tetrahedra)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "coincidences", coincidences)
 
     def tetrahedron(self, cycle: tuple) -> Tetrahedron:
         for tet in self.tetrahedra:
@@ -524,12 +549,15 @@ SIMPLEX_CORNERS = (
 )
 
 
-@dataclass(frozen=True)
-class CuttingPlane:
+class CuttingPlane(Record):
     """The locus w_i/w_j = a_ij inside the weight simplex."""
 
     pair: tuple[int, int]
     value: Fraction
+
+    def __init__(self, pair, value):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "value", value)
 
 
 def cutting_planes(pcm: Pcm) -> list[CuttingPlane]:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -86,11 +85,50 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class Pcm:
+class Record:
+    """Base of the package's immutable values, compared and hashed by value.
+
+    A subclass declares its fields as class annotations, read once here in
+    declaration order, and sets each in its own ``__init__`` through
+    ``object.__setattr__``.  Equality (same class, equal fields), hashing
+    and ``repr`` go over those fields; assigning or deleting an attribute
+    raises ``AttributeError``.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Pcm(Record):
     """A validated positive reciprocal matrix of exact rationals."""
 
     entries: tuple[tuple[Fraction, ...], ...]
+
+    def __init__(self, entries):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         entries = self.entries
@@ -121,12 +159,6 @@ class Pcm:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        """Entry a_ij, 1-based."""
-        _check_index(self.n, i)
-        _check_index(self.n, j)
-        return self.entries[i - 1][j - 1]
 
     def rows_as_strings(self) -> list[list[str]]:
         return [[format_rational(v) for v in row] for row in self.entries]
@@ -162,11 +194,14 @@ def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int]) -> Pcm:
     return Pcm(tuple(tuple(row) for row in grid))
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """A positive weight vector, either exact (Fraction) or float-valued."""
 
     components: tuple
+
+    def __init__(self, components):
+        object.__setattr__(self, "components", components)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.components) == 0:
@@ -194,13 +229,6 @@ class WeightVector:
     def exact(self) -> bool:
         return isinstance(self.components[0], Fraction)
 
-    def component(self, i: int) -> Fraction | float:
-        _check_index(self.n, i)
-        return self.components[i - 1]
-
-    def ratio(self, i: int, j: int):
-        return self.component(i) / self.component(j)
-
     @property
     def is_normalized(self) -> bool:
         total = sum(self.components)
@@ -217,9 +245,6 @@ class WeightVector:
             components = tuple(math.ldexp(c, -self.n.bit_length()) for c in components)
             total = sum(components)
         return WeightVector(tuple(c / total for c in components))
-
-    def scaled(self, factor) -> "WeightVector":
-        return WeightVector(tuple(c * factor for c in self.components))
 
     def as_strings(self) -> list[str]:
         if self.exact:
@@ -259,11 +284,14 @@ def compare_ratio(w: WeightVector, i: int, j: int, target: Fraction, band: float
     return 1 if ratio > t else -1
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A bijection on {1..n}, stored as the image tuple (sigma(1), ..., sigma(n))."""
 
     mapping: tuple[int, ...]
+
+    def __init__(self, mapping):
+        object.__setattr__(self, "mapping", mapping)
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.mapping)
@@ -278,16 +306,6 @@ class Permutation:
         _check_index(self.n, i)
         return self.mapping[i - 1]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, image in enumerate(self.mapping, start=1):
-            inv[image - 1] = i
-        return Permutation(tuple(inv))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
 
 def apply_permutation(pcm: Pcm, perm: Permutation) -> Pcm:
     """Reindex alternatives: the result has b_ij = a_{perm(i), perm(j)}."""
@@ -299,13 +317,6 @@ def apply_permutation(pcm: Pcm, perm: Permutation) -> Pcm:
         tuple(pcm.entries[perm(i) - 1][perm(j) - 1] for j in range(1, pcm.n + 1))
         for i in range(1, pcm.n + 1)
     ))
-
-
-def permute_weights(w: WeightVector, perm: Permutation) -> WeightVector:
-    """Reindex a weight vector consistently with apply_permutation: v_i = w_{perm(i)}."""
-    if perm.n != w.n:
-        raise DimensionMismatchError("DimensionMismatch: permutation and weight vector lengths differ")
-    return WeightVector(tuple(w.components[perm(i) - 1] for i in range(1, w.n + 1)))
 
 
 def _check_index(n: int, i: int) -> None:
@@ -379,18 +390,6 @@ def product_signs(pcm: Pcm) -> tuple[tuple[int, int, int, int], tuple[int, int, 
         _sign(n13 * n34 * d12 * d24, d13 * d34 * n12 * n24),  # a13 a34 a42 a21
     )
     return triads, cycles
-
-
-def consistent_triads(pcm: Pcm) -> list[tuple[int, int, int]]:
-    """The canonical triads of a 4x4 matrix whose product is exactly 1."""
-    triad_signs, _ = product_signs(pcm)
-    return [t for t, s in zip(CANONICAL_TRIADS, triad_signs) if s == 0]
-
-
-def consistent_four_cycles(pcm: Pcm) -> list[tuple[int, int, int, int]]:
-    """The canonical undirected 4-cycles of a 4x4 matrix whose product is exactly 1."""
-    _, cycle_signs = product_signs(pcm)
-    return [c for c, s in zip(CANONICAL_CYCLES, cycle_signs) if s == 0]
 
 
 def is_consistent(pcm: Pcm) -> bool:

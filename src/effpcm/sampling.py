@@ -10,22 +10,29 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from .efficiency import float_equality_band, is_efficient
 from .errors import BadTrialCountError
 from .generators import generate_with_rng, random_exact_weights
 from .geometry import PerturbTag, is_efficient_geometric
+from .pcm import Record
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     trials: int
     agreements: int
     disagreements: tuple[dict, ...]
     seed: int
     class_tag: str
     elapsed: float
+
+    def __init__(self, trials, agreements, disagreements, seed, class_tag, elapsed):
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "agreements", agreements)
+        object.__setattr__(self, "disagreements", disagreements)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "class_tag", class_tag)
+        object.__setattr__(self, "elapsed", elapsed)
 
     def to_json_dict(self) -> dict:
         return {

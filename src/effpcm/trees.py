@@ -12,20 +12,23 @@ integer numerator and denominator chains, normalized by one division each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .efficiency import _walk
 from .errors import DimensionMismatchError, NotACanonicalCycleError
-from .pcm import CANONICAL_CYCLES, Pcm, WeightVector
+from .pcm import CANONICAL_CYCLES, Pcm, Record, WeightVector
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(Record):
     """An acyclic connected edge set over vertices 1..n."""
 
     n: int
     edges: frozenset[tuple[int, int]]  # unordered pairs stored with i < j
+
+    def __init__(self, n, edges):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self):
         # n - 1 edges that connect all n vertices form a tree
@@ -39,13 +42,6 @@ class SpanningTree:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in range(1, self.n + 1)}
-        for (a, b) in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
 
 def _undirected(n: int, edges: frozenset[tuple[int, int]]) -> dict[int, list[int]]:
     adjacency: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
@@ -55,11 +51,14 @@ def _undirected(n: int, edges: frozenset[tuple[int, int]]) -> dict[int, list[int
     return adjacency
 
 
-@dataclass(frozen=True)
-class LabeledPath:
+class LabeledPath(Record):
     """A Hamiltonian path given as a vertex ordering; induces a path tree."""
 
     sequence: tuple[int, ...]
+
+    def __init__(self, sequence):
+        object.__setattr__(self, "sequence", sequence)
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.sequence)

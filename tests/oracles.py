@@ -11,7 +11,10 @@ geometry document's exact-vertex reader, the 24-matrix rearrangement
 searches that the library's rearrangements must reproduce, the
 coincidence report by fraction row reduction and the mesh faces' outward
 orientation by cross and dot products, both of which the library derives
-from the seven product signs instead.
+from the seven product signs instead.  It also holds the small accessors,
+relabellings and consistency listings that only the tests read values
+through (entries, ratios, scaled and permuted vectors, inverse and identity
+permutations, tree degrees, the consistent triads and 4-cycles).
 """
 
 from __future__ import annotations
@@ -29,25 +32,88 @@ from effpcm.errors import (
     BadNumeralError,
     ConsistentTriadPresentError,
     DimensionMismatchError,
-    DimensionTooLargeError,
+    InputError,
     NonPositiveEntryError,
     NonSquareError,
     ReciprocityViolationError,
 )
 from effpcm.pcm import (
     CANONICAL_CYCLES,
+    CANONICAL_TRIADS,
     Pcm,
     Permutation,
     WeightVector,
     apply_permutation,
-    consistent_triads,
     cycle_product,
     parse_rational,
+    product_signs,
     triad_product,
 )
 from effpcm.trees import LabeledPath, SpanningTree, _undirected
 
 MAX_ENUMERATION_N = 6
+
+
+class DimensionTooLargeError(InputError):
+    """An enumeration asked for past the size the oracles enumerate."""
+
+    code = "DimensionTooLarge"
+
+
+# ---------------------------------------------------------------------------
+# accessors, relabellings and consistency listings the tests read values through
+
+
+def entry(pcm: Pcm, i: int, j: int) -> Fraction:
+    """Entry a_ij, 1-based."""
+    return pcm.entries[i - 1][j - 1]
+
+
+def ratio(w: WeightVector, i: int, j: int):
+    """w_i / w_j, 1-based."""
+    return w.components[i - 1] / w.components[j - 1]
+
+
+def scaled(w: WeightVector, factor) -> WeightVector:
+    return WeightVector(tuple(c * factor for c in w.components))
+
+
+def identity_permutation(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def inverse_permutation(perm: Permutation) -> Permutation:
+    inv = [0] * perm.n
+    for i, image in enumerate(perm.mapping, start=1):
+        inv[image - 1] = i
+    return Permutation(tuple(inv))
+
+
+def permute_weights(w: WeightVector, perm: Permutation) -> WeightVector:
+    """Reindex a weight vector consistently with apply_permutation: v_i = w_{perm(i)}."""
+    if perm.n != w.n:
+        raise DimensionMismatchError("DimensionMismatch: permutation and weight vector lengths differ")
+    return WeightVector(tuple(w.components[perm(i) - 1] for i in range(1, w.n + 1)))
+
+
+def consistent_triads(pcm: Pcm) -> list[tuple[int, int, int]]:
+    """The canonical triads of a 4x4 matrix whose product is exactly 1."""
+    triad_signs, _ = product_signs(pcm)
+    return [t for t, s in zip(CANONICAL_TRIADS, triad_signs) if s == 0]
+
+
+def consistent_four_cycles(pcm: Pcm) -> list[tuple[int, int, int, int]]:
+    """The canonical undirected 4-cycles of a 4x4 matrix whose product is exactly 1."""
+    _, cycle_signs = product_signs(pcm)
+    return [c for c, s in zip(CANONICAL_CYCLES, cycle_signs) if s == 0]
+
+
+def tree_degrees(tree: SpanningTree) -> dict[int, int]:
+    deg = {v: 0 for v in range(1, tree.n + 1)}
+    for (a, b) in tree.edges:
+        deg[a] += 1
+        deg[b] += 1
+    return deg
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +176,8 @@ def dominates(pcm: Pcm, w_new: WeightVector, w_old: WeightVector) -> DominanceVe
                 continue
             a = pcm.entries[i - 1][j - 1]
             if exact:
-                err_new = abs(a - w_new.ratio(i, j))
-                err_old = abs(a - w_old.ratio(i, j))
+                err_new = abs(a - ratio(w_new, i, j))
+                err_old = abs(a - ratio(w_old, i, j))
             else:
                 a = float(a)
                 err_new = abs(a - float(w_new.components[i - 1]) / float(w_new.components[j - 1]))

@@ -17,7 +17,7 @@ from effpcm.cli import CLASS_CHOICES, build_parser, main
 from effpcm.geometry import efficient_set
 from effpcm.pcm import parse_pcm
 from conftest import RUNNING_ROWS
-from oracles import parse_exact_vertices
+from oracles import entry, parse_exact_vertices
 from test_pcm import random_pcm4
 
 
@@ -93,7 +93,7 @@ class TestClassify:
 class TestRearrange:
     def test_cycles_mode_on_transposed(self, tmp_path, capsys):
         pcm = parse_pcm(RUNNING_ROWS)
-        rows = [[str(pcm.entry(i, j)) for i in range(1, 5)] for j in range(1, 5)]
+        rows = [[str(entry(pcm, i, j)) for i in range(1, 5)] for j in range(1, 5)]
         path = write_matrix(tmp_path / "t.json", rows)
         assert main(["rearrange", path]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -264,11 +264,17 @@ class TestInputFaults:
             b'{"n": 2, "entries": [["1", "\xff\xfe"], ["1", "1"]]}')
         (tmp_path / "deep.json").write_text("[" * 50_000 + "]" * 50_000, encoding="utf-8")
         (tmp_path / "long.json").write_text("1" * 5000, encoding="utf-8")
+        for name, n, rows in (("n-true", True, [["1"]]), ("n-float", 4.0, RUNNING_ROWS),
+                              ("n-string", "4", RUNNING_ROWS)):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"n": n, "entries": rows}),
+                                                   encoding="utf-8")
 
     @pytest.mark.parametrize("argv,tol", [
         pytest.param(["validate", "non-utf8.json"], None, id="non-utf8"),
         pytest.param(["validate", "deep.json"], None, id="deep-json"),
         pytest.param(["validate", "long.json"], None, id="long-number"),
+        *[pytest.param(["validate", f"{name}.json"], None, id=name)
+          for name in ("n-true", "n-float", "n-string")],
         pytest.param(["sample", "--seed", "1", "--trials", "0", "--class", "triple"], None,
                      id="zero-trials"),
         *[pytest.param(["check", "matrix.json", "--weights", "w.json"], tol, id=f"tol-{tol}")

@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from effpcm.errors import DimensionMismatchError, DimensionTooLargeError
+from effpcm.errors import DimensionMismatchError
 from effpcm.pcm import (
     CANONICAL_CYCLES,
     Permutation,
     apply_permutation,
-    permute_weights,
     weight_vector,
 )
 from effpcm.efficiency import (
@@ -24,9 +23,12 @@ from effpcm.efficiency import (
 from effpcm.generators import generate_with_rng, random_exact_weights
 from effpcm.geometry import PerturbTag, tetrahedron_for_cycle
 from oracles import (
+    DimensionTooLargeError,
     dominates,
     find_dominator_sample,
     hamiltonian_cycle_exists,
+    permute_weights,
+    scaled,
     strongly_connected_by_closure,
 )
 from test_pcm import positive_rationals, random_pcm4
@@ -154,7 +156,7 @@ class TestEfficiency:
            positive_rationals)
     def test_scaling_invariance(self, pcm, raw, c):
         w = weight_vector(list(raw))
-        assert is_efficient(pcm, w) == is_efficient(pcm, w.scaled(c))
+        assert is_efficient(pcm, w) == is_efficient(pcm, scaled(w, c))
 
     @given(random_pcm4, st.tuples(*([st.integers(1, 300)] * 4)),
            st.permutations([1, 2, 3, 4]))
@@ -206,8 +208,8 @@ class TestDominance:
 
     def test_self_and_scaled_never_dominate(self, running_example):
         assert not dominates(running_example, UNIFORM, UNIFORM).dominates
-        scaled = UNIFORM.scaled(Fraction(7, 2))
-        assert not dominates(running_example, scaled, UNIFORM).dominates
+        larger = scaled(UNIFORM, Fraction(7, 2))
+        assert not dominates(running_example, larger, UNIFORM).dominates
 
     def test_dimension_mismatch(self, running_example):
         with pytest.raises(DimensionMismatchError):

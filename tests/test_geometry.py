@@ -19,12 +19,10 @@ from effpcm.pcm import (
     CANONICAL_CYCLES,
     Permutation,
     apply_permutation,
-    consistent_triads,
     consistent_weights,
     cycle_product,
     parse_pcm,
     pcm_from_upper,
-    permute_weights,
     triad_product,
     weight_vector,
 )
@@ -54,6 +52,9 @@ from conftest import flip_family
 from oracles import (
     canonical_rearrangement_search,
     coincidence_report_by_rank,
+    consistent_triads,
+    entry,
+    permute_weights,
     triad_rearrangement_search,
 )
 
@@ -88,7 +89,7 @@ SHARED_POINT = (Fraction(35, 61), Fraction(14, 61), Fraction(7, 61), Fraction(5,
 
 
 def transpose(pcm):
-    return parse_pcm([[str(pcm.entry(i, j)) for i in range(1, 5)] for j in range(1, 5)])
+    return parse_pcm([[str(entry(pcm, i, j)) for i in range(1, 5)] for j in range(1, 5)])
 
 
 class TestCycleOrientation:
