@@ -48,11 +48,6 @@ class BccDigraph(Record):
     arcs: frozenset[tuple[int, int]]
     equality_pairs: frozenset[tuple[int, int]]  # unordered, stored with i < j
 
-    def __init__(self, n, arcs, equality_pairs):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "equality_pairs", equality_pairs)
-
     def has_arc(self, i: int, j: int) -> bool:
         return (i, j) in self.arcs
 

@@ -28,20 +28,20 @@ class BadNumeralError(InputError):
     code = "BadNumeral"
 
 
-class NonPositiveEntryError(InputError):
+class EntryError(InputError):
+    """A fault at matrix position (i, j), 1-based, kept as ``position``."""
+
+    def __init__(self, i: int, j: int, message: str = ""):
+        self.position = (i, j)
+        super().__init__(f"{self.code} ({i},{j})" + (f": {message}" if message else ""))
+
+
+class NonPositiveEntryError(EntryError):
     code = "NonPositiveEntry"
 
-    def __init__(self, i: int, j: int, message: str = ""):
-        self.position = (i, j)
-        super().__init__(f"{self.code} ({i},{j})" + (f": {message}" if message else ""))
 
-
-class ReciprocityViolationError(InputError):
+class ReciprocityViolationError(EntryError):
     code = "ReciprocityViolation"
-
-    def __init__(self, i: int, j: int, message: str = ""):
-        self.position = (i, j)
-        super().__init__(f"{self.code} ({i},{j})" + (f": {message}" if message else ""))
 
 
 class IndexOutOfRangeError(InputError):

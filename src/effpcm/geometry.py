@@ -78,11 +78,6 @@ class CycleOrientation(Record):
     direction: Direction
     directed: tuple[int, int, int, int]
 
-    def __init__(self, cycle, direction, directed):
-        object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "directed", directed)
-
 
 def _oriented(cycle: tuple[int, int, int, int], sign: int) -> CycleOrientation:
     """The orientation of a cycle whose product minus 1 has the given sign."""
@@ -183,15 +178,6 @@ class Tetrahedron(Record):
     vertices: tuple[WeightVector, WeightVector, WeightVector, WeightVector]
     degenerate_rank: int
 
-    def __init__(self, cycle, orientation, vertices, degenerate_rank):
-        object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "orientation", orientation)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "degenerate_rank", degenerate_rank)
-
-    def vertex_points(self) -> list[tuple[Fraction, ...]]:
-        return [v.components for v in self.vertices]
-
 
 _PATH_TREES = {c: tuple(path.tree() for path in paths_of_cycle(c)) for c in CANONICAL_CYCLES}
 
@@ -254,40 +240,32 @@ def is_efficient_geometric(pcm: Pcm, w: WeightVector, band: float | None = None)
 # exact linear algebra on small systems
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination over the rationals, in place.
-
-    Returns the reduced rows and the pivot column of each leading row; the
-    pivot count is the rank.  Rows past the last pivot are zero.
-    """
-    m = len(rows)
-    k = len(rows[0]) if m else 0
-    pivot_cols: list[int] = []
-    for c in range(k):
-        r = len(pivot_cols)
-        if r == m:
-            break
-        pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        rows[r] = [v / pivot for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-    return rows, pivot_cols
-
-
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine hull of the given exact points."""
+    """Dimension of the affine hull of the given exact points.
+
+    Gauss-Jordan elimination over the rationals on the differences from
+    the first point; the pivot count is the rank.
+    """
     if len(points) <= 1:
         return 0
     base = points[0]
     rows = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return len(_row_reduce(rows)[1])
+    rank = 0
+    for c in range(len(base)):
+        if rank == len(rows):
+            break
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot = rows[rank][c]
+        rows[rank] = [v / pivot for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def barycentric(tet: Tetrahedron, w: WeightVector):
@@ -349,15 +327,9 @@ class PerturbClass(Record):
     consistent_triad_count: int
     consistent_cycle_count: int
 
-    def __init__(self, tag, consistent_triad_count, consistent_cycle_count):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "consistent_triad_count", consistent_triad_count)
-        object.__setattr__(self, "consistent_cycle_count", consistent_cycle_count)
-        self.__post_init__()
-
     def __post_init__(self):
         counts = (self.consistent_triad_count, self.consistent_cycle_count)
-        if _ADMISSIBLE_COUNTS.get(counts) is not self.tag:
+        if self.tag is None or _ADMISSIBLE_COUNTS.get(counts) is not self.tag:
             raise ImpossibleCombinationError(*counts)
 
 
@@ -374,10 +346,7 @@ def _classify(triad_signs, cycle_signs) -> PerturbClass:
     """The class of a matrix whose ``product_signs`` are given."""
     t = triad_signs.count(0)
     c = cycle_signs.count(0)
-    tag = _ADMISSIBLE_COUNTS.get((t, c))
-    if tag is None:
-        raise ImpossibleCombinationError(t, c)
-    return PerturbClass(tag, t, c)
+    return PerturbClass(_ADMISSIBLE_COUNTS.get((t, c)), t, c)
 
 
 class CoincidenceReport(Record):
@@ -395,14 +364,6 @@ class CoincidenceReport(Record):
     collinear_edge_pairs: tuple[tuple[tuple[tuple, tuple], tuple[tuple, tuple]], ...]
     coplanar_face_pairs: tuple[tuple[tuple[tuple, tuple], tuple[tuple, tuple]], ...]
     point_tetrahedra: tuple[tuple, ...]
-
-    def __init__(
-        self, shared_vertices, collinear_edge_pairs, coplanar_face_pairs, point_tetrahedra
-    ):
-        object.__setattr__(self, "shared_vertices", shared_vertices)
-        object.__setattr__(self, "collinear_edge_pairs", collinear_edge_pairs)
-        object.__setattr__(self, "coplanar_face_pairs", coplanar_face_pairs)
-        object.__setattr__(self, "point_tetrahedra", point_tetrahedra)
 
     def shared_points(self, cycle_a: tuple, cycle_b: tuple) -> int:
         """Number of distinct shared locations between two tetrahedra.
@@ -495,11 +456,6 @@ class EfficientSet(Record):
     classification: PerturbClass
     coincidences: CoincidenceReport
 
-    def __init__(self, tetrahedra, classification, coincidences):
-        object.__setattr__(self, "tetrahedra", tetrahedra)
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "coincidences", coincidences)
-
     def tetrahedron(self, cycle: tuple) -> Tetrahedron:
         for tet in self.tetrahedra:
             if tet.cycle == cycle:
@@ -518,14 +474,11 @@ def efficient_set(pcm: Pcm) -> EfficientSet:
 # 3-simplex embedding and cutting planes
 
 
-def embed_exact(components: Sequence) -> tuple:
-    """(w1+w2, w1+w3, w2+w3): the normalized 4-simplex drawn in 3-space, unrounded."""
-    w1, w2, w3, _ = components
-    return (w1 + w2, w1 + w3, w2 + w3)
-
-
 def embed(w: WeightVector | Sequence) -> tuple[float, float, float]:
-    """Embed a normalized vector; rationals are rounded to nearest double."""
+    """(w1+w2, w1+w3, w2+w3): a normalized vector drawn in 3-space.
+
+    Rationals are rounded to the nearest double once, after the sums.
+    """
     components = w.components if isinstance(w, WeightVector) else tuple(w)
     if len(components) != 4:
         raise DimensionMismatchError("DimensionMismatch: embedding needs 4 components")
@@ -538,7 +491,8 @@ def embed(w: WeightVector | Sequence) -> tuple[float, float, float]:
         return ((n1 + n2) / d, (n1 + n3) / d, (n2 + n3) / d)
     if abs(sum(components) - 1.0) > 1e-12:
         raise NotNormalizedError("NotNormalized: components must sum to 1")
-    return tuple(float(c) for c in embed_exact(components))
+    w1, w2, w3, _ = components
+    return (float(w1 + w2), float(w1 + w3), float(w2 + w3))
 
 
 SIMPLEX_CORNERS = (
@@ -554,10 +508,6 @@ class CuttingPlane(Record):
 
     pair: tuple[int, int]
     value: Fraction
-
-    def __init__(self, pair, value):
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "value", value)
 
 
 def cutting_planes(pcm: Pcm) -> list[CuttingPlane]:

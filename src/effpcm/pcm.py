@@ -89,15 +89,34 @@ class Record:
     """Base of the package's immutable values, compared and hashed by value.
 
     A subclass declares its fields as class annotations, read once here in
-    declaration order, and sets each in its own ``__init__`` through
-    ``object.__setattr__``.  Equality (same class, equal fields), hashing
-    and ``repr`` go over those fields; assigning or deleting an attribute
-    raises ``AttributeError``.
+    declaration order.  A record is built from one value per field, given
+    by position or by field name; the subclass validates them in
+    ``__post_init__``, which runs last.  Equality (same class, equal
+    fields), hashing and ``repr`` go over those fields; assigning or
+    deleting an attribute raises ``AttributeError``.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            # a value past the last field or given twice shrinks the dict
+            given = dict(zip(fields, values), **named)
+            if len(given) != len(values) + len(named) or given.keys() != set(fields):
+                raise TypeError(
+                    f"{self.__class__.__qualname__}() takes one value per field "
+                    f"({', '.join(fields)}); got {len(values)} by position and "
+                    f"{', '.join(named) or 'none'} by name"
+                )
+            values = tuple(given[name] for name in fields)
+        self.__dict__.update(zip(fields, values))  # not through __setattr__, which raises
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields; a record without constraints keeps this no-op."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -125,10 +144,6 @@ class Pcm(Record):
     """A validated positive reciprocal matrix of exact rationals."""
 
     entries: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
 
     def __post_init__(self):
         entries = self.entries
@@ -198,10 +213,6 @@ class WeightVector(Record):
     """A positive weight vector, either exact (Fraction) or float-valued."""
 
     components: tuple
-
-    def __init__(self, components):
-        object.__setattr__(self, "components", components)
-        self.__post_init__()
 
     def __post_init__(self):
         if len(self.components) == 0:
@@ -288,10 +299,6 @@ class Permutation(Record):
     """A bijection on {1..n}, stored as the image tuple (sigma(1), ..., sigma(n))."""
 
     mapping: tuple[int, ...]
-
-    def __init__(self, mapping):
-        object.__setattr__(self, "mapping", mapping)
-        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.mapping)

@@ -26,14 +26,6 @@ class EquivalenceReport(Record):
     class_tag: str
     elapsed: float
 
-    def __init__(self, trials, agreements, disagreements, seed, class_tag, elapsed):
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "agreements", agreements)
-        object.__setattr__(self, "disagreements", disagreements)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "class_tag", class_tag)
-        object.__setattr__(self, "elapsed", elapsed)
-
     def to_json_dict(self) -> dict:
         return {
             "class": self.class_tag,

@@ -25,11 +25,6 @@ class SpanningTree(Record):
     n: int
     edges: frozenset[tuple[int, int]]  # unordered pairs stored with i < j
 
-    def __init__(self, n, edges):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-        self.__post_init__()
-
     def __post_init__(self):
         # n - 1 edges that connect all n vertices form a tree
         if (
@@ -55,10 +50,6 @@ class LabeledPath(Record):
     """A Hamiltonian path given as a vertex ordering; induces a path tree."""
 
     sequence: tuple[int, ...]
-
-    def __init__(self, sequence):
-        object.__setattr__(self, "sequence", sequence)
-        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.sequence)

@@ -11,10 +11,12 @@ geometry document's exact-vertex reader, the 24-matrix rearrangement
 searches that the library's rearrangements must reproduce, the
 coincidence report by fraction row reduction and the mesh faces' outward
 orientation by cross and dot products, both of which the library derives
-from the seven product signs instead.  It also holds the small accessors,
-relabellings and consistency listings that only the tests read values
-through (entries, ratios, scaled and permuted vectors, inverse and identity
-permutations, tree degrees, the consistent triads and 4-cycles).
+from the seven product signs instead, and the unrounded 3-space embedding
+that the library's rounded one must match.  It also holds the small
+accessors, relabellings and consistency listings that only the tests read
+values through (entries, ratios, scaled and permuted vectors, inverse and
+identity permutations, tree degrees, tetrahedron vertex points, the
+consistent triads and 4-cycles).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from effpcm.efficiency import BccDigraph, _walk
-from effpcm.geometry import CoincidenceReport, affine_rank
+from effpcm.geometry import CoincidenceReport, Tetrahedron, affine_rank
 from effpcm.errors import (
     BadNumeralError,
     ConsistentTriadPresentError,
@@ -114,6 +116,11 @@ def tree_degrees(tree: SpanningTree) -> dict[int, int]:
         deg[a] += 1
         deg[b] += 1
     return deg
+
+
+def vertex_points(tet: Tetrahedron) -> list[tuple[Fraction, ...]]:
+    """The tetrahedron's vertices as exact points of the weight simplex."""
+    return [v.components for v in tet.vertices]
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +446,7 @@ def coincidence_report_by_rank(tetrahedra) -> CoincidenceReport:
     """Shared vertices, collinear edges and coplanar faces by ``affine_rank``."""
     parts = []
     for tet in tetrahedra:
-        points = tet.vertex_points()
+        points = vertex_points(tet)
         parts.append((tet.cycle, points, _nondegenerate_edges(points), _nondegenerate_faces(points)))
     shared = []
     collinear = []
@@ -482,7 +489,14 @@ def _nondegenerate_faces(points) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# reference mesh orientation: cross and dot products on exact points
+# the unrounded embedding, and the reference mesh orientation: cross and dot
+# products on exact points
+
+
+def embed_exact(components) -> tuple:
+    """(w1+w2, w1+w3, w2+w3): the normalized 4-simplex drawn in 3-space, unrounded."""
+    w1, w2, w3, _ = components
+    return (w1 + w2, w1 + w3, w2 + w3)
 
 
 def _sub(p, q):

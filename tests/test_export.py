@@ -13,9 +13,9 @@ import effpcm.export
 import effpcm.geometry
 from effpcm.export import geometry_document, obj_mesh, pcm_from_document
 from effpcm.generators import generate_with_rng
-from effpcm.geometry import PerturbTag, efficient_set, embed_exact, tetrahedron_for_cycle
+from effpcm.geometry import PerturbTag, efficient_set, tetrahedron_for_cycle
 from effpcm.pcm import CANONICAL_CYCLES, Permutation, apply_permutation, product_signs
-from oracles import points_outward
+from oracles import embed_exact, points_outward
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 

@@ -41,7 +41,6 @@ from effpcm.geometry import (
     cycle_orientation,
     efficient_set,
     embed,
-    embed_exact,
     is_efficient_geometric,
     plane_clip_polygon,
     tetrahedron_for_cycle,
@@ -53,9 +52,11 @@ from oracles import (
     canonical_rearrangement_search,
     coincidence_report_by_rank,
     consistent_triads,
+    embed_exact,
     entry,
     permute_weights,
     triad_rearrangement_search,
+    vertex_points,
 )
 
 ALL_TAGS = ["triple", "double-triad", "double-one-cycle",
@@ -664,7 +665,7 @@ class TestIntegerGeometryMatchesRank:
         effset = efficient_set(pcm)
         assert effset.coincidences == coincidence_report_by_rank(effset.tetrahedra)
         for tet in effset.tetrahedra:
-            assert tet.degenerate_rank == affine_rank(tet.vertex_points())
+            assert tet.degenerate_rank == affine_rank(vertex_points(tet))
         return effset
 
     def test_every_relabelling_of_the_reference_matrices(
@@ -688,7 +689,7 @@ class TestIntegerGeometryMatchesRank:
             effset = self._check(pcm)
             bits.append(max(
                 c.denominator.bit_length()
-                for tet in effset.tetrahedra for p in tet.vertex_points() for c in p
+                for tet in effset.tetrahedra for p in vertex_points(tet) for c in p
             ))
         assert sum(b >= 140 for b in bits) == 3
 

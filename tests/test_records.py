@@ -1,6 +1,8 @@
 """The package's value records: equality, hashing, repr, immutability and
-validation behave as the frozen dataclasses they replace did, and importing
-the command line does not load ``dataclasses`` or ``inspect``."""
+validation behave as the frozen dataclasses they replace did, the one
+record constructor rejects a missing, extra, unknown or doubled field with
+``TypeError``, and importing the command line does not load ``dataclasses``
+or ``inspect``."""
 
 import dataclasses
 import os
@@ -75,6 +77,20 @@ SAMPLES = {
 }
 
 
+# (fields, values) -> (positional, keyword) arguments that no record accepts
+BAD_ARGUMENTS = [
+    pytest.param(lambda fields, values: (values + (values[-1],), {}), id="one-too-many"),
+    pytest.param(lambda fields, values: (values[:-1], {}), id="one-missing"),
+    pytest.param(lambda fields, values: ((), dict(zip(fields[:-1], values))),
+                 id="one-missing-by-name"),
+    pytest.param(lambda fields, values: (values, {"extra": values[0]}), id="unknown-keyword"),
+    pytest.param(lambda fields, values: (values[:-1], {"extra": values[-1]}),
+                 id="unknown-keyword-for-a-field"),
+    pytest.param(lambda fields, values: (values, {fields[0]: values[0]}),
+                 id="by-position-and-by-name"),
+]
+
+
 def _values(record, fields):
     return tuple(getattr(record, name) for name in fields)
 
@@ -84,10 +100,6 @@ def _twin(cls, fields):
 
     class Twin(Record):
         __annotations__ = {name: object for name in fields}
-
-        def __init__(self, *values):
-            for name, value in zip(fields, values):
-                object.__setattr__(self, name, value)
 
     Twin.__qualname__ = cls.__qualname__
     return Twin
@@ -127,6 +139,13 @@ class TestRecords:
         assert len({record, copy, other}) == 2
         keyword = cls(**dict(zip(fields, _values(record, fields))))
         assert keyword == record
+
+    @pytest.mark.parametrize("arguments", BAD_ARGUMENTS)
+    def test_bad_arguments_raise_type_error_naming_the_class(self, sample, arguments):
+        cls, fields, record, _ = sample
+        args, kwargs = arguments(fields, _values(record, fields))
+        with pytest.raises(TypeError, match=rf"\b{cls.__qualname__}\b"):
+            cls(*args, **kwargs)
 
     def test_unequal_to_another_class_with_the_same_values(self, sample):
         cls, fields, record, _ = sample
@@ -170,8 +189,11 @@ class TestRecords:
     (lambda: SpanningTree(3, frozenset({(1, 2), (2, 1)})), ValueError),
     (lambda: LabeledPath((1, 3)), ValueError),
     (lambda: PerturbClass(PerturbTag.TRIPLE, 1, 0), ImpossibleCombinationError),
+    (lambda: PerturbClass(None, 3, 3), ImpossibleCombinationError),
+    (lambda: PerturbClass(None, 1, 1), ImpossibleCombinationError),
 ], ids=["pcm-empty", "pcm-ragged", "pcm-negative", "pcm-reciprocity", "weights-empty",
-        "weights-mixed", "permutation", "tree-short", "tree-cycle", "path", "class"])
+        "weights-mixed", "permutation", "tree-short", "tree-cycle", "path", "class",
+        "class-untagged-3-3", "class-untagged-1-1"])
 def test_validation_still_raises(build, error):
     with pytest.raises(error):
         build()
