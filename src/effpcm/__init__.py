@@ -23,7 +23,6 @@ from .geometry import (
     canonical_rearrangement,
     classify,
     contains_cycle_region,
-    cycle_orientation,
     efficient_set,
     embed,
     tetrahedron_for_cycle,

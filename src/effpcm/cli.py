@@ -113,10 +113,12 @@ def _cmd_vertices(args) -> int:
 def _cmd_member(args) -> int:
     pcm = load_matrix(args.matrix)
     w = load_weights(args.weights)
+    orientations = canonical_orientations(pcm)
+    digraph = bcc_digraph(pcm, w)
     inside_any = False
-    for orientation in canonical_orientations(pcm):
+    for orientation in orientations:
         cycle = orientation.cycle
-        inside = contains_cycle_region(pcm, orientation, w)
+        inside = contains_cycle_region(digraph, orientation)
         cycle_text = ",".join(map(str, cycle))
         print(f"cycle ({cycle_text}) {orientation.direction.value}: "
               + ("inside" if inside else "outside"))

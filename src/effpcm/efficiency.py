@@ -5,9 +5,10 @@ i -> j whenever w_i/w_j >= a_ij.  A weight vector is efficient exactly when
 this digraph is strongly connected; for tournaments (no perfectly estimated
 pair) that is in turn equivalent to having a directed Hamiltonian cycle.
 
-Exact weight vectors are compared exactly.  Float vectors get a relative
-equality band (default 1e-9, overridable through EFFPCM_TOL) so that a
-perfectly estimated pair is still recognized as carrying both arcs.
+Exact weight vectors are compared exactly.  Float vectors get an equality
+band relative to the entry, band * a_ij (default band 1e-9, overridable
+through EFFPCM_TOL), so that a perfectly estimated pair is still recognized
+as carrying both arcs.  The region test of ``geometry`` reads this digraph.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class BccDigraph(Record):
     n: int
     arcs: frozenset[tuple[int, int]]
     equality_pairs: frozenset[tuple[int, int]]  # unordered, stored with i < j
-
-    def has_arc(self, i: int, j: int) -> bool:
-        return (i, j) in self.arcs
 
 
 def bcc_digraph(pcm: Pcm, w: WeightVector, band: float | None = None) -> BccDigraph:
@@ -102,6 +100,6 @@ def _walk(adjacency: dict[int, list[int]], start: int) -> Iterator[tuple[int, in
                 yield parent, child
 
 
-def is_efficient(pcm: Pcm, w: WeightVector, band: float | None = None) -> bool:
+def is_efficient(pcm: Pcm, w: WeightVector) -> bool:
     """Efficiency test: strong connectivity of the BCC digraph."""
-    return strongly_connected(bcc_digraph(pcm, w, band))
+    return strongly_connected(bcc_digraph(pcm, w))

@@ -99,12 +99,12 @@ class ConsistentTriadPresentError(InputError):
 class ImpossibleCombinationError(InputError):
     code = "ImpossibleCombination"
 
-    def __init__(self, triads: int, cycles: int):
+    def __init__(self, triads: int, cycles: int, expected: str | None = None,
+                 given: str | None = None):
         self.counts = (triads, cycles)
-        super().__init__(
-            f"{self.code} ({triads},{cycles}): no admissible class has "
-            f"{triads} consistent triads and {cycles} consistent 4-cycles"
-        )
+        super().__init__(f"{self.code} ({triads},{cycles}): " + (
+            f"these counts make class {expected}, not {given}" if expected else
+            f"no admissible class has {triads} consistent triads and {cycles} consistent 4-cycles"))
 
 
 class GenerationFailedError(RuntimeError):

@@ -4,16 +4,17 @@ The set of efficient weight vectors of a 4x4 matrix is the union of three
 tetrahedra, one per undirected Hamiltonian cycle of the alternatives.  Each
 tetrahedron's vertices are the weight vectors of the four path trees obtained
 by deleting one cycle edge, and membership in a tetrahedron is equivalent to
-the four ratio inequalities along the cycle in its admissible orientation.
-A cycle's admissible orientation is fixed by whether its entry product lies
-below or above 1; a product of exactly 1 collapses the tetrahedron to a
-single point.
+the four ratio inequalities along the cycle in its admissible orientation,
+that is to w's BCC digraph holding the directed cycle: the region test
+reads the digraph.  A cycle's admissible orientation is fixed by whether its
+entry product lies below or above 1; a product of exactly 1 collapses the
+tetrahedron to a single point.
 
-Classification, the canonical cycles' orientations, the region test and both
-rearrangements read the seven signs of ``pcm.product_signs`` (four triads,
-three 4-cycles), computed once per call.  A relabelling maps each canonical
-cycle or triad onto a canonical one, forward or reversed, so the
-rearrangements scan a 24-entry table of those images built at import.
+Classification, the canonical cycles' orientations and both rearrangements
+read the seven signs of ``pcm.product_signs`` (four triads, three 4-cycles),
+computed once per call.  A relabelling maps each canonical cycle or triad
+onto a canonical one, forward or reversed, so the rearrangements scan a
+24-entry table of those images built at import.
 
 Everything here is exact rational arithmetic; floats appear only in the
 3-space embedding (w1+w2, w1+w3, w2+w3) used for visualization exports,
@@ -37,7 +38,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .efficiency import float_equality_band
+from .efficiency import BccDigraph, bcc_digraph
 from .errors import (
     ConsistentTriadPresentError,
     DimensionMismatchError,
@@ -53,8 +54,7 @@ from .pcm import (
     WeightVector,
     _require_n4,
     apply_permutation,
-    compare_ratio,
-    cycle_product,
+    cycle_product,  # unused here, but bound: the tracing tests rebind it in every module
     product_signs,
 )
 from .trees import paths_of_cycle, tree_weight_vector
@@ -87,17 +87,6 @@ def _oriented(cycle: tuple[int, int, int, int], sign: int) -> CycleOrientation:
         reversed_listing = (cycle[0],) + tuple(reversed(cycle[1:]))
         return CycleOrientation(cycle, Direction.BACKWARD, reversed_listing)
     return CycleOrientation(cycle, Direction.CONSISTENT_BOTH, cycle)
-
-
-def cycle_orientation(pcm: Pcm, cycle: tuple[int, int, int, int]) -> CycleOrientation:
-    """Forward when the cycle product is < 1, backward when > 1, both on equality.
-
-    Takes any vertex listing; the canonical cycles' orientations come
-    cheaper from ``canonical_orientations``.
-    """
-    _require_n4(pcm)
-    product = cycle_product(pcm, cycle)
-    return _oriented(cycle, (product > 1) - (product < 1))
 
 
 def canonical_orientations(pcm: Pcm) -> tuple[CycleOrientation, CycleOrientation, CycleOrientation]:
@@ -197,43 +186,26 @@ def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahe
     return _tetrahedron(pcm, cycle, product_signs(pcm)[1][CANONICAL_CYCLES.index(cycle)])
 
 
-def contains_cycle_region(
-    pcm: Pcm,
-    orientation: CycleOrientation,
-    w: WeightVector,
-    band: float | None = None,
-) -> bool:
-    """Do the four ratio inequalities along the oriented cycle hold for w?
+def contains_cycle_region(digraph: BccDigraph, orientation: CycleOrientation) -> bool:
+    """Is w, whose BCC digraph is given, in the region of the oriented cycle?
 
-    A consistent cycle degenerates to the set where all four hold with
-    equality.  Exact vectors are tested exactly; float vectors get the
-    relative equality band.
+    It is when the digraph holds the four arcs (a, b) of the admissibly
+    oriented cycle, w_a/w_b >= a_ab.  A consistent cycle's region is the
+    point where all four are equalities; as ratios and entries have the same
+    product along it, an exact w holding it in either direction is there.
     """
-    if w.n != pcm.n:
-        raise DimensionMismatchError("DimensionMismatch: matrix and weight vector disagree")
-    _require_n4(pcm)
-    if band is None:
-        band = float_equality_band()
     listing = orientation.directed
-    arcs = list(zip(listing, listing[1:] + listing[:1]))
-    if orientation.direction is Direction.CONSISTENT_BOTH:
-        return all(
-            compare_ratio(w, a, b, pcm.entries[a - 1][b - 1], band) == 0 for a, b in arcs
-        )
-    return all(
-        compare_ratio(w, a, b, pcm.entries[a - 1][b - 1], band) >= 0 for a, b in arcs
-    )
+    arcs = set(zip(listing, listing[1:] + listing[:1]))
+    if orientation.direction is Direction.CONSISTENT_BOTH and not arcs <= digraph.arcs:
+        arcs = {(b, a) for a, b in arcs}
+    return arcs <= digraph.arcs
 
 
-def is_efficient_geometric(pcm: Pcm, w: WeightVector, band: float | None = None) -> bool:
+def is_efficient_geometric(pcm: Pcm, w: WeightVector) -> bool:
     """Efficiency by geometry: membership in at least one cycle region."""
-    _require_n4(pcm)
-    if band is None:
-        band = float_equality_band()
-    return any(
-        contains_cycle_region(pcm, orientation, w, band)
-        for orientation in canonical_orientations(pcm)
-    )
+    orientations = canonical_orientations(pcm)
+    digraph = bcc_digraph(pcm, w)
+    return any(contains_cycle_region(digraph, orientation) for orientation in orientations)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +301,11 @@ class PerturbClass(Record):
 
     def __post_init__(self):
         counts = (self.consistent_triad_count, self.consistent_cycle_count)
-        if self.tag is None or _ADMISSIBLE_COUNTS.get(counts) is not self.tag:
-            raise ImpossibleCombinationError(*counts)
+        expected = _ADMISSIBLE_COUNTS.get(counts)
+        if self.tag is None or expected is not self.tag:
+            raise ImpossibleCombinationError(
+                *counts, expected and expected.value, getattr(self.tag, "value", self.tag)
+            )
 
 
 def classify(pcm: Pcm) -> PerturbClass:

@@ -12,9 +12,10 @@ function is pure.
 For n = 4 the theory needs seven numbers: the products of the four
 canonical triads and of the three canonical 4-cycles, each only through how
 it compares with 1.  ``product_signs`` computes those seven signs at once by
-integer cross-multiplication; classification, orientation, the region test
-and both rearrangements in ``geometry`` derive from it.  ``triad_product``
-and ``cycle_product`` remain for arbitrary listings.
+integer cross-multiplication; classification, orientation and both
+rearrangements in ``geometry`` derive from it.  ``triad_product`` and
+``cycle_product`` remain for arbitrary listings.  ``compare_ratio``, the one
+comparison of a weight ratio with its entry, builds the BCC digraph.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ from .errors import (
     TooShortError,
     UnsupportedDimensionError,
 )
-
-# Exact rational scalar used throughout.
-Rational = Fraction
 
 # Groups: the signed whole part, then a denominator or the fraction digits.
 _NUMERAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+)|\.(\d{1,15}))?")
@@ -276,8 +274,8 @@ def compare_ratio(w: WeightVector, i: int, j: int, target: Fraction, band: float
 
     Exact vectors compare exactly (integer cross-multiplication, no Fraction
     division in the hot path).  Float vectors treat |ratio - target| within
-    band * max(1, target) as equality; a target past the float range gets
-    the same test in exact arithmetic.
+    band * target as equality, a band relative to the target of any size; a
+    target past the float range gets the same test in exact arithmetic.
     """
     wi = w.components[i - 1]
     wj = w.components[j - 1]
@@ -290,7 +288,7 @@ def compare_ratio(w: WeightVector, i: int, j: int, target: Fraction, band: float
         t = float(target)
     except OverflowError:
         ratio, t, band = Fraction(ratio), target, Fraction(band)
-    if abs(ratio - t) <= band * max(1, t):
+    if abs(ratio - t) <= band * t:
         return 0
     return 1 if ratio > t else -1
 

@@ -1,9 +1,10 @@
 """Monte Carlo harness comparing the digraph and geometric efficiency tests.
 
 Each trial draws a matrix from a class generator and a random exact simplex
-weight vector, then evaluates strong connectivity of the BCC digraph against
-membership in one of the three cycle regions.  The two verdicts must agree on
-every exact instance; any disagreement is recorded verbatim.
+weight vector, then reads two verdicts off their BCC digraph: strong
+connectivity, and holding a canonical cycle in its admissible orientation (a
+cycle region).  They must agree on every exact instance; any disagreement is
+recorded verbatim.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import random
 import time
 
-from .efficiency import float_equality_band, is_efficient
+from .efficiency import bcc_digraph, float_equality_band, strongly_connected
 from .errors import BadTrialCountError
 from .generators import generate_with_rng, random_exact_weights
-from .geometry import PerturbTag, is_efficient_geometric
+from .geometry import PerturbTag, canonical_orientations, contains_cycle_region
 from .pcm import Record
 
 
@@ -50,8 +51,9 @@ def run_equivalence_trials(seed: int, trials: int, class_tag: PerturbTag | str) 
     for index in range(trials):
         pcm = generate_with_rng(rng, tag)
         w = random_exact_weights(rng)
-        scc_verdict = is_efficient(pcm, w, band)
-        geometric_verdict = is_efficient_geometric(pcm, w, band)
+        digraph = bcc_digraph(pcm, w, band)
+        scc_verdict = strongly_connected(digraph)
+        geometric_verdict = any(contains_cycle_region(digraph, o) for o in canonical_orientations(pcm))
         if scc_verdict == geometric_verdict:
             agreements += 1
         else:

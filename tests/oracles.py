@@ -4,10 +4,12 @@ None of this is needed to decide efficiency or build the efficient set; the
 tests use it as independent reference implementations: exhaustive
 Hamiltonian-cycle search (Camion), strong connectivity by transitive
 closure, Pareto dominance and a randomized dominator search, spanning-tree
-and path enumeration, tree restrictions to incomplete matrices, tree
-vectors by Fraction products (the library uses integer chains), numerals
-converted by ``Fraction(str)`` (the library converts its regex groups), the
-geometry document's exact-vertex reader, the 24-matrix rearrangement
+and path enumeration, the orientation of any cycle listing by its Fraction
+product (the library orients the canonical cycles from their signs), tree
+restrictions to incomplete matrices, tree vectors by Fraction products
+(the library uses integer chains), numerals converted by ``Fraction(str)``
+(the library converts its regex groups), the geometry document's
+exact-vertex reader, the 24-matrix rearrangement
 searches that the library's rearrangements must reproduce, the
 coincidence report by fraction row reduction and the mesh faces' outward
 orientation by cross and dot products, both of which the library derives
@@ -29,7 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from effpcm.efficiency import BccDigraph, _walk
-from effpcm.geometry import CoincidenceReport, Tetrahedron, affine_rank
+from effpcm.geometry import (
+    CoincidenceReport,
+    CycleOrientation,
+    Tetrahedron,
+    _oriented,
+    affine_rank,
+)
 from effpcm.errors import (
     BadNumeralError,
     ConsistentTriadPresentError,
@@ -45,6 +53,7 @@ from effpcm.pcm import (
     Pcm,
     Permutation,
     WeightVector,
+    _require_n4,
     apply_permutation,
     cycle_product,
     parse_rational,
@@ -121,6 +130,16 @@ def tree_degrees(tree: SpanningTree) -> dict[int, int]:
 def vertex_points(tet: Tetrahedron) -> list[tuple[Fraction, ...]]:
     """The tetrahedron's vertices as exact points of the weight simplex."""
     return [v.components for v in tet.vertices]
+
+
+def cycle_orientation(pcm: Pcm, cycle: tuple[int, int, int, int]) -> CycleOrientation:
+    """Forward when the cycle product is < 1, backward when > 1, both on equality.
+
+    Takes any vertex listing, through the Fraction product of its entries.
+    """
+    _require_n4(pcm)
+    product = cycle_product(pcm, cycle)
+    return _oriented(cycle, (product > 1) - (product < 1))
 
 
 # ---------------------------------------------------------------------------

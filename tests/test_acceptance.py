@@ -23,8 +23,8 @@ from effpcm.geometry import (
     Direction,
     PerturbTag,
     canonical_rearrangement,
+    canonical_orientations,
     classify,
-    cycle_orientation,
     efficient_set,
     embed,
     is_efficient_geometric,
@@ -182,7 +182,7 @@ def test_criterion_3_taxonomy(running_example, double_triad_example,
 
 def test_criterion_4_orientation_flip():
     directions = [
-        cycle_orientation(flip_family(a14), (1, 4, 2, 3)).direction
+        canonical_orientations(flip_family(a14))[1].direction  # the cycle (1, 4, 2, 3)
         for a14 in (4, 6, 8)
     ]
     assert directions == [

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import effpcm
 from effpcm.cli import CLASS_CHOICES, build_parser, main
+from effpcm.efficiency import float_equality_band
+from effpcm.generators import generate_with_rng
 from effpcm.geometry import efficient_set
 from effpcm.pcm import parse_pcm
 from conftest import RUNNING_ROWS
@@ -150,6 +153,77 @@ class TestMember:
         assert "barycentric:" in captured.out
         assert "efficient: yes" in captured.out
         assert captured.err == ""
+
+
+# w_1/w_2 lies 5e-7 above a_12 = 1000 relatively, far outside the band, while
+# w_2/w_1 lies 5e-10 below a_21 = 1/1000 absolutely, inside a band of 1e-9 taken
+# as absolute; w is inefficient.  SWAPPED_ROWS is the same matrix with
+# alternatives 1 and 2 swapped.
+BAND_EDGE_ROWS = [["1", "1000", "2", "2"], ["1/1000", "1", "2", "1"],
+                  ["1/2", "1/2", "1", "2"], ["1/2", "1", "1/2", "1"]]
+BAND_EDGE_W = [1.0, 0.0009999995, 0.3, 0.3]
+SWAPPED_ROWS = [["1", "1/1000", "2", "1"], ["1000", "1", "2", "2"],
+                ["1/2", "1/2", "1", "2"], ["1", "1/2", "1/2", "1"]]
+SWAPPED_W = [0.0009999995, 1.0, 0.3, 0.3]
+
+
+def _verdicts(workdir, rows, weights):
+    """(check's exit code, member's exit code, member's ``efficient:`` line)."""
+    matrix = write_matrix(workdir / "matrix.json", rows)
+    wfile = write_weights(workdir / "w.json", weights)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        check_rc = main(["check", matrix, "--weights", wfile])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        member_rc = main(["member", matrix, "--weights", wfile])
+    return check_rc, member_rc, out.getvalue().splitlines()[-1]
+
+
+class TestBandEdge:
+    """`check` and `member` read one digraph, so float vectors get one verdict."""
+
+    @pytest.mark.parametrize("rows,weights", [(BAND_EDGE_ROWS, BAND_EDGE_W),
+                                              (SWAPPED_ROWS, SWAPPED_W)],
+                             ids=["original", "alternatives-1-2-swapped"])
+    def test_relative_band_on_both_labellings(self, tmp_path, monkeypatch, rows, weights):
+        monkeypatch.delenv("EFFPCM_TOL", raising=False)
+        assert _verdicts(tmp_path, rows, weights) == (1, 1, "efficient: no")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tag=st.sampled_from(CLASS_CHOICES),
+        order=st.permutations((1, 2, 3, 4)),
+        ks=st.lists(st.sampled_from([0, 0.5, 1, 1.5, 2, 3]), min_size=3, max_size=3),
+        signs=st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3),
+        generic=st.none() | st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4),
+    )
+    def test_member_agrees_with_check_on_float_vectors(
+        self, tmp_path_factory, seed, tag, order, ks, signs, generic,
+    ):
+        """Band-edge draws walk a path of alternatives, each ratio a_ij * (1 +- k*band).
+
+        A consistent 4-cycle or triad along the path puts the closing ratios
+        at the band's edge too.  Generated entries keep every inconsistent
+        cycle's product far outside the band around 1: a product within a
+        few bands of 1 lets a float vector hold its cycle against the
+        admissible orientation, where the two verdicts can still part.
+        """
+        pcm = generate_with_rng(random.Random(seed), tag)
+        band = float_equality_band()
+        weights = generic
+        if weights is None:
+            weights = [0.0] * 4
+            weights[order[3] - 1] = 1.0
+            for t in (2, 1, 0):
+                a = float(entry(pcm, order[t], order[t + 1]))
+                factor = 1 + signs[t] * ks[t] * band
+                weights[order[t] - 1] = a * factor * weights[order[t + 1] - 1]
+        check_rc, member_rc, line = _verdicts(
+            tmp_path_factory.mktemp("band"), pcm.rows_as_strings(), weights)
+        assert line == ("efficient: yes" if check_rc == 0 else "efficient: no")
+        assert member_rc == check_rc
 
 
 # a_12 and a_14 past the float range, every other upper entry 1; the cycle

@@ -34,11 +34,11 @@ from effpcm.geometry import (
     SIMPLEX_CORNERS,
     affine_rank,
     barycentric,
+    canonical_orientations,
     canonical_rearrangement,
     classify,
     contains_cycle_region,
     cutting_planes,
-    cycle_orientation,
     efficient_set,
     embed,
     is_efficient_geometric,
@@ -52,6 +52,7 @@ from oracles import (
     canonical_rearrangement_search,
     coincidence_report_by_rank,
     consistent_triads,
+    cycle_orientation,
     embed_exact,
     entry,
     permute_weights,
@@ -118,6 +119,15 @@ class TestCycleOrientation:
     def test_requires_n4(self):
         with pytest.raises(UnsupportedDimensionError):
             cycle_orientation(parse_pcm([["1", "2"], ["1/2", "1"]]), (1, 2, 3, 4))
+        with pytest.raises(UnsupportedDimensionError):
+            canonical_orientations(parse_pcm([["1", "2"], ["1/2", "1"]]))
+
+    def test_canonical_orientations_match_the_any_listing_reference(self):
+        rng = random.Random(31)
+        for k in range(120):
+            pcm = generate_with_rng(rng, ALL_TAGS[k % 6])
+            expected = tuple(cycle_orientation(pcm, cycle) for cycle in CANONICAL_CYCLES)
+            assert canonical_orientations(pcm) == expected
 
 
 class TestCanonicalRearrangement:
@@ -318,19 +328,19 @@ class TestRegions:
     def test_vertex_inside_own_region(self, running_example):
         w = weight_vector([Fraction(1, 4), Fraction(1, 4), Fraction(1, 8), Fraction(3, 8)])
         orientation = cycle_orientation(running_example, (1, 2, 3, 4))
-        assert contains_cycle_region(running_example, orientation, w)
+        assert contains_cycle_region(bcc_digraph(running_example, w), orientation)
 
     def test_uniform_outside_all_regions(self, running_example):
         for cycle in CANONICAL_CYCLES:
             orientation = cycle_orientation(running_example, cycle)
-            assert not contains_cycle_region(running_example, orientation, UNIFORM)
+            assert not contains_cycle_region(bcc_digraph(running_example, UNIFORM), orientation)
         assert not is_efficient_geometric(running_example, UNIFORM)
 
     def test_every_tetrahedron_vertex_in_own_region(self, running_example):
         for cycle in CANONICAL_CYCLES:
             tet = tetrahedron_for_cycle(running_example, cycle)
             for vertex in tet.vertices:
-                assert contains_cycle_region(running_example, tet.orientation, vertex)
+                assert contains_cycle_region(bcc_digraph(running_example, vertex), tet.orientation)
 
     def test_known_efficient_vertex(self, running_example):
         w = weight_vector([Fraction(7, 20), Fraction(2, 5), Fraction(1, 5), Fraction(1, 20)])
@@ -340,13 +350,13 @@ class TestRegions:
         orientation = cycle_orientation(double_one_cycle_example, (1, 4, 2, 3))
         assert orientation.direction is Direction.CONSISTENT_BOTH
         point = weight_vector(list(SHARED_POINT))
-        assert contains_cycle_region(double_one_cycle_example, orientation, point)
-        assert not contains_cycle_region(double_one_cycle_example, orientation, UNIFORM)
+        assert contains_cycle_region(bcc_digraph(double_one_cycle_example, point), orientation)
+        assert not contains_cycle_region(bcc_digraph(double_one_cycle_example, UNIFORM), orientation)
 
     def test_float_vectors_use_band(self, running_example):
         w = weight_vector([0.25, 0.25, 0.125, 0.375])
         orientation = cycle_orientation(running_example, (1, 2, 3, 4))
-        assert contains_cycle_region(running_example, orientation, w)
+        assert contains_cycle_region(bcc_digraph(running_example, w), orientation)
 
 
 def _inside_samples(rng, tet, count):
@@ -406,7 +416,7 @@ class TestOracleEquivalence:
                 for cycle in CANONICAL_CYCLES:
                     listing = cycle_orientation(pcm, cycle).directed
                     arcs = list(zip(listing, listing[1:] + listing[:1]))
-                    if all(g.has_arc(a, b) for a, b in arcs):
+                    if all(arc in g.arcs for arc in arcs):
                         found = True
                 assert found
 
@@ -467,7 +477,7 @@ class TestBarycentric:
             samples += _inside_samples(rng, tet, 2)
             samples.append(_jittered(rng, samples[1]))
             for w in samples:
-                in_region = contains_cycle_region(pcm, tet.orientation, w)
+                in_region = contains_cycle_region(bcc_digraph(pcm, w), tet.orientation)
                 lams = barycentric(tet, w.normalized())
                 assert in_region == (lams is not None)
                 if lams is not None:

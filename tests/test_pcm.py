@@ -29,6 +29,7 @@ from effpcm.pcm import (
     Pcm,
     Permutation,
     apply_permutation,
+    compare_ratio,
     consistent_weights,
     cycle_product,
     is_consistent,
@@ -417,3 +418,29 @@ class TestWeightVector:
         from effpcm.errors import NonPositiveWeightError
         with pytest.raises(NonPositiveWeightError):
             weight_vector([1, 0, 2])
+
+
+class TestCompareRatio:
+    @given(
+        pcm=random_pcm4,
+        weights=st.lists(positive_rationals, min_size=4, max_size=4),
+        pair=st.sampled_from([(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]),
+        on_plane=st.booleans(),
+    )
+    def test_exact_comparison_is_antisymmetric(self, pcm, weights, pair, on_plane):
+        """Comparing w_j/w_i with a_ji gives the opposite sign of w_i/w_j with a_ij."""
+        i, j = pair
+        if on_plane:  # put w on the cutting plane w_i/w_j = a_ij
+            weights[i - 1] = entry(pcm, i, j) * weights[j - 1]
+        w = weight_vector(weights)
+        forward = compare_ratio(w, i, j, entry(pcm, i, j))
+        assert compare_ratio(w, j, i, entry(pcm, j, i)) == -forward
+        if on_plane:
+            assert forward == 0
+
+    @pytest.mark.parametrize("target", [Fraction(1, 1000), Fraction(1), Fraction(1000)])
+    @pytest.mark.parametrize("k,sign", [(0.5, 0), (-0.5, 0), (2, 1), (-2, -1)])
+    def test_float_band_is_relative_to_the_target(self, target, k, sign):
+        band = 1e-9
+        w = weight_vector([float(target) * (1 + k * band), 1.0])
+        assert compare_ratio(w, 1, 2, target, band) == sign

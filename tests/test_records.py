@@ -6,6 +6,7 @@ or ``inspect``."""
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -32,8 +33,8 @@ from effpcm.geometry import (
     PerturbTag,
     Tetrahedron,
     classify,
+    canonical_orientations,
     cutting_planes,
-    cycle_orientation,
     efficient_set,
     tetrahedron_for_cycle,
 )
@@ -58,8 +59,8 @@ SAMPLES = {
                    LabeledPath((1, 3, 2, 4)).tree()),
     LabeledPath: (("sequence",), LabeledPath((1, 2, 3, 4)), LabeledPath((4, 3, 2, 1))),
     CycleOrientation: (("cycle", "direction", "directed"),
-                       cycle_orientation(RUNNING, (1, 2, 3, 4)),
-                       cycle_orientation(RUNNING, (1, 3, 4, 2))),
+                       canonical_orientations(RUNNING)[0],
+                       canonical_orientations(RUNNING)[2]),
     Tetrahedron: (("cycle", "orientation", "vertices", "degenerate_rank"),
                   tetrahedron_for_cycle(RUNNING, (1, 2, 3, 4)),
                   tetrahedron_for_cycle(SIMPLE, (1, 2, 3, 4))),
@@ -197,6 +198,16 @@ class TestRecords:
 def test_validation_still_raises(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("tag,counts,message", [
+    (PerturbTag.TRIPLE, (1, 0), "(1,0): these counts make class double-triad, not triple"),
+    (None, (2, 1), "(2,1): these counts make class simple, not None"),
+    (PerturbTag.SIMPLE, (3, 3), "no admissible class has 3 consistent triads and 3 consistent"),
+], ids=["wrong-tag", "untagged", "no-class"])
+def test_impossible_class_message_names_the_class_of_the_counts(tag, counts, message):
+    with pytest.raises(ImpossibleCombinationError, match=re.escape(message)):
+        PerturbClass(tag, *counts)
 
 
 def test_pcm_validation_is_an_own_method_called_through_the_instance(monkeypatch):
