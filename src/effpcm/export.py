@@ -13,27 +13,16 @@ from pathlib import Path
 
 from .errors import BadNumeralError, NonFiniteWeightError, NonSquareError
 from .geometry import (
-    _PATH_TREES,
+    PATH_TREES,
     SIMPLEX_CORNERS,
     Direction,
     EfficientSet,
-    _classify,
-    _tetrahedron,
     cutting_planes,
     efficient_set,
     embed,
     plane_clip_polygon,
 )
-from .pcm import (
-    CANONICAL_CYCLES,
-    Pcm,
-    WeightVector,
-    format_rational,
-    parse_pcm,
-    parse_rational,
-    product_signs,
-    weight_vector,
-)
+from .pcm import Pcm, WeightVector, format_rational, parse_pcm, parse_rational, weight_vector
 
 SCHEMA_VERSION = "1"
 
@@ -131,7 +120,7 @@ def geometry_document(pcm: Pcm) -> dict:
                 "directed": list(tet.orientation.directed),
             },
             "path_trees": [
-                [list(edge) for edge in tree.sorted_edges()] for tree in _PATH_TREES[tet.cycle]
+                [list(edge) for edge in tree.sorted_edges()] for tree in PATH_TREES[tet.cycle]
             ],
             "vertices_exact": [v.as_strings() for v in tet.vertices],
             "vertices_embedded": [list(embed(v)) for v in tet.vertices],
@@ -170,13 +159,12 @@ _OUTWARD_FACES = {
 def obj_mesh(pcm: Pcm) -> str:
     """Wavefront OBJ mesh of the efficient set's nondegenerate tetrahedra.
 
-    Degenerate tetrahedra produce comment lines only.  The mesh needs only
-    the tetrahedra and the classification, so no coincidence report is built.
+    Degenerate tetrahedra produce comment lines only.
     """
-    signs = product_signs(pcm)
-    lines = ["# effpcm efficient-set mesh", f"# classification: {_classify(*signs).tag.value}"]
+    effset = efficient_set(pcm)
+    lines = ["# effpcm efficient-set mesh", f"# classification: {effset.classification.tag.value}"]
     vertex_count = 0
-    for tet in (_tetrahedron(pcm, c, s) for c, s in zip(CANONICAL_CYCLES, signs[1])):
+    for tet in effset.tetrahedra:
         lines.append(f"# tetrahedron cycle={','.join(map(str, tet.cycle))} rank={tet.degenerate_rank}")
         if tet.degenerate_rank < 3:
             seen = []

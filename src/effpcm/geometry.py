@@ -10,11 +10,13 @@ reads the digraph.  A cycle's admissible orientation is fixed by whether its
 entry product lies below or above 1; a product of exactly 1 collapses the
 tetrahedron to a single point.
 
-Classification, the canonical cycles' orientations and both rearrangements
-read the seven signs of ``pcm.product_signs`` (four triads, three 4-cycles),
-computed once per call.  A relabelling maps each canonical cycle or triad
-onto a canonical one, forward or reversed, so the rearrangements scan a
-24-entry table of those images built at import.
+Classification, the canonical cycles' orientations, the tetrahedra, the
+coincidence report and both rearrangements read the seven signs of
+``pcm.product_signs`` (four triads, three 4-cycles), computed once per
+matrix.  ``efficient_set`` is the one place where the tetrahedra, the class
+and the coincidence report are put together.  A relabelling maps each
+canonical cycle or triad onto a canonical one, forward or reversed, so the
+rearrangements scan a 24-entry table of those images built at import.
 
 Everything here is exact rational arithmetic; floats appear only in the
 3-space embedding (w1+w2, w1+w3, w2+w3) used for visualization exports,
@@ -168,22 +170,18 @@ class Tetrahedron(Record):
     degenerate_rank: int
 
 
-_PATH_TREES = {c: tuple(path.tree() for path in paths_of_cycle(c)) for c in CANONICAL_CYCLES}
-
-
-def _tetrahedron(pcm: Pcm, cycle: tuple[int, int, int, int], sign: int) -> Tetrahedron:
-    """The tetrahedron of a canonical cycle whose product minus 1 has the given sign."""
-    vertices = tuple(tree_weight_vector(pcm, tree) for tree in _PATH_TREES[cycle])
-    # an inconsistent cycle's four inequalities have a strictly feasible
-    # point, so its tetrahedron is solid; a consistent one's is a point
-    return Tetrahedron(cycle, _oriented(cycle, sign), vertices, 3 if sign else 0)
+PATH_TREES = {c: tuple(path.tree() for path in paths_of_cycle(c)) for c in CANONICAL_CYCLES}
 
 
 def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahedron:
-    _require_n4(pcm)
-    if cycle not in _PATH_TREES:
+    _, cycle_signs = product_signs(pcm)
+    if cycle not in PATH_TREES:
         paths_of_cycle(cycle)  # raises NotACanonicalCycle
-    return _tetrahedron(pcm, cycle, product_signs(pcm)[1][CANONICAL_CYCLES.index(cycle)])
+    sign = cycle_signs[CANONICAL_CYCLES.index(cycle)]
+    vertices = tuple(tree_weight_vector(pcm, tree) for tree in PATH_TREES[cycle])
+    # an inconsistent cycle's four inequalities have a strictly feasible
+    # point, so its tetrahedron is solid; a consistent one's is a point
+    return Tetrahedron(cycle, _oriented(cycle, sign), vertices, 3 if sign else 0)
 
 
 def contains_cycle_region(digraph: BccDigraph, orientation: CycleOrientation) -> bool:
@@ -314,11 +312,7 @@ def classify(pcm: Pcm) -> PerturbClass:
     The raise doubles as a falsification probe: no positive reciprocal 4x4
     matrix should ever produce a pair outside the six admissible ones.
     """
-    return _classify(*product_signs(pcm))
-
-
-def _classify(triad_signs, cycle_signs) -> PerturbClass:
-    """The class of a matrix whose ``product_signs`` are given."""
+    triad_signs, cycle_signs = product_signs(pcm)
     t = triad_signs.count(0)
     c = cycle_signs.count(0)
     return PerturbClass(_ADMISSIBLE_COUNTS.get((t, c)), t, c)
@@ -360,9 +354,9 @@ def _omitted(cycle: tuple[int, int, int, int], k: int) -> frozenset:
 
 
 def _coincidence_table():
-    """Per pair of canonical cycles: their sign indices and every possible
+    """Per pair of canonical cycles: their sign bits and every possible
     shared vertex, collinear edge pair and coplanar face pair, each with the
-    indices of the signs (0-3 triads, 4-6 cycles) that must be 0.
+    bitmask of the signs (bit 0-3 triads, bit 4-6 cycles) that must be 0.
 
     Two path vectors are equal iff every edge {x, y} of the second path
     that the first lacks closes a consistent triad, or the first path's
@@ -378,14 +372,14 @@ def _coincidence_table():
     for (a, ca), (b, cb) in itertools.combinations(enumerate(CANONICAL_CYCLES), 2):
         vertex_pairs = []
         for i, j in itertools.product(range(4), repeat=2):
-            path, other, needs = ca[i:] + ca[:i], cb[j:] + cb[:j], set()
+            path, other, needs = ca[i:] + ca[:i], cb[j:] + cb[:j], 0
             for x, y in zip(other, other[1:]):
                 lo, hi = sorted((path.index(x), path.index(y)))
                 if hi - lo == 2:
-                    needs.add(CANONICAL_TRIADS.index(tuple(sorted(path[lo:hi + 1]))))
+                    needs |= 1 << CANONICAL_TRIADS.index(tuple(sorted(path[lo:hi + 1])))
                 elif hi - lo == 3:
-                    needs.add(4 + a)
-            vertex_pairs.append(((ca, i + 1, cb, j + 1), tuple(needs)))
+                    needs |= 1 << 4 + a
+            vertex_pairs.append(((ca, i + 1, cb, j + 1), needs))
         lines = [
             [((c, (i + 1, j + 1)), frozenset(_omitted(c, k) for k in range(4) if k not in (i, j)))
              for i, j in itertools.combinations(range(4), 2)]
@@ -395,32 +389,32 @@ def _coincidence_table():
         for (ea, planes_a), (eb, planes_b) in itertools.product(*lines):
             corners = tuple(sorted(frozenset().union(*planes_a, *planes_b)))
             if planes_a == planes_b:
-                edge_pairs.append(((ea, eb), ()))
+                edge_pairs.append(((ea, eb), 0))
             elif len(corners) == 3:
-                edge_pairs.append(((ea, eb), (CANONICAL_TRIADS.index(corners),)))
+                edge_pairs.append(((ea, eb), 1 << CANONICAL_TRIADS.index(corners)))
         faces = [  # in index order, the faces opposite vertex 3, 2, 1, 0
             [((c, tuple(m + 1 for m in range(4) if m != k)), _omitted(c, k)) for k in (3, 2, 1, 0)]
             for c in (ca, cb)
         ]
         face_pairs = [(fa, fb) for (fa, pa), (fb, pb) in itertools.product(*faces) if pa == pb]
-        table.append((4 + a, 4 + b, vertex_pairs, edge_pairs, face_pairs))
+        table.append((1 << 4 + a | 1 << 4 + b, vertex_pairs, edge_pairs, face_pairs))
     return tuple(table)
 
 
 _COINCIDENCES = _coincidence_table()
 
 
-def _coincidence_report(signs) -> CoincidenceReport:
-    """The report of a matrix whose ``product_signs`` are given."""
-    triad_signs, cycle_signs = signs
-    zero = [s == 0 for s in triad_signs + cycle_signs]
+def _coincidence_report(pcm: Pcm) -> CoincidenceReport:
+    """The table entries whose conditions the matrix's seven signs meet."""
+    triad_signs, cycle_signs = product_signs(pcm)
+    nonzero = sum(1 << i for i, s in enumerate(triad_signs + cycle_signs) if s)
     shared, collinear, coplanar = [], [], []
-    for a, b, vertex_pairs, edge_pairs, face_pairs in _COINCIDENCES:
-        shared += [entry for entry, needs in vertex_pairs if all(zero[i] for i in needs)]
-        if not (zero[a] or zero[b]):
-            collinear += [entry for entry, needs in edge_pairs if all(zero[i] for i in needs)]
+    for both, vertex_pairs, edge_pairs, face_pairs in _COINCIDENCES:
+        shared += [entry for entry, needs in vertex_pairs if not needs & nonzero]
+        if both & nonzero == both:  # both tetrahedra solid
+            collinear += [entry for entry, needs in edge_pairs if not needs & nonzero]
             coplanar += face_pairs
-    points = tuple(c for c, z in zip(CANONICAL_CYCLES, zero[4:]) if z)
+    points = tuple(c for c, s in zip(CANONICAL_CYCLES, cycle_signs) if not s)
     return CoincidenceReport(tuple(shared), tuple(collinear), tuple(coplanar), points)
 
 
@@ -440,9 +434,8 @@ class EfficientSet(Record):
 
 def efficient_set(pcm: Pcm) -> EfficientSet:
     """Construct the full efficient set of a 4x4 matrix, exactly."""
-    signs = product_signs(pcm)
-    tetrahedra = tuple(_tetrahedron(pcm, c, s) for c, s in zip(CANONICAL_CYCLES, signs[1]))
-    return EfficientSet(tetrahedra, _classify(*signs), _coincidence_report(signs))
+    tetrahedra = tuple(tetrahedron_for_cycle(pcm, c) for c in CANONICAL_CYCLES)
+    return EfficientSet(tetrahedra, classify(pcm), _coincidence_report(pcm))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ function is pure.
 For n = 4 the theory needs seven numbers: the products of the four
 canonical triads and of the three canonical 4-cycles, each only through how
 it compares with 1.  ``product_signs`` computes those seven signs at once by
-integer cross-multiplication; classification, orientation and both
-rearrangements in ``geometry`` derive from it.  ``triad_product`` and
-``cycle_product`` remain for arbitrary listings.  ``compare_ratio``, the one
-comparison of a weight ratio with its entry, builds the BCC digraph.
+integer cross-multiplication, once per matrix: it keeps them on the Pcm,
+outside its fields.  Classification, orientation, the tetrahedra, the
+coincidence report and both rearrangements in ``geometry`` derive from
+them.  ``triad_product`` and ``cycle_product`` remain for arbitrary
+listings.  ``compare_ratio``, the one comparison of a weight ratio with its
+entry, builds the BCC digraph.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ class Pcm(Record):
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        entries = self.entries
+        # tuples, so a record built from lists hashes and cannot be mutated
+        entries = self.__dict__["entries"] = tuple(map(tuple, self.entries))
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
             raise NonSquareError("NonSquare: entries must form a nonempty square grid")
@@ -213,10 +216,11 @@ class WeightVector(Record):
     components: tuple
 
     def __post_init__(self):
-        if len(self.components) == 0:
+        components = self.__dict__["components"] = tuple(self.components)
+        if len(components) == 0:
             raise NonPositiveWeightError("NonPositiveWeight: empty weight vector")
         kinds = set()
-        for c in self.components:
+        for c in components:
             if not isinstance(c, (Fraction, float)):
                 raise NonPositiveWeightError(
                     f"NonPositiveWeight: component {c!r} must be Fraction or float"
@@ -299,9 +303,10 @@ class Permutation(Record):
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(1, n + 1)):
-            raise IndexOutOfRangeError(f"IndexOutOfRange: {self.mapping} is not a bijection on 1..{n}")
+        mapping = self.__dict__["mapping"] = tuple(self.mapping)
+        n = len(mapping)
+        if sorted(mapping) != list(range(1, n + 1)):
+            raise IndexOutOfRangeError(f"IndexOutOfRange: {mapping} is not a bijection on 1..{n}")
 
     @property
     def n(self) -> int:
@@ -373,8 +378,12 @@ def product_signs(pcm: Pcm) -> tuple[tuple[int, int, int, int], tuple[int, int, 
     cycle, and a cycle's sign fixes its orientation.  Each product is a ratio
     of upper entries a_ij = n_ij / d_ij (i < j), all positive, so its sign is
     that of an integer cross-multiplication: no Fraction is built and no gcd
-    is taken.
+    is taken.  The result is kept on the matrix, outside its fields, so
+    later calls return it without comparing again.
     """
+    signs = pcm.__dict__.get("_signs")
+    if signs is not None:
+        return signs
     _require_n4(pcm)
     (_, a12, a13, a14), (_, _, a23, a24), (_, _, _, a34), _ = pcm.entries
     n12, d12 = a12.numerator, a12.denominator
@@ -394,7 +403,7 @@ def product_signs(pcm: Pcm) -> tuple[tuple[int, int, int, int], tuple[int, int, 
         _sign(n14 * n23 * d13 * d24, d14 * d23 * n13 * n24),  # a14 a42 a23 a31
         _sign(n13 * n34 * d12 * d24, d13 * d34 * n12 * n24),  # a13 a34 a42 a21
     )
-    return triads, cycles
+    return pcm.__dict__.setdefault("_signs", (triads, cycles))
 
 
 def is_consistent(pcm: Pcm) -> bool:

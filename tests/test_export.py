@@ -1,7 +1,8 @@
 """Export bytes: the geometry document and OBJ mesh of every benchmark pool
 matrix still hash to the digests recorded when the benchmark was introduced,
-the mesh is built without a coincidence report, each exporter computes the
-seven product signs once, and every mesh face points outward."""
+each exporter builds the efficient set once, the seven product signs are
+computed once per matrix however many functions read them, and every mesh
+face points outward."""
 
 import hashlib
 import itertools
@@ -10,11 +11,18 @@ import random
 from pathlib import Path
 
 import effpcm.export
-import effpcm.geometry
+import effpcm.pcm
 from effpcm.export import geometry_document, obj_mesh, pcm_from_document
 from effpcm.generators import generate_with_rng
-from effpcm.geometry import PerturbTag, efficient_set, tetrahedron_for_cycle
-from effpcm.pcm import CANONICAL_CYCLES, Permutation, apply_permutation, product_signs
+from effpcm.geometry import (
+    PerturbTag,
+    canonical_orientations,
+    canonical_rearrangement,
+    classify,
+    efficient_set,
+    tetrahedron_for_cycle,
+)
+from effpcm.pcm import CANONICAL_CYCLES, Permutation, apply_permutation
 from oracles import embed_exact, points_outward
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -42,7 +50,7 @@ def test_every_pool_matrix_matches_its_golden_digest():
     assert mismatched == []
 
 
-def test_obj_mesh_builds_no_efficient_set(monkeypatch, running_example):
+def test_each_exporter_builds_the_efficient_set_once(monkeypatch, running_example):
     calls = []
     original = effpcm.export.efficient_set
 
@@ -51,25 +59,30 @@ def test_obj_mesh_builds_no_efficient_set(monkeypatch, running_example):
         return original(pcm)
 
     monkeypatch.setattr(effpcm.export, "efficient_set", counting)
-    obj_mesh(running_example)
-    assert calls == []
-    geometry_document(running_example)
-    assert len(calls) == 1
-
-
-def test_seven_signs_computed_once_per_call(monkeypatch, running_example):
-    calls = []
-
-    def counting(pcm):
-        calls.append(pcm)
-        return product_signs(pcm)
-
-    for module in (effpcm.geometry, effpcm.export):
-        monkeypatch.setattr(module, "product_signs", counting)
-    for build in (efficient_set, geometry_document, obj_mesh):
+    for export in (obj_mesh, geometry_document):
         calls.clear()
-        build(running_example)
-        assert len(calls) == 1, build.__name__
+        export(running_example)
+        assert calls == [running_example], export.__name__
+
+
+def test_seven_signs_computed_once_per_matrix(monkeypatch, running_example):
+    comparisons = []
+    original = effpcm.pcm._sign
+
+    def counting(lhs, rhs):
+        comparisons.append((lhs, rhs))
+        return original(lhs, rhs)
+
+    monkeypatch.setattr(effpcm.pcm, "_sign", counting)
+    efficient_set(running_example)
+    geometry_document(running_example)
+    obj_mesh(running_example)
+    classify(running_example)
+    canonical_orientations(running_example)
+    for cycle in CANONICAL_CYCLES:
+        tetrahedron_for_cycle(running_example, cycle)
+    canonical_rearrangement(running_example)
+    assert len(comparisons) == 7
 
 
 def _inward_faces(pcm) -> list[str]:

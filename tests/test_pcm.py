@@ -316,9 +316,21 @@ class TestProductSigns:
             pcm = parse_pcm(doc["entries"])
             assert product_signs(pcm) == _reference_signs(pcm)
 
-    def test_requires_n4(self):
-        with pytest.raises(UnsupportedDimensionError):
-            product_signs(parse_pcm([["1", "2"], ["1/2", "1"]]))
+    def test_requires_n4_on_every_call(self):
+        pcm = parse_pcm([["1", "2"], ["1/2", "1"]])
+        for _ in range(2):
+            with pytest.raises(UnsupportedDimensionError):
+                product_signs(pcm)
+
+    def test_stored_signs_leave_the_record_as_it_was(self, running_example):
+        signs = product_signs(running_example)
+        assert product_signs(running_example) is signs
+        fresh = parse_pcm(running_example.rows_as_strings())
+        assert running_example == fresh and fresh == running_example
+        assert hash(running_example) == hash(fresh)
+        assert repr(running_example) == repr(fresh)
+        with pytest.raises(AttributeError):
+            running_example.entries = fresh.entries
 
 
 class TestConsistentWeights:

@@ -224,6 +224,22 @@ def test_pcm_validation_is_an_own_method_called_through_the_instance(monkeypatch
     assert calls == [pcm]
 
 
+def test_records_built_from_lists_equal_their_tuple_twins_and_stay_unchanged():
+    rows = [list(row) for row in RUNNING.entries]
+    components = list(W.components)
+    mapping = [2, 1, 3, 4]
+    twins = [(Pcm(rows), RUNNING), (WeightVector(components), W),
+             (Permutation(mapping), Permutation((2, 1, 3, 4)))]
+    rows[0][1] = Fraction(-5)
+    rows.pop()
+    components[0] = Fraction(9)
+    mapping[0] = 7
+    for built, twin in twins:
+        assert built == twin
+        assert hash(built) == hash(twin)
+        assert repr(built) == repr(twin)
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     src = str(Path(effpcm.__file__).resolve().parent.parent)
     env = dict(os.environ)
