@@ -13,8 +13,8 @@ tetrahedron to a single point.
 Classification, the canonical cycles' orientations, the tetrahedra, the
 coincidence report and both rearrangements read the seven signs of
 ``pcm.product_signs`` (four triads, three 4-cycles), computed once per
-matrix.  ``efficient_set`` is the one place where the tetrahedra, the class
-and the coincidence report are put together.  A relabelling maps each
+matrix.  ``efficient_set`` assembles the tetrahedra, class and coincidence
+report once and keeps them on the matrix too.  A relabelling maps each
 canonical cycle or triad onto a canonical one, forward or reversed, so the
 rearrangements scan a 24-entry table of those images built at import.
 
@@ -433,9 +433,12 @@ class EfficientSet(Record):
 
 
 def efficient_set(pcm: Pcm) -> EfficientSet:
-    """Construct the full efficient set of a 4x4 matrix, exactly."""
-    tetrahedra = tuple(tetrahedron_for_cycle(pcm, c) for c in CANONICAL_CYCLES)
-    return EfficientSet(tetrahedra, classify(pcm), _coincidence_report(pcm))
+    """The full efficient set of a 4x4 matrix, exactly; kept on the matrix."""
+    if "_efficient_set" not in pcm.__dict__:
+        tetrahedra = tuple(tetrahedron_for_cycle(pcm, c) for c in CANONICAL_CYCLES)
+        effset = EfficientSet(tetrahedra, classify(pcm), _coincidence_report(pcm))
+        pcm.__dict__["_efficient_set"] = effset
+    return pcm.__dict__["_efficient_set"]
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ class WeightVector(Record):
                 )
             exact = isinstance(c, Fraction)
             kinds.add(exact)
-            if not c > 0:
+            if not (c.numerator > 0 if exact else c > 0):  # NaN fails c > 0
                 raise NonPositiveWeightError(f"NonPositiveWeight: component {c!r}")
             if not exact and not math.isfinite(c):
                 raise NonFiniteWeightError(f"NonFiniteWeight: component {c!r}")

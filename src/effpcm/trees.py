@@ -5,8 +5,8 @@ down a weight vector: fixing one weight and propagating the exact ratios
 along tree edges yields the unique vector reproducing every tree entry
 perfectly.  Path-shaped trees are singled out because deleting one edge of
 a 4-cycle leaves a path, and those four paths supply the tetrahedron
-vertices used by the efficient-set geometry.  The propagation runs on
-integer numerator and denominator chains, normalized by one division each.
+vertices of the efficient-set geometry.  Propagation follows the walk a
+tree keeps from vertex n, on integer numerator and denominator chains.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ class SpanningTree(Record):
     edges: frozenset[tuple[int, int]]  # unordered pairs stored with i < j
 
     def __post_init__(self):
-        # n - 1 edges that connect all n vertices form a tree
+        # n - 1 edges that connect all n vertices form a tree; its walk is kept
         if (
             len(self.edges) != self.n - 1
             or not all(1 <= a < b <= self.n for (a, b) in self.edges)
-            or sum(1 for _ in _walk(_undirected(self.n, self.edges), 1)) != self.n - 1
+            or len(order := tuple(_walk(_undirected(self.n, self.edges), self.n))) != self.n - 1
         ):
             raise ValueError(f"not a spanning tree of 1..{self.n}: {sorted(self.edges)}")
+        self.__dict__["_order"] = order
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -86,8 +87,8 @@ def paths_of_cycle(cycle: tuple[int, int, int, int]) -> list[LabeledPath]:
 def tree_weight_vector(pcm: Pcm, tree: SpanningTree | LabeledPath) -> WeightVector:
     """The unique normalized exact vector with w_i/w_j = a_ij on every tree edge.
 
-    The highest-index vertex is used as propagation root with value 1 before
-    normalizing; the root choice does not affect the normalized result.
+    The propagation follows the tree's walk from its highest-index vertex,
+    valued 1; the root choice does not affect the normalized result.
     """
     if isinstance(tree, LabeledPath):
         tree = tree.tree()
@@ -96,7 +97,7 @@ def tree_weight_vector(pcm: Pcm, tree: SpanningTree | LabeledPath) -> WeightVect
             f"DimensionMismatch: tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix"
         )
     numerators, denominators = {pcm.n: 1}, {pcm.n: 1}
-    for parent, child in _walk(_undirected(pcm.n, tree.edges), pcm.n):
+    for parent, child in tree._order:
         # w_child / w_parent = a_{child,parent} on a tree edge
         entry = pcm.entries[child - 1][parent - 1]
         numerators[child] = numerators[parent] * entry.numerator

@@ -1,8 +1,8 @@
 """Export bytes: the geometry document and OBJ mesh of every benchmark pool
 matrix still hash to the digests recorded when the benchmark was introduced,
-each exporter builds the efficient set once, the seven product signs are
-computed once per matrix however many functions read them, and every mesh
-face points outward."""
+each exporter builds the efficient set once and both share one build of its
+twelve vertices, the seven product signs are computed once per matrix
+however many functions read them, and every mesh face points outward."""
 
 import hashlib
 import itertools
@@ -11,6 +11,7 @@ import random
 from pathlib import Path
 
 import effpcm.export
+import effpcm.geometry
 import effpcm.pcm
 from effpcm.export import geometry_document, obj_mesh, pcm_from_document
 from effpcm.generators import generate_with_rng
@@ -63,6 +64,21 @@ def test_each_exporter_builds_the_efficient_set_once(monkeypatch, running_exampl
         calls.clear()
         export(running_example)
         assert calls == [running_example], export.__name__
+
+
+def test_both_formats_build_the_tetrahedra_once(monkeypatch, running_example):
+    calls = {"tree_weight_vector": 0, "classify": 0, "_coincidence_report": 0}
+    for name in calls:
+        original = getattr(effpcm.geometry, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(effpcm.geometry, name, counting)
+    geometry_document(running_example)
+    obj_mesh(running_example)
+    assert calls == {"tree_weight_vector": 12, "classify": 1, "_coincidence_report": 1}
 
 
 def test_seven_signs_computed_once_per_matrix(monkeypatch, running_example):

@@ -704,6 +704,27 @@ class TestIntegerGeometryMatchesRank:
         assert sum(b >= 140 for b in bits) == 3
 
 
+class TestStoredEfficientSet:
+    def test_second_call_returns_the_same_object(self, running_example):
+        effset = efficient_set(running_example)
+        assert efficient_set(running_example) is effset
+
+    def test_stored_set_leaves_the_record_as_it_was(self, running_example):
+        efficient_set(running_example)
+        fresh = parse_pcm(running_example.rows_as_strings())
+        assert running_example == fresh and fresh == running_example
+        assert hash(running_example) == hash(fresh)
+        assert repr(running_example) == repr(fresh)
+        with pytest.raises(AttributeError):
+            running_example.entries = fresh.entries
+
+    def test_requires_n4_on_every_call(self):
+        pcm = parse_pcm([[str(Fraction(i + 1, j + 1)) for j in range(5)] for i in range(5)])
+        for _ in range(2):
+            with pytest.raises(UnsupportedDimensionError):
+                efficient_set(pcm)
+
+
 class TestEfficientSetEquivariance:
     def test_vertices_permute_with_matrix(self):
         rng = random.Random(71)

@@ -13,7 +13,9 @@ from hypothesis import given, strategies as st
 from effpcm.errors import (
     BadNumeralError,
     IndexOutOfRangeError,
+    NonFiniteWeightError,
     NonPositiveEntryError,
+    NonPositiveWeightError,
     NonSquareError,
     NotConsistentError,
     ReciprocityViolationError,
@@ -28,6 +30,7 @@ from effpcm.pcm import (
     CANONICAL_TRIADS,
     Pcm,
     Permutation,
+    WeightVector,
     apply_permutation,
     compare_ratio,
     consistent_weights,
@@ -427,9 +430,23 @@ class TestWeightVector:
             assert ratio(w, i, 4) == pytest.approx(raw[i - 1] / raw[3], rel=1e-15)
 
     def test_positivity(self):
-        from effpcm.errors import NonPositiveWeightError
         with pytest.raises(NonPositiveWeightError):
             weight_vector([1, 0, 2])
+
+    @pytest.mark.parametrize("bad,error,message", [
+        (Fraction(0), NonPositiveWeightError, "NonPositiveWeight: component Fraction(0, 1)"),
+        (Fraction(-1, 3), NonPositiveWeightError, "NonPositiveWeight: component Fraction(-1, 3)"),
+        (0.0, NonPositiveWeightError, "NonPositiveWeight: component 0.0"),
+        (-0.0, NonPositiveWeightError, "NonPositiveWeight: component -0.0"),
+        (-1.5, NonPositiveWeightError, "NonPositiveWeight: component -1.5"),
+        (math.nan, NonPositiveWeightError, "NonPositiveWeight: component nan"),
+        (math.inf, NonFiniteWeightError, "NonFiniteWeight: component inf"),
+    ])
+    def test_rejected_components(self, bad, error, message):
+        good = Fraction(1) if isinstance(bad, Fraction) else 1.0
+        with pytest.raises(error) as raised:
+            WeightVector((good, bad, good))
+        assert str(raised.value) == message
 
 
 class TestCompareRatio:

@@ -88,6 +88,7 @@ class TestEnumeration:
         pytest.param(4, {(1, 2), (2, 3), (3, 4), (1, 4)}, id="n-edges"),
         pytest.param(4, {(1, 2), (2, 3), (1, 3)}, id="cycle-leaves-vertex-out"),
         pytest.param(5, {(1, 2), (3, 4), (4, 5), (3, 5)}, id="cycle-away-from-vertex-1"),
+        pytest.param(4, {(2, 3), (3, 4), (2, 4)}, id="cycle-away-from-vertex-n"),
         pytest.param(3, {(1, 1), (2, 3)}, id="loop"),
         pytest.param(0, set(), id="no-vertices"),
     ])
@@ -97,6 +98,14 @@ class TestEnumeration:
 
     def test_single_vertex_tree(self):
         assert tree_degrees(SpanningTree(1, frozenset())) == {1: 0}
+
+    def test_stored_walk_leaves_the_record_as_it_was(self):
+        edges = frozenset({(1, 2), (2, 3), (3, 4)})
+        tree, twin = SpanningTree(4, edges), LabeledPath((4, 3, 2, 1)).tree()
+        assert tree._order == ((4, 3), (3, 2), (2, 1))
+        assert tree == twin and twin == tree
+        assert hash(tree) == hash(twin)
+        assert repr(tree) == f"SpanningTree(n=4, edges={edges!r})"
 
 
 class TestPathsOfCycle:
