@@ -32,7 +32,6 @@ from .geometry import (
     classify,
     contains_cycle_region,
     canonical_orientations,
-    embed,
     tetrahedron_for_cycle,
     triad_rearrangement,
 )
@@ -103,8 +102,7 @@ def _cmd_vertices(args) -> int:
         tet = tetrahedron_for_cycle(pcm, cycle)
         cycle_text = ",".join(map(str, cycle))
         print(f"cycle ({cycle_text}) {tet.orientation.direction.value}, rank {tet.degenerate_rank}:")
-        for k, vertex in enumerate(tet.vertices, start=1):
-            point = embed(vertex)
+        for k, (vertex, point) in enumerate(zip(tet.vertices, tet.embedded), start=1):
             exact = " ".join(vertex.as_strings())
             print(f"  T{k}: {exact}  ->  ({point[0]!r}, {point[1]!r}, {point[2]!r})")
     return 0

@@ -19,8 +19,6 @@ from .geometry import (
     EfficientSet,
     cutting_planes,
     efficient_set,
-    embed,
-    plane_clip_polygon,
 )
 from .pcm import Pcm, WeightVector, format_rational, parse_pcm, parse_rational, weight_vector
 
@@ -123,16 +121,21 @@ def geometry_document(pcm: Pcm) -> dict:
                 [list(edge) for edge in tree.sorted_edges()] for tree in PATH_TREES[tet.cycle]
             ],
             "vertices_exact": [v.as_strings() for v in tet.vertices],
-            "vertices_embedded": [list(embed(v)) for v in tet.vertices],
+            "vertices_embedded": [list(point) for point in tet.embedded],
             "rank": tet.degenerate_rank,
         })
     planes = []
     for plane in cutting_planes(pcm):
-        polygon = plane_clip_polygon(plane)
+        # embed() of each plane_clip_polygon(plane) point, from the entry n/d:
+        # the split point's numerators over n + d are n at i and d at j
+        (i, j), n, d = plane.pair, plane.value.numerator, plane.value.denominator
+        x1, x2, x3 = (n if k == i else d if k == j else 0 for k in (1, 2, 3))
+        split = [(x1 + x2) / (n + d), (x1 + x3) / (n + d), (x2 + x3) / (n + d)]
+        corners = [list(SIMPLEX_CORNERS[k - 1]) for k in range(1, 5) if k not in (i, j)]
         planes.append({
-            "pair": list(plane.pair),
+            "pair": [i, j],
             "value": format_rational(plane.value),
-            "clip_polygon": [list(embed(point)) for point in polygon],
+            "clip_polygon": [split] + corners,
         })
     return {
         "schema_version": SCHEMA_VERSION,
@@ -167,16 +170,11 @@ def obj_mesh(pcm: Pcm) -> str:
     for tet in effset.tetrahedra:
         lines.append(f"# tetrahedron cycle={','.join(map(str, tet.cycle))} rank={tet.degenerate_rank}")
         if tet.degenerate_rank < 3:
-            seen = []
-            for v in tet.vertices:
-                point = embed(v)
-                if point not in seen:
-                    seen.append(point)
-            for point in seen:
+            for point in dict.fromkeys(tet.embedded):  # each distinct point once, in order
                 lines.append(f"# point {point[0]!r} {point[1]!r} {point[2]!r}")
             continue
-        for v in tet.vertices:
-            lines.append("v " + " ".join(repr(c) for c in embed(v)))
+        for point in tet.embedded:
+            lines.append("v " + " ".join(repr(c) for c in point))
         for (a, b, c) in _OUTWARD_FACES[tet.orientation.direction]:
             lines.append(f"f {vertex_count + a + 1} {vertex_count + b + 1} {vertex_count + c + 1}")
         vertex_count += 4

@@ -1,10 +1,11 @@
 """Seeded random instance generators for each perturbation class.
 
 Perturbed classes start from a random consistent matrix and multiply a
-class-appropriate entry set by random rational factors; the construction is
-verified post hoc by classify() and resampled on mismatch, so accidental
-extra consistencies cannot leak through.  All draws come from an explicit
-random.Random, so a fixed seed reproduces the matrix bit for bit.
+class-appropriate entry set by random rational factors, all as integer
+(numerator, denominator) pairs.  A candidate's class is read off its integer
+signs and it is resampled on mismatch, so accidental extra consistencies
+cannot leak through; only the accepted one becomes a Pcm.  All draws come
+from an explicit random.Random, so a seed reproduces the matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import random
 from fractions import Fraction
 
 from .errors import GenerationFailedError
-from .geometry import PerturbTag, classify
-from .pcm import Pcm, WeightVector, pcm_from_upper
+from .geometry import PerturbTag, classify_signs
+from .pcm import Pcm, WeightVector, pcm_from_pairs, upper_signs
 
 MAX_ATTEMPTS = 10_000
 
@@ -39,65 +40,62 @@ TRIAD_SHARING_PAIRS = tuple(
 )
 
 
-def _saaty_like_entry(rng: random.Random) -> Fraction:
-    """An entry s * 2^k with s in 1..9 or its reciprocal."""
+def _saaty_like_entry(rng: random.Random) -> tuple[int, int]:
+    """An entry s * 2^k with s in 1..9 or its reciprocal, as (numerator, denominator)."""
     s = rng.randint(1, 9)
-    value = Fraction(1, s) if rng.random() < 0.5 else Fraction(s)
-    return value * Fraction(2) ** rng.randint(-2, 2)
+    n, d = (1, s) if rng.random() < 0.5 else (s, 1)
+    k = rng.randint(-2, 2)
+    return (n << k, d) if k >= 0 else (n, d << -k)
 
 
-def _random_factor(rng: random.Random) -> Fraction:
+def _random_factor(rng: random.Random) -> tuple[int, int]:
     while True:
-        factor = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-        if factor != 1:
-            return factor
+        p, q = rng.randint(1, 12), rng.randint(1, 12)
+        if p != q:  # the factor p/q is not 1
+            return p, q
 
 
-def _consistent_upper(rng: random.Random) -> dict[tuple[int, int], Fraction]:
-    weights = [Fraction(rng.randint(1, 20)) for _ in range(4)]
-    return {(i, j): weights[i - 1] / weights[j - 1] for (i, j) in UPPER_PAIRS}
-
-
-def _candidate(rng: random.Random, tag: PerturbTag) -> Pcm:
+def _candidate(rng: random.Random, tag: PerturbTag) -> list[tuple[int, int]]:
+    """The six upper entries, in UPPER_PAIRS order, as (numerator, denominator) pairs."""
     if tag is PerturbTag.TRIPLE:
-        return pcm_from_upper(4, {pair: _saaty_like_entry(rng) for pair in UPPER_PAIRS})
-    upper = _consistent_upper(rng)
+        return [_saaty_like_entry(rng) for _ in UPPER_PAIRS]
+    weights = [rng.randint(1, 20) for _ in range(4)]
+    upper = {(i, j): (weights[i - 1], weights[j - 1]) for (i, j) in UPPER_PAIRS}  # consistent
     if tag is PerturbTag.CONSISTENT:
-        pass
+        factors = {}
     elif tag is PerturbTag.SIMPLE:
-        pair = rng.choice(UPPER_PAIRS)
-        upper[pair] *= _random_factor(rng)
+        factors = {rng.choice(UPPER_PAIRS): _random_factor(rng)}
     elif tag is PerturbTag.DOUBLE_TRIAD:
         first, second = rng.choice(TRIAD_SHARING_PAIRS)
         f, g = _random_factor(rng), _random_factor(rng)
-        if f == g or f * g == 1:
+        if f[0] * g[1] == f[1] * g[0] or f[0] * g[0] == f[1] * g[1]:  # f == g or f * g == 1
             g = _random_factor(rng)
-        upper[first] *= f
-        upper[second] *= g
+        factors = {first: f, second: g}
     elif tag is PerturbTag.DOUBLE_ONE_CYCLE:
         first, second = rng.choice(OPPOSITE_PAIRS)
-        f, g = _random_factor(rng), _random_factor(rng)
-        upper[first] *= f
-        upper[second] *= g
+        factors = {first: _random_factor(rng), second: _random_factor(rng)}
     elif tag is PerturbTag.DOUBLE_TWO_CYCLES:
         # Equal factors on an opposite pair keep the two cycles through
         # exactly one of the entries consistent.
         first, second = rng.choice(OPPOSITE_PAIRS)
         f = _random_factor(rng)
-        upper[first] *= f
-        upper[second] *= f
+        factors = {first: f, second: f}
     else:
         raise ValueError(f"unknown class tag {tag!r}")
-    return pcm_from_upper(4, upper)
+    for pair, (p, q) in factors.items():
+        n, d = upper[pair]
+        upper[pair] = (n * p, d * q)
+    return list(upper.values())
 
 
 def generate_with_rng(rng: random.Random, class_tag: PerturbTag | str) -> Pcm:
-    """Draw from an existing generator stream; classify-verified, resampled."""
+    """Draw from an existing generator stream; sign-verified, resampled."""
     tag = PerturbTag(class_tag)
     for _ in range(MAX_ATTEMPTS):
-        pcm = _candidate(rng, tag)
-        if classify(pcm).tag is tag:
-            return pcm
+        pairs = _candidate(rng, tag)
+        signs = upper_signs(pairs)
+        if classify_signs(*signs).tag is tag:
+            return pcm_from_pairs(pairs, signs)
     raise GenerationFailedError(
         f"could not generate a {tag.value} matrix in {MAX_ATTEMPTS} attempts"
     )

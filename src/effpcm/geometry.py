@@ -34,6 +34,7 @@ of canonical cycles, built at import, lists those conditions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from enum import Enum
@@ -91,10 +92,14 @@ def _oriented(cycle: tuple[int, int, int, int], sign: int) -> CycleOrientation:
     return CycleOrientation(cycle, Direction.CONSISTENT_BOTH, cycle)
 
 
+# (canonical cycle, sign) -> its orientation: the nine records, built once.
+_ORIENTATIONS = {(c, s): _oriented(c, s) for c in CANONICAL_CYCLES for s in (-1, 0, 1)}
+
+
 def canonical_orientations(pcm: Pcm) -> tuple[CycleOrientation, CycleOrientation, CycleOrientation]:
     """The orientations of the three canonical cycles, in CANONICAL_CYCLES order."""
     _, cycle_signs = product_signs(pcm)
-    return tuple(_oriented(c, s) for c, s in zip(CANONICAL_CYCLES, cycle_signs))
+    return tuple(_ORIENTATIONS[c, s] for c, s in zip(CANONICAL_CYCLES, cycle_signs))
 
 
 def _images(listings: Sequence[tuple[int, ...]]):
@@ -169,6 +174,11 @@ class Tetrahedron(Record):
     vertices: tuple[WeightVector, WeightVector, WeightVector, WeightVector]
     degenerate_rank: int
 
+    @functools.cached_property
+    def embedded(self) -> tuple[tuple[float, float, float], ...]:
+        """``embed`` of each vertex, computed once and kept outside the fields."""
+        return tuple(embed(v) for v in self.vertices)
+
 
 PATH_TREES = {c: tuple(path.tree() for path in paths_of_cycle(c)) for c in CANONICAL_CYCLES}
 
@@ -181,7 +191,7 @@ def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahe
     vertices = tuple(tree_weight_vector(pcm, tree) for tree in PATH_TREES[cycle])
     # an inconsistent cycle's four inequalities have a strictly feasible
     # point, so its tetrahedron is solid; a consistent one's is a point
-    return Tetrahedron(cycle, _oriented(cycle, sign), vertices, 3 if sign else 0)
+    return Tetrahedron(cycle, _ORIENTATIONS[cycle, sign], vertices, 3 if sign else 0)
 
 
 def contains_cycle_region(digraph: BccDigraph, orientation: CycleOrientation) -> bool:
@@ -306,16 +316,20 @@ class PerturbClass(Record):
             )
 
 
-def classify(pcm: Pcm) -> PerturbClass:
-    """Map the consistency-count pair to its class; impossible pairs raise.
+def classify_signs(triad_signs: Sequence[int], cycle_signs: Sequence[int]) -> PerturbClass:
+    """Map the consistency-count pair of seven signs to its class; impossible pairs raise.
 
     The raise doubles as a falsification probe: no positive reciprocal 4x4
     matrix should ever produce a pair outside the six admissible ones.
     """
-    triad_signs, cycle_signs = product_signs(pcm)
     t = triad_signs.count(0)
     c = cycle_signs.count(0)
     return PerturbClass(_ADMISSIBLE_COUNTS.get((t, c)), t, c)
+
+
+def classify(pcm: Pcm) -> PerturbClass:
+    """The class of a 4x4 matrix, from its seven signs (``classify_signs``)."""
+    return classify_signs(*product_signs(pcm))
 
 
 class CoincidenceReport(Record):
@@ -502,10 +516,5 @@ def plane_clip_polygon(plane: CuttingPlane) -> list[tuple[Fraction, Fraction, Fr
     split = [Fraction(0)] * 4
     split[i - 1] = Fraction(n, n + d)
     split[j - 1] = Fraction(d, n + d)
-    corners = []
-    for k in range(1, 5):
-        if k not in (i, j):
-            corner = [Fraction(0)] * 4
-            corner[k - 1] = Fraction(1)
-            corners.append(tuple(corner))
-    return [tuple(split)] + corners
+    corners = [k for k in range(1, 5) if k not in (i, j)]
+    return [tuple(split)] + [tuple(Fraction(int(m == k)) for m in range(1, 5)) for k in corners]

@@ -11,13 +11,13 @@ function is pure.
 
 For n = 4 the theory needs seven numbers: the products of the four
 canonical triads and of the three canonical 4-cycles, each only through how
-it compares with 1.  ``product_signs`` computes those seven signs at once by
-integer cross-multiplication, once per matrix: it keeps them on the Pcm,
-outside its fields.  Classification, orientation, the tetrahedra, the
-coincidence report and both rearrangements in ``geometry`` derive from
-them.  ``triad_product`` and ``cycle_product`` remain for arbitrary
-listings.  ``compare_ratio``, the one comparison of a weight ratio with its
-entry, builds the BCC digraph.
+it compares with 1.  ``upper_signs`` computes those seven signs at once by
+integer cross-multiplication; ``product_signs`` and ``pcm_from_pairs`` keep
+them on the Pcm, outside its fields.  Classification, orientation, the
+tetrahedra, the coincidence report and both rearrangements in ``geometry``
+derive from them.  ``triad_product`` and ``cycle_product`` remain for
+arbitrary listings.  ``compare_ratio``, the one comparison of a weight ratio
+with its entry, builds the BCC digraph.
 """
 
 from __future__ import annotations
@@ -370,40 +370,54 @@ def _sign(lhs: int, rhs: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
+def upper_signs(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``product_signs`` of the 4x4 matrix with upper entries a_ij = n_ij / d_ij.
+
+    ``pairs`` lists the positive (n_ij, d_ij), in lowest terms or not, for
+    a12, a13, a14, a23, a24, a34.  Each sign is that of an integer
+    cross-multiplication: no Fraction is built and no gcd is taken.
+    """
+    (n12, d12), (n13, d13), (n14, d14), (n23, d23), (n24, d24), (n34, d34) = pairs
+    return (
+        _sign(n12 * n23 * d13, d12 * d23 * n13),  # a12 a23 a31
+        _sign(n12 * n24 * d14, d12 * d24 * n14),  # a12 a24 a41
+        _sign(n13 * n34 * d14, d13 * d34 * n14),  # a13 a34 a41
+        _sign(n23 * n34 * d24, d23 * d34 * n24),  # a23 a34 a42
+    ), (
+        _sign(n12 * n23 * n34 * d14, d12 * d23 * d34 * n14),  # a12 a23 a34 a41
+        _sign(n14 * n23 * d13 * d24, d14 * d23 * n13 * n24),  # a14 a42 a23 a31
+        _sign(n13 * n34 * d12 * d24, d13 * d34 * n12 * n24),  # a13 a34 a42 a21
+    )
+
+
 def product_signs(pcm: Pcm) -> tuple[tuple[int, int, int, int], tuple[int, int, int]]:
     """Signs of product - 1 for the canonical triads and 4-cycles of a 4x4 matrix.
 
     Returns (triad signs in CANONICAL_TRIADS order, cycle signs in
     CANONICAL_CYCLES order), each -1, 0 or +1: 0 marks a consistent triad or
-    cycle, and a cycle's sign fixes its orientation.  Each product is a ratio
-    of upper entries a_ij = n_ij / d_ij (i < j), all positive, so its sign is
-    that of an integer cross-multiplication: no Fraction is built and no gcd
-    is taken.  The result is kept on the matrix, outside its fields, so
-    later calls return it without comparing again.
+    cycle, and a cycle's sign fixes its orientation.  They are kept on the
+    matrix, outside its fields, so later calls return them at once.
     """
     signs = pcm.__dict__.get("_signs")
     if signs is not None:
         return signs
     _require_n4(pcm)
     (_, a12, a13, a14), (_, _, a23, a24), (_, _, _, a34), _ = pcm.entries
-    n12, d12 = a12.numerator, a12.denominator
-    n13, d13 = a13.numerator, a13.denominator
-    n14, d14 = a14.numerator, a14.denominator
-    n23, d23 = a23.numerator, a23.denominator
-    n24, d24 = a24.numerator, a24.denominator
-    n34, d34 = a34.numerator, a34.denominator
-    triads = (
-        _sign(n12 * n23 * d13, d12 * d23 * n13),  # a12 a23 a31
-        _sign(n12 * n24 * d14, d12 * d24 * n14),  # a12 a24 a41
-        _sign(n13 * n34 * d14, d13 * d34 * n14),  # a13 a34 a41
-        _sign(n23 * n34 * d24, d23 * d34 * n24),  # a23 a34 a42
-    )
-    cycles = (
-        _sign(n12 * n23 * n34 * d14, d12 * d23 * d34 * n14),  # a12 a23 a34 a41
-        _sign(n14 * n23 * d13 * d24, d14 * d23 * n13 * n24),  # a14 a42 a23 a31
-        _sign(n13 * n34 * d12 * d24, d13 * d34 * n12 * n24),  # a13 a34 a42 a21
-    )
-    return pcm.__dict__.setdefault("_signs", (triads, cycles))
+    signs = upper_signs([(a.numerator, a.denominator) for a in (a12, a13, a14, a23, a24, a34)])
+    return pcm.__dict__.setdefault("_signs", signs)
+
+
+def pcm_from_pairs(pairs: Sequence[tuple[int, int]], signs: tuple) -> Pcm:
+    """The 4x4 Pcm with upper entries n_ij / d_ij; every Pcm check runs.
+
+    ``signs`` must be ``upper_signs(pairs)``: the Pcm keeps them for ``product_signs``.
+    """
+    one = Fraction(1)
+    a12, a13, a14, a23, a24, a34 = upper = [Fraction(n, d) for n, d in pairs]
+    a21, a31, a41, a32, a42, a43 = (Fraction(a.denominator, a.numerator) for a in upper)
+    pcm = Pcm(((one, a12, a13, a14), (a21, one, a23, a24), (a31, a32, one, a34), (a41, a42, a43, one)))
+    pcm.__dict__["_signs"] = signs
+    return pcm
 
 
 def is_consistent(pcm: Pcm) -> bool:

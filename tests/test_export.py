@@ -1,29 +1,36 @@
 """Export bytes: the geometry document and OBJ mesh of every benchmark pool
 matrix still hash to the digests recorded when the benchmark was introduced,
 each exporter builds the efficient set once and both share one build of its
-twelve vertices, the seven product signs are computed once per matrix
+twelve vertices and their embeddings, each clip polygon is the embedded
+plane polygon, the seven product signs are computed once per matrix
 however many functions read them, and every mesh face points outward."""
 
 import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 import effpcm.export
 import effpcm.geometry
 import effpcm.pcm
 from effpcm.export import geometry_document, obj_mesh, pcm_from_document
-from effpcm.generators import generate_with_rng
+from effpcm.generators import UPPER_PAIRS, generate_with_rng
 from effpcm.geometry import (
     PerturbTag,
     canonical_orientations,
     canonical_rearrangement,
     classify,
+    cutting_planes,
     efficient_set,
+    embed,
+    plane_clip_polygon,
     tetrahedron_for_cycle,
 )
-from effpcm.pcm import CANONICAL_CYCLES, Permutation, apply_permutation
+from effpcm.pcm import CANONICAL_CYCLES, Permutation, apply_permutation, pcm_from_upper
 from oracles import embed_exact, points_outward
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -67,7 +74,7 @@ def test_each_exporter_builds_the_efficient_set_once(monkeypatch, running_exampl
 
 
 def test_both_formats_build_the_tetrahedra_once(monkeypatch, running_example):
-    calls = {"tree_weight_vector": 0, "classify": 0, "_coincidence_report": 0}
+    calls = {"tree_weight_vector": 0, "classify": 0, "_coincidence_report": 0, "embed": 0}
     for name in calls:
         original = getattr(effpcm.geometry, name)
 
@@ -78,7 +85,19 @@ def test_both_formats_build_the_tetrahedra_once(monkeypatch, running_example):
         monkeypatch.setattr(effpcm.geometry, name, counting)
     geometry_document(running_example)
     obj_mesh(running_example)
-    assert calls == {"tree_weight_vector": 12, "classify": 1, "_coincidence_report": 1}
+    assert calls == {"tree_weight_vector": 12, "classify": 1, "_coincidence_report": 1, "embed": 12}
+
+
+_ENTRIES = st.fractions(min_value=Fraction(1, 10**40), max_value=10**40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_ENTRIES, st.integers(1, 10**400)), min_size=6, max_size=6))
+def test_clip_polygons_are_the_embedded_plane_polygons(values):
+    pcm = pcm_from_upper(4, dict(zip(UPPER_PAIRS, values)))
+    planes = geometry_document(pcm)["planes"]
+    expected = [[list(embed(p)) for p in plane_clip_polygon(plane)] for plane in cutting_planes(pcm)]
+    assert [plane["clip_polygon"] for plane in planes] == expected
 
 
 def test_seven_signs_computed_once_per_matrix(monkeypatch, running_example):

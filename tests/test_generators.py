@@ -1,14 +1,19 @@
 """Seeded instance generators: determinism and class correctness."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from effpcm.generators import generate_pcm, random_exact_weights
+from effpcm.generators import generate_pcm, generate_with_rng, random_exact_weights
 from effpcm.generators import UPPER_PAIRS, OPPOSITE_PAIRS, TRIAD_SHARING_PAIRS
 from effpcm.geometry import PerturbTag, classify
-from effpcm.pcm import WeightVector
+from effpcm.pcm import Pcm, WeightVector, parse_pcm, product_signs
+
+DATA = Path(__file__).parent / "data"
 
 ALL_TAGS = [tag.value for tag in PerturbTag]
 
@@ -61,3 +66,52 @@ def test_entries_are_positive_rationals():
     for row in pcm.entries:
         for value in row:
             assert isinstance(value, Fraction) and value > 0
+
+
+def _trial_digest(seed, tag):
+    """The generated matrix and the stream's next draw after it, digested."""
+    rng = random.Random(seed)
+    pcm = generate_with_rng(rng, tag)
+    text = json.dumps([pcm.rows_as_strings(), repr(rng.random())])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_draw_stream_is_pinned(tag):
+    """Seeds 0..149 per class give the recorded matrix and leave the
+    generator where it was left when the digests were recorded, resampled
+    candidates included."""
+    recorded = json.loads((DATA / "draw_stream.json").read_text())[tag]
+    assert len(recorded) == 150
+    for seed, digest in enumerate(recorded):
+        assert _trial_digest(seed, tag) == digest, seed
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_generated_matrix_is_its_parsed_twin(tag):
+    """The kept signs are those of the entries: the re-parsed matrix, which
+    computes its own, has the same signs, equality and hash."""
+    for seed in range(40):
+        pcm = generate_pcm(seed, tag)
+        twin = parse_pcm(pcm.rows_as_strings())
+        assert pcm == twin and hash(pcm) == hash(twin)
+        assert product_signs(pcm) == product_signs(twin)
+        assert classify(twin).tag.value == tag
+
+
+def test_one_pcm_per_generated_matrix(monkeypatch):
+    """A rejected candidate builds no Pcm; the accepted one is validated once.
+    Seeds 0..59 include candidates that missed their class."""
+    built = []
+    original = Pcm.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Pcm, "__post_init__", counting)
+    for tag in ALL_TAGS:
+        for seed in range(60):
+            built.clear()
+            pcm = generate_pcm(seed, tag)
+            assert built == [pcm], (tag, seed)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from effpcm.errors import (
     ConsistentTriadPresentError,
+    ImpossibleCombinationError,
     NotACanonicalCycleError,
     NotNormalizedError,
     UnsupportedDimensionError,
@@ -23,12 +24,22 @@ from effpcm.pcm import (
     cycle_product,
     parse_pcm,
     pcm_from_upper,
+    product_signs,
     triad_product,
+    upper_signs,
     weight_vector,
 )
 from effpcm.efficiency import bcc_digraph, is_efficient
-from effpcm.generators import _candidate, generate_pcm, generate_with_rng, random_exact_weights
+from effpcm.generators import (
+    UPPER_PAIRS,
+    _candidate,
+    generate_pcm,
+    generate_with_rng,
+    random_exact_weights,
+)
 from effpcm.geometry import (
+    _ORIENTATIONS,
+    _oriented,
     Direction,
     PerturbTag,
     SIMPLEX_CORNERS,
@@ -37,6 +48,7 @@ from effpcm.geometry import (
     canonical_orientations,
     canonical_rearrangement,
     classify,
+    classify_signs,
     contains_cycle_region,
     cutting_planes,
     efficient_set,
@@ -121,6 +133,22 @@ class TestCycleOrientation:
             cycle_orientation(parse_pcm([["1", "2"], ["1/2", "1"]]), (1, 2, 3, 4))
         with pytest.raises(UnsupportedDimensionError):
             canonical_orientations(parse_pcm([["1", "2"], ["1/2", "1"]]))
+
+    def test_orientation_table_covers_every_sign_combination(self):
+        # with the other entries 1, a13 = 2^(s2 - s0 - s1), a14 = 4^-s0 and
+        # a24 = 2^-(s0 + s1 + s2) give the canonical cycles the signs (s0, s1, s2)
+        for signs in itertools.product((-1, 0, 1), repeat=3):
+            s0, s1, s2 = signs
+            pcm = pcm_from_upper(4, {
+                (1, 2): 1, (1, 3): Fraction(2) ** (s2 - s0 - s1), (1, 4): Fraction(4) ** -s0,
+                (2, 3): 1, (2, 4): Fraction(2) ** -(s0 + s1 + s2), (3, 4): 1,
+            })
+            assert product_signs(pcm)[1] == signs
+            orientations = canonical_orientations(pcm)
+            table = tuple(_ORIENTATIONS[c, s] for c, s in zip(CANONICAL_CYCLES, signs))
+            assert all(o is t for o, t in zip(orientations, table))
+            assert table == tuple(_oriented(c, s) for c, s in zip(CANONICAL_CYCLES, signs))
+            assert table == tuple(cycle_orientation(pcm, c) for c in CANONICAL_CYCLES)
 
     def test_canonical_orientations_match_the_any_listing_reference(self):
         rng = random.Random(31)
@@ -508,12 +536,34 @@ class TestClassify:
 
     def test_classification_totality_fuzz(self):
         # classify must never see an inadmissible count pair, even on raw
-        # generator candidates that miss their target class
+        # generator candidates that miss their target class; the generator's
+        # integer-sign class must be classify's on every candidate
         rng = random.Random(61)
         tags = [PerturbTag(t) for t in ALL_TAGS]
         for k in range(100_000):
-            pcm = _candidate(rng, tags[k % 6])
-            classify(pcm)
+            pairs = _candidate(rng, tags[k % 6])
+            pcm = pcm_from_upper(4, {pair: Fraction(n, d) for pair, (n, d) in zip(UPPER_PAIRS, pairs)})
+            assert classify(pcm) == classify_signs(*upper_signs(pairs))
+
+    def test_inadmissible_count_pairs_raise(self):
+        admissible = {
+            (0, 0): PerturbTag.TRIPLE,
+            (1, 0): PerturbTag.DOUBLE_TRIAD,
+            (0, 1): PerturbTag.DOUBLE_ONE_CYCLE,
+            (0, 2): PerturbTag.DOUBLE_TWO_CYCLES,
+            (2, 1): PerturbTag.SIMPLE,
+            (4, 3): PerturbTag.CONSISTENT,
+        }
+        for t, c in itertools.product(range(5), range(4)):
+            triad_signs = (0,) * t + (1,) * (4 - t)
+            cycle_signs = (-1,) * (3 - c) + (0,) * c
+            if (t, c) in admissible:
+                cls = classify_signs(triad_signs, cycle_signs)
+                assert cls.tag is admissible[t, c]
+                assert (cls.consistent_triad_count, cls.consistent_cycle_count) == (t, c)
+            else:
+                with pytest.raises(ImpossibleCombinationError):
+                    classify_signs(triad_signs, cycle_signs)
 
 
 def _cycle_edges(cycle):
