@@ -56,6 +56,10 @@ class TooShortError(InputError):
     code = "TooShort"
 
 
+class NotATriadError(InputError):
+    code = "NotATriad"
+
+
 class DimensionMismatchError(InputError):
     code = "DimensionMismatch"
 

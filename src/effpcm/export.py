@@ -17,7 +17,6 @@ from .geometry import (
     SIMPLEX_CORNERS,
     Direction,
     EfficientSet,
-    cutting_planes,
     efficient_set,
 )
 from .pcm import Pcm, WeightVector, format_rational, parse_pcm, parse_rational, weight_vector
@@ -125,16 +124,17 @@ def geometry_document(pcm: Pcm) -> dict:
             "rank": tet.degenerate_rank,
         })
     planes = []
-    for plane in cutting_planes(pcm):
-        # embed() of each plane_clip_polygon(plane) point, from the entry n/d:
-        # the split point's numerators over n + d are n at i and d at j
-        (i, j), n, d = plane.pair, plane.value.numerator, plane.value.denominator
+    for (i, j), value in pcm.upper_entries().items():
+        # The plane w_i = a_ij * w_j, a_ij = n/d, cuts the simplex in the triangle
+        # of the corners with w_i = w_j = 0 and the point with w_i = n/(n + d),
+        # w_j = d/(n + d); each is written as embed() of it
+        n, d = value.numerator, value.denominator
         x1, x2, x3 = (n if k == i else d if k == j else 0 for k in (1, 2, 3))
         split = [(x1 + x2) / (n + d), (x1 + x3) / (n + d), (x2 + x3) / (n + d)]
         corners = [list(SIMPLEX_CORNERS[k - 1]) for k in range(1, 5) if k not in (i, j)]
         planes.append({
             "pair": [i, j],
-            "value": format_rational(plane.value),
+            "value": format_rational(value),
             "clip_polygon": [split] + corners,
         })
     return {

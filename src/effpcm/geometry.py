@@ -26,7 +26,8 @@ twelve canonical path trees, built once at import.  A tetrahedron is solid
 (rank 3) unless its cycle is consistent, when it is a point.  Vertex k's
 path omits one cycle edge that the other three vertices keep, so one 2x2
 determinant per vertex gives its barycentric coordinate, and each face
-lies on the cutting plane of the edge omitted by the opposite vertex.
+lies on the cutting plane w_i/w_j = a_ij of the edge {i, j} omitted by the
+opposite vertex.
 Which vertices coincide and which edges and faces share a line or plane
 depends only on which triads and cycles are consistent: a table per pair
 of canonical cycles, built at import, lists those conditions.
@@ -55,7 +56,6 @@ from .pcm import (
     Permutation,
     Record,
     WeightVector,
-    _require_n4,
     apply_permutation,
     cycle_product,  # unused here, but bound: the tracing tests rebind it in every module
     product_signs,
@@ -180,12 +180,12 @@ class Tetrahedron(Record):
         return tuple(embed(v) for v in self.vertices)
 
 
-PATH_TREES = {c: tuple(path.tree() for path in paths_of_cycle(c)) for c in CANONICAL_CYCLES}
+PATH_TREES = {c: tuple(paths_of_cycle(c)) for c in CANONICAL_CYCLES}
 
 
 def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahedron:
     _, cycle_signs = product_signs(pcm)
-    if cycle not in PATH_TREES:
+    if cycle not in CANONICAL_CYCLES:  # compared by equality, so a list is refused too
         paths_of_cycle(cycle)  # raises NotACanonicalCycle
     sign = cycle_signs[CANONICAL_CYCLES.index(cycle)]
     vertices = tuple(tree_weight_vector(pcm, tree) for tree in PATH_TREES[cycle])
@@ -456,7 +456,7 @@ def efficient_set(pcm: Pcm) -> EfficientSet:
 
 
 # ---------------------------------------------------------------------------
-# 3-simplex embedding and cutting planes
+# 3-simplex embedding
 
 
 def embed(w: WeightVector | Sequence) -> tuple[float, float, float]:
@@ -486,35 +486,3 @@ SIMPLEX_CORNERS = (
     (0.0, 1.0, 1.0),
     (0.0, 0.0, 0.0),
 )
-
-
-class CuttingPlane(Record):
-    """The locus w_i/w_j = a_ij inside the weight simplex."""
-
-    pair: tuple[int, int]
-    value: Fraction
-
-
-def cutting_planes(pcm: Pcm) -> list[CuttingPlane]:
-    _require_n4(pcm)
-    return [
-        CuttingPlane((i, j), pcm.entries[i - 1][j - 1])
-        for i in range(1, 5)
-        for j in range(i + 1, 5)
-    ]
-
-
-def plane_clip_polygon(plane: CuttingPlane) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Vertices of the plane's intersection with the closed weight simplex.
-
-    The locus w_i = a * w_j meets the simplex in the triangle spanned by the
-    point splitting the (i, j) edge in ratio a : 1 and the two opposite
-    corners (where w_i = w_j = 0).
-    """
-    i, j = plane.pair
-    n, d = plane.value.numerator, plane.value.denominator
-    split = [Fraction(0)] * 4
-    split[i - 1] = Fraction(n, n + d)
-    split[j - 1] = Fraction(d, n + d)
-    corners = [k for k in range(1, 5) if k not in (i, j)]
-    return [tuple(split)] + [tuple(Fraction(int(m == k)) for m in range(1, 5)) for k in corners]

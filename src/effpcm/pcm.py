@@ -35,6 +35,7 @@ from .errors import (
     NonPositiveEntryError,
     NonPositiveWeightError,
     NonSquareError,
+    NotATriadError,
     NotConsistentError,
     ReciprocityViolationError,
     RepeatedIndexError,
@@ -268,6 +269,8 @@ class WeightVector(Record):
 def weight_vector(values: Iterable) -> WeightVector:
     """Build a WeightVector; ints/Fractions give the exact variant, floats the float one."""
     values = list(values)
+    if any(isinstance(v, bool) for v in values):
+        raise BadNumeralError(f"BadNumeral: {values!r} has a bool, which is not a weight")
     if any(isinstance(v, float) for v in values):
         return WeightVector(tuple(float(v) for v in values))
     return WeightVector(tuple(Fraction(v) for v in values))
@@ -305,7 +308,8 @@ class Permutation(Record):
     def __post_init__(self):
         mapping = self.__dict__["mapping"] = tuple(self.mapping)
         n = len(mapping)
-        if sorted(mapping) != list(range(1, n + 1)):
+        if (any(not isinstance(v, int) or isinstance(v, bool) for v in mapping)
+                or sorted(mapping) != list(range(1, n + 1))):
             raise IndexOutOfRangeError(f"IndexOutOfRange: {mapping} is not a bijection on 1..{n}")
 
     @property
@@ -341,6 +345,8 @@ def _check_distinct(indices: Sequence[int]) -> None:
 
 def triad_product(pcm: Pcm, triad: Sequence[int]) -> Fraction:
     """a_ij * a_jk * a_ki for the ordered triple (i, j, k); equals 1 iff consistent."""
+    if len(triad) != 3:
+        raise NotATriadError(f"NotATriad: a triad lists 3 vertices, got {len(triad)}")
     i, j, k = triad
     for idx in (i, j, k):
         _check_index(pcm.n, idx)

@@ -4,7 +4,7 @@ A spanning tree of known comparisons is the smallest structure that pins
 down a weight vector: fixing one weight and propagating the exact ratios
 along tree edges yields the unique vector reproducing every tree entry
 perfectly.  Path-shaped trees are singled out because deleting one edge of
-a 4-cycle leaves a path, and those four paths supply the tetrahedron
+a 4-cycle leaves a path, and those four path trees supply the tetrahedron
 vertices of the efficient-set geometry.  Propagation follows the walk a
 tree keeps from vertex n, on integer numerator and denominator chains.
 """
@@ -26,6 +26,8 @@ class SpanningTree(Record):
     edges: frozenset[tuple[int, int]]  # unordered pairs stored with i < j
 
     def __post_init__(self):
+        # a frozenset, so a record built from a list hashes and cannot be mutated
+        self.__dict__["edges"] = frozenset(self.edges)
         # n - 1 edges that connect all n vertices form a tree; its walk is kept
         if (
             len(self.edges) != self.n - 1
@@ -47,51 +49,27 @@ def _undirected(n: int, edges: frozenset[tuple[int, int]]) -> dict[int, list[int
     return adjacency
 
 
-class LabeledPath(Record):
-    """A Hamiltonian path given as a vertex ordering; induces a path tree."""
+def paths_of_cycle(cycle: tuple[int, int, int, int]) -> list[SpanningTree]:
+    """The four path trees of a canonical 4-cycle, each missing one cycle edge.
 
-    sequence: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.sequence)
-        if sorted(self.sequence) != list(range(1, n + 1)):
-            raise ValueError(f"{self.sequence} is not an ordering of 1..{n}")
-
-    @property
-    def n(self) -> int:
-        return len(self.sequence)
-
-    def tree(self) -> SpanningTree:
-        edges = frozenset(
-            (min(a, b), max(a, b)) for a, b in zip(self.sequence, self.sequence[1:])
-        )
-        return SpanningTree(self.n, edges)
-
-
-def paths_of_cycle(cycle: tuple[int, int, int, int]) -> list[LabeledPath]:
-    """The four paths obtained from a canonical 4-cycle by deleting one edge each.
-
-    The k-th path starts at the cycle's k-th vertex and walks the full cycle
-    order, so it omits exactly the edge closing back to its start.
+    The k-th tree omits the edge {cycle[k-1], cycle[k]}: it is the path that
+    starts at the cycle's k-th vertex and walks the full cycle order.
     """
     if cycle not in CANONICAL_CYCLES:
         raise NotACanonicalCycleError(
             f"NotACanonicalCycle: {cycle} is not one of {CANONICAL_CYCLES}"
         )
-    return [
-        LabeledPath(tuple(cycle[(k + m) % 4] for m in range(4)))
-        for k in range(4)
-    ]
+    # edges[k - 1] joins cycle[k - 1] and cycle[k]
+    edges = [(min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    return [SpanningTree(4, frozenset(edges) - {edges[k - 1]}) for k in range(4)]
 
 
-def tree_weight_vector(pcm: Pcm, tree: SpanningTree | LabeledPath) -> WeightVector:
+def tree_weight_vector(pcm: Pcm, tree: SpanningTree) -> WeightVector:
     """The unique normalized exact vector with w_i/w_j = a_ij on every tree edge.
 
     The propagation follows the tree's walk from its highest-index vertex,
     valued 1; the root choice does not affect the normalized result.
     """
-    if isinstance(tree, LabeledPath):
-        tree = tree.tree()
     if tree.n != pcm.n:
         raise DimensionMismatchError(
             f"DimensionMismatch: tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix"

@@ -4,12 +4,15 @@ None of this is needed to decide efficiency or build the efficient set; the
 tests use it as independent reference implementations: exhaustive
 Hamiltonian-cycle search (Camion), strong connectivity by transitive
 closure, Pareto dominance and a randomized dominator search, spanning-tree
-and path enumeration, the orientation of any cycle listing by its Fraction
-product (the library orients the canonical cycles from their signs), tree
+and path enumeration (with the path tree of a vertex ordering), the
+orientation of any cycle listing by its Fraction product (the library
+orients the canonical cycles from their signs), tree
 restrictions to incomplete matrices, tree vectors by Fraction products
 (the library uses integer chains), numerals converted by ``Fraction(str)``
 (the library converts its regex groups), the geometry document's
-exact-vertex reader, the 24-matrix rearrangement
+exact-vertex reader and the exact cutting-plane polygons that its clip
+polygons embed (the library writes them from each entry's numerator and
+denominator), the 24-matrix rearrangement
 searches that the library's rearrangements must reproduce, the
 coincidence report by fraction row reduction and the mesh faces' outward
 orientation by cross and dot products, both of which the library derives
@@ -60,7 +63,7 @@ from effpcm.pcm import (
     product_signs,
     triad_product,
 )
-from effpcm.trees import LabeledPath, SpanningTree, _undirected
+from effpcm.trees import SpanningTree, _undirected
 
 MAX_ENUMERATION_N = 6
 
@@ -296,14 +299,18 @@ def enumerate_spanning_trees(n: int) -> list[SpanningTree]:
     return trees
 
 
-def enumerate_labeled_paths(n: int) -> list[LabeledPath]:
-    """One representative per undirected Hamiltonian path (first < last endpoint)."""
+def path_tree(sequence) -> SpanningTree:
+    """The spanning tree of the Hamiltonian path visiting ``sequence`` in order."""
+    edges = frozenset((min(a, b), max(a, b)) for a, b in zip(sequence, sequence[1:]))
+    return SpanningTree(len(sequence), edges)
+
+
+def enumerate_labeled_paths(n: int) -> list[SpanningTree]:
+    """The path tree of each undirected Hamiltonian path, listed from its
+    smaller endpoint, in lexicographic order of those listings."""
     _check_enumeration_size(n)
-    paths = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        if perm[0] < perm[-1]:
-            paths.append(LabeledPath(perm))
-    return paths
+    return [path_tree(perm) for perm in itertools.permutations(range(1, n + 1))
+            if perm[0] < perm[-1]]
 
 
 @dataclass(frozen=True)
@@ -362,12 +369,10 @@ def restrict(pcm: Pcm, tree: SpanningTree) -> IncompletePcm:
     return IncompletePcm(tuple(tuple(row) for row in grid))
 
 
-def tree_weight_vector_by_fractions(pcm: Pcm, tree: SpanningTree | LabeledPath) -> WeightVector:
+def tree_weight_vector_by_fractions(pcm: Pcm, tree: SpanningTree) -> WeightVector:
     """The tree vector by Fraction products along the walk from root n and a
     Fraction normalization; the library carries integer numerator and
     denominator chains instead."""
-    if isinstance(tree, LabeledPath):
-        tree = tree.tree()
     if tree.n != pcm.n:
         raise DimensionMismatchError(
             f"DimensionMismatch: tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix"
@@ -419,6 +424,22 @@ def parse_exact_vertices(doc: dict) -> list[list[tuple[Fraction, ...]]]:
             for vertex in tet["vertices_exact"]
         ])
     return out
+
+
+def plane_clip_polygon(pair: tuple[int, int], value: Fraction) -> list[tuple[Fraction, ...]]:
+    """Vertices of the cutting plane w_i = value * w_j inside the closed weight simplex.
+
+    The plane meets the simplex in the triangle spanned by the point splitting
+    the (i, j) edge in ratio value : 1 and the two opposite corners (where
+    w_i = w_j = 0).
+    """
+    i, j = pair
+    n, d = value.numerator, value.denominator
+    split = [Fraction(0)] * 4
+    split[i - 1] = Fraction(n, n + d)
+    split[j - 1] = Fraction(d, n + d)
+    corners = [k for k in range(1, 5) if k not in (i, j)]
+    return [tuple(split)] + [tuple(Fraction(int(m == k)) for m in range(1, 5)) for k in corners]
 
 
 # ---------------------------------------------------------------------------

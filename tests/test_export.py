@@ -24,14 +24,12 @@ from effpcm.geometry import (
     canonical_orientations,
     canonical_rearrangement,
     classify,
-    cutting_planes,
     efficient_set,
     embed,
-    plane_clip_polygon,
     tetrahedron_for_cycle,
 )
 from effpcm.pcm import CANONICAL_CYCLES, Permutation, apply_permutation, pcm_from_upper
-from oracles import embed_exact, points_outward
+from oracles import embed_exact, plane_clip_polygon, points_outward
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -96,7 +94,8 @@ _ENTRIES = st.fractions(min_value=Fraction(1, 10**40), max_value=10**40)
 def test_clip_polygons_are_the_embedded_plane_polygons(values):
     pcm = pcm_from_upper(4, dict(zip(UPPER_PAIRS, values)))
     planes = geometry_document(pcm)["planes"]
-    expected = [[list(embed(p)) for p in plane_clip_polygon(plane)] for plane in cutting_planes(pcm)]
+    expected = [[list(embed(p)) for p in plane_clip_polygon(pair, Fraction(value))]
+                for pair, value in zip(UPPER_PAIRS, values)]
     assert [plane["clip_polygon"] for plane in planes] == expected
 
 

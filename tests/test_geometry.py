@@ -22,6 +22,7 @@ from effpcm.pcm import (
     apply_permutation,
     consistent_weights,
     cycle_product,
+    format_rational,
     parse_pcm,
     pcm_from_upper,
     product_signs,
@@ -30,6 +31,7 @@ from effpcm.pcm import (
     weight_vector,
 )
 from effpcm.efficiency import bcc_digraph, is_efficient
+from effpcm.export import geometry_document
 from effpcm.generators import (
     UPPER_PAIRS,
     _candidate,
@@ -50,11 +52,9 @@ from effpcm.geometry import (
     classify,
     classify_signs,
     contains_cycle_region,
-    cutting_planes,
     efficient_set,
     embed,
     is_efficient_geometric,
-    plane_clip_polygon,
     tetrahedron_for_cycle,
     triad_rearrangement,
 )
@@ -68,6 +68,7 @@ from oracles import (
     embed_exact,
     entry,
     permute_weights,
+    plane_clip_polygon,
     triad_rearrangement_search,
     vertex_points,
 )
@@ -321,11 +322,11 @@ class TestTetrahedra:
         from effpcm.trees import tree_weight_vector
         for cycle in CANONICAL_CYCLES:
             tet = tetrahedron_for_cycle(running_example, cycle)
-            for vertex, path in zip(tet.vertices, paths_of_cycle(cycle)):
-                assert vertex == tree_weight_vector(running_example, path)
+            for vertex, tree in zip(tet.vertices, paths_of_cycle(cycle)):
+                assert vertex == tree_weight_vector(running_example, tree)
 
     def test_rejects_non_canonical_cycle(self, running_example):
-        for listing in ((1, 2, 4, 3), (2, 3, 4, 1), (1, 4, 3, 2)):
+        for listing in ((1, 2, 4, 3), (2, 3, 4, 1), (1, 4, 3, 2), [1, 2, 3, 4]):
             with pytest.raises(NotACanonicalCycleError):
                 tetrahedron_for_cycle(running_example, listing)
 
@@ -577,8 +578,8 @@ def _predicted_structural_pairs(cycle_a, cycle_b):
     coplanar, from the trees' shared entries with the other cycle."""
     edges_a, edges_b = _cycle_edges(cycle_a), _cycle_edges(cycle_b)
     common = edges_a & edges_b
-    trees_a = [p.tree().edges for p in paths_of_cycle(cycle_a)]
-    trees_b = [p.tree().edges for p in paths_of_cycle(cycle_b)]
+    trees_a = [t.edges for t in paths_of_cycle(cycle_a)]
+    trees_b = [t.edges for t in paths_of_cycle(cycle_b)]
     edge_a = tuple(i + 1 for i, t in enumerate(trees_a) if common <= t)
     edge_b = tuple(i + 1 for i, t in enumerate(trees_b) if common <= t)
     faces = []
@@ -838,15 +839,14 @@ class TestEmbedding:
 
 class TestCuttingPlanes:
     def test_running_plane_values(self, running_example):
-        planes = cutting_planes(running_example)
-        assert len(planes) == 6
-        assert planes[0].pair == (1, 2) and planes[0].value == 1
+        planes = geometry_document(running_example)["planes"]
+        assert [plane["pair"] for plane in planes] == [list(p) for p in UPPER_PAIRS]
+        assert [plane["value"] for plane in planes] == [
+            format_rational(v) for v in running_example.upper_entries().values()]
+        assert planes[0]["pair"] == [1, 2] and planes[0]["value"] == "1"
 
     def test_split_point_ratio(self):
-        from effpcm.pcm import pcm_from_upper
-        pcm = pcm_from_upper(4, {(1, 2): 2, (1, 3): 1, (1, 4): 1, (2, 3): 1, (2, 4): 1, (3, 4): 1})
-        plane = cutting_planes(pcm)[0]
-        polygon = plane_clip_polygon(plane)
+        polygon = plane_clip_polygon((1, 2), Fraction(2))
         assert polygon[0] == (Fraction(2, 3), Fraction(1, 3), 0, 0)
         assert embed(polygon[0]) == (1.0, pytest.approx(2 / 3), pytest.approx(1 / 3))
         # the other two vertices are the opposite simplex corners
@@ -855,9 +855,8 @@ class TestCuttingPlanes:
 
     def test_all_ones_planes_hit_edge_midpoints(self):
         pcm = parse_pcm([["1"] * 4] * 4)
-        for plane in cutting_planes(pcm):
-            split = plane_clip_polygon(plane)[0]
-            i, j = plane.pair
+        for (i, j), value in pcm.upper_entries().items():
+            split = plane_clip_polygon((i, j), value)[0]
             assert split[i - 1] == Fraction(1, 2) and split[j - 1] == Fraction(1, 2)
 
 

@@ -17,6 +17,7 @@ from effpcm.errors import (
     NonPositiveEntryError,
     NonPositiveWeightError,
     NonSquareError,
+    NotATriadError,
     NotConsistentError,
     ReciprocityViolationError,
     RepeatedIndexError,
@@ -230,6 +231,9 @@ class TestTriadAndCycleProducts:
             cycle_product(running_example, (1, 2))
         with pytest.raises(RepeatedIndexError):
             cycle_product(running_example, (1, 2, 3, 2))
+        for listing in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(NotATriadError, match=rf"^NotATriad: .* got {len(listing)}$"):
+                triad_product(running_example, listing)
 
     @given(random_pcm4)
     def test_cycle_reversal_inverts_product(self, pcm):
@@ -432,6 +436,11 @@ class TestWeightVector:
     def test_positivity(self):
         with pytest.raises(NonPositiveWeightError):
             weight_vector([1, 0, 2])
+
+    @pytest.mark.parametrize("values", [[True, 2], [1, False, 2]])
+    def test_bool_is_not_a_weight(self, values):
+        with pytest.raises(BadNumeralError):
+            weight_vector(values)
 
     @pytest.mark.parametrize("bad,error,message", [
         (Fraction(0), NonPositiveWeightError, "NonPositiveWeight: component Fraction(0, 1)"),

@@ -26,7 +26,6 @@ from effpcm.errors import (
 )
 from effpcm.geometry import (
     CoincidenceReport,
-    CuttingPlane,
     CycleOrientation,
     EfficientSet,
     PerturbClass,
@@ -34,14 +33,14 @@ from effpcm.geometry import (
     Tetrahedron,
     classify,
     canonical_orientations,
-    cutting_planes,
     efficient_set,
     tetrahedron_for_cycle,
 )
 from effpcm.pcm import Pcm, Permutation, Record, WeightVector, parse_pcm, pcm_from_upper, weight_vector
 from effpcm.sampling import EquivalenceReport
-from effpcm.trees import LabeledPath, SpanningTree
+from effpcm.trees import SpanningTree
 from conftest import RUNNING_ROWS, RUNNING_UPPER
+from oracles import path_tree
 
 RUNNING = parse_pcm(RUNNING_ROWS)
 # two consistent triads and one consistent 4-cycle: a nonempty coincidence report
@@ -55,9 +54,7 @@ SAMPLES = {
     Permutation: (("mapping",), Permutation((2, 1, 3, 4)), Permutation((1, 2, 3, 4))),
     BccDigraph: (("n", "arcs", "equality_pairs"), bcc_digraph(RUNNING, W),
                  bcc_digraph(RUNNING, weight_vector([4, 3, 2, 1]))),
-    SpanningTree: (("n", "edges"), LabeledPath((1, 2, 3, 4)).tree(),
-                   LabeledPath((1, 3, 2, 4)).tree()),
-    LabeledPath: (("sequence",), LabeledPath((1, 2, 3, 4)), LabeledPath((4, 3, 2, 1))),
+    SpanningTree: (("n", "edges"), path_tree((1, 2, 3, 4)), path_tree((1, 3, 2, 4))),
     CycleOrientation: (("cycle", "direction", "directed"),
                        canonical_orientations(RUNNING)[0],
                        canonical_orientations(RUNNING)[2]),
@@ -71,7 +68,6 @@ SAMPLES = {
                         efficient_set(SIMPLE).coincidences, efficient_set(RUNNING).coincidences),
     EfficientSet: (("tetrahedra", "classification", "coincidences"),
                    efficient_set(RUNNING), efficient_set(SIMPLE)),
-    CuttingPlane: (("pair", "value"), cutting_planes(RUNNING)[0], cutting_planes(RUNNING)[1]),
     EquivalenceReport: (("trials", "agreements", "disagreements", "seed", "class_tag", "elapsed"),
                         EquivalenceReport(3, 3, (), 7, "triple", 0.5),
                         EquivalenceReport(3, 3, (), 8, "triple", 0.5)),
@@ -119,7 +115,7 @@ def sample(request):
 
 
 def test_every_record_is_covered():
-    assert len(SAMPLES) == 13
+    assert len(SAMPLES) == 11
     package = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("effpcm.")}
     assert set(SAMPLES) == package
 
@@ -186,15 +182,16 @@ class TestRecords:
     (lambda: WeightVector(()), NonPositiveWeightError),
     (lambda: WeightVector((Fraction(1), 0.5)), NonPositiveWeightError),
     (lambda: Permutation((1, 1, 3)), IndexOutOfRangeError),
+    (lambda: Permutation((1.0, 2.0, 3.0, 4.0)), IndexOutOfRangeError),
+    (lambda: Permutation((True, 2)), IndexOutOfRangeError),
     (lambda: SpanningTree(3, frozenset({(1, 2)})), ValueError),
     (lambda: SpanningTree(3, frozenset({(1, 2), (2, 1)})), ValueError),
-    (lambda: LabeledPath((1, 3)), ValueError),
     (lambda: PerturbClass(PerturbTag.TRIPLE, 1, 0), ImpossibleCombinationError),
     (lambda: PerturbClass(None, 3, 3), ImpossibleCombinationError),
     (lambda: PerturbClass(None, 1, 1), ImpossibleCombinationError),
 ], ids=["pcm-empty", "pcm-ragged", "pcm-negative", "pcm-reciprocity", "weights-empty",
-        "weights-mixed", "permutation", "tree-short", "tree-cycle", "path", "class",
-        "class-untagged-3-3", "class-untagged-1-1"])
+        "weights-mixed", "permutation", "permutation-float", "permutation-bool", "tree-short",
+        "tree-cycle", "class", "class-untagged-3-3", "class-untagged-1-1"])
 def test_validation_still_raises(build, error):
     with pytest.raises(error):
         build()
@@ -228,12 +225,15 @@ def test_records_built_from_lists_equal_their_tuple_twins_and_stay_unchanged():
     rows = [list(row) for row in RUNNING.entries]
     components = list(W.components)
     mapping = [2, 1, 3, 4]
+    edges = [(1, 2), (2, 3), (3, 4)]
     twins = [(Pcm(rows), RUNNING), (WeightVector(components), W),
-             (Permutation(mapping), Permutation((2, 1, 3, 4)))]
+             (Permutation(mapping), Permutation((2, 1, 3, 4))),
+             (SpanningTree(4, edges), path_tree((1, 2, 3, 4)))]
     rows[0][1] = Fraction(-5)
     rows.pop()
     components[0] = Fraction(9)
     mapping[0] = 7
+    edges[0] = (1, 3)
     for built, twin in twins:
         assert built == twin
         assert hash(built) == hash(twin)

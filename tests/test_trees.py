@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from effpcm.errors import NotACanonicalCycleError
-from effpcm.pcm import consistent_weights, pcm_from_upper
+from effpcm.pcm import CANONICAL_CYCLES, consistent_weights, pcm_from_upper
 from effpcm.efficiency import is_efficient
 from effpcm.generators import generate_with_rng
 from effpcm.geometry import embed, is_efficient_geometric
-from effpcm.trees import LabeledPath, SpanningTree, paths_of_cycle, tree_weight_vector
+from effpcm.trees import SpanningTree, paths_of_cycle, tree_weight_vector
 from oracles import (
     DimensionTooLargeError,
     entry,
     enumerate_labeled_paths,
     enumerate_spanning_trees,
+    path_tree,
     ratio,
     restrict,
     tree_degrees,
@@ -38,7 +39,7 @@ def _matrix_and_tree(draw):
     upper = {(i, j): draw(_ENTRIES) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     order = draw(st.permutations(range(1, n + 1)))
     if draw(st.booleans()):
-        tree = LabeledPath(tuple(order))
+        tree = path_tree(order)
     else:  # each later vertex hangs off an earlier one
         edges = {tuple(sorted((order[k], order[draw(st.integers(0, k - 1))]))) for k in range(1, n)}
         tree = SpanningTree(n, frozenset(edges))
@@ -64,18 +65,17 @@ class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(3, 3), (4, 12)])
     def test_path_counts(self, n, count):
         paths = enumerate_labeled_paths(n)
-        assert len(paths) == count
+        assert len(set(paths)) == len(paths) == count
         for path in paths:
-            assert path.sequence[0] < path.sequence[-1]
-            assert max(tree_degrees(path.tree()).values()) <= 2
+            assert sorted(tree_degrees(path).values()) == [1, 1] + [2] * (n - 2)
 
     def test_paths_group_by_closing_cycle(self):
         # adding the endpoint edge to each path closes one of the three
         # undirected 4-cycles; each cycle collects exactly four paths
         groups = {}
         for path in enumerate_labeled_paths(4):
-            first, last = path.sequence[0], path.sequence[-1]
-            closing = frozenset(path.tree().edges | {(min(first, last), max(first, last))})
+            ends = tuple(v for v, degree in tree_degrees(path).items() if degree == 1)
+            closing = frozenset(path.edges | {ends})
             groups.setdefault(closing, []).append(path)
         assert len(groups) == 3
         assert all(len(g) == 4 for g in groups.values())
@@ -101,7 +101,7 @@ class TestEnumeration:
 
     def test_stored_walk_leaves_the_record_as_it_was(self):
         edges = frozenset({(1, 2), (2, 3), (3, 4)})
-        tree, twin = SpanningTree(4, edges), LabeledPath((4, 3, 2, 1)).tree()
+        tree, twin = SpanningTree(4, edges), path_tree((4, 3, 2, 1))
         assert tree._order == ((4, 3), (3, 2), (2, 1))
         assert tree == twin and twin == tree
         assert hash(tree) == hash(twin)
@@ -110,22 +110,18 @@ class TestEnumeration:
 
 class TestPathsOfCycle:
     def test_rotations(self):
-        assert [p.sequence for p in paths_of_cycle((1, 2, 3, 4))] == [
-            (1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3)]
-        assert [p.sequence for p in paths_of_cycle((1, 4, 2, 3))] == [
-            (1, 4, 2, 3), (4, 2, 3, 1), (2, 3, 1, 4), (3, 1, 4, 2)]
-        assert [p.sequence for p in paths_of_cycle((1, 3, 4, 2))] == [
-            (1, 3, 4, 2), (3, 4, 2, 1), (4, 2, 1, 3), (2, 1, 3, 4)]
+        assert paths_of_cycle((1, 2, 3, 4)) == [path_tree(s) for s in (
+            (1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3))]
+        assert paths_of_cycle((1, 4, 2, 3)) == [path_tree(s) for s in (
+            (1, 4, 2, 3), (4, 2, 3, 1), (2, 3, 1, 4), (3, 1, 4, 2))]
+        assert paths_of_cycle((1, 3, 4, 2)) == [path_tree(s) for s in (
+            (1, 3, 4, 2), (3, 4, 2, 1), (4, 2, 1, 3), (2, 1, 3, 4))]
 
-    def test_each_path_omits_one_cycle_edge(self):
-        cycle = (1, 2, 3, 4)
-        cycle_edges = {(1, 2), (2, 3), (3, 4), (1, 4)}
-        omitted = []
-        for path in paths_of_cycle(cycle):
-            missing = cycle_edges - path.tree().edges
-            assert len(missing) == 1
-            omitted.append(next(iter(missing)))
-        assert set(omitted) == cycle_edges
+    @pytest.mark.parametrize("cycle", CANONICAL_CYCLES)
+    def test_kth_tree_omits_the_edge_into_the_kth_vertex(self, cycle):
+        cycle_edges = {tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
+        for k, tree in enumerate(paths_of_cycle(cycle)):
+            assert cycle_edges - tree.edges == {tuple(sorted((cycle[k - 1], cycle[k])))}
 
     def test_rejects_non_canonical(self):
         with pytest.raises(NotACanonicalCycleError):
@@ -134,7 +130,7 @@ class TestPathsOfCycle:
 
 class TestRestrict:
     def test_path_restriction(self, running_example):
-        sub = restrict(running_example, LabeledPath((1, 2, 3, 4)).tree())
+        sub = restrict(running_example, path_tree((1, 2, 3, 4)))
         assert sub.entry(1, 2) == 1
         assert sub.entry(2, 3) == 2
         assert sub.entry(3, 4) == Fraction(1, 3)
@@ -165,7 +161,7 @@ class TestTreeWeights:
             (1, 4, 2, 3): (0.75, 0.55, 0.6),
         }
         for sequence, expected in cases.items():
-            w = tree_weight_vector(running_example, LabeledPath(sequence))
+            w = tree_weight_vector(running_example, path_tree(sequence))
             assert w.components == expected
             point = embed(w)
             for got, want in zip(point, embeds[sequence]):
@@ -215,12 +211,4 @@ class TestTreeWeights:
     @given(_matrix_and_tree())
     def test_integer_chains_match_fraction_products(self, matrix_and_tree):
         pcm, tree = matrix_and_tree
-        expected = tree_weight_vector_by_fractions(pcm, tree)
-        assert tree_weight_vector(pcm, tree) == expected
-        if isinstance(tree, LabeledPath):
-            assert tree_weight_vector(pcm, tree.tree()) == expected
-
-    def test_accepts_path_or_tree(self, running_example):
-        path = LabeledPath((1, 2, 3, 4))
-        assert tree_weight_vector(running_example, path) \
-            == tree_weight_vector(running_example, path.tree())
+        assert tree_weight_vector(pcm, tree) == tree_weight_vector_by_fractions(pcm, tree)
