@@ -326,9 +326,17 @@ class TestTetrahedra:
                 assert vertex == tree_weight_vector(running_example, tree)
 
     def test_rejects_non_canonical_cycle(self, running_example):
-        for listing in ((1, 2, 4, 3), (2, 3, 4, 1), (1, 4, 3, 2), [1, 2, 3, 4]):
+        for listing in ((1, 2, 4, 3), (2, 3, 4, 1), (1, 4, 3, 2)):
             with pytest.raises(NotACanonicalCycleError):
                 tetrahedron_for_cycle(running_example, listing)
+
+    @pytest.mark.parametrize("cycle", CANONICAL_CYCLES)
+    def test_a_canonical_cycle_given_as_a_list_is_refused(self, running_example, cycle):
+        # the trees' lookup and the tetrahedron's agree: a cycle is a tuple
+        with pytest.raises(NotACanonicalCycleError):
+            paths_of_cycle(list(cycle))
+        with pytest.raises(NotACanonicalCycleError):
+            tetrahedron_for_cycle(running_example, list(cycle))
 
     def test_point_tetrahedron_of_consistent_cycle(self, double_one_cycle_example):
         tet = tetrahedron_for_cycle(double_one_cycle_example, (1, 4, 2, 3))

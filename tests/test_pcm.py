@@ -231,9 +231,11 @@ class TestTriadAndCycleProducts:
             cycle_product(running_example, (1, 2))
         with pytest.raises(RepeatedIndexError):
             cycle_product(running_example, (1, 2, 3, 2))
-        for listing in ((1, 2), (1, 2, 3, 4)):
-            with pytest.raises(NotATriadError, match=rf"^NotATriad: .* got {len(listing)}$"):
-                triad_product(running_example, listing)
+
+    @pytest.mark.parametrize("listing", [(), (1,), (1, 2), (1, 2, 3, 4)])
+    def test_a_triad_lists_three_vertices(self, running_example, listing):
+        with pytest.raises(NotATriadError, match=rf"^NotATriad: .* got {len(listing)}$"):
+            triad_product(running_example, listing)
 
     @given(random_pcm4)
     def test_cycle_reversal_inverts_product(self, pcm):
@@ -437,7 +439,7 @@ class TestWeightVector:
         with pytest.raises(NonPositiveWeightError):
             weight_vector([1, 0, 2])
 
-    @pytest.mark.parametrize("values", [[True, 2], [1, False, 2]])
+    @pytest.mark.parametrize("values", [[True, 2], [1, False, 2], [True], [2.5, True]])
     def test_bool_is_not_a_weight(self, values):
         with pytest.raises(BadNumeralError):
             weight_vector(values)

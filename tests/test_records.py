@@ -184,13 +184,15 @@ class TestRecords:
     (lambda: Permutation((1, 1, 3)), IndexOutOfRangeError),
     (lambda: Permutation((1.0, 2.0, 3.0, 4.0)), IndexOutOfRangeError),
     (lambda: Permutation((True, 2)), IndexOutOfRangeError),
+    (lambda: Permutation((Fraction(2), Fraction(1))), IndexOutOfRangeError),
     (lambda: SpanningTree(3, frozenset({(1, 2)})), ValueError),
     (lambda: SpanningTree(3, frozenset({(1, 2), (2, 1)})), ValueError),
     (lambda: PerturbClass(PerturbTag.TRIPLE, 1, 0), ImpossibleCombinationError),
     (lambda: PerturbClass(None, 3, 3), ImpossibleCombinationError),
     (lambda: PerturbClass(None, 1, 1), ImpossibleCombinationError),
 ], ids=["pcm-empty", "pcm-ragged", "pcm-negative", "pcm-reciprocity", "weights-empty",
-        "weights-mixed", "permutation", "permutation-float", "permutation-bool", "tree-short",
+        "weights-mixed", "permutation", "permutation-float", "permutation-bool",
+        "permutation-fraction", "tree-short",
         "tree-cycle", "class", "class-untagged-3-3", "class-untagged-1-1"])
 def test_validation_still_raises(build, error):
     with pytest.raises(error):

@@ -117,6 +117,16 @@ class TestPathsOfCycle:
         assert paths_of_cycle((1, 3, 4, 2)) == [path_tree(s) for s in (
             (1, 3, 4, 2), (3, 4, 2, 1), (4, 2, 1, 3), (2, 1, 3, 4))]
 
+    def test_each_path_omits_one_cycle_edge(self):
+        cycle = (1, 2, 3, 4)
+        cycle_edges = {(1, 2), (2, 3), (3, 4), (1, 4)}
+        omitted = []
+        for tree in paths_of_cycle(cycle):
+            missing = cycle_edges - tree.edges
+            assert len(missing) == 1
+            omitted.append(next(iter(missing)))
+        assert set(omitted) == cycle_edges
+
     @pytest.mark.parametrize("cycle", CANONICAL_CYCLES)
     def test_kth_tree_omits_the_edge_into_the_kth_vertex(self, cycle):
         cycle_edges = {tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
