@@ -18,11 +18,12 @@ report once and keeps them on the matrix too.  A relabelling maps each
 canonical cycle or triad onto a canonical one, forward or reversed, so the
 rearrangements scan a 24-entry table of those images built at import.
 
-Everything here is exact rational arithmetic; floats appear only in the
-3-space embedding (w1+w2, w1+w3, w2+w3) used for visualization exports,
-each rounded once from integer numerators over one denominator.  The
-tetrahedra read the same signs; their vertices are the tree vectors of the
-twelve canonical path trees, built once at import.  A tetrahedron is solid
+Everything here is exact rational arithmetic; floats appear only in
+``embed``, the one 3-space embedding (w1+w2, w1+w3, w2+w3) used for
+visualization exports, each coordinate rounded once from integers over one
+total.  The tetrahedra read the same signs; their vertices are the tree
+vectors of the twelve canonical path trees, built once at import, and each
+keeps the integer form ``embed`` reads.  A tetrahedron is solid
 (rank 3) unless its cycle is consistent, when it is a point.  Vertex k's
 path omits one cycle edge that the other three vertices keep, so one 2x2
 determinant per vertex gives its barycentric coordinate, and each face
@@ -462,17 +463,20 @@ def efficient_set(pcm: Pcm) -> EfficientSet:
 def embed(w: WeightVector | Sequence) -> tuple[float, float, float]:
     """(w1+w2, w1+w3, w2+w3): a normalized vector drawn in 3-space.
 
-    Rationals are rounded to the nearest double once, after the sums.
+    Exact input is integers x1..x4 over their total T (a tree vector's kept form, or over
+    the lcm of the denominators); each int / int (xa + xb) / T rounds correctly, once.
     """
     components = w.components if isinstance(w, WeightVector) else tuple(w)
+    form = w.__dict__.get("_integer_form") if isinstance(w, WeightVector) else None
     if len(components) != 4:
         raise DimensionMismatchError("DimensionMismatch: embedding needs 4 components")
-    if all(isinstance(c, (Fraction, int)) for c in components):
-        # over one denominator; int / int rounds correctly, as float(Fraction) does
+    if form is None and all(isinstance(c, (Fraction, int)) for c in components):
         d = math.lcm(*(c.denominator for c in components))
-        n1, n2, n3, n4 = (c.numerator * (d // c.denominator) for c in components)
-        if n1 + n2 + n3 + n4 != d:
+        form = [c.numerator * (d // c.denominator) for c in components], d
+        if sum(form[0]) != d:
             raise NotNormalizedError("NotNormalized: components must sum to 1")
+    if form is not None:
+        (n1, n2, n3, _), d = form
         return ((n1 + n2) / d, (n1 + n3) / d, (n2 + n3) / d)
     if abs(sum(components) - 1.0) > 1e-12:
         raise NotNormalizedError("NotNormalized: components must sum to 1")

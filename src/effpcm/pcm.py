@@ -193,19 +193,31 @@ def parse_pcm(rows: Sequence[Sequence[str | int]]) -> Pcm:
     """Parse and validate a grid of rational strings into a Pcm."""
     if not isinstance(rows, Sequence) or isinstance(rows, (str, bytes)) or len(rows) == 0:
         raise NonSquareError("NonSquare: expected a nonempty grid of rows")
-    parsed = []
+    parsed, numerals = [], {}  # each distinct numeral string is parsed once
     for row in rows:
         if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
             raise NonSquareError("NonSquare: each row must be a sequence of cells")
-        parsed.append(tuple(parse_rational(cell) for cell in row))
+        values = []
+        for cell in row:
+            if type(cell) is str and cell not in numerals:
+                numerals[cell] = parse_rational(cell)
+            values.append(numerals[cell] if type(cell) is str else parse_rational(cell))
+        parsed.append(tuple(values))
     return Pcm(tuple(parsed))
 
 
 def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int]) -> Pcm:
-    """Build a Pcm from its above-diagonal entries; reciprocals are filled in."""
+    """Build a Pcm from entries a_ij keyed (i, j), 1 <= i < j <= n; a_ji = 1/a_ij, absent pairs 1."""
     grid = [[Fraction(1)] * n for _ in range(n)]
-    for (i, j), value in upper.items():
+    for key, value in upper.items():
+        i, j = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
+        if not (type(i) is type(j) is int and 1 <= i < j <= n):
+            raise IndexOutOfRangeError(f"IndexOutOfRange: {key!r} is not a pair i < j in 1..{n}")
+        if isinstance(value, bool):
+            raise BadNumeralError(f"BadNumeral: a[{i},{j}]={value!r} is a bool, not a number")
         value = Fraction(value)
+        if value <= 0:
+            raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
         grid[i - 1][j - 1] = value
         grid[j - 1][i - 1] = Fraction(value.denominator, value.numerator)
     return Pcm(tuple(tuple(row) for row in grid))
@@ -334,7 +346,7 @@ def apply_permutation(pcm: Pcm, perm: Permutation) -> Pcm:
 
 
 def _check_index(n: int, i: int) -> None:
-    if not isinstance(i, int) or not 1 <= i <= n:
+    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
         raise IndexOutOfRangeError(f"IndexOutOfRange: index {i} not in 1..{n}")
 
 

@@ -6,12 +6,12 @@ along tree edges yields the unique vector reproducing every tree entry
 perfectly.  Path-shaped trees are singled out because deleting one edge of
 a 4-cycle leaves a path, and those four path trees supply the tetrahedron
 vertices of the efficient-set geometry.  Propagation follows the walk a
-tree keeps from vertex n, on integer numerator and denominator chains.
+tree keeps from vertex n, on integers; the vector keeps them and their
+total outside its fields, the integer form ``geometry.embed`` reads.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .efficiency import _walk
@@ -68,19 +68,23 @@ def tree_weight_vector(pcm: Pcm, tree: SpanningTree) -> WeightVector:
     """The unique normalized exact vector with w_i/w_j = a_ij on every tree edge.
 
     The propagation follows the tree's walk from its highest-index vertex,
-    valued 1; the root choice does not affect the normalized result.
+    valued 1; the root choice does not affect the normalized result.  The
+    vector keeps (integer weights, their total) as ``_integer_form``.
     """
     if tree.n != pcm.n:
         raise DimensionMismatchError(
             f"DimensionMismatch: tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix"
         )
-    numerators, denominators = {pcm.n: 1}, {pcm.n: 1}
+    scaled = [0] * (pcm.n - 1) + [1]
+    reached = [pcm.n - 1]
     for parent, child in tree._order:
-        # w_child / w_parent = a_{child,parent} on a tree edge
+        # w_child / w_parent = a_{child,parent} = p / q: the reached weights gain a factor q
         entry = pcm.entries[child - 1][parent - 1]
-        numerators[child] = numerators[parent] * entry.numerator
-        denominators[child] = denominators[parent] * entry.denominator
-    common = math.lcm(*denominators.values())
-    scaled = [numerators[v] * (common // denominators[v]) for v in range(1, pcm.n + 1)]
+        scaled[child - 1] = scaled[parent - 1] * entry.numerator
+        for v in reached:
+            scaled[v] *= entry.denominator
+        reached.append(child - 1)
     total = sum(scaled)
-    return WeightVector(tuple(Fraction(x, total) for x in scaled))
+    vector = WeightVector(tuple([Fraction(x, total) for x in scaled]))
+    vector.__dict__["_integer_form"] = (tuple(scaled), total)
+    return vector

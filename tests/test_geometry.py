@@ -19,6 +19,7 @@ from effpcm.errors import (
 from effpcm.pcm import (
     CANONICAL_CYCLES,
     Permutation,
+    WeightVector,
     apply_permutation,
     consistent_weights,
     cycle_product,
@@ -803,6 +804,24 @@ class TestEfficientSetEquivariance:
             assert original == permuted
 
 
+# Saaty-scale values, 15-digit decimals up to 10 and entries from 1e-40 to 1e40
+_EMBEDDING_ENTRIES = st.one_of(
+    st.sampled_from([Fraction(k) for k in range(1, 10)] + [Fraction(1, k) for k in range(2, 10)]),
+    st.integers(1, 10**16).map(lambda k: Fraction(k, 10**15)),
+    st.fractions(min_value=Fraction(1, 10**40), max_value=10**40),
+)
+
+
+@st.composite
+def _embedding_matrices(draw):
+    """A 4x4 matrix of those entries; up to two canonical cycles are then made
+    consistent, each by dividing its first entry a_1j by the cycle's product."""
+    upper = dict(zip(UPPER_PAIRS, draw(st.lists(_EMBEDDING_ENTRIES, min_size=6, max_size=6))))
+    for cycle in draw(st.lists(st.sampled_from(CANONICAL_CYCLES), max_size=2, unique=True)):
+        upper[cycle[:2]] /= cycle_product(pcm_from_upper(4, upper), cycle)
+    return pcm_from_upper(4, upper)
+
+
 class TestEmbedding:
     def test_simplex_corner(self):
         assert embed((1, 0, 0, 0)) == (1.0, 1.0, 0.0)
@@ -835,6 +854,18 @@ class TestEmbedding:
         off = (w[0] + Fraction(1, 10**40),) + w[1:]
         with pytest.raises(NotNormalizedError):
             embed(off)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_embedding_matrices())
+    def test_tetrahedron_points_are_the_rounded_exact_sums(self, pcm):
+        """Read off each tree vector's integer form, or put over the lcm of the
+        reduced components of a rebuilt vector: the same doubles either way."""
+        for tet in efficient_set(pcm).tetrahedra:
+            for vertex, point in zip(tet.vertices, tet.embedded):
+                assert point == tuple(float(x) for x in embed_exact(vertex.components))
+                rebuilt = WeightVector(vertex.components)
+                assert "_integer_form" not in rebuilt.__dict__
+                assert embed(rebuilt) == point
 
     @given(st.lists(st.floats(1e-6, 1e6), min_size=4, max_size=4))
     def test_float_vector_sums_in_float(self, values):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from effpcm.errors import (
     BadNumeralError,
@@ -62,6 +62,42 @@ random_pcm4 = st.builds(
     ),
     *([positive_rationals] * 6),
 )
+
+
+# Grid cells: numerals that repeat in several spellings, bad numerals that
+# repeat, and cells of other types, which parse_pcm parses one by one.
+_GRID_CELLS = st.sampled_from([
+    "1", "2", "1/2", "0.5", " 1/2", "2/4", "3", "1/3", "0", "x", "1/0", "1e3",
+    1, 2, 3, 0, 0.5, 2.0, 1e300, True, False, None, ["1"], (), b"1",
+])
+
+
+def _parse_cell_by_cell(rows):
+    return Pcm(tuple(tuple(parse_rational(cell) for cell in row) for row in rows))
+
+
+# Spellings of each value the random grids use, repeated across the grid.
+_SPELLINGS = {
+    Fraction(1): ["1", 1], Fraction(2): ["2", 2, 2.0], Fraction(3): ["3", 3],
+    Fraction(1, 2): ["1/2", "0.5", " 1/2", "2/4", 0.5], Fraction(1, 3): ["1/3"],
+}
+
+
+@st.composite
+def _grids(draw):
+    """An n x n reciprocal grid, n = 1..5, of entries 1, 2, 3 and their
+    reciprocals in any spelling; then up to three cells become any cell."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(st.sampled_from(_SPELLINGS[Fraction(1)]))] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(3)]))
+            value = 1 / value if draw(st.booleans()) else value
+            rows[i][j] = draw(st.sampled_from(_SPELLINGS[value]))
+            rows[j][i] = draw(st.sampled_from(_SPELLINGS[1 / value]))
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_GRID_CELLS)
+    return rows
 
 
 class TestParsing:
@@ -123,9 +159,52 @@ class TestParsing:
         with pytest.raises(BadNumeralError):
             Pcm(entries)
 
+    @settings(max_examples=300)
+    @given(_grids())
+    def test_repeated_numerals_parse_as_cell_by_cell(self, rows):
+        """The same Pcm, or the same first error in row-major order."""
+        assert _parse_outcome(parse_pcm, rows) == _parse_outcome(_parse_cell_by_cell, rows)
+
+    def test_repeated_numerals_fixed_grid(self):
+        rows = [["1", "2", 3, "1/2"], ["1/2", "1", "2", 0.5], ["1/3", "1/2", 1, "x"],
+                ["2", 2.0, "x", True]]
+        bad_x = "BadNumeral: 'x' is not 'p', 'p/q' or a short decimal"
+        assert _parse_outcome(parse_pcm, rows) == (BadNumeralError, bad_x)
+        rows[2][3], rows[3][2] = "2", "1/2"
+        assert _parse_outcome(parse_pcm, rows) == (BadNumeralError, "BadNumeral: True is not a numeral")
+        rows[3][3] = "1"
+        assert parse_pcm(rows) == _parse_cell_by_cell(rows)
+
     def test_int_entries_accepted(self):
         pcm = Pcm(((1, 2), (Fraction(1, 2), 1)))
         assert pcm.rows_as_strings() == [["1", "2"], ["1/2", "1"]]
+
+
+class TestPcmFromUpper:
+    def test_missing_entries_are_one(self):
+        assert pcm_from_upper(3, {(2, 3): 4}).rows_as_strings() == [
+            ["1", "1", "1"], ["1", "1", "4"], ["1", "1/4", "1"]]
+
+    @pytest.mark.parametrize("key", [
+        (0, 1), (2, 1), (1, 3), (1, 1), (-1, 2), (True, 2), (1, 2.0), (1,), (1, 2, 3), 1, "12",
+    ])
+    def test_a_key_that_is_not_an_upper_pair_is_refused(self, key):
+        with pytest.raises(IndexOutOfRangeError, match=rf"^IndexOutOfRange: .* is not a pair i < j in 1\.\.2$"):
+            pcm_from_upper(2, {key: 3})
+
+    @pytest.mark.parametrize("value,text", [
+        (0, "0"), (Fraction(0), "0"), (-3, "-3"), (Fraction(-1, 2), "-1/2"), ("-2/3", "-2/3"),
+    ])
+    def test_a_non_positive_entry_is_refused(self, value, text):
+        with pytest.raises(NonPositiveEntryError) as err:
+            pcm_from_upper(3, {(1, 2): 2, (1, 3): value})
+        assert err.value.position == (1, 3)
+        assert str(err.value).endswith(f"a[1,3]={text}")
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_bool_entry_is_refused(self, value):
+        with pytest.raises(BadNumeralError, match=rf"^BadNumeral: a\[1,2\]={value} is a bool"):
+            pcm_from_upper(2, {(1, 2): value})
 
 
 def _parse_outcome(parse, value):
@@ -231,6 +310,15 @@ class TestTriadAndCycleProducts:
             cycle_product(running_example, (1, 2))
         with pytest.raises(RepeatedIndexError):
             cycle_product(running_example, (1, 2, 3, 2))
+
+    @pytest.mark.parametrize("call", [
+        lambda pcm: triad_product(pcm, (True, 2, 3)),
+        lambda pcm: cycle_product(pcm, (True, 2, 3, 4)),
+        lambda pcm: Permutation((2, 1, 3, 4))(True),
+    ], ids=["triad", "cycle", "permutation"])
+    def test_a_bool_is_not_an_index(self, running_example, call):
+        with pytest.raises(IndexOutOfRangeError, match=r"^IndexOutOfRange: index True not in 1\.\.4$"):
+            call(running_example)
 
     @pytest.mark.parametrize("listing", [(), (1,), (1, 2), (1, 2, 3, 4)])
     def test_a_triad_lists_three_vertices(self, running_example, listing):

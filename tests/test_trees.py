@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from effpcm.errors import NotACanonicalCycleError
-from effpcm.pcm import CANONICAL_CYCLES, consistent_weights, pcm_from_upper
+from effpcm.pcm import CANONICAL_CYCLES, WeightVector, consistent_weights, pcm_from_upper
 from effpcm.efficiency import is_efficient
 from effpcm.generators import generate_with_rng
 from effpcm.geometry import embed, is_efficient_geometric
@@ -222,3 +222,15 @@ class TestTreeWeights:
     def test_integer_chains_match_fraction_products(self, matrix_and_tree):
         pcm, tree = matrix_and_tree
         assert tree_weight_vector(pcm, tree) == tree_weight_vector_by_fractions(pcm, tree)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrix_and_tree())
+    def test_the_kept_integer_form_is_the_vector_unreduced(self, matrix_and_tree):
+        pcm, tree = matrix_and_tree
+        w = tree_weight_vector(pcm, tree)
+        scaled, total = w.__dict__["_integer_form"]
+        assert sum(scaled) == total
+        assert tuple(Fraction(x, total) for x in scaled) == w.components
+        # the form sits outside the fields: equality, hash and repr ignore it
+        plain = WeightVector(w.components)
+        assert (plain, hash(plain), repr(plain)) == (w, hash(w), repr(w))
