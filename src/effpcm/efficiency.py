@@ -5,7 +5,8 @@ i -> j whenever w_i/w_j >= a_ij.  A weight vector is efficient exactly when
 this digraph is strongly connected; for tournaments (no perfectly estimated
 pair) that is in turn equivalent to having a directed Hamiltonian cycle.
 
-Exact weight vectors are compared exactly.  Float vectors get an equality
+Exact weight vectors are compared exactly, on integer pairs read once, by
+``compare_ratio``'s cross-multiplication.  Float vectors get an equality
 band relative to the entry, band * a_ij (default band 1e-9, overridable
 through EFFPCM_TOL), so that a perfectly estimated pair is still recognized
 as carrying both arcs.  The region test of ``geometry`` reads this digraph.
@@ -18,7 +19,7 @@ import os
 from collections.abc import Iterator
 
 from .errors import BadToleranceError, DimensionMismatchError
-from .pcm import Pcm, Record, WeightVector, compare_ratio
+from .pcm import Pcm, Record, WeightVector, _ratio_sign, compare_ratio
 
 DEFAULT_EQUALITY_BAND = 1e-9
 
@@ -58,11 +59,13 @@ def bcc_digraph(pcm: Pcm, w: WeightVector, band: float | None = None) -> BccDigr
         )
     if band is None:
         band = float_equality_band()
+    pairs = [c.as_integer_ratio() for c in w.components] if w.exact else None
     arcs = set()
     equalities = set()
-    for i in range(1, pcm.n + 1):
-        for j in range(i + 1, pcm.n + 1):
-            sign = compare_ratio(w, i, j, pcm.entries[i - 1][j - 1], band)
+    for i, row in enumerate(pcm.entries, start=1):
+        for j, entry in enumerate(row[i:], start=i + 1):
+            sign = (_ratio_sign(pairs[i - 1], pairs[j - 1], entry.as_integer_ratio()) if pairs
+                    else compare_ratio(w, i, j, entry, band))
             if sign >= 0:
                 arcs.add((i, j))
             if sign <= 0:
@@ -77,8 +80,7 @@ def strongly_connected(g: BccDigraph) -> bool:
     n = g.n
     if n <= 1:
         return True
-    succ = {i: [] for i in range(1, n + 1)}
-    pred = {i: [] for i in range(1, n + 1)}
+    succ, pred = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]  # slot 0 unused
     for (a, b) in g.arcs:
         succ[a].append(b)
         pred[b].append(a)
@@ -86,7 +88,7 @@ def strongly_connected(g: BccDigraph) -> bool:
     return all(sum(1 for _ in _walk(adjacency, 1)) == n - 1 for adjacency in (succ, pred))
 
 
-def _walk(adjacency: dict[int, list[int]], start: int) -> Iterator[tuple[int, int]]:
+def _walk(adjacency: list[list[int]], start: int) -> Iterator[tuple[int, int]]:
     """Each (parent, child) pair by which a walk over adjacency from start first
     reaches child: every vertex reachable from start, bar start, once."""
     seen = {start}

@@ -9,6 +9,7 @@ coordinates, so re-parsing loses nothing.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import BadNumeralError, NonFiniteWeightError, NonSquareError
@@ -18,6 +19,7 @@ from .geometry import (
     Direction,
     EfficientSet,
     efficient_set,
+    embed,
 )
 from .pcm import Pcm, WeightVector, format_rational, parse_pcm, parse_rational, weight_vector
 
@@ -73,7 +75,8 @@ def load_weights(path: str | Path) -> WeightVector:
 
 def _load_json(path: str | Path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:  # no Path object built per document
+            text = file.read()
     except UnicodeDecodeError as exc:
         raise BadNumeralError(f"BadNumeral: {path} is not UTF-8 text ({exc.reason})") from exc
     try:
@@ -129,13 +132,12 @@ def geometry_document(pcm: Pcm) -> dict:
         # of the corners with w_i = w_j = 0 and the point with w_i = n/(n + d),
         # w_j = d/(n + d); each is written as embed() of it
         n, d = value.numerator, value.denominator
-        x1, x2, x3 = (n if k == i else d if k == j else 0 for k in (1, 2, 3))
-        split = [(x1 + x2) / (n + d), (x1 + x3) / (n + d), (x2 + x3) / (n + d)]
+        split = [Fraction(n if k == i else d, n + d) if k in (i, j) else 0 for k in range(1, 5)]
         corners = [list(SIMPLEX_CORNERS[k - 1]) for k in range(1, 5) if k not in (i, j)]
         planes.append({
             "pair": [i, j],
             "value": format_rational(value),
-            "clip_polygon": [split] + corners,
+            "clip_polygon": [list(embed(split))] + corners,
         })
     return {
         "schema_version": SCHEMA_VERSION,

@@ -263,19 +263,26 @@ def barycentric(tet: Tetrahedron, w: WeightVector):
     """
     if not w.is_normalized:
         raise NotNormalizedError("NotNormalized: barycentric needs a normalized vector")
-    target = [c if isinstance(c, Fraction) else Fraction(c) for c in w.components]
+    y, s = _integer_form(w.components)  # w = y / s; vertex k = v / t below
     threshold = Fraction(0) if w.exact else Fraction(-1, 10**12)
-    vertices = [v.components for v in tet.vertices]
+    forms = [v.__dict__.get("_integer_form") or _integer_form(v.components) for v in tet.vertices]
     if tet.degenerate_rank == 0:
-        scale = target[0] / vertices[0][0]
-        multiple = all(t == scale * c for t, c in zip(target, vertices[0]))
-        return (scale, Fraction(0), Fraction(0), Fraction(0)) if multiple else None
+        (v, t), zero = forms[0], Fraction(0)
+        multiple = all(y_m * v[0] == y[0] * v_m for y_m, v_m in zip(y, v))
+        return (Fraction(y[0] * t, s * v[0]), zero, zero, zero) if multiple else None
     lambdas = []
     for k in range(4):
         a, b = tet.cycle[k - 1] - 1, tet.cycle[k] - 1
-        v, u = vertices[k], vertices[(k + 1) % 4]
-        lambdas.append((target[a] * u[b] - target[b] * u[a]) / (v[a] * u[b] - v[b] * u[a]))
+        (v, t), (u, _) = forms[k], forms[(k + 1) % 4]
+        lambdas.append(Fraction((y[a] * u[b] - y[b] * u[a]) * t, (v[a] * u[b] - v[b] * u[a]) * s))
     return tuple(lambdas) if all(lam >= threshold for lam in lambdas) else None
+
+
+def _integer_form(components: Sequence) -> tuple[list[int], int]:
+    """Exact values of the components as integers over the lcm of their denominators."""
+    pairs = [c.as_integer_ratio() for c in components]
+    d = math.lcm(*(q for _, q in pairs))
+    return [p * (d // q) for p, q in pairs], d
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +324,17 @@ class PerturbClass(Record):
             )
 
 
+_CLASSES = {counts: PerturbClass(tag, *counts) for counts, tag in _ADMISSIBLE_COUNTS.items()}
+
+
 def classify_signs(triad_signs: Sequence[int], cycle_signs: Sequence[int]) -> PerturbClass:
     """Map the consistency-count pair of seven signs to its class; impossible pairs raise.
 
     The raise doubles as a falsification probe: no positive reciprocal 4x4
     matrix should ever produce a pair outside the six admissible ones.
     """
-    t = triad_signs.count(0)
-    c = cycle_signs.count(0)
-    return PerturbClass(_ADMISSIBLE_COUNTS.get((t, c)), t, c)
+    counts = triad_signs.count(0), cycle_signs.count(0)
+    return _CLASSES.get(counts) or PerturbClass(None, *counts)  # the constructor raises
 
 
 def classify(pcm: Pcm) -> PerturbClass:
@@ -471,9 +480,8 @@ def embed(w: WeightVector | Sequence) -> tuple[float, float, float]:
     if len(components) != 4:
         raise DimensionMismatchError("DimensionMismatch: embedding needs 4 components")
     if form is None and all(isinstance(c, (Fraction, int)) for c in components):
-        d = math.lcm(*(c.denominator for c in components))
-        form = [c.numerator * (d // c.denominator) for c in components], d
-        if sum(form[0]) != d:
+        form = _integer_form(components)
+        if sum(form[0]) != form[1]:
             raise NotNormalizedError("NotNormalized: components must sum to 1")
     if form is not None:
         (n1, n2, n3, _), d = form

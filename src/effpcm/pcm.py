@@ -16,16 +16,16 @@ integer cross-multiplication; ``product_signs`` and ``pcm_from_pairs`` keep
 them on the Pcm, outside its fields.  Classification, orientation, the
 tetrahedra, the coincidence report and both rearrangements in ``geometry``
 derive from them.  ``triad_product`` and ``cycle_product`` remain for
-arbitrary listings.  ``compare_ratio``, the one comparison of a weight ratio
-with its entry, builds the BCC digraph.
+arbitrary listings.  ``_ratio_sign`` compares a weight ratio with its entry
+on integer pairs, for ``compare_ratio`` and the BCC digraph alike.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import (
     BadNumeralError,
@@ -53,16 +53,17 @@ CANONICAL_CYCLES = ((1, 2, 3, 4), (1, 4, 2, 3), (1, 3, 4, 2))
 
 def parse_rational(text: str | int) -> Fraction:
     """Parse "p", "p/q" or a decimal with at most 15 fraction digits, exactly."""
-    if isinstance(text, bool):
-        raise BadNumeralError(f"BadNumeral: {text!r} is not a numeral")
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, float):
-        # repr() is the shortest decimal that round-trips; reject floats whose
-        # shortest form exceeds the decimal budget instead of guessing.
-        text = repr(text)
-    if not isinstance(text, str):
-        raise BadNumeralError(f"BadNumeral: expected a rational string, got {text!r}")
+    if type(text) is not str:  # a document's cells are all str: skip the tests below
+        if isinstance(text, bool):
+            raise BadNumeralError(f"BadNumeral: {text!r} is not a numeral")
+        if isinstance(text, int):
+            return Fraction(text)
+        if isinstance(text, float):
+            # repr() is the shortest decimal that round-trips; reject floats whose
+            # shortest form exceeds the decimal budget instead of guessing.
+            text = repr(text)
+        elif not isinstance(text, str):
+            raise BadNumeralError(f"BadNumeral: expected a rational string, got {text!r}")
     match = _NUMERAL_RE.fullmatch(text.strip())
     if match is None:
         raise BadNumeralError(f"BadNumeral: {text!r} is not 'p', 'p/q' or a short decimal")
@@ -142,7 +143,7 @@ class Record:
 
 
 class Pcm(Record):
-    """A validated positive reciprocal matrix of exact rationals."""
+    """A positive reciprocal matrix of exact rationals, checked on integer pairs."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -152,25 +153,26 @@ class Pcm(Record):
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
             raise NonSquareError("NonSquare: entries must form a nonempty square grid")
+        pairs = []  # each entry's (numerator, denominator), row-major, read once
         for i, row in enumerate(entries, start=1):
             for j, value in enumerate(row, start=1):
-                if not isinstance(value, (Fraction, int)) or isinstance(value, bool):
+                if type(value) is not Fraction and (
+                        not isinstance(value, (Fraction, int)) or isinstance(value, bool)):
                     raise BadNumeralError(
                         f"BadNumeral: a[{i},{j}]={value!r} is not a Fraction or an int"
                     )
-                if value.numerator <= 0:
+                pairs.append(pair := value.as_integer_ratio())
+                if pair[0] <= 0:
                     raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
         # Both entries are positive and in lowest terms, so a_ij * a_ji = 1
         # exactly when one is the other with numerator and denominator swapped.
         for i in range(n):
             for j in range(i, n):
-                a_ij = entries[i][j]
-                a_ji = entries[j][i]
-                if a_ij.numerator != a_ji.denominator or a_ij.denominator != a_ji.numerator:
+                if pairs[i * n + j] != pairs[j * n + i][::-1]:
                     raise ReciprocityViolationError(
                         j + 1, i + 1,
-                        f"a[{j + 1},{i + 1}]={format_rational(a_ji)} is not the reciprocal "
-                        f"of a[{i + 1},{j + 1}]={format_rational(a_ij)}",
+                        f"a[{j + 1},{i + 1}]={format_rational(entries[j][i])} is not the "
+                        f"reciprocal of a[{i + 1},{j + 1}]={format_rational(entries[i][j])}",
                     )
 
     @property
@@ -206,7 +208,7 @@ def parse_pcm(rows: Sequence[Sequence[str | int]]) -> Pcm:
     return Pcm(tuple(parsed))
 
 
-def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int]) -> Pcm:
+def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int | float | str]) -> Pcm:
     """Build a Pcm from entries a_ij keyed (i, j), 1 <= i < j <= n; a_ji = 1/a_ij, absent pairs 1."""
     grid = [[Fraction(1)] * n for _ in range(n)]
     for key, value in upper.items():
@@ -215,7 +217,7 @@ def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int]) -> Pcm:
             raise IndexOutOfRangeError(f"IndexOutOfRange: {key!r} is not a pair i < j in 1..{n}")
         if isinstance(value, bool):
             raise BadNumeralError(f"BadNumeral: a[{i},{j}]={value!r} is a bool, not a number")
-        value = Fraction(value)
+        value = parse_rational(value) if isinstance(value, (float, str)) else Fraction(value)
         if value <= 0:
             raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
         grid[i - 1][j - 1] = value
@@ -285,23 +287,21 @@ def weight_vector(values: Iterable) -> WeightVector:
         raise BadNumeralError(f"BadNumeral: {values!r} has a bool, which is not a weight")
     if any(isinstance(v, float) for v in values):
         return WeightVector(tuple(float(v) for v in values))
-    return WeightVector(tuple(Fraction(v) for v in values))
+    return WeightVector(tuple(v if type(v) is Fraction else Fraction(v) for v in values))
 
 
 def compare_ratio(w: WeightVector, i: int, j: int, target: Fraction, band: float = 0.0) -> int:
     """Sign of w_i/w_j - target: -1, 0 or +1.
 
-    Exact vectors compare exactly (integer cross-multiplication, no Fraction
-    division in the hot path).  Float vectors treat |ratio - target| within
-    band * target as equality, a band relative to the target of any size; a
-    target past the float range gets the same test in exact arithmetic.
+    Exact vectors compare exactly, by ``_ratio_sign`` on integer pairs.  Float
+    vectors treat |ratio - target| within band * target as equality, a band
+    relative to the target of any size; a target past the float range gets
+    the same test in exact arithmetic.
     """
     wi = w.components[i - 1]
     wj = w.components[j - 1]
     if w.exact:
-        lhs = wi.numerator * wj.denominator * target.denominator
-        rhs = target.numerator * wj.numerator * wi.denominator
-        return (lhs > rhs) - (lhs < rhs)
+        return _ratio_sign(wi.as_integer_ratio(), wj.as_integer_ratio(), target.as_integer_ratio())
     ratio = wi / wj
     try:
         t = float(target)
@@ -310,6 +310,12 @@ def compare_ratio(w: WeightVector, i: int, j: int, target: Fraction, band: float
     if abs(ratio - t) <= band * t:
         return 0
     return 1 if ratio > t else -1
+
+
+def _ratio_sign(wi: tuple[int, int], wj: tuple[int, int], target: tuple[int, int]) -> int:
+    """Sign of wi/wj - target, each a positive (numerator, denominator) pair."""
+    lhs, rhs = wi[0] * wj[1] * target[1], target[0] * wj[0] * wi[1]
+    return (lhs > rhs) - (lhs < rhs)
 
 
 class Permutation(Record):
@@ -339,10 +345,9 @@ def apply_permutation(pcm: Pcm, perm: Permutation) -> Pcm:
         raise DimensionMismatchError(
             f"DimensionMismatch: permutation on 1..{perm.n} applied to a {pcm.n}x{pcm.n} matrix"
         )
-    return Pcm(tuple(
-        tuple(pcm.entries[perm(i) - 1][perm(j) - 1] for j in range(1, pcm.n + 1))
-        for i in range(1, pcm.n + 1)
-    ))
+    images = [k - 1 for k in perm.mapping]  # a validated bijection: no index to check
+    rows = pcm.entries
+    return Pcm(tuple(tuple(rows[i][j] for j in images) for i in images))
 
 
 def _check_index(n: int, i: int) -> None:
@@ -421,7 +426,7 @@ def product_signs(pcm: Pcm) -> tuple[tuple[int, int, int, int], tuple[int, int, 
         return signs
     _require_n4(pcm)
     (_, a12, a13, a14), (_, _, a23, a24), (_, _, _, a34), _ = pcm.entries
-    signs = upper_signs([(a.numerator, a.denominator) for a in (a12, a13, a14, a23, a24, a34)])
+    signs = upper_signs([a.as_integer_ratio() for a in (a12, a13, a14, a23, a24, a34)])
     return pcm.__dict__.setdefault("_signs", signs)
 
 

@@ -41,8 +41,8 @@ class SpanningTree(Record):
         return sorted(self.edges)
 
 
-def _undirected(n: int, edges: frozenset[tuple[int, int]]) -> dict[int, list[int]]:
-    adjacency: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+def _undirected(n: int, edges: frozenset[tuple[int, int]]) -> list[list[int]]:
+    adjacency: list[list[int]] = [[] for _ in range(n + 1)]  # indexed by vertex
     for (a, b) in edges:
         adjacency[a].append(b)
         adjacency[b].append(a)

@@ -9,7 +9,11 @@ orientation of any cycle listing by its Fraction product (the library
 orients the canonical cycles from their signs), tree
 restrictions to incomplete matrices, tree vectors by Fraction products
 (the library uses integer chains), numerals converted by ``Fraction(str)``
-(the library converts its regex groups), the geometry document's
+(the library converts its regex groups), the cell-by-cell validation
+loop, relabelling entry by entry, the BCC digraph from Fraction ratios
+and barycentric coefficients in Fraction arithmetic (the library reads
+integer pairs and integer forms), the clip polygons' split points written
+out coordinate by coordinate (the library calls ``embed``), the geometry document's
 exact-vertex reader and the exact cutting-plane polygons that its clip
 polygons embed (the library writes them from each entry's numerator and
 denominator), the 24-matrix rearrangement
@@ -58,7 +62,9 @@ from effpcm.pcm import (
     WeightVector,
     _require_n4,
     apply_permutation,
+    compare_ratio,
     cycle_product,
+    format_rational,
     parse_rational,
     product_signs,
     triad_product,
@@ -145,8 +151,64 @@ def cycle_orientation(pcm: Pcm, cycle: tuple[int, int, int, int]) -> CycleOrient
     return _oriented(cycle, (product > 1) - (product < 1))
 
 
+def validate_by_cells(entries) -> None:
+    """The Pcm checks cell by cell on Fraction properties: types and
+    positivity over the grid in row-major order, then reciprocity over the
+    upper triangle and diagonal; the library reads each integer pair once."""
+    n = len(entries)
+    if n == 0 or any(len(row) != n for row in entries):
+        raise NonSquareError("NonSquare: entries must form a nonempty square grid")
+    for i, row in enumerate(entries, start=1):
+        for j, value in enumerate(row, start=1):
+            if not isinstance(value, (Fraction, int)) or isinstance(value, bool):
+                raise BadNumeralError(
+                    f"BadNumeral: a[{i},{j}]={value!r} is not a Fraction or an int"
+                )
+            if value.numerator <= 0:
+                raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
+    for i in range(n):
+        for j in range(i, n):
+            a_ij = entries[i][j]
+            a_ji = entries[j][i]
+            if a_ij.numerator != a_ji.denominator or a_ij.denominator != a_ji.numerator:
+                raise ReciprocityViolationError(
+                    j + 1, i + 1,
+                    f"a[{j + 1},{i + 1}]={format_rational(a_ji)} is not the reciprocal "
+                    f"of a[{i + 1},{j + 1}]={format_rational(a_ij)}",
+                )
+
+
+def apply_permutation_by_entries(pcm: Pcm, perm: Permutation) -> Pcm:
+    """b_ij = a_{perm(i), perm(j)}, each index checked by ``perm(i)``; the
+    library indexes the validated mapping instead."""
+    return Pcm(tuple(
+        tuple(pcm.entries[perm(i) - 1][perm(j) - 1] for j in range(1, pcm.n + 1))
+        for i in range(1, pcm.n + 1)
+    ))
+
+
 # ---------------------------------------------------------------------------
 # digraphs and dominance
+
+
+def bcc_digraph_by_ratios(pcm: Pcm, w: WeightVector, band: float) -> BccDigraph:
+    """The BCC digraph with each exact pair decided by comparing the Fraction
+    ratio w_i/w_j with a_ij, and each float pair by ``compare_ratio``."""
+    arcs, equalities = set(), set()
+    for i in range(1, pcm.n + 1):
+        for j in range(i + 1, pcm.n + 1):
+            if w.exact:
+                r, a = ratio(w, i, j), entry(pcm, i, j)
+                sign = (r > a) - (r < a)
+            else:
+                sign = compare_ratio(w, i, j, entry(pcm, i, j), band)
+            if sign >= 0:
+                arcs.add((i, j))
+            if sign <= 0:
+                arcs.add((j, i))
+            if sign == 0:
+                equalities.add((i, j))
+    return BccDigraph(pcm.n, frozenset(arcs), frozenset(equalities))
 
 
 def strongly_connected_by_closure(g: BccDigraph) -> bool:
@@ -413,6 +475,34 @@ def parse_rational_by_fraction_string(text: str | int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # export round trip
+
+
+def barycentric_by_fractions(tet: Tetrahedron, w: WeightVector):
+    """``geometry.barycentric`` in Fraction arithmetic throughout; the library
+    works on the integer forms of w and of the vertices."""
+    target = [c if isinstance(c, Fraction) else Fraction(c) for c in w.components]
+    threshold = Fraction(0) if w.exact else Fraction(-1, 10**12)
+    vertices = [v.components for v in tet.vertices]
+    if tet.degenerate_rank == 0:
+        scale = target[0] / vertices[0][0]
+        multiple = all(t == scale * c for t, c in zip(target, vertices[0]))
+        return (scale, Fraction(0), Fraction(0), Fraction(0)) if multiple else None
+    lambdas = []
+    for k in range(4):
+        a, b = tet.cycle[k - 1] - 1, tet.cycle[k] - 1
+        v, u = vertices[k], vertices[(k + 1) % 4]
+        lambdas.append((target[a] * u[b] - target[b] * u[a]) / (v[a] * u[b] - v[b] * u[a]))
+    return tuple(lambdas) if all(lam >= threshold for lam in lambdas) else None
+
+
+def clip_split_by_sums(pair: tuple[int, int], value: Fraction) -> list[float]:
+    """The embedded split point of a clip polygon, written out as
+    ((x1 + x2), (x1 + x3), (x2 + x3)) over n + d with n at i and d at j; the
+    library calls ``embed`` on the split point."""
+    i, j = pair
+    n, d = value.numerator, value.denominator
+    x1, x2, x3 = (n if k == i else d if k == j else 0 for k in (1, 2, 3))
+    return [(x1 + x2) / (n + d), (x1 + x3) / (n + d), (x2 + x3) / (n + d)]
 
 
 def parse_exact_vertices(doc: dict) -> list[list[tuple[Fraction, ...]]]:

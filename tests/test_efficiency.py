@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from effpcm.errors import DimensionMismatchError
 from effpcm.pcm import (
     CANONICAL_CYCLES,
+    Pcm,
     Permutation,
+    WeightVector,
     apply_permutation,
     weight_vector,
 )
@@ -24,6 +26,7 @@ from effpcm.generators import generate_with_rng, random_exact_weights
 from effpcm.geometry import PerturbTag, tetrahedron_for_cycle
 from oracles import (
     DimensionTooLargeError,
+    bcc_digraph_by_ratios,
     dominates,
     find_dominator_sample,
     hamiltonian_cycle_exists,
@@ -37,6 +40,53 @@ UNIFORM = weight_vector([Fraction(1, 4)] * 4)
 
 # arc set of the running example under uniform weights
 EXPECTED_ARCS = frozenset({(1, 2), (2, 1), (3, 1), (3, 2), (4, 2), (3, 4), (4, 1)})
+
+
+_COMPONENTS = st.one_of(
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+    st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40)),
+)
+
+
+@st.composite
+def _matrix_and_vector(draw):
+    """An n x n matrix, n = 2..12, with int and Fraction entries, and an exact
+    or a float weight vector; some pairs are forced to equal their ratio."""
+    n = draw(st.integers(2, 12))
+    components = draw(st.lists(_COMPONENTS, min_size=n, max_size=n))
+    exact = draw(st.booleans())
+    w = WeightVector(tuple(components if exact else (float(c) for c in components)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kinds = draw(st.lists(st.sampled_from(["equal", "whole", "fraction"]),
+                          min_size=len(pairs), max_size=len(pairs)))
+    values = iter(draw(st.lists(_COMPONENTS, min_size=kinds.count("fraction"),
+                                max_size=kinds.count("fraction"))))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # whole values, sides, int or Fraction
+    grid = [[rng.choice([1, Fraction(1)]) for _ in range(n)] for _ in range(n)]
+    for (i, j), kind in zip(pairs, kinds):
+        if kind == "equal":  # w_i / w_j itself, of the floats when w is float
+            value = Fraction(w.components[i]) / Fraction(w.components[j])
+        else:
+            value = Fraction(rng.randint(1, 9)) if kind == "whole" else next(values)
+        value = 1 / value if rng.random() < 0.5 else value
+        grid[i][j], grid[j][i] = value, 1 / value
+        for a, b in ((i, j), (j, i)):
+            if grid[a][b].denominator == 1 and rng.random() < 0.5:
+                grid[a][b] = int(grid[a][b])
+    return Pcm(grid), w
+
+
+class TestBccOnIntegerPairs:
+    """The exact digraph reads integer pairs; it must be the digraph of the
+    Fraction ratio comparisons, and the float one that of ``compare_ratio``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_matrix_and_vector(), st.sampled_from([0.0, DEFAULT_EQUALITY_BAND, 1e-3]))
+    def test_digraph_and_verdict_match_the_oracles(self, matrix_and_vector, band):
+        pcm, w = matrix_and_vector
+        g = bcc_digraph(pcm, w, band)
+        assert g == bcc_digraph_by_ratios(pcm, w, band)
+        assert strongly_connected(g) == strongly_connected_by_closure(g)
 
 
 class TestBccDigraph:

@@ -29,7 +29,7 @@ from effpcm.geometry import (
     tetrahedron_for_cycle,
 )
 from effpcm.pcm import CANONICAL_CYCLES, Permutation, apply_permutation, pcm_from_upper
-from oracles import embed_exact, plane_clip_polygon, points_outward
+from oracles import clip_split_by_sums, embed_exact, plane_clip_polygon, points_outward
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -97,6 +97,17 @@ def test_clip_polygons_are_the_embedded_plane_polygons(values):
     expected = [[list(embed(p)) for p in plane_clip_polygon(pair, Fraction(value))]
                 for pair, value in zip(UPPER_PAIRS, values)]
     assert [plane["clip_polygon"] for plane in planes] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_ENTRIES, st.integers(1, 10**400)), min_size=6, max_size=6))
+def test_split_points_are_the_written_out_sums_bit_for_bit(values):
+    """n/(n+d) and d/(n+d) are in lowest terms, so ``embed`` divides the same
+    integer sums by n + d as the formula written out per coordinate."""
+    pcm = pcm_from_upper(4, dict(zip(UPPER_PAIRS, values)))
+    splits = [plane["clip_polygon"][0] for plane in geometry_document(pcm)["planes"]]
+    expected = [clip_split_by_sums(pair, Fraction(value)) for pair, value in zip(UPPER_PAIRS, values)]
+    assert [[x.hex() for x in split] for split in splits] == [[x.hex() for x in e] for e in expected]
 
 
 def test_seven_signs_computed_once_per_matrix(monkeypatch, running_example):

@@ -44,8 +44,10 @@ from effpcm.geometry import (
     _ORIENTATIONS,
     _oriented,
     Direction,
+    PerturbClass,
     PerturbTag,
     SIMPLEX_CORNERS,
+    Tetrahedron,
     affine_rank,
     barycentric,
     canonical_orientations,
@@ -62,6 +64,7 @@ from effpcm.geometry import (
 from effpcm.trees import paths_of_cycle
 from conftest import flip_family
 from oracles import (
+    barycentric_by_fractions,
     canonical_rearrangement_search,
     coincidence_report_by_rank,
     consistent_triads,
@@ -505,6 +508,32 @@ class TestBarycentric:
         ])
         assert barycentric(tet, w) == lambdas
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tag=st.sampled_from(ALL_TAGS),
+        cycle=st.sampled_from(CANONICAL_CYCLES),
+        inside=st.booleans(),
+        exact=st.booleans(),
+    )
+    def test_matches_the_fraction_oracle(self, seed, tag, cycle, inside, exact):
+        """Coefficients from integer forms equal the Fraction computation's, for
+        points inside and outside, exact and float, solid and point tetrahedra,
+        with the vertices' kept integer forms and without them."""
+        rng = random.Random(seed)
+        tet = tetrahedron_for_cycle(generate_with_rng(rng, tag), cycle)
+        w = _inside_samples(rng, tet, 1)[0] if inside else random_exact_weights(rng).normalized()
+        if not exact:
+            w = weight_vector([float(c) for c in w.components])
+            if not w.is_normalized:
+                w = w.normalized()
+        rebuilt = Tetrahedron(tet.cycle, tet.orientation,
+                              tuple(WeightVector(v.components) for v in tet.vertices),
+                              tet.degenerate_rank)
+        for t in (tet, rebuilt):
+            assert barycentric(t, w) == barycentric_by_fractions(t, w)
+            assert barycentric(t, t.vertices[0]) == barycentric_by_fractions(t, t.vertices[0])
+
     def test_region_iff_barycentric_fuzz(self):
         rng = random.Random(59)
         for k in range(500):
@@ -571,9 +600,16 @@ class TestClassify:
                 cls = classify_signs(triad_signs, cycle_signs)
                 assert cls.tag is admissible[t, c]
                 assert (cls.consistent_triad_count, cls.consistent_cycle_count) == (t, c)
+                # one of the six records built at import, equal to a fresh one
+                assert cls == PerturbClass(admissible[t, c], t, c)
+                assert hash(cls) == hash(PerturbClass(admissible[t, c], t, c))
+                assert classify_signs(list(triad_signs), list(cycle_signs)) is cls
             else:
-                with pytest.raises(ImpossibleCombinationError):
+                with pytest.raises(ImpossibleCombinationError) as raised:
                     classify_signs(triad_signs, cycle_signs)
+                with pytest.raises(ImpossibleCombinationError) as fresh:
+                    PerturbClass(None, t, c)
+                assert str(raised.value) == str(fresh.value)
 
 
 def _cycle_edges(cycle):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from effpcm.errors import (
     BadNumeralError,
+    DimensionMismatchError,
     IndexOutOfRangeError,
     NonFiniteWeightError,
     NonPositiveEntryError,
@@ -45,6 +46,7 @@ from effpcm.pcm import (
     weight_vector,
 )
 from oracles import (
+    apply_permutation_by_entries,
     consistent_four_cycles,
     consistent_triads,
     entry,
@@ -52,6 +54,7 @@ from oracles import (
     inverse_permutation,
     parse_rational_by_fraction_string,
     ratio,
+    validate_by_cells,
 )
 
 positive_rationals = st.builds(Fraction, st.integers(1, 60), st.integers(1, 60))
@@ -206,6 +209,28 @@ class TestPcmFromUpper:
         with pytest.raises(BadNumeralError, match=rf"^BadNumeral: a\[1,2\]={value} is a bool"):
             pcm_from_upper(2, {(1, 2): value})
 
+    @pytest.mark.parametrize("value,expected", [
+        (0.1, Fraction(1, 10)), ("0.1", Fraction(1, 10)), (2.5, Fraction(5, 2)), (" 3/4", Fraction(3, 4)),
+        (Fraction(1, 10), Fraction(1, 10)), (3, Fraction(3)),
+    ])
+    def test_a_float_or_string_reads_as_its_numeral(self, value, expected):
+        """Floats and strings go through parse_rational, as in parse_pcm;
+        Fraction and int values are kept."""
+        pcm = pcm_from_upper(2, {(1, 2): value})
+        assert pcm.entries == ((1, expected), (1 / expected, 1))
+        if not isinstance(value, Fraction):
+            assert pcm == parse_pcm([["1", value], [str(1 / expected), "1"]])
+
+    @pytest.mark.parametrize("value", [
+        pytest.param(math.nan, id="nan"),
+        pytest.param(math.inf, id="inf"),
+        pytest.param("abc", id="abc"),
+        pytest.param("1/0", id="zero-denominator"),
+    ])
+    def test_a_value_that_is_no_numeral_is_a_bad_numeral(self, value):
+        with pytest.raises(BadNumeralError, match=r"^BadNumeral: "):
+            pcm_from_upper(2, {(1, 2): value})
+
 
 def _parse_outcome(parse, value):
     """The parsed value, or the type and message of the error raised."""
@@ -279,6 +304,71 @@ class TestReciprocitySwapCheck:
         else:
             with pytest.raises(ReciprocityViolationError):
                 Pcm(((a11, a12), (a21, a22)))
+
+
+def _validation_outcome(check, entries):
+    """None when the grid passes, else the error's type, message and position."""
+    try:
+        check(entries)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return None
+
+
+# A faulty cell: zero, negative, not the reciprocal of its mirror, a bool, a float.
+_BAD_KINDS = {
+    "zero": lambda value: Fraction(0),
+    "negative": lambda value: -value,
+    "non-reciprocal": lambda value: value * 2,
+    "bool": lambda value: True,
+    "float": lambda value: float(value),
+}
+
+
+def _valid_grid(n: int, rng: random.Random) -> list[list]:
+    """A reciprocal n x n grid; whole entries are ints or Fractions at random."""
+    grid = [[rng.choice([1, Fraction(1)]) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            grid[i][j], grid[j][i] = value, 1 / value
+            for a, b in ((i, j), (j, i)):
+                if grid[a][b].denominator == 1 and rng.random() < 0.5:
+                    grid[a][b] = int(grid[a][b])
+    return grid
+
+
+class TestValidationOnIntegerPairs:
+    """``Pcm`` reads each entry's integer pair once; it must raise what the
+    cell-by-cell loop raises, with the same message, at the same cell."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("kind", list(_BAD_KINDS))
+    def test_every_cell_and_kind_of_fault(self, n, kind):
+        rng = random.Random(n)
+        for i, j in itertools.product(range(n), repeat=2):
+            grid = _valid_grid(n, rng)
+            grid[i][j] = _BAD_KINDS[kind](grid[i][j])
+            expected = _validation_outcome(validate_by_cells, grid)
+            assert expected is not None
+            assert _validation_outcome(Pcm, grid) == expected, (i, j, kind)
+
+    def test_two_faults_report_the_first(self):
+        rng = random.Random(29)
+        kinds = list(_BAD_KINDS)
+        for _ in range(400):
+            n = rng.randint(2, 6)
+            grid = _valid_grid(n, rng)
+            for _ in range(2):
+                i, j = rng.randrange(n), rng.randrange(n)
+                grid[i][j] = _BAD_KINDS[rng.choice(kinds)](grid[i][j])
+            assert _validation_outcome(Pcm, grid) == _validation_outcome(validate_by_cells, grid)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 12])
+    def test_valid_grids_pass(self, n):
+        grid = _valid_grid(n, random.Random(n))
+        assert _validation_outcome(validate_by_cells, grid) is None
+        assert Pcm(grid).entries == tuple(map(tuple, grid))
 
 
 class TestTriadAndCycleProducts:
@@ -500,6 +590,20 @@ class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(IndexOutOfRangeError):
             Permutation((1, 1, 3, 4))
+
+    def test_every_relabelling_matches_the_entry_by_entry_oracle(
+            self, running_example, simple_example, consistent_example):
+        rng = random.Random(17)
+        matrices = [running_example, simple_example, consistent_example]
+        matrices += [generate_with_rng(rng, tag.value) for tag in PerturbTag]
+        for pcm in matrices:
+            for mapping in itertools.permutations((1, 2, 3, 4)):
+                perm = Permutation(mapping)
+                assert apply_permutation(pcm, perm) == apply_permutation_by_entries(pcm, perm)
+
+    def test_a_permutation_of_another_size_is_refused(self, running_example):
+        with pytest.raises(DimensionMismatchError):
+            apply_permutation(running_example, Permutation((2, 1, 3)))
 
 
 class TestWeightVector:
