@@ -5,23 +5,29 @@ i -> j whenever w_i/w_j >= a_ij.  A weight vector is efficient exactly when
 this digraph is strongly connected; for tournaments (no perfectly estimated
 pair) that is in turn equivalent to having a directed Hamiltonian cycle.
 
-Exact weight vectors are compared exactly, on integer pairs read once, by
-``compare_ratio``'s cross-multiplication.  Float vectors get an equality
-band relative to the entry, band * a_ij (default band 1e-9, overridable
-through EFFPCM_TOL), so that a perfectly estimated pair is still recognized
-as carrying both arcs.  The region test of ``geometry`` reads this digraph.
+``bcc_digraph`` is the one place where a weight ratio meets its entry.
+Exact weight vectors are compared exactly, by one cross-multiplication on
+integer pairs read once.  Float vectors get an equality band relative to
+the entry, band * a_ij (default band 1e-9, overridable through EFFPCM_TOL),
+so that a perfectly estimated pair is still recognized as carrying both
+arcs.  Where the float ratio or float(a_ij) is not a normal float (zero,
+subnormal or past the range), the same band is applied in exact arithmetic
+to the weights as given.  The region test of ``geometry`` reads this digraph.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Iterator
+from fractions import Fraction
 
 from .errors import BadToleranceError, DimensionMismatchError
-from .pcm import Pcm, Record, WeightVector, _ratio_sign, compare_ratio
+from .pcm import Pcm, Record, WeightVector
 
 DEFAULT_EQUALITY_BAND = 1e-9
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal floats' range
 
 
 def float_equality_band() -> float:
@@ -59,13 +65,28 @@ def bcc_digraph(pcm: Pcm, w: WeightVector, band: float | None = None) -> BccDigr
         )
     if band is None:
         band = float_equality_band()
-    pairs = [c.as_integer_ratio() for c in w.components] if w.exact else None
+    exact = w.exact
+    weights = [c.as_integer_ratio() for c in w.components] if exact else w.components
     arcs = set()
     equalities = set()
     for i, row in enumerate(pcm.entries, start=1):
+        wi = weights[i - 1]
         for j, entry in enumerate(row[i:], start=i + 1):
-            sign = (_ratio_sign(pairs[i - 1], pairs[j - 1], entry.as_integer_ratio()) if pairs
-                    else compare_ratio(w, i, j, entry, band))
+            wj = weights[j - 1]
+            num, den = entry.as_integer_ratio()
+            if exact:
+                lhs, rhs = wi[0] * wj[1] * den, num * wj[0] * wi[1]
+                sign = (lhs > rhs) - (lhs < rhs)
+            else:
+                ratio, tol = wi / wj, band
+                try:
+                    target = num / den  # float(entry), correctly rounded
+                except OverflowError:
+                    target = math.inf
+                if not (_TINY <= ratio <= _HUGE and _TINY <= target <= _HUGE):
+                    ratio, target, tol = Fraction(wi) / Fraction(wj), entry, Fraction(band)
+                sign = (0 if abs(ratio - target) <= tol * target
+                        else (ratio > target) - (ratio < target))
             if sign >= 0:
                 arcs.add((i, j))
             if sign <= 0:

@@ -16,8 +16,8 @@ integer cross-multiplication; ``product_signs`` and ``pcm_from_pairs`` keep
 them on the Pcm, outside its fields.  Classification, orientation, the
 tetrahedra, the coincidence report and both rearrangements in ``geometry``
 derive from them.  ``triad_product`` and ``cycle_product`` remain for
-arbitrary listings.  ``_ratio_sign`` compares a weight ratio with its entry
-on integer pairs, for ``compare_ratio`` and the BCC digraph alike.
+arbitrary listings.  Weight ratios meet their entries in one place only,
+the BCC digraph of ``efficiency``.
 """
 
 from __future__ import annotations
@@ -286,36 +286,12 @@ def weight_vector(values: Iterable) -> WeightVector:
     if any(isinstance(v, bool) for v in values):
         raise BadNumeralError(f"BadNumeral: {values!r} has a bool, which is not a weight")
     if any(isinstance(v, float) for v in values):
-        return WeightVector(tuple(float(v) for v in values))
+        try:
+            floats = tuple(float(v) for v in values)
+        except OverflowError:  # an int or Fraction that no float holds
+            raise NonFiniteWeightError("NonFiniteWeight: a component is past the float range") from None
+        return WeightVector(floats)
     return WeightVector(tuple(v if type(v) is Fraction else Fraction(v) for v in values))
-
-
-def compare_ratio(w: WeightVector, i: int, j: int, target: Fraction, band: float = 0.0) -> int:
-    """Sign of w_i/w_j - target: -1, 0 or +1.
-
-    Exact vectors compare exactly, by ``_ratio_sign`` on integer pairs.  Float
-    vectors treat |ratio - target| within band * target as equality, a band
-    relative to the target of any size; a target past the float range gets
-    the same test in exact arithmetic.
-    """
-    wi = w.components[i - 1]
-    wj = w.components[j - 1]
-    if w.exact:
-        return _ratio_sign(wi.as_integer_ratio(), wj.as_integer_ratio(), target.as_integer_ratio())
-    ratio = wi / wj
-    try:
-        t = float(target)
-    except OverflowError:
-        ratio, t, band = Fraction(ratio), target, Fraction(band)
-    if abs(ratio - t) <= band * t:
-        return 0
-    return 1 if ratio > t else -1
-
-
-def _ratio_sign(wi: tuple[int, int], wj: tuple[int, int], target: tuple[int, int]) -> int:
-    """Sign of wi/wj - target, each a positive (numerator, denominator) pair."""
-    lhs, rhs = wi[0] * wj[1] * target[1], target[0] * wj[0] * wi[1]
-    return (lhs > rhs) - (lhs < rhs)
 
 
 class Permutation(Record):
@@ -333,10 +309,6 @@ class Permutation(Record):
     @property
     def n(self) -> int:
         return len(self.mapping)
-
-    def __call__(self, i: int) -> int:
-        _check_index(self.n, i)
-        return self.mapping[i - 1]
 
 
 def apply_permutation(pcm: Pcm, perm: Permutation) -> Pcm:

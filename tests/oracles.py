@@ -11,7 +11,8 @@ restrictions to incomplete matrices, tree vectors by Fraction products
 (the library uses integer chains), numerals converted by ``Fraction(str)``
 (the library converts its regex groups), the cell-by-cell validation
 loop, relabelling entry by entry, the BCC digraph from Fraction ratios
-and barycentric coefficients in Fraction arithmetic (the library reads
+(with the float band's rule written out) and barycentric coefficients
+in Fraction arithmetic (the library reads
 integer pairs and integer forms), the clip polygons' split points written
 out coordinate by coordinate (the library calls ``embed``), the geometry document's
 exact-vertex reader and the exact cutting-plane polygons that its clip
@@ -34,6 +35,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,7 +64,6 @@ from effpcm.pcm import (
     WeightVector,
     _require_n4,
     apply_permutation,
-    compare_ratio,
     cycle_product,
     format_rational,
     parse_rational,
@@ -113,7 +114,7 @@ def permute_weights(w: WeightVector, perm: Permutation) -> WeightVector:
     """Reindex a weight vector consistently with apply_permutation: v_i = w_{perm(i)}."""
     if perm.n != w.n:
         raise DimensionMismatchError("DimensionMismatch: permutation and weight vector lengths differ")
-    return WeightVector(tuple(w.components[perm(i) - 1] for i in range(1, w.n + 1)))
+    return WeightVector(tuple(w.components[k - 1] for k in perm.mapping))
 
 
 def consistent_triads(pcm: Pcm) -> list[tuple[int, int, int]]:
@@ -179,10 +180,11 @@ def validate_by_cells(entries) -> None:
 
 
 def apply_permutation_by_entries(pcm: Pcm, perm: Permutation) -> Pcm:
-    """b_ij = a_{perm(i), perm(j)}, each index checked by ``perm(i)``; the
-    library indexes the validated mapping instead."""
+    """b_ij = a_{perm(i), perm(j)}, read entry by entry through ``entry``; the
+    library indexes whole rows by the mapping instead."""
+    image = perm.mapping
     return Pcm(tuple(
-        tuple(pcm.entries[perm(i) - 1][perm(j) - 1] for j in range(1, pcm.n + 1))
+        tuple(entry(pcm, image[i - 1], image[j - 1]) for j in range(1, pcm.n + 1))
         for i in range(1, pcm.n + 1)
     ))
 
@@ -191,9 +193,27 @@ def apply_permutation_by_entries(pcm: Pcm, perm: Permutation) -> Pcm:
 # digraphs and dominance
 
 
+def float_ratio_sign(wi: float, wj: float, target: Fraction, band: float) -> int:
+    """Sign of wi/wj - target for float weights, written out: |ratio - target|
+    within band * target is equality.  When the float ratio or float(target)
+    is zero, subnormal or past the float range, the test is taken on
+    Fraction(wi)/Fraction(wj), target and Fraction(band) instead."""
+    ratio = wi / wj
+    try:
+        t = float(target)
+    except OverflowError:  # past the float range
+        t = math.inf
+    normal = all(math.isfinite(x) and x >= sys.float_info.min for x in (ratio, t))
+    if not normal:
+        ratio, t, band = Fraction(wi) / Fraction(wj), target, Fraction(band)
+    if abs(ratio - t) <= band * t:
+        return 0
+    return 1 if ratio > t else -1
+
+
 def bcc_digraph_by_ratios(pcm: Pcm, w: WeightVector, band: float) -> BccDigraph:
     """The BCC digraph with each exact pair decided by comparing the Fraction
-    ratio w_i/w_j with a_ij, and each float pair by ``compare_ratio``."""
+    ratio w_i/w_j with a_ij, and each float pair by ``float_ratio_sign``."""
     arcs, equalities = set(), set()
     for i in range(1, pcm.n + 1):
         for j in range(i + 1, pcm.n + 1):
@@ -201,7 +221,8 @@ def bcc_digraph_by_ratios(pcm: Pcm, w: WeightVector, band: float) -> BccDigraph:
                 r, a = ratio(w, i, j), entry(pcm, i, j)
                 sign = (r > a) - (r < a)
             else:
-                sign = compare_ratio(w, i, j, entry(pcm, i, j), band)
+                sign = float_ratio_sign(w.components[i - 1], w.components[j - 1],
+                                        entry(pcm, i, j), band)
             if sign >= 0:
                 arcs.add((i, j))
             if sign <= 0:

@@ -18,7 +18,7 @@ from effpcm.cli import CLASS_CHOICES, build_parser, main
 from effpcm.efficiency import float_equality_band
 from effpcm.generators import generate_with_rng
 from effpcm.geometry import efficient_set
-from effpcm.pcm import parse_pcm
+from effpcm.pcm import parse_pcm, pcm_from_upper
 from conftest import RUNNING_ROWS
 from oracles import entry, parse_exact_vertices
 from test_pcm import random_pcm4
@@ -226,6 +226,16 @@ class TestBandEdge:
         assert member_rc == check_rc
 
 
+# a_12, float weights and their exact twin, every other entry 1
+_TEN_300 = str(10**300)
+RANGE_CASES = {
+    "overflow-2x2": (10**400, [1e300, 1e-300], [_TEN_300, "1/" + _TEN_300]),
+    "underflow-2x2": (Fraction(1, 10**400), [1e-300, 1e300], ["1/" + _TEN_300, _TEN_300]),
+    "underflow-4x4": (Fraction(1, 10**400), [1e-300, 1e300, 1.0, 1.0],
+                      ["1/" + _TEN_300, _TEN_300, "1", "1"]),
+}
+
+
 # a_12 and a_14 past the float range, every other upper entry 1; the cycle
 # (1,2,3,4) is then forward, so the region test of `member` reads a_12 too
 HUGE_ENTRY_ROWS = [
@@ -237,7 +247,8 @@ HUGE_ENTRY_ROWS = [
 
 
 class TestEntryPastFloatRange:
-    """Float weights against an entry no float can hold: a verdict, not a traceback."""
+    """Float weights against an entry or a ratio that no normal float holds: the
+    exact twin's verdict, not a traceback."""
 
     @pytest.mark.parametrize("command", ["check", "member"])
     @pytest.mark.parametrize("floats,exact,rc", [
@@ -251,6 +262,22 @@ class TestEntryPastFloatRange:
         assert main([command, matrix, "--weights", float_file]) == rc
         assert capsys.readouterr().err == ""
         assert main([command, matrix, "--weights", exact_file]) == rc
+
+    @pytest.mark.parametrize("command,case", [
+        ("check", "overflow-2x2"), ("check", "underflow-2x2"),
+        ("check", "underflow-4x4"), ("member", "underflow-4x4"),
+    ])
+    def test_ratio_past_the_normal_floats(self, tmp_path, capsys, command, case):
+        """The float ratio and float(a_12) both overflow, or both underflow to 0.0."""
+        a12, floats, exact = RANGE_CASES[case]
+        rows = pcm_from_upper(len(floats), {(1, 2): a12}).rows_as_strings()
+        matrix = write_matrix(tmp_path / "matrix.json", rows)
+        float_file = write_weights(tmp_path / "wf.json", floats)
+        exact_file = write_weights(tmp_path / "wx.json", exact)
+        assert main([command, matrix, "--weights", exact_file]) == 1
+        capsys.readouterr()
+        assert main([command, matrix, "--weights", float_file]) == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestExport:
@@ -334,6 +361,7 @@ class TestInputFaults:
         write_weights(tmp_path / "w.json", [0.25, 0.25, 0.25, 0.25])
         write_weights(tmp_path / "infinite.json", [float("inf"), 1.0, 1.0, 1.0])
         write_weights(tmp_path / "huge.json", [10**400, 1, 1, 1])
+        write_weights(tmp_path / "mixed.json", ["1" + "0" * 400, 1.0, 1.0, 1.0])
         (tmp_path / "non-utf8.json").write_bytes(
             b'{"n": 2, "entries": [["1", "\xff\xfe"], ["1", "1"]]}')
         (tmp_path / "deep.json").write_text("[" * 50_000 + "]" * 50_000, encoding="utf-8")
@@ -359,6 +387,8 @@ class TestInputFaults:
                      id="huge-int-weight"),
         pytest.param(["member", "matrix.json", "--weights", "huge.json"], None,
                      id="huge-int-weight-member"),
+        *[pytest.param([command, "matrix.json", "--weights", "mixed.json"], None,
+                       id=f"long-numeral-with-float-{command}") for command in ("check", "member")],
         pytest.param(["sample", "--seed", "1", "--trials", "2", "--class", "triple"], "abc",
                      id="sample-tol-abc"),
         pytest.param(["sample", "--seed", "1", "--trials", "x", "--class", "triple"], None,

@@ -1,5 +1,6 @@
 """BCC digraph construction, strong connectivity, and Pareto dominance."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from effpcm.pcm import (
     Permutation,
     WeightVector,
     apply_permutation,
+    pcm_from_upper,
     weight_vector,
 )
 from effpcm.efficiency import (
@@ -28,6 +30,7 @@ from oracles import (
     DimensionTooLargeError,
     bcc_digraph_by_ratios,
     dominates,
+    entry,
     find_dominator_sample,
     hamiltonian_cycle_exists,
     permute_weights,
@@ -78,7 +81,8 @@ def _matrix_and_vector(draw):
 
 class TestBccOnIntegerPairs:
     """The exact digraph reads integer pairs; it must be the digraph of the
-    Fraction ratio comparisons, and the float one that of ``compare_ratio``."""
+    Fraction ratio comparisons, and the float one that of the band's rule
+    written out in ``float_ratio_sign``."""
 
     @settings(max_examples=200, deadline=None)
     @given(_matrix_and_vector(), st.sampled_from([0.0, DEFAULT_EQUALITY_BAND, 1e-3]))
@@ -132,6 +136,43 @@ class TestBccDigraph:
                 assert (i, j) in g.arcs or (j, i) in g.arcs
                 both = (i, j) in g.arcs and (j, i) in g.arcs
                 assert both == ((i, j) in g.equality_pairs)
+
+
+def _pair_sign(g: BccDigraph, i: int, j: int) -> int:
+    """The sign of w_i/w_j - a_ij that the digraph's arc pair records."""
+    return ((i, j) in g.arcs) - ((j, i) in g.arcs)
+
+
+class TestPairSigns:
+    @given(
+        pcm=random_pcm4,
+        weights=st.lists(positive_rationals, min_size=4, max_size=4),
+        pair=st.sampled_from([(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]),
+        on_plane=st.booleans(),
+    )
+    def test_exact_comparison_is_antisymmetric(self, pcm, weights, pair, on_plane):
+        """Comparing w_j/w_i with a_ji gives the opposite sign of w_i/w_j with a_ij:
+        swapping i and j in matrix and vector reverses the pair's arcs."""
+        i, j = pair
+        if on_plane:  # put w on the cutting plane w_i/w_j = a_ij
+            weights[i - 1] = entry(pcm, i, j) * weights[j - 1]
+        w = weight_vector(weights)
+        mapping = [1, 2, 3, 4]
+        mapping[i - 1], mapping[j - 1] = j, i
+        swap = Permutation(tuple(mapping))
+        forward = _pair_sign(bcc_digraph(pcm, w), i, j)
+        swapped = bcc_digraph(apply_permutation(pcm, swap), permute_weights(w, swap))
+        assert _pair_sign(swapped, i, j) == -forward
+        if on_plane:
+            assert forward == 0
+
+    @pytest.mark.parametrize("target", [Fraction(1, 1000), Fraction(1), Fraction(1000)])
+    @pytest.mark.parametrize("k,sign", [(0.5, 0), (-0.5, 0), (2, 1), (-2, -1)])
+    def test_float_band_is_relative_to_the_target(self, target, k, sign):
+        band = 1e-9
+        w = weight_vector([float(target) * (1 + k * band), 1.0])
+        pcm = Pcm(((1, target), (1 / target, 1)))
+        assert _pair_sign(bcc_digraph(pcm, w, band), 1, 2) == sign
 
 
 class TestStrongConnectivity:
@@ -217,11 +258,26 @@ class TestEfficiency:
             == is_efficient(pcm, w)
 
 
+# Powers of ten for entries, and binary exponents for weights, near and past
+# the ends of the float range (normal floats span about 2.2e-308 to 1.8e308).
+_EXTREME_ENTRY_EXPONENTS = st.sampled_from([-400, -330, -310, -300, 0, 300, 310, 330, 400])
+_EXTREME_WEIGHT_EXPONENTS = st.sampled_from([-1074, -1060, -1030, -1000, 0, 1000, 1023])
+
+
 @st.composite
 def _matrix_and_float_weights(draw):
-    """A generated 4x4 matrix of any class and a positive float weight vector,
-    either arbitrary or a float convex combination of one tetrahedron's vertices
-    (so that efficient vectors are drawn too)."""
+    """A 4x4 matrix and a positive float weight vector.  Either the matrix has
+    entries and the vector weights near and past the float limits, or it is a
+    generated matrix of any class with a vector that is arbitrary or a float
+    convex combination of one tetrahedron's vertices (so that efficient
+    vectors are drawn too)."""
+    if draw(st.integers(0, 2)) == 0:
+        upper = {(i, j): Fraction(10) ** draw(_EXTREME_ENTRY_EXPONENTS)
+                 for i in range(1, 5) for j in range(i + 1, 5)}
+        return pcm_from_upper(4, upper), [
+            math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), draw(_EXTREME_WEIGHT_EXPONENTS))
+            for _ in range(4)
+        ]
     pcm = generate_with_rng(random.Random(draw(st.integers(0, 2**32 - 1))),
                             draw(st.sampled_from(list(PerturbTag))))
     if draw(st.booleans()):

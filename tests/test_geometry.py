@@ -208,7 +208,7 @@ class TestCanonicalRearrangement:
 
 def _image_cycle(perm, cycle):
     """The vertex cycle of the original matrix that a rearranged cycle maps onto."""
-    image = tuple(perm(v) for v in cycle)
+    image = tuple(perm.mapping[v - 1] for v in cycle)
     # normalize to a closed-walk representative over the original labels
     return image
 
