@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .efficiency import bcc_digraph, strongly_connected
-from .errors import InputError, UsageError
+from .errors import InputError, NonPositiveWeightError, UsageError
 from .export import (
     dump_json,
     geometry_document,
@@ -113,20 +113,23 @@ def _cmd_member(args) -> int:
     w = load_weights(args.weights)
     orientations = canonical_orientations(pcm)
     digraph = bcc_digraph(pcm, w)
-    inside_any = False
-    for orientation in orientations:
+    insides = [contains_cycle_region(digraph, orientation) for orientation in orientations]
+    efficient = any(insides)
+    try:
+        normalized = w.normalized() if efficient else None
+    except NonPositiveWeightError:  # a float component that normalizes to 0.0
+        normalized = None
+    for orientation, inside in zip(orientations, insides):
         cycle = orientation.cycle
-        inside = contains_cycle_region(digraph, orientation)
         cycle_text = ",".join(map(str, cycle))
         print(f"cycle ({cycle_text}) {orientation.direction.value}: "
               + ("inside" if inside else "outside"))
-        if inside:
-            inside_any = True
-            coefficients = barycentric(tetrahedron_for_cycle(pcm, cycle), w.normalized())
+        if inside and normalized is not None:
+            coefficients = barycentric(tetrahedron_for_cycle(pcm, cycle), normalized)
             if coefficients is not None:
                 print("  barycentric: " + " ".join(format_rational(c) for c in coefficients))
-    print("efficient: " + ("yes" if inside_any else "no"))
-    return 0 if inside_any else 1
+    print("efficient: " + ("yes" if efficient else "no"))
+    return 0 if efficient else 1
 
 
 def _cmd_export(args) -> int:

@@ -21,7 +21,7 @@ from .geometry import (
     efficient_set,
     embed,
 )
-from .pcm import Pcm, WeightVector, format_rational, parse_pcm, parse_rational, weight_vector
+from .pcm import Pcm, WeightVector, format_rational, parse_pcm, weight_vector
 
 SCHEMA_VERSION = "1"
 
@@ -50,22 +50,16 @@ def load_matrix(path: str | Path) -> Pcm:
 def weights_from_document(doc) -> WeightVector:
     if not isinstance(doc, dict) or "w" not in doc or not isinstance(doc["w"], list):
         raise BadNumeralError("BadNumeral: expected a JSON object with a 'w' list")
-    values = []
-    for cell in doc["w"]:
-        if isinstance(cell, str):
-            values.append(parse_rational(cell))
-        elif isinstance(cell, bool):
-            raise BadNumeralError(f"BadNumeral: {cell!r} is not a weight")
-        elif isinstance(cell, (int, float)):
-            # JSON numbers are the float variant; only strings are exact
+    values = list(doc["w"])
+    for k, cell in enumerate(values):
+        # a JSON number is the float variant; weight_vector reads every other cell
+        if isinstance(cell, (int, float)) and not isinstance(cell, bool):
             try:
-                values.append(float(cell))
+                values[k] = float(cell)
             except OverflowError:
                 raise NonFiniteWeightError(
                     f"NonFiniteWeight: a {cell.bit_length()}-bit integer is past the float range"
                 ) from None
-        else:
-            raise BadNumeralError(f"BadNumeral: {cell!r} is not a weight")
     return weight_vector(values)
 
 

@@ -3,7 +3,8 @@
 A pairwise comparison matrix (PCM) records ratio judgments a_ij > 0 with
 a_ji = 1/a_ij.  All entries are exact rationals and every operation here is
 exact: consistency is an equality of products, so no rounding is ever
-acceptable.  Decimal input is converted exactly ("0.25" becomes 1/4).
+acceptable.  Every builder reads its values with ``parse_rational``, so
+decimal input is converted exactly ("0.25" becomes 1/4).
 
 All indices in the public API are 1-based, matching the usual notation for
 alternatives 1..n.  Values are immutable after construction and every
@@ -51,22 +52,26 @@ CANONICAL_TRIADS = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 CANONICAL_CYCLES = ((1, 2, 3, 4), (1, 4, 2, 3), (1, 3, 4, 2))
 
 
-def parse_rational(text: str | int) -> Fraction:
-    """Parse "p", "p/q" or a decimal with at most 15 fraction digits, exactly."""
-    if type(text) is not str:  # a document's cells are all str: skip the tests below
-        if isinstance(text, bool):
-            raise BadNumeralError(f"BadNumeral: {text!r} is not a numeral")
-        if isinstance(text, int):
-            return Fraction(text)
-        if isinstance(text, float):
+def parse_rational(value: Fraction | int | float | str) -> Fraction:
+    """The exact value of a Fraction (kept as it is), an int, a numeral ("p", "p/q"
+    or a decimal with at most 15 fraction digits) or a float (read as its repr);
+    anything else, a bool, None or a Decimal too, raises BadNumeral."""
+    if type(value) is not str:  # a document's cells are all str: skip the tests below
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, bool):
+            raise BadNumeralError(f"BadNumeral: {value!r} is not a numeral")
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, float):
             # repr() is the shortest decimal that round-trips; reject floats whose
             # shortest form exceeds the decimal budget instead of guessing.
-            text = repr(text)
-        elif not isinstance(text, str):
-            raise BadNumeralError(f"BadNumeral: expected a rational string, got {text!r}")
-    match = _NUMERAL_RE.fullmatch(text.strip())
+            value = repr(value)
+        elif not isinstance(value, str):
+            raise BadNumeralError(f"BadNumeral: {value!r} is not a Fraction, int, float or str")
+    match = _NUMERAL_RE.fullmatch(value.strip())
     if match is None:
-        raise BadNumeralError(f"BadNumeral: {text!r} is not 'p', 'p/q' or a short decimal")
+        raise BadNumeralError(f"BadNumeral: {value!r} is not 'p', 'p/q' or a short decimal")
     whole, den, digits = match.groups()
     try:
         if den is not None:
@@ -77,7 +82,7 @@ def parse_rational(text: str | int) -> Fraction:
         numerator = abs(int(whole)) * scale + int(digits)
         return Fraction(-numerator if whole[0] == "-" else numerator, scale)
     except (ValueError, ZeroDivisionError) as exc:
-        raise BadNumeralError(f"BadNumeral: {text!r} ({exc})") from exc
+        raise BadNumeralError(f"BadNumeral: {value!r} ({exc})") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -191,8 +196,8 @@ class Pcm(Record):
         }
 
 
-def parse_pcm(rows: Sequence[Sequence[str | int]]) -> Pcm:
-    """Parse and validate a grid of rational strings into a Pcm."""
+def parse_pcm(rows: Sequence[Sequence[Fraction | int | float | str]]) -> Pcm:
+    """Read each cell with ``parse_rational`` and validate the grid as a Pcm."""
     if not isinstance(rows, Sequence) or isinstance(rows, (str, bytes)) or len(rows) == 0:
         raise NonSquareError("NonSquare: expected a nonempty grid of rows")
     parsed, numerals = [], {}  # each distinct numeral string is parsed once
@@ -217,7 +222,7 @@ def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int | float |
             raise IndexOutOfRangeError(f"IndexOutOfRange: {key!r} is not a pair i < j in 1..{n}")
         if isinstance(value, bool):
             raise BadNumeralError(f"BadNumeral: a[{i},{j}]={value!r} is a bool, not a number")
-        value = parse_rational(value) if isinstance(value, (float, str)) else Fraction(value)
+        value = parse_rational(value)
         if value <= 0:
             raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
         grid[i - 1][j - 1] = value
@@ -281,17 +286,14 @@ class WeightVector(Record):
 
 
 def weight_vector(values: Iterable) -> WeightVector:
-    """Build a WeightVector; ints/Fractions give the exact variant, floats the float one."""
-    values = list(values)
-    if any(isinstance(v, bool) for v in values):
-        raise BadNumeralError(f"BadNumeral: {values!r} has a bool, which is not a weight")
+    """The WeightVector of the values read by parse_rational, or of floats if a value is one."""
+    values = [v if isinstance(v, float) else parse_rational(v) for v in values]
     if any(isinstance(v, float) for v in values):
         try:
-            floats = tuple(float(v) for v in values)
+            values = [float(v) for v in values]
         except OverflowError:  # an int or Fraction that no float holds
             raise NonFiniteWeightError("NonFiniteWeight: a component is past the float range") from None
-        return WeightVector(floats)
-    return WeightVector(tuple(v if type(v) is Fraction else Fraction(v) for v in values))
+    return WeightVector(values)
 
 
 class Permutation(Record):

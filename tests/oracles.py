@@ -473,10 +473,12 @@ def tree_weight_vector_by_fractions(pcm: Pcm, tree: SpanningTree) -> WeightVecto
 _NUMERAL_RE = re.compile(r"^[+-]?\d+(?:/\d+|\.\d{1,15})?$")
 
 
-def parse_rational_by_fraction_string(text: str | int) -> Fraction:
+def parse_rational_by_fraction_string(text: Fraction | int | float | str) -> Fraction:
     """The numeral checked by one regex and then converted by ``Fraction(str)``,
     which matches it a second time; the library converts its regex groups
     with ``int`` instead."""
+    if isinstance(text, Fraction):
+        return text
     if isinstance(text, bool):
         raise BadNumeralError(f"BadNumeral: {text!r} is not a numeral")
     if isinstance(text, int):
@@ -484,7 +486,7 @@ def parse_rational_by_fraction_string(text: str | int) -> Fraction:
     if isinstance(text, float):
         text = repr(text)
     if not isinstance(text, str):
-        raise BadNumeralError(f"BadNumeral: expected a rational string, got {text!r}")
+        raise BadNumeralError(f"BadNumeral: {text!r} is not a Fraction, int, float or str")
     stripped = text.strip()
     if not _NUMERAL_RE.match(stripped):
         raise BadNumeralError(f"BadNumeral: {text!r} is not 'p', 'p/q' or a short decimal")

@@ -18,7 +18,7 @@ from effpcm.cli import CLASS_CHOICES, build_parser, main
 from effpcm.efficiency import float_equality_band
 from effpcm.generators import generate_with_rng
 from effpcm.geometry import efficient_set
-from effpcm.pcm import parse_pcm, pcm_from_upper
+from effpcm.pcm import format_rational, parse_pcm, pcm_from_upper
 from conftest import RUNNING_ROWS
 from oracles import entry, parse_exact_vertices
 from test_pcm import random_pcm4
@@ -153,6 +153,30 @@ class TestMember:
         assert "barycentric:" in captured.out
         assert "efficient: yes" in captured.out
         assert captured.err == ""
+
+
+    def test_float_vector_that_normalizes_to_zero(self, tmp_path, capsys):
+        """A consistent matrix and its own float weights, of which 1e-300 / 2e300
+        is 0.0 in floats: every region line and the verdict, no barycentric line."""
+        floats = [1e300, 1e300, 1e-300, 1e-300]
+        rows = [[format_rational(Fraction(a) / Fraction(b)) for b in floats] for a in floats]
+        matrix = write_matrix(tmp_path / "matrix.json", rows)
+        wfile = write_weights(tmp_path / "w.json", floats)
+        assert main(["check", matrix, "--weights", wfile]) == 0
+        capsys.readouterr()
+        assert main(["member", matrix, "--weights", wfile]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "cycle (1,2,3,4) consistent: inside",
+            "cycle (1,4,2,3) consistent: inside",
+            "cycle (1,3,4,2) consistent: inside",
+            "efficient: yes",
+        ]
+        assert captured.err == ""
+        exact = write_weights(tmp_path / "wx.json", [format_rational(Fraction(c)) for c in floats])
+        assert main(["member", matrix, "--weights", exact]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if not line.startswith("  barycentric:")] == captured.out.splitlines()
 
 
 # w_1/w_2 lies 5e-7 above a_12 = 1000 relatively, far outside the band, while
@@ -460,7 +484,8 @@ class TestSharedParser:
 
 
 _CELLS = st.one_of(
-    st.sampled_from(["1", "2", "1/2", "5", "1/5", "0.25", "4", "0", "-1", "1/0", "x", "", " 3 "]),
+    st.sampled_from(["1", "2", "1/2", "5", "1/5", "0.25", "4", "0", "-1", "1/0", "x", "", " 3 ",
+                     "1e3", ".5", "1_000"]),
     st.integers(-2, 9),
     st.just(10**400),  # past the float range
     st.floats(),

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from effpcm.errors import (
     TooShortError,
     UnsupportedDimensionError,
 )
+from effpcm.export import weights_from_document
 from effpcm.generators import generate_with_rng
 from effpcm.geometry import PerturbTag
 from effpcm.pcm import (
@@ -36,6 +38,7 @@ from effpcm.pcm import (
     apply_permutation,
     consistent_weights,
     cycle_product,
+    format_rational,
     is_consistent,
     parse_pcm,
     parse_rational,
@@ -71,6 +74,7 @@ random_pcm4 = st.builds(
 _GRID_CELLS = st.sampled_from([
     "1", "2", "1/2", "0.5", " 1/2", "2/4", "3", "1/3", "0", "x", "1/0", "1e3",
     1, 2, 3, 0, 0.5, 2.0, 1e300, True, False, None, ["1"], (), b"1",
+    Fraction(2), Fraction(1, 2), Decimal("2"),
 ])
 
 
@@ -269,7 +273,7 @@ class TestParseRationalByGroups:
         pytest.param("-" + "7" * 5000, id="signed-whole-5000-digits"),
         pytest.param("7" * 5000 + ".5", id="whole-5000-digits-tail"),
         pytest.param("1/" + "7" * 5000, id="denominator-5000-digits"),
-        12, -3, True, 0.1, 1e-05, None,
+        12, -3, True, 0.1, 1e-05, None, Fraction(3, 4), Fraction(-2), Decimal("0.5"), [1],
     ])
     def test_fixed_cases(self, value):
         assert _parse_outcome(parse_rational, value) == _parse_outcome(
@@ -279,6 +283,105 @@ class TestParseRationalByGroups:
         """The README's example: a signed numeral padded with whitespace."""
         assert parse_rational(" -0.5\t") == Fraction(-1, 2)
         assert parse_rational("+3/4 ") == Fraction(3, 4)
+
+
+# Any value a caller may hand a builder: text of every kind, numerals and
+# near misses, and values of other types.
+_ANY_TEXT = st.one_of(st.text(max_size=12), st.text(_NUMERAL_ALPHABET, max_size=24), _BUILT_NUMERALS)
+_ANY_VALUE = st.one_of(
+    _ANY_TEXT,
+    st.booleans(),
+    st.none(),
+    st.decimals(),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.integers(-3, 10**30),
+    st.floats(),
+    st.fractions(max_denominator=10**6),
+)
+
+
+def _read_by_parse_pcm(value, reference):
+    # a reciprocal lower cell when the value reads as positive, so that only
+    # a different reading of the value breaks reciprocity
+    positive = isinstance(reference, Fraction) and reference > 0
+    lower = format_rational(1 / reference) if positive else "1"
+    return parse_pcm([["1", value], [lower, "1"]]).entries[0][1]
+
+
+def _read_by_pcm_from_upper(value, _):
+    return pcm_from_upper(2, {(1, 2): value}).entries[0][1]
+
+
+def _read_by_weight_vector(value, _):
+    return weight_vector([value, Fraction(1)]).components[0]
+
+
+def _read_by_weight_document(value, _):
+    return weights_from_document({"w": [value, "1"]}).components[0]
+
+
+_POSITIVITY_ERRORS = {
+    _read_by_parse_pcm: NonPositiveEntryError,
+    _read_by_pcm_from_upper: NonPositiveEntryError,
+    _read_by_weight_vector: NonPositiveWeightError,
+    _read_by_weight_document: NonPositiveWeightError,
+}
+
+
+class TestOneReader:
+    """``parse_pcm``, ``pcm_from_upper``, ``weight_vector`` and weight documents
+    read a value as ``parse_rational`` does."""
+
+    @settings(max_examples=400)
+    @given(_ANY_VALUE)
+    def test_builders_read_as_parse_rational(self, value):
+        reference = _parse_outcome(parse_rational, value)
+        readers = [_read_by_parse_pcm, _read_by_pcm_from_upper]
+        if isinstance(value, float):  # a float selects weight_vector's float variant
+            assert _parse_outcome(weight_vector, [value, 1]) == _parse_outcome(
+                WeightVector, (value, 1.0))
+        else:
+            readers.append(_read_by_weight_vector)
+        if isinstance(value, str):  # a document's numbers are floats, its strings numerals
+            readers.append(_read_by_weight_document)
+        for read in readers:
+            outcome = _parse_outcome(lambda v: read(v, reference), value)
+            if not isinstance(reference, Fraction):
+                assert outcome[0] is BadNumeralError, (read.__name__, outcome)
+            elif reference > 0:
+                assert outcome == reference and type(outcome) is Fraction, (read.__name__, outcome)
+            else:
+                assert outcome[0] is _POSITIVITY_ERRORS[read], (read.__name__, outcome)
+
+    @pytest.mark.parametrize("build,expected", [
+        pytest.param(lambda: weight_vector(["1e3", 1]), BadNumeralError, id="weights-exponent"),
+        pytest.param(lambda: weight_vector(["1_000", 1]), BadNumeralError, id="weights-underscore"),
+        pytest.param(lambda: weight_vector([".5", 1]), BadNumeralError, id="weights-no-whole-part"),
+        pytest.param(lambda: weight_vector([Decimal("0.5"), 1]), BadNumeralError, id="weights-decimal"),
+        pytest.param(lambda: weight_vector(["abc", 1]), BadNumeralError, id="weights-no-numeral"),
+        pytest.param(lambda: weight_vector(["1/0", 1]), BadNumeralError, id="weights-zero-denominator"),
+        pytest.param(lambda: weight_vector([None, 1]), BadNumeralError, id="weights-none"),
+        pytest.param(lambda: weight_vector([0.5, "1/2"]), WeightVector((0.5, 0.5)),
+                     id="weights-float-and-numeral"),
+        pytest.param(lambda: pcm_from_upper(2, {(1, 2): None}), BadNumeralError, id="upper-none"),
+        pytest.param(lambda: parse_pcm([[Fraction(1), Fraction(1, 2)], ["2", 1]]),
+                     Pcm(((1, Fraction(1, 2)), (2, 1))), id="grid-fraction-cell"),
+    ])
+    def test_reader_faults(self, build, expected):
+        """Each value is refused with BadNumeral or read by the numeral rule."""
+        if isinstance(expected, type):
+            with pytest.raises(expected, match=r"^BadNumeral: "):
+                build()
+        else:
+            assert build() == expected
+
+    def test_a_float_subclass_selects_the_float_variant(self):
+        class Weight(float):
+            pass
+
+        w = weight_vector([Weight(0.25), Fraction(3, 4)])
+        assert not w.exact and w.components == (0.25, 0.75)
+        assert type(w.components[0]) is float
 
 
 # Entries whose pairs are often reciprocal: whole values come as Fraction and
