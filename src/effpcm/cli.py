@@ -27,6 +27,7 @@ from .export import (
 from .geometry import (
     CANONICAL_CYCLES,
     PerturbTag,
+    _band_orientations,
     barycentric,
     canonical_rearrangement,
     classify,
@@ -112,18 +113,21 @@ def _cmd_member(args) -> int:
     pcm = load_matrix(args.matrix)
     w = load_weights(args.weights)
     orientations = canonical_orientations(pcm)
+    regions = _band_orientations(pcm, w)
     digraph = bcc_digraph(pcm, w)
-    insides = [contains_cycle_region(digraph, orientation) for orientation in orientations]
+    insides = [contains_cycle_region(digraph, region) for region in regions]
     efficient = any(insides)
     try:
         normalized = w.normalized() if efficient else None
     except NonPositiveWeightError:  # a float component that normalizes to 0.0
         normalized = None
-    for orientation, inside in zip(orientations, insides):
+    for orientation, region, inside in zip(orientations, regions, insides):
         cycle = orientation.cycle
         cycle_text = ",".join(map(str, cycle))
-        print(f"cycle ({cycle_text}) {orientation.direction.value}: "
-              + ("inside" if inside else "outside"))
+        label = orientation.direction.value
+        if region is not orientation:  # a float vector may hold the cycle either way
+            label += ", within the band of consistent"
+        print(f"cycle ({cycle_text}) {label}: " + ("inside" if inside else "outside"))
         if inside and normalized is not None:
             coefficients = barycentric(tetrahedron_for_cycle(pcm, cycle), normalized)
             if coefficients is not None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import BadToleranceError, DimensionMismatchError
@@ -106,21 +105,23 @@ def strongly_connected(g: BccDigraph) -> bool:
         succ[a].append(b)
         pred[b].append(a)
     # vertex 1 reaches every vertex, and every vertex reaches vertex 1
-    return all(sum(1 for _ in _walk(adjacency, 1)) == n - 1 for adjacency in (succ, pred))
+    return len(_walk(succ, 1)) == n - 1 and len(_walk(pred, 1)) == n - 1
 
 
-def _walk(adjacency: list[list[int]], start: int) -> Iterator[tuple[int, int]]:
+def _walk(adjacency: list[list[int]], start: int) -> list[tuple[int, int]]:
     """Each (parent, child) pair by which a walk over adjacency from start first
     reaches child: every vertex reachable from start, bar start, once."""
     seen = {start}
     frontier = [start]
+    pairs = []
     while frontier:
         parent = frontier.pop()
         for child in adjacency[parent]:
             if child not in seen:
                 seen.add(child)
                 frontier.append(child)
-                yield parent, child
+                pairs.append((parent, child))
+    return pairs
 
 
 def is_efficient(pcm: Pcm, w: WeightVector) -> bool:

@@ -9,7 +9,6 @@ coordinates, so re-parsing loses nothing.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import BadNumeralError, NonFiniteWeightError, NonSquareError
@@ -18,8 +17,8 @@ from .geometry import (
     SIMPLEX_CORNERS,
     Direction,
     EfficientSet,
+    _embedded,
     efficient_set,
-    embed,
 )
 from .pcm import Pcm, WeightVector, format_rational, parse_pcm, weight_vector
 
@@ -124,14 +123,14 @@ def geometry_document(pcm: Pcm) -> dict:
     for (i, j), value in pcm.upper_entries().items():
         # The plane w_i = a_ij * w_j, a_ij = n/d, cuts the simplex in the triangle
         # of the corners with w_i = w_j = 0 and the point with w_i = n/(n + d),
-        # w_j = d/(n + d); each is written as embed() of it
+        # w_j = d/(n + d); each is written as its embedding
         n, d = value.numerator, value.denominator
-        split = [Fraction(n if k == i else d, n + d) if k in (i, j) else 0 for k in range(1, 5)]
+        split = [n if k == i else d if k == j else 0 for k in range(1, 5)]
         corners = [list(SIMPLEX_CORNERS[k - 1]) for k in range(1, 5) if k not in (i, j)]
         planes.append({
             "pair": [i, j],
             "value": format_rational(value),
-            "clip_polygon": [list(embed(split))] + corners,
+            "clip_polygon": [list(_embedded(split, n + d))] + corners,
         })
     return {
         "schema_version": SCHEMA_VERSION,

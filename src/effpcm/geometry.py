@@ -8,7 +8,12 @@ the four ratio inequalities along the cycle in its admissible orientation,
 that is to w's BCC digraph holding the directed cycle: the region test
 reads the digraph.  A cycle's admissible orientation is fixed by whether its
 entry product lies below or above 1; a product of exactly 1 collapses the
-tetrahedron to a single point.
+tetrahedron to a single point.  Each orientation keeps the arc sets it
+admits, built with the record, so a region test is one subset test per set;
+the nine orientations of the canonical cycles are built at import.  A float
+vector's equality band lets it hold a cycle whose product lies within a few
+bands of 1 in either direction, so for it such a cycle is read through its
+consistent orientation (``_band_orientations``).
 
 Classification, the canonical cycles' orientations, the tetrahedra, the
 coincidence report and both rearrangements read the seven signs of
@@ -43,7 +48,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .efficiency import BccDigraph, bcc_digraph
+from .efficiency import BccDigraph, bcc_digraph, float_equality_band
 from .errors import (
     ConsistentTriadPresentError,
     DimensionMismatchError,
@@ -58,7 +63,7 @@ from .pcm import (
     Record,
     WeightVector,
     apply_permutation,
-    cycle_product,  # unused here, but bound: the tracing tests rebind it in every module
+    cycle_product,
     product_signs,
 )
 from .trees import paths_of_cycle, tree_weight_vector
@@ -75,12 +80,22 @@ class CycleOrientation(Record):
 
     ``directed`` is the vertex listing to iterate arcs in the valid
     direction; a backward orientation stores the reversed listing so region
-    tests never have to special-case the direction.
+    tests never have to special-case the direction.  The arcs a region test
+    reads are built once and kept outside the fields, as ``_arc_sets``: the
+    directed cycle's arcs, and for a consistent cycle their reversal too.
     """
 
     cycle: tuple[int, int, int, int]
     direction: Direction
     directed: tuple[int, int, int, int]
+
+    def __post_init__(self):
+        listing = tuple(self.directed)
+        arcs = frozenset(zip(listing, listing[1:] + listing[:1]))
+        if self.direction is Direction.CONSISTENT_BOTH:
+            self.__dict__["_arc_sets"] = (arcs, frozenset((b, a) for a, b in arcs))
+        else:
+            self.__dict__["_arc_sets"] = (arcs,)
 
 
 def _oriented(cycle: tuple[int, int, int, int], sign: int) -> CycleOrientation:
@@ -202,17 +217,41 @@ def contains_cycle_region(digraph: BccDigraph, orientation: CycleOrientation) ->
     oriented cycle, w_a/w_b >= a_ab.  A consistent cycle's region is the
     point where all four are equalities; as ratios and entries have the same
     product along it, an exact w holding it in either direction is there.
+    Each kept arc set of the orientation is one subset test.
     """
-    listing = orientation.directed
-    arcs = set(zip(listing, listing[1:] + listing[:1]))
-    if orientation.direction is Direction.CONSISTENT_BOTH and not arcs <= digraph.arcs:
-        arcs = {(b, a) for a, b in arcs}
-    return arcs <= digraph.arcs
+    arcs = digraph.arcs
+    for admissible in orientation._arc_sets:
+        if admissible <= arcs:
+            return True
+    return False
+
+
+def _band_orientations(pcm: Pcm, w: WeightVector) -> tuple[CycleOrientation, ...]:
+    """The orientation whose arc sets a region test for w reads, per canonical cycle.
+
+    A float vector w with band t (``float_equality_band``) holds the arc
+    (a, b) when w_a/w_b >= (1 - t) a_ab, so along a cycle it holds, the
+    entries' product in the held direction is at most (1 - t)^-4.  A cycle
+    whose exact product P lies in [(1 - t)^4, (1 - t)^-4] can so be held in
+    either direction, and is read through its consistent record's two arc
+    sets; for t >= 1 every cycle is.  An exact w has t = 0: its admissible
+    orientations are returned as they are.
+    """
+    orientations = canonical_orientations(pcm)
+    if w.exact:
+        return orientations
+    band = Fraction(float_equality_band())
+    low = (1 - band) ** 4
+    return tuple(
+        _ORIENTATIONS[o.cycle, 0]
+        if band >= 1 or low <= cycle_product(pcm, o.cycle) <= 1 / low else o
+        for o in orientations
+    )
 
 
 def is_efficient_geometric(pcm: Pcm, w: WeightVector) -> bool:
     """Efficiency by geometry: membership in at least one cycle region."""
-    orientations = canonical_orientations(pcm)
+    orientations = _band_orientations(pcm, w)
     digraph = bcc_digraph(pcm, w)
     return any(contains_cycle_region(digraph, orientation) for orientation in orientations)
 
@@ -469,11 +508,17 @@ def efficient_set(pcm: Pcm) -> EfficientSet:
 # 3-simplex embedding
 
 
+def _embedded(x: Sequence[int], total: int) -> tuple[float, float, float]:
+    """``embed`` of the vector x1..x4 / total: each int / int rounds correctly, once."""
+    x1, x2, x3, _ = x
+    return ((x1 + x2) / total, (x1 + x3) / total, (x2 + x3) / total)
+
+
 def embed(w: WeightVector | Sequence) -> tuple[float, float, float]:
     """(w1+w2, w1+w3, w2+w3): a normalized vector drawn in 3-space.
 
     Exact input is integers x1..x4 over their total T (a tree vector's kept form, or over
-    the lcm of the denominators); each int / int (xa + xb) / T rounds correctly, once.
+    the lcm of the denominators), embedded by ``_embedded``.
     """
     components = w.components if isinstance(w, WeightVector) else tuple(w)
     form = w.__dict__.get("_integer_form") if isinstance(w, WeightVector) else None
@@ -484,8 +529,7 @@ def embed(w: WeightVector | Sequence) -> tuple[float, float, float]:
         if sum(form[0]) != form[1]:
             raise NotNormalizedError("NotNormalized: components must sum to 1")
     if form is not None:
-        (n1, n2, n3, _), d = form
-        return ((n1 + n2) / d, (n1 + n3) / d, (n2 + n3) / d)
+        return _embedded(*form)
     if abs(sum(components) - 1.0) > 1e-12:
         raise NotNormalizedError("NotNormalized: components must sum to 1")
     w1, w2, w3, _ = components

@@ -2,9 +2,11 @@
 
 Each trial draws a matrix from a class generator and a random exact simplex
 weight vector, then reads two verdicts off their BCC digraph: strong
-connectivity, and holding a canonical cycle in its admissible orientation (a
-cycle region).  They must agree on every exact instance; any disagreement is
-recorded verbatim.
+connectivity, by two graph walks from vertex 1, and holding a canonical cycle
+in its admissible orientation (a cycle region), by subset tests against the
+arc sets that the orientations keep.  A trial builds one matrix, one weight
+vector and one digraph; the orientations are built at import.  The verdicts
+must agree on every exact instance; any disagreement is recorded verbatim.
 """
 
 from __future__ import annotations
@@ -65,11 +67,4 @@ def run_equivalence_trials(seed: int, trials: int, class_tag: PerturbTag | str) 
                 "geometric_verdict": geometric_verdict,
             })
     elapsed = time.perf_counter() - start
-    return EquivalenceReport(
-        trials=trials,
-        agreements=agreements,
-        disagreements=tuple(disagreements),
-        seed=seed,
-        class_tag=tag.value,
-        elapsed=elapsed,
-    )
+    return EquivalenceReport(trials, agreements, tuple(disagreements), seed, tag.value, elapsed)

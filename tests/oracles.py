@@ -6,7 +6,8 @@ Hamiltonian-cycle search (Camion), strong connectivity by transitive
 closure, Pareto dominance and a randomized dominator search, spanning-tree
 and path enumeration (with the path tree of a vertex ordering), the
 orientation of any cycle listing by its Fraction product (the library
-orients the canonical cycles from their signs), tree
+orients the canonical cycles from their signs), the region test on arcs
+zipped from the listing per call (the library keeps them per orientation), tree
 restrictions to incomplete matrices, tree vectors by Fraction products
 (the library uses integer chains), numerals converted by ``Fraction(str)``
 (the library converts its regex groups), the cell-by-cell validation
@@ -43,6 +44,7 @@ from effpcm.efficiency import BccDigraph, _walk
 from effpcm.geometry import (
     CoincidenceReport,
     CycleOrientation,
+    Direction,
     Tetrahedron,
     _oriented,
     affine_rank,
@@ -150,6 +152,17 @@ def cycle_orientation(pcm: Pcm, cycle: tuple[int, int, int, int]) -> CycleOrient
     _require_n4(pcm)
     product = cycle_product(pcm, cycle)
     return _oriented(cycle, (product > 1) - (product < 1))
+
+
+def contains_cycle_region_by_zip(digraph: BccDigraph, orientation: CycleOrientation) -> bool:
+    """The region test with the orientation's arcs zipped from its listing on every
+    call, and reversed for a consistent cycle that the digraph does not hold
+    forward; the library keeps each orientation's arc sets."""
+    listing = orientation.directed
+    arcs = set(zip(listing, listing[1:] + listing[:1]))
+    if orientation.direction is Direction.CONSISTENT_BOTH and not arcs <= digraph.arcs:
+        arcs = {(b, a) for a, b in arcs}
+    return arcs <= digraph.arcs
 
 
 def validate_by_cells(entries) -> None:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import effpcm
 from effpcm.cli import CLASS_CHOICES, build_parser, main
@@ -189,6 +189,11 @@ BAND_EDGE_W = [1.0, 0.0009999995, 0.3, 0.3]
 SWAPPED_ROWS = [["1", "1/1000", "2", "1"], ["1000", "1", "2", "2"],
                 ["1/2", "1/2", "1", "2"], ["1", "1/2", "1/2", "1"]]
 SWAPPED_W = [0.0009999995, 1.0, 0.3, 0.3]
+# the cycle (1,2,3,4) has product 1 + 1e-9; w holds it backward, equal within the
+# band on {1,4}, {2,3} and {3,4}
+NEAR_ROWS = [["1", "8/3", "2/3", "3840000000/1000000001"], ["3/8", "1", "4/5", "9/2"],
+             ["3/2", "5/4", "1", "9/5"], ["1000000001/3840000000", "2/9", "5/9", "1"]]
+NEAR_W = [3.8399999980510415, 1.4399999976311004, 1.7999999985113047, 1.0]
 
 
 def _verdicts(workdir, rows, weights):
@@ -214,6 +219,22 @@ class TestBandEdge:
         monkeypatch.delenv("EFFPCM_TOL", raising=False)
         assert _verdicts(tmp_path, rows, weights) == (1, 1, "efficient: no")
 
+    def test_recorded_near_consistent_cycle(self, tmp_path, monkeypatch):
+        """The cycle (1,2,3,4) has product 1 + 1e-9; w holds it backward, against
+        its admissible orientation, within the band."""
+        monkeypatch.delenv("EFFPCM_TOL", raising=False)
+        assert _verdicts(tmp_path, NEAR_ROWS, NEAR_W) == (0, 0, "efficient: yes")
+
+    def test_recorded_near_consistent_cycle_label(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("EFFPCM_TOL", raising=False)
+        matrix = write_matrix(tmp_path / "matrix.json", NEAR_ROWS)
+        assert main(["member", matrix, "--weights", write_weights(tmp_path / "w.json", NEAR_W)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "cycle (1,2,3,4) backward, within the band of consistent: inside")
+        exact = write_weights(tmp_path / "x.json", [str(Fraction(c)) for c in NEAR_W])
+        assert main(["member", matrix, "--weights", exact]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == "cycle (1,2,3,4) backward: outside"
+
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -222,17 +243,20 @@ class TestBandEdge:
         ks=st.lists(st.sampled_from([0, 0.5, 1, 1.5, 2, 3]), min_size=3, max_size=3),
         signs=st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3),
         generic=st.none() | st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4),
+        near=st.none() | st.tuples(st.sampled_from([0, 0.5, 1, 1.5, 2, 3]), st.sampled_from([-1, 1])),
     )
+    @example(seed=1, tag="triple", order=(1, 2, 3, 4), ks=[1.5, 1, 1], signs=[1, -1, -1],
+             generic=None, near=(1, -1))
     def test_member_agrees_with_check_on_float_vectors(
-        self, tmp_path_factory, seed, tag, order, ks, signs, generic,
+        self, tmp_path_factory, seed, tag, order, ks, signs, generic, near,
     ):
         """Band-edge draws walk a path of alternatives, each ratio a_ij * (1 +- k*band).
 
         A consistent 4-cycle or triad along the path puts the closing ratios
-        at the band's edge too.  Generated entries keep every inconsistent
-        cycle's product far outside the band around 1: a product within a
-        few bands of 1 lets a float vector hold its cycle against the
-        admissible orientation, where the two verdicts can still part.
+        at the band's edge too.  A ``near`` draw sets the closing entry so
+        that the closing ratio is at a band edge as well, which puts the
+        cycle along the path within a few bands of 1: a float vector can then
+        hold that cycle against its admissible orientation.
         """
         pcm = generate_with_rng(random.Random(seed), tag)
         band = float_equality_band()
@@ -244,6 +268,13 @@ class TestBandEdge:
                 a = float(entry(pcm, order[t], order[t + 1]))
                 factor = 1 + signs[t] * ks[t] * band
                 weights[order[t] - 1] = a * factor * weights[order[t + 1] - 1]
+            if near is not None:
+                (k, sign), (a, b) = near, (order[3], order[0])
+                ratio = Fraction(weights[a - 1]) / Fraction(weights[b - 1])
+                closing = ratio / (1 + sign * Fraction(k) * Fraction(band))  # a_ab
+                upper = pcm.upper_entries()
+                upper[min(a, b), max(a, b)] = closing if a < b else 1 / closing
+                pcm = pcm_from_upper(4, upper)
         check_rc, member_rc, line = _verdicts(
             tmp_path_factory.mktemp("band"), pcm.rows_as_strings(), weights)
         assert line == ("efficient: yes" if check_rc == 0 else "efficient: no")

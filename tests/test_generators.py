@@ -10,8 +10,10 @@ import pytest
 
 from effpcm.generators import generate_pcm, generate_with_rng, random_exact_weights
 from effpcm.generators import UPPER_PAIRS, OPPOSITE_PAIRS, TRIAD_SHARING_PAIRS
-from effpcm.geometry import PerturbTag, classify
+from effpcm.efficiency import BccDigraph
+from effpcm.geometry import CycleOrientation, PerturbTag, classify
 from effpcm.pcm import Pcm, WeightVector, parse_pcm, product_signs
+from effpcm.sampling import run_equivalence_trials
 
 DATA = Path(__file__).parent / "data"
 
@@ -115,3 +117,21 @@ def test_one_pcm_per_generated_matrix(monkeypatch):
             built.clear()
             pcm = generate_pcm(seed, tag)
             assert built == [pcm], (tag, seed)
+
+
+def test_one_record_of_each_kind_per_trial(monkeypatch):
+    """One sampler trial builds one matrix, one weight vector and one digraph; the
+    region tests read the orientations built at import."""
+    built = []
+    for cls in (Pcm, WeightVector, BccDigraph, CycleOrientation):
+        def counting(self, original=cls.__post_init__):
+            built.append(type(self))
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    for tag in ALL_TAGS:
+        for seed in range(20):
+            built.clear()
+            run_equivalence_trials(seed, 1, tag)
+            names = sorted(cls.__name__ for cls in built)
+            assert names == ["BccDigraph", "Pcm", "WeightVector"], (tag, seed)

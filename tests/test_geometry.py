@@ -31,7 +31,7 @@ from effpcm.pcm import (
     upper_signs,
     weight_vector,
 )
-from effpcm.efficiency import bcc_digraph, is_efficient
+from effpcm.efficiency import BccDigraph, bcc_digraph, is_efficient
 from effpcm.export import geometry_document
 from effpcm.generators import (
     UPPER_PAIRS,
@@ -42,7 +42,9 @@ from effpcm.generators import (
 )
 from effpcm.geometry import (
     _ORIENTATIONS,
+    _band_orientations,
     _oriented,
+    CycleOrientation,
     Direction,
     PerturbClass,
     PerturbTag,
@@ -62,12 +64,13 @@ from effpcm.geometry import (
     triad_rearrangement,
 )
 from effpcm.trees import paths_of_cycle
-from conftest import flip_family
+from conftest import RUNNING_UPPER, flip_family
 from oracles import (
     barycentric_by_fractions,
     canonical_rearrangement_search,
     coincidence_report_by_rank,
     consistent_triads,
+    contains_cycle_region_by_zip,
     cycle_orientation,
     embed_exact,
     entry,
@@ -398,6 +401,62 @@ class TestRegions:
         w = weight_vector([0.25, 0.25, 0.125, 0.375])
         orientation = cycle_orientation(running_example, (1, 2, 3, 4))
         assert contains_cycle_region(bcc_digraph(running_example, w), orientation)
+
+    def test_kept_arc_sets_leave_the_record_as_it_was(self):
+        forward, consistent = _ORIENTATIONS[(1, 2, 3, 4), -1], _ORIENTATIONS[(1, 2, 3, 4), 0]
+        assert forward._arc_sets == (frozenset({(1, 2), (2, 3), (3, 4), (4, 1)}),)
+        assert consistent._arc_sets == (frozenset({(1, 2), (2, 3), (3, 4), (4, 1)}),
+                                         frozenset({(2, 1), (3, 2), (4, 3), (1, 4)}))
+        twin = CycleOrientation((1, 2, 3, 4), Direction.FORWARD, (1, 2, 3, 4))
+        assert twin == forward and hash(twin) == hash(forward)
+        assert repr(twin) == ("CycleOrientation(cycle=(1, 2, 3, 4), "
+                              "direction=<Direction.FORWARD: 'forward'>, directed=(1, 2, 3, 4))")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arcs=st.frozensets(st.sampled_from(list(itertools.permutations(range(1, 5), 2)))),
+        built=st.tuples(st.sampled_from(list(Direction)), st.permutations((1, 2, 3, 4)),
+                        st.sampled_from([tuple, list])),
+    )
+    def test_kept_arc_sets_agree_with_zipped_arcs(self, arcs, built):
+        """Every import-time record, and records built from tuple and list listings."""
+        digraph = BccDigraph(4, arcs, frozenset())
+        direction, listing, kind = built
+        user_built = CycleOrientation(tuple(listing), direction, kind(listing))
+        for orientation in (*_ORIENTATIONS.values(), user_built):
+            assert (contains_cycle_region(digraph, orientation)
+                    == contains_cycle_region_by_zip(digraph, orientation))
+
+    def test_float_vector_near_a_consistent_cycle(self, monkeypatch):
+        """The cycle (1,2,3,4) has product 1 + 1e-9 and w holds it backward within the
+        band: efficient by both tests.  Its exact twin holds it in neither direction."""
+        monkeypatch.delenv("EFFPCM_TOL", raising=False)
+        pcm = pcm_from_upper(4, {(1, 2): Fraction(8, 3), (1, 3): Fraction(2, 3),
+                                 (1, 4): Fraction(3840000000, 1000000001), (2, 3): Fraction(4, 5),
+                                 (2, 4): Fraction(9, 2), (3, 4): Fraction(9, 5)})
+        assert cycle_product(pcm, (1, 2, 3, 4)) == 1 + Fraction(1, 10**9)
+        w = weight_vector([3.8399999980510415, 1.4399999976311004, 1.7999999985113047, 1.0])
+        assert is_efficient(pcm, w) and is_efficient_geometric(pcm, w)
+        twin = weight_vector([Fraction(c) for c in w.components])
+        assert not is_efficient(pcm, twin) and not is_efficient_geometric(pcm, twin)
+
+    @pytest.mark.parametrize("tol,within", [("0", False), ("4.9e-10", False), ("5e-10", True)])
+    def test_band_window_bounds(self, monkeypatch, tol, within):
+        """Of the cycle products 1 + 2e-9, about 1/30 and 5/24, the first lies within
+        [(1 - t)^4, (1 - t)^-4] from t = 5e-10 on, and all three do for t >= 1."""
+        monkeypatch.setenv("EFFPCM_TOL", tol)
+        pcm = pcm_from_upper(4, {**RUNNING_UPPER, (1, 4): Fraction(2, 3) / (1 + Fraction(2, 10**9))})
+        orientations = canonical_orientations(pcm)
+        assert [cycle_product(pcm, c) for c in CANONICAL_CYCLES] == [
+            1 + Fraction(2, 10**9), Fraction(1, 30) / (1 + Fraction(2, 10**9)), Fraction(5, 24)]
+        regions = _band_orientations(pcm, weight_vector([0.25, 0.25, 0.25, 0.25]))
+        assert regions[0] == (_ORIENTATIONS[(1, 2, 3, 4), 0] if within else orientations[0])
+        assert regions[1:] == orientations[1:]
+        monkeypatch.setenv("EFFPCM_TOL", "1")
+        assert all(r.direction is Direction.CONSISTENT_BOTH
+                   for r in _band_orientations(pcm, weight_vector([0.25, 0.25, 0.25, 0.25])))
+        exact = _band_orientations(pcm, weight_vector([1, 1, 1, 1]))
+        assert exact == canonical_orientations(pcm)
 
 
 def _inside_samples(rng, tet, count):

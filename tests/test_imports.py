@@ -1,8 +1,6 @@
 """Every name a package module imports is used in that module.
 
-The package root re-exports what it imports, so it is left out.  The one
-binding kept unused is ``geometry.cycle_product``: the benchmark's tracing
-tests rebind it in every module that holds it.
+The package root re-exports what it imports, so it is left out.
 """
 
 import ast
@@ -13,7 +11,6 @@ import pytest
 import effpcm
 
 PACKAGE = Path(effpcm.__file__).resolve().parent
-KEPT_FOR_TRACING = {("geometry", "cycle_product")}
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:
@@ -30,12 +27,7 @@ def _unused_imports(tree: ast.Module) -> set[str]:
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
-def test_the_kept_binding_names_a_module():
-    assert {module for module, _ in KEPT_FOR_TRACING} <= set(MODULES)
-
-
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_used(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    kept = {name for kept_module, name in KEPT_FOR_TRACING if kept_module == module}
-    assert _unused_imports(tree) == kept
+    assert _unused_imports(tree) == set()
