@@ -230,7 +230,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error:", exc if isinstance(exc, InputError) else f"FileError: {exc}", file=sys.stderr)
         return 2
 
 

@@ -7,12 +7,13 @@ pair) that is in turn equivalent to having a directed Hamiltonian cycle.
 
 ``bcc_digraph`` is the one place where a weight ratio meets its entry.
 Exact weight vectors are compared exactly, by one cross-multiplication on
-integer pairs read once.  Float vectors get an equality band relative to
-the entry, band * a_ij (default band 1e-9, overridable through EFFPCM_TOL),
-so that a perfectly estimated pair is still recognized as carrying both
-arcs.  Where the float ratio or float(a_ij) is not a normal float (zero,
-subnormal or past the range), the same band is applied in exact arithmetic
-to the weights as given.  The region test of ``geometry`` reads this digraph.
+integer pairs: the weights' read once, the entries' as ``Pcm.pairs`` keeps
+them.  Float vectors get an equality band relative to the entry, band *
+a_ij (default band 1e-9, overridable through EFFPCM_TOL), so that a
+perfectly estimated pair is still recognized as carrying both arcs.  Where
+the float ratio or float(a_ij) is not a normal float (zero, subnormal or
+past the range), the same band is applied in exact arithmetic to the
+weights as given.  The region test of ``geometry`` reads this digraph.
 """
 
 from __future__ import annotations
@@ -68,11 +69,10 @@ def bcc_digraph(pcm: Pcm, w: WeightVector, band: float | None = None) -> BccDigr
     weights = [c.as_integer_ratio() for c in w.components] if exact else w.components
     arcs = set()
     equalities = set()
-    for i, row in enumerate(pcm.entries, start=1):
+    for i, row in enumerate(pcm.pairs, start=1):
         wi = weights[i - 1]
-        for j, entry in enumerate(row[i:], start=i + 1):
+        for j, (num, den) in enumerate(row[i:], start=i + 1):
             wj = weights[j - 1]
-            num, den = entry.as_integer_ratio()
             if exact:
                 lhs, rhs = wi[0] * wj[1] * den, num * wj[0] * wi[1]
                 sign = (lhs > rhs) - (lhs < rhs)
@@ -83,7 +83,7 @@ def bcc_digraph(pcm: Pcm, w: WeightVector, band: float | None = None) -> BccDigr
                 except OverflowError:
                     target = math.inf
                 if not (_TINY <= ratio <= _HUGE and _TINY <= target <= _HUGE):
-                    ratio, target, tol = Fraction(wi) / Fraction(wj), entry, Fraction(band)
+                    ratio, target, tol = Fraction(wi) / Fraction(wj), Fraction(num, den), Fraction(band)
                 sign = (0 if abs(ratio - target) <= tol * target
                         else (ratio > target) - (ratio < target))
             if sign >= 0:

@@ -17,9 +17,9 @@ consistent orientation (``_band_orientations``).
 
 Classification, the canonical cycles' orientations, the tetrahedra, the
 coincidence report and both rearrangements read the seven signs of
-``pcm.product_signs`` (four triads, three 4-cycles), computed once per
-matrix.  ``efficient_set`` assembles the tetrahedra, class and coincidence
-report once and keeps them on the matrix too.  A relabelling maps each
+``Pcm.signs`` (four triads, three 4-cycles), computed once per matrix.
+``efficient_set`` assembles the tetrahedra, class and coincidence report
+once and keeps them on the matrix too.  A relabelling maps each
 canonical cycle or triad onto a canonical one, forward or reversed, so the
 rearrangements scan a 24-entry table of those images built at import.
 
@@ -28,7 +28,7 @@ Everything here is exact rational arithmetic; floats appear only in
 visualization exports, each coordinate rounded once from integers over one
 total.  The tetrahedra read the same signs; their vertices are the tree
 vectors of the twelve canonical path trees, built once at import, and each
-keeps the integer form ``embed`` reads.  A tetrahedron is solid
+comes with the ``integer_form`` that ``embed`` reads.  A tetrahedron is solid
 (rank 3) unless its cycle is consistent, when it is a point.  Vertex k's
 path omits one cycle edge that the other three vertices keep, so one 2x2
 determinant per vertex gives its barycentric coordinate, and each face
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -62,9 +61,9 @@ from .pcm import (
     Permutation,
     Record,
     WeightVector,
+    _integer_form,
     apply_permutation,
     cycle_product,
-    product_signs,
 )
 from .trees import paths_of_cycle, tree_weight_vector
 
@@ -114,8 +113,7 @@ _ORIENTATIONS = {(c, s): _oriented(c, s) for c in CANONICAL_CYCLES for s in (-1,
 
 def canonical_orientations(pcm: Pcm) -> tuple[CycleOrientation, CycleOrientation, CycleOrientation]:
     """The orientations of the three canonical cycles, in CANONICAL_CYCLES order."""
-    _, cycle_signs = product_signs(pcm)
-    return tuple(_ORIENTATIONS[c, s] for c, s in zip(CANONICAL_CYCLES, cycle_signs))
+    return tuple(_ORIENTATIONS[c, s] for c, s in zip(CANONICAL_CYCLES, pcm.signs[1]))
 
 
 def _images(listings: Sequence[tuple[int, ...]]):
@@ -153,7 +151,7 @@ def canonical_rearrangement(pcm: Pcm) -> tuple[Permutation, Pcm]:
     identity cycle_product(apply_permutation(A, p), c) = cycle_product(A, p(c))
     and the image table.
     """
-    _, s = product_signs(pcm)
+    _, s = pcm.signs
     for mapping, ((k0, e0), (k1, e1), (k2, e2)) in _CYCLE_IMAGES:
         if e0 * s[k0] <= 0 and e1 * s[k1] <= 0 and e2 * s[k2] <= 0:
             perm = Permutation(mapping)
@@ -168,7 +166,7 @@ def triad_rearrangement(pcm: Pcm) -> tuple[Permutation, Pcm, int]:
     first three '<' and the (1,2,4) relation '>'.  Which case is reachable is
     decided by the parity of the '>' relations, which index swaps preserve.
     """
-    t, _ = product_signs(pcm)
+    t, _ = pcm.signs
     if 0 in t:
         raise ConsistentTriadPresentError(
             "ConsistentTriadPresent: triad relations must all be strict"
@@ -200,7 +198,7 @@ PATH_TREES = {c: tuple(paths_of_cycle(c)) for c in CANONICAL_CYCLES}
 
 
 def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahedron:
-    _, cycle_signs = product_signs(pcm)
+    _, cycle_signs = pcm.signs
     if cycle not in CANONICAL_CYCLES:  # compared by equality, so a list is refused too
         paths_of_cycle(cycle)  # raises NotACanonicalCycle
     sign = cycle_signs[CANONICAL_CYCLES.index(cycle)]
@@ -302,9 +300,9 @@ def barycentric(tet: Tetrahedron, w: WeightVector):
     """
     if not w.is_normalized:
         raise NotNormalizedError("NotNormalized: barycentric needs a normalized vector")
-    y, s = _integer_form(w.components)  # w = y / s; vertex k = v / t below
+    y, s = w.integer_form  # w = y / s; vertex k = v / t below
     threshold = Fraction(0) if w.exact else Fraction(-1, 10**12)
-    forms = [v.__dict__.get("_integer_form") or _integer_form(v.components) for v in tet.vertices]
+    forms = [v.integer_form for v in tet.vertices]
     if tet.degenerate_rank == 0:
         (v, t), zero = forms[0], Fraction(0)
         multiple = all(y_m * v[0] == y[0] * v_m for y_m, v_m in zip(y, v))
@@ -315,13 +313,6 @@ def barycentric(tet: Tetrahedron, w: WeightVector):
         (v, t), (u, _) = forms[k], forms[(k + 1) % 4]
         lambdas.append(Fraction((y[a] * u[b] - y[b] * u[a]) * t, (v[a] * u[b] - v[b] * u[a]) * s))
     return tuple(lambdas) if all(lam >= threshold for lam in lambdas) else None
-
-
-def _integer_form(components: Sequence) -> tuple[list[int], int]:
-    """Exact values of the components as integers over the lcm of their denominators."""
-    pairs = [c.as_integer_ratio() for c in components]
-    d = math.lcm(*(q for _, q in pairs))
-    return [p * (d // q) for p, q in pairs], d
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +369,7 @@ def classify_signs(triad_signs: Sequence[int], cycle_signs: Sequence[int]) -> Pe
 
 def classify(pcm: Pcm) -> PerturbClass:
     """The class of a 4x4 matrix, from its seven signs (``classify_signs``)."""
-    return classify_signs(*product_signs(pcm))
+    return classify_signs(*pcm.signs)
 
 
 class CoincidenceReport(Record):
@@ -469,7 +460,7 @@ _COINCIDENCES = _coincidence_table()
 
 def _coincidence_report(pcm: Pcm) -> CoincidenceReport:
     """The table entries whose conditions the matrix's seven signs meet."""
-    triad_signs, cycle_signs = product_signs(pcm)
+    triad_signs, cycle_signs = pcm.signs
     nonzero = sum(1 << i for i, s in enumerate(triad_signs + cycle_signs) if s)
     shared, collinear, coplanar = [], [], []
     for both, vertex_pairs, edge_pairs, face_pairs in _COINCIDENCES:
@@ -496,7 +487,8 @@ class EfficientSet(Record):
 
 
 def efficient_set(pcm: Pcm) -> EfficientSet:
-    """The full efficient set of a 4x4 matrix, exactly; kept on the matrix."""
+    """The full efficient set of a 4x4 matrix, exactly; kept on the matrix by hand, the
+    one value so kept, as ``pcm`` cannot import this module to make it a cached property."""
     if "_efficient_set" not in pcm.__dict__:
         tetrahedra = tuple(tetrahedron_for_cycle(pcm, c) for c in CANONICAL_CYCLES)
         effset = EfficientSet(tetrahedra, classify(pcm), _coincidence_report(pcm))
@@ -517,19 +509,18 @@ def _embedded(x: Sequence[int], total: int) -> tuple[float, float, float]:
 def embed(w: WeightVector | Sequence) -> tuple[float, float, float]:
     """(w1+w2, w1+w3, w2+w3): a normalized vector drawn in 3-space.
 
-    Exact input is integers x1..x4 over their total T (a tree vector's kept form, or over
-    the lcm of the denominators), embedded by ``_embedded``.
+    Exact input is integers x1..x4 over their total T (a vector's ``integer_form``, or a
+    sequence's over the lcm of its denominators), embedded by ``_embedded``.
     """
-    components = w.components if isinstance(w, WeightVector) else tuple(w)
-    form = w.__dict__.get("_integer_form") if isinstance(w, WeightVector) else None
+    vector = isinstance(w, WeightVector)
+    components = w.components if vector else tuple(w)
     if len(components) != 4:
         raise DimensionMismatchError("DimensionMismatch: embedding needs 4 components")
-    if form is None and all(isinstance(c, (Fraction, int)) for c in components):
-        form = _integer_form(components)
-        if sum(form[0]) != form[1]:
+    if (w.exact if vector else all(isinstance(c, (Fraction, int)) for c in components)):
+        x, total = w.integer_form if vector else _integer_form(components)
+        if sum(x) != total:
             raise NotNormalizedError("NotNormalized: components must sum to 1")
-    if form is not None:
-        return _embedded(*form)
+        return _embedded(x, total)
     if abs(sum(components) - 1.0) > 1e-12:
         raise NotNormalizedError("NotNormalized: components must sum to 1")
     w1, w2, w3, _ = components

@@ -13,16 +13,19 @@ function is pure.
 For n = 4 the theory needs seven numbers: the products of the four
 canonical triads and of the three canonical 4-cycles, each only through how
 it compares with 1.  ``upper_signs`` computes those seven signs at once by
-integer cross-multiplication; ``product_signs`` and ``pcm_from_pairs`` keep
-them on the Pcm, outside its fields.  Classification, orientation, the
-tetrahedra, the coincidence report and both rearrangements in ``geometry``
-derive from them.  ``triad_product`` and ``cycle_product`` remain for
-arbitrary listings.  Weight ratios meet their entries in one place only,
-the BCC digraph of ``efficiency``.
+integer cross-multiplication, and ``Pcm.signs`` keeps them.  Classification,
+orientation, the tetrahedra, the coincidence report and both rearrangements
+in ``geometry`` derive from them.  ``triad_product`` and ``cycle_product``
+remain for arbitrary listings.  Weight ratios meet their entries in one
+place only, the BCC digraph of ``efficiency``.  A record keeps a value
+derived from its fields as a ``functools.cached_property``, whose slot a
+builder that already holds the value seeds (``pcm_from_pairs``,
+``trees.tree_weight_vector``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections.abc import Iterable, Sequence
@@ -148,7 +151,8 @@ class Record:
 
 
 class Pcm(Record):
-    """A positive reciprocal matrix of exact rationals, checked on integer pairs."""
+    """A positive reciprocal matrix of exact rationals, checked on integer pairs: each
+    entry's (numerator, denominator), row by row, kept as ``pairs`` outside the fields."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -158,31 +162,41 @@ class Pcm(Record):
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
             raise NonSquareError("NonSquare: entries must form a nonempty square grid")
-        pairs = []  # each entry's (numerator, denominator), row-major, read once
+        pairs = []  # each entry's (numerator, denominator), read once, row by row
         for i, row in enumerate(entries, start=1):
+            row_pairs = []
             for j, value in enumerate(row, start=1):
                 if type(value) is not Fraction and (
                         not isinstance(value, (Fraction, int)) or isinstance(value, bool)):
                     raise BadNumeralError(
                         f"BadNumeral: a[{i},{j}]={value!r} is not a Fraction or an int"
                     )
-                pairs.append(pair := value.as_integer_ratio())
+                row_pairs.append(pair := value.as_integer_ratio())
                 if pair[0] <= 0:
                     raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
+            pairs.append(tuple(row_pairs))
         # Both entries are positive and in lowest terms, so a_ij * a_ji = 1
         # exactly when one is the other with numerator and denominator swapped.
         for i in range(n):
             for j in range(i, n):
-                if pairs[i * n + j] != pairs[j * n + i][::-1]:
+                if pairs[i][j] != pairs[j][i][::-1]:
                     raise ReciprocityViolationError(
                         j + 1, i + 1,
                         f"a[{j + 1},{i + 1}]={format_rational(entries[j][i])} is not the "
                         f"reciprocal of a[{i + 1},{j + 1}]={format_rational(entries[i][j])}",
                     )
+        self.__dict__["pairs"] = tuple(pairs)
 
     @property
     def n(self) -> int:
         return len(self.entries)
+
+    @functools.cached_property
+    def signs(self) -> tuple[tuple[int, int, int, int], tuple[int, int, int]]:
+        """(triad signs, cycle signs) of product - 1 in canonical order; 0 marks a consistent one."""
+        _require_n4(self)
+        (_, a12, a13, a14), (_, _, a23, a24), (_, _, _, a34), _ = self.pairs
+        return upper_signs((a12, a13, a14, a23, a24, a34))
 
     def rows_as_strings(self) -> list[list[str]]:
         return [[format_rational(v) for v in row] for row in self.entries]
@@ -279,10 +293,22 @@ class WeightVector(Record):
             total = sum(components)
         return WeightVector(tuple(c / total for c in components))
 
+    @functools.cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(x, d): the components are x_i / d, d the lcm of their denominators."""
+        return _integer_form(self.components)
+
     def as_strings(self) -> list[str]:
         if self.exact:
             return [format_rational(c) for c in self.components]
         return [repr(c) for c in self.components]
+
+
+def _integer_form(components: Sequence) -> tuple[tuple[int, ...], int]:
+    """Exact values of the components as integers over the lcm of their denominators."""
+    pairs = [c.as_integer_ratio() for c in components]
+    d = math.lcm(*(q for _, q in pairs))
+    return tuple([p * (d // q) for p, q in pairs]), d
 
 
 def weight_vector(values: Iterable) -> WeightVector:
@@ -368,7 +394,7 @@ def _sign(lhs: int, rhs: int) -> int:
 
 
 def upper_signs(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``product_signs`` of the 4x4 matrix with upper entries a_ij = n_ij / d_ij.
+    """``Pcm.signs`` of the 4x4 matrix with upper entries a_ij = n_ij / d_ij.
 
     ``pairs`` lists the positive (n_ij, d_ij), in lowest terms or not, for
     a12, a13, a14, a23, a24, a34.  Each sign is that of an integer
@@ -387,33 +413,16 @@ def upper_signs(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], tupl
     )
 
 
-def product_signs(pcm: Pcm) -> tuple[tuple[int, int, int, int], tuple[int, int, int]]:
-    """Signs of product - 1 for the canonical triads and 4-cycles of a 4x4 matrix.
-
-    Returns (triad signs in CANONICAL_TRIADS order, cycle signs in
-    CANONICAL_CYCLES order), each -1, 0 or +1: 0 marks a consistent triad or
-    cycle, and a cycle's sign fixes its orientation.  They are kept on the
-    matrix, outside its fields, so later calls return them at once.
-    """
-    signs = pcm.__dict__.get("_signs")
-    if signs is not None:
-        return signs
-    _require_n4(pcm)
-    (_, a12, a13, a14), (_, _, a23, a24), (_, _, _, a34), _ = pcm.entries
-    signs = upper_signs([a.as_integer_ratio() for a in (a12, a13, a14, a23, a24, a34)])
-    return pcm.__dict__.setdefault("_signs", signs)
-
-
 def pcm_from_pairs(pairs: Sequence[tuple[int, int]], signs: tuple) -> Pcm:
     """The 4x4 Pcm with upper entries n_ij / d_ij; every Pcm check runs.
 
-    ``signs`` must be ``upper_signs(pairs)``: the Pcm keeps them for ``product_signs``.
+    ``signs`` must be ``upper_signs(pairs)``: they seed ``Pcm.signs``.
     """
     one = Fraction(1)
     a12, a13, a14, a23, a24, a34 = upper = [Fraction(n, d) for n, d in pairs]
     a21, a31, a41, a32, a42, a43 = (Fraction(a.denominator, a.numerator) for a in upper)
     pcm = Pcm(((one, a12, a13, a14), (a21, one, a23, a24), (a31, a32, one, a34), (a41, a42, a43, one)))
-    pcm.__dict__["_signs"] = signs
+    pcm.__dict__["signs"] = signs
     return pcm
 
 

@@ -6,8 +6,8 @@ along tree edges yields the unique vector reproducing every tree entry
 perfectly.  Path-shaped trees are singled out because deleting one edge of
 a 4-cycle leaves a path, and those four path trees supply the tetrahedron
 vertices of the efficient-set geometry.  Propagation follows the walk a
-tree keeps from vertex n, on integers; the vector keeps them and their
-total outside its fields, the integer form ``geometry.embed`` reads.
+tree keeps from vertex n, on integers; they and their total seed the
+vector's ``integer_form``, which ``geometry.embed`` reads.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def tree_weight_vector(pcm: Pcm, tree: SpanningTree) -> WeightVector:
 
     The propagation follows the tree's walk from its highest-index vertex,
     valued 1; the root choice does not affect the normalized result.  The
-    vector keeps (integer weights, their total) as ``_integer_form``.
+    (integer weights, their total) seed the vector's ``integer_form``.
     """
     if tree.n != pcm.n:
         raise DimensionMismatchError(
@@ -86,5 +86,5 @@ def tree_weight_vector(pcm: Pcm, tree: SpanningTree) -> WeightVector:
         reached.append(child - 1)
     total = sum(scaled)
     vector = WeightVector(tuple([Fraction(x, total) for x in scaled]))
-    vector.__dict__["_integer_form"] = (tuple(scaled), total)
+    vector.__dict__["integer_form"] = (tuple(scaled), total)
     return vector

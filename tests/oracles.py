@@ -69,7 +69,6 @@ from effpcm.pcm import (
     cycle_product,
     format_rational,
     parse_rational,
-    product_signs,
     triad_product,
 )
 from effpcm.trees import SpanningTree, _undirected
@@ -121,13 +120,13 @@ def permute_weights(w: WeightVector, perm: Permutation) -> WeightVector:
 
 def consistent_triads(pcm: Pcm) -> list[tuple[int, int, int]]:
     """The canonical triads of a 4x4 matrix whose product is exactly 1."""
-    triad_signs, _ = product_signs(pcm)
+    triad_signs, _ = pcm.signs
     return [t for t, s in zip(CANONICAL_TRIADS, triad_signs) if s == 0]
 
 
 def consistent_four_cycles(pcm: Pcm) -> list[tuple[int, int, int, int]]:
     """The canonical undirected 4-cycles of a 4x4 matrix whose product is exactly 1."""
-    _, cycle_signs = product_signs(pcm)
+    _, cycle_signs = pcm.signs
     return [c for c, s in zip(CANONICAL_CYCLES, cycle_signs) if s == 0]
 
 

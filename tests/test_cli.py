@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -58,6 +59,8 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileError: ") and err.count("\n") == 1
 
 
 class TestCheck:
@@ -619,6 +622,8 @@ class TestFuzz:
 
     @settings(max_examples=150, deadline=None)
     @given(_invocations())
+    @example((["validate", "missing.json"], [b"{}", b"{}"], False))
+    @example((["export", "a.json", "-o", "."], [json.dumps({"entries": RUNNING_ROWS}).encode(), b"{}"], False))
     def test_exit_code_contract(self, tmp_path_factory, invocation):
         argv, docs, rejected = invocation
         workdir = tmp_path_factory.mktemp("fuzz")
@@ -639,5 +644,5 @@ class TestFuzz:
             assert argv[0] in ("check", "member", "sample") and err.getvalue() == ""
         if rc == 2:
             assert out.getvalue() == ""
-            assert err.getvalue().startswith("error:")
+            assert re.match(r"error: [A-Z][A-Za-z]*[:( ]", err.getvalue())
             assert err.getvalue().count("\n") == 1

@@ -12,7 +12,7 @@ from effpcm.generators import generate_pcm, generate_with_rng, random_exact_weig
 from effpcm.generators import UPPER_PAIRS, OPPOSITE_PAIRS, TRIAD_SHARING_PAIRS
 from effpcm.efficiency import BccDigraph
 from effpcm.geometry import CycleOrientation, PerturbTag, classify
-from effpcm.pcm import Pcm, WeightVector, parse_pcm, product_signs
+from effpcm.pcm import Pcm, WeightVector, parse_pcm
 from effpcm.sampling import run_equivalence_trials
 
 DATA = Path(__file__).parent / "data"
@@ -97,7 +97,7 @@ def test_generated_matrix_is_its_parsed_twin(tag):
         pcm = generate_pcm(seed, tag)
         twin = parse_pcm(pcm.rows_as_strings())
         assert pcm == twin and hash(pcm) == hash(twin)
-        assert product_signs(pcm) == product_signs(twin)
+        assert pcm.signs == twin.signs
         assert classify(twin).tag.value == tag
 
 

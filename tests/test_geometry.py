@@ -26,7 +26,6 @@ from effpcm.pcm import (
     format_rational,
     parse_pcm,
     pcm_from_upper,
-    product_signs,
     triad_product,
     upper_signs,
     weight_vector,
@@ -151,7 +150,7 @@ class TestCycleOrientation:
                 (1, 2): 1, (1, 3): Fraction(2) ** (s2 - s0 - s1), (1, 4): Fraction(4) ** -s0,
                 (2, 3): 1, (2, 4): Fraction(2) ** -(s0 + s1 + s2), (3, 4): 1,
             })
-            assert product_signs(pcm)[1] == signs
+            assert pcm.signs[1] == signs
             orientations = canonical_orientations(pcm)
             table = tuple(_ORIENTATIONS[c, s] for c, s in zip(CANONICAL_CYCLES, signs))
             assert all(o is t for o, t in zip(orientations, table))
@@ -959,7 +958,7 @@ class TestEmbedding:
             for vertex, point in zip(tet.vertices, tet.embedded):
                 assert point == tuple(float(x) for x in embed_exact(vertex.components))
                 rebuilt = WeightVector(vertex.components)
-                assert "_integer_form" not in rebuilt.__dict__
+                assert "integer_form" not in rebuilt.__dict__
                 assert embed(rebuilt) == point
 
     @given(st.lists(st.floats(1e-6, 1e6), min_size=4, max_size=4))

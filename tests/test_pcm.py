@@ -43,7 +43,6 @@ from effpcm.pcm import (
     parse_pcm,
     parse_rational,
     pcm_from_upper,
-    product_signs,
     triad_product,
     weight_vector,
 )
@@ -581,7 +580,7 @@ class TestProductSigns:
         seen = set()
         for k in range(2000):
             pcm = generate_with_rng(rng, tags[k % 6])
-            signs = product_signs(pcm)
+            signs = pcm.signs
             assert signs == _reference_signs(pcm)
             seen.update(signs[1])
         assert seen == {-1, 0, 1}
@@ -594,7 +593,7 @@ class TestProductSigns:
                     double_two_cycles_example, simple_example, consistent_example):
             for mapping in itertools.permutations((1, 2, 3, 4)):
                 relabelled = apply_permutation(pcm, Permutation(mapping))
-                assert product_signs(relabelled) == _reference_signs(relabelled)
+                assert relabelled.signs == _reference_signs(relabelled)
 
     def test_decimal_matrices_of_the_benchmark_pool(self):
         docs = [doc for doc in json.loads(POOL.read_text(encoding="utf-8"))["n4"]
@@ -602,21 +601,27 @@ class TestProductSigns:
         assert len(docs) == 36
         for doc in docs:
             pcm = parse_pcm(doc["entries"])
-            assert product_signs(pcm) == _reference_signs(pcm)
+            assert pcm.signs == _reference_signs(pcm)
 
     def test_requires_n4_on_every_call(self):
         pcm = parse_pcm([["1", "2"], ["1/2", "1"]])
         for _ in range(2):
             with pytest.raises(UnsupportedDimensionError):
-                product_signs(pcm)
+                pcm.signs
 
     def test_stored_signs_leave_the_record_as_it_was(self, running_example):
-        signs = product_signs(running_example)
-        assert product_signs(running_example) is signs
+        """The kept signs and integer pairs sit outside the fields."""
+        signs = running_example.signs
+        assert running_example.signs is signs
+        pairs = running_example.pairs
+        assert pairs == tuple(tuple(a.as_integer_ratio() for a in row) for row in running_example.entries)
+        assert type(pairs) is tuple and all(type(row) is tuple for row in pairs)
+        assert all(type(pair) is tuple for row in pairs for pair in row)
         fresh = parse_pcm(running_example.rows_as_strings())
         assert running_example == fresh and fresh == running_example
         assert hash(running_example) == hash(fresh)
         assert repr(running_example) == repr(fresh)
+        assert "pairs" not in repr(fresh) and "signs" not in repr(running_example)
         with pytest.raises(AttributeError):
             running_example.entries = fresh.entries
 

@@ -228,7 +228,8 @@ class TestTreeWeights:
     def test_the_kept_integer_form_is_the_vector_unreduced(self, matrix_and_tree):
         pcm, tree = matrix_and_tree
         w = tree_weight_vector(pcm, tree)
-        scaled, total = w.__dict__["_integer_form"]
+        assert "integer_form" in vars(w)  # seeded by the builder, not computed on first read
+        scaled, total = w.integer_form
         assert sum(scaled) == total
         assert tuple(Fraction(x, total) for x in scaled) == w.components
         # the form sits outside the fields: equality, hash and repr ignore it
