@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .efficiency import bcc_digraph, strongly_connected
@@ -37,7 +38,7 @@ from .geometry import (
     triad_rearrangement,
 )
 from .pcm import format_rational
-from .sampling import run_equivalence_trials
+from .sampling import run_equivalence_trials, trial_settings
 
 CLASS_CHOICES = [tag.value for tag in PerturbTag]
 
@@ -148,13 +149,14 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    report = run_equivalence_trials(args.seed, args.trials, args.cls)
-    payload = json.dumps(report.to_json_dict(), indent=2)
+    # input errors come before -o is opened, so they leave no file, and -o is
+    # opened before the first trial, so an unwritable path wastes no trials
+    trial_settings(args.trials, args.cls)
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as out:
+        report = run_equivalence_trials(args.seed, args.trials, args.cls)
+        print(json.dumps(report.to_json_dict(), indent=2), file=out)
     if args.output:
-        Path(args.output).write_text(payload + "\n", encoding="utf-8")
         print(f"wrote {args.output}")
-    else:
-        print(payload)
     return 1 if report.disagreements else 0
 
 

@@ -5,29 +5,28 @@ i -> j whenever w_i/w_j >= a_ij.  A weight vector is efficient exactly when
 this digraph is strongly connected; for tournaments (no perfectly estimated
 pair) that is in turn equivalent to having a directed Hamiltonian cycle.
 
-``bcc_digraph`` is the one place where a weight ratio meets its entry.
-Exact weight vectors are compared exactly, by one cross-multiplication on
-integer pairs: the weights' read once, the entries' as ``Pcm.pairs`` keeps
-them.  Float vectors get an equality band relative to the entry, band *
-a_ij (default band 1e-9, overridable through EFFPCM_TOL), so that a
-perfectly estimated pair is still recognized as carrying both arcs.  Where
-the float ratio or float(a_ij) is not a normal float (zero, subnormal or
-past the range), the same band is applied in exact arithmetic to the
-weights as given.  The region test of ``geometry`` reads this digraph.
+``bcc_digraph`` is the one place where a weight ratio meets its entry, and
+it signs every pair by one rule on integers.  Every weight, float or exact,
+is read once as p/q (a float is a dyadic rational), each entry as
+``Pcm.pairs`` keeps it, and the equality band as b_n/b_d: the float band
+(default 1e-9, overridable through EFFPCM_TOL) for a float vector, so that
+a perfectly estimated pair is still recognized as carrying both arcs, and
+0 for an exact one.  With lhs = p_i q_j den and rhs = num p_j q_i, the
+pair is an equality when |lhs - rhs| b_d <= b_n rhs, that is when
+|w_i/w_j - a_ij| <= band * a_ij, and otherwise takes the sign of lhs - rhs.
+No float is rounded on the way, so a float vector's digraph is that of its
+exact values.  The region test of ``geometry`` reads this digraph.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
-from fractions import Fraction
 
 from .errors import BadToleranceError, DimensionMismatchError
 from .pcm import Pcm, Record, WeightVector
 
 DEFAULT_EQUALITY_BAND = 1e-9
-_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal floats' range
 
 
 def float_equality_band() -> float:
@@ -65,27 +64,16 @@ def bcc_digraph(pcm: Pcm, w: WeightVector, band: float | None = None) -> BccDigr
         )
     if band is None:
         band = float_equality_band()
-    exact = w.exact
-    weights = [c.as_integer_ratio() for c in w.components] if exact else w.components
+    band_num, band_den = (0, 1) if w.exact else band.as_integer_ratio()
+    weights = [c.as_integer_ratio() for c in w.components]
     arcs = set()
     equalities = set()
     for i, row in enumerate(pcm.pairs, start=1):
-        wi = weights[i - 1]
+        pi, qi = weights[i - 1]
         for j, (num, den) in enumerate(row[i:], start=i + 1):
-            wj = weights[j - 1]
-            if exact:
-                lhs, rhs = wi[0] * wj[1] * den, num * wj[0] * wi[1]
-                sign = (lhs > rhs) - (lhs < rhs)
-            else:
-                ratio, tol = wi / wj, band
-                try:
-                    target = num / den  # float(entry), correctly rounded
-                except OverflowError:
-                    target = math.inf
-                if not (_TINY <= ratio <= _HUGE and _TINY <= target <= _HUGE):
-                    ratio, target, tol = Fraction(wi) / Fraction(wj), Fraction(num, den), Fraction(band)
-                sign = (0 if abs(ratio - target) <= tol * target
-                        else (ratio > target) - (ratio < target))
+            pj, qj = weights[j - 1]
+            lhs, rhs = pi * qj * den, num * pj * qi
+            sign = 0 if abs(lhs - rhs) * band_den <= band_num * rhs else (lhs > rhs) - (lhs < rhs)
             if sign >= 0:
                 arcs.add((i, j))
             if sign <= 0:

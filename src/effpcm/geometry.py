@@ -13,7 +13,10 @@ admits, built with the record, so a region test is one subset test per set;
 the nine orientations of the canonical cycles are built at import.  A float
 vector's equality band lets it hold a cycle whose product lies within a few
 bands of 1 in either direction, so for it such a cycle is read through its
-consistent orientation (``_band_orientations``).
+consistent orientation (``_band_orientations``).  ``bcc_digraph`` decides
+the band by one exact rule on the weights' and entries' integer pairs, so
+that window holds with no rounding and the region test agrees with strong
+connectivity for float vectors too.
 
 Classification, the canonical cycles' orientations, the tetrahedra, the
 coincidence report and both rearrangements read the seven signs of
@@ -228,7 +231,8 @@ def _band_orientations(pcm: Pcm, w: WeightVector) -> tuple[CycleOrientation, ...
     """The orientation whose arc sets a region test for w reads, per canonical cycle.
 
     A float vector w with band t (``float_equality_band``) holds the arc
-    (a, b) when w_a/w_b >= (1 - t) a_ab, so along a cycle it holds, the
+    (a, b) exactly when w_a/w_b >= (1 - t) a_ab, the one band rule of
+    ``bcc_digraph`` taken on w's exact values, so along a cycle it holds, the
     entries' product in the held direction is at most (1 - t)^-4.  A cycle
     whose exact product P lies in [(1 - t)^4, (1 - t)^-4] can so be held in
     either direction, and is read through its consistent record's two arc

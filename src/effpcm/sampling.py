@@ -40,12 +40,17 @@ class EquivalenceReport(Record):
         }
 
 
-def run_equivalence_trials(seed: int, trials: int, class_tag: PerturbTag | str) -> EquivalenceReport:
-    """Run the harness; deterministic verdict stream for a fixed seed."""
+def trial_settings(trials: int, class_tag: PerturbTag | str) -> tuple[PerturbTag, float]:
+    """The class and equality band a run reads, once its trial count is
+    checked: every input error a run raises, raised before any trial."""
     if trials < 1:
         raise BadTrialCountError(f"BadTrialCount: trials must be >= 1, got {trials}")
-    tag = PerturbTag(class_tag)
-    band = float_equality_band()
+    return PerturbTag(class_tag), float_equality_band()
+
+
+def run_equivalence_trials(seed: int, trials: int, class_tag: PerturbTag | str) -> EquivalenceReport:
+    """Run the harness; deterministic verdict stream for a fixed seed."""
+    tag, band = trial_settings(trials, class_tag)
     rng = random.Random(seed)
     start = time.perf_counter()
     disagreements = []

@@ -12,7 +12,7 @@ restrictions to incomplete matrices, tree vectors by Fraction products
 (the library uses integer chains), numerals converted by ``Fraction(str)``
 (the library converts its regex groups), the cell-by-cell validation
 loop, relabelling entry by entry, the BCC digraph from Fraction ratios
-(with the float band's rule written out) and barycentric coefficients
+(the library cross-multiplies integer pairs) and barycentric coefficients
 in Fraction arithmetic (the library reads
 integer pairs and integer forms), the clip polygons' split points written
 out coordinate by coordinate (the library calls ``embed``), the geometry document's
@@ -36,7 +36,6 @@ import itertools
 import math
 import random
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,36 +204,24 @@ def apply_permutation_by_entries(pcm: Pcm, perm: Permutation) -> Pcm:
 # digraphs and dominance
 
 
-def float_ratio_sign(wi: float, wj: float, target: Fraction, band: float) -> int:
-    """Sign of wi/wj - target for float weights, written out: |ratio - target|
-    within band * target is equality.  When the float ratio or float(target)
-    is zero, subnormal or past the float range, the test is taken on
-    Fraction(wi)/Fraction(wj), target and Fraction(band) instead."""
-    ratio = wi / wj
-    try:
-        t = float(target)
-    except OverflowError:  # past the float range
-        t = math.inf
-    normal = all(math.isfinite(x) and x >= sys.float_info.min for x in (ratio, t))
-    if not normal:
-        ratio, t, band = Fraction(wi) / Fraction(wj), target, Fraction(band)
-    if abs(ratio - t) <= band * t:
+def band_ratio_sign(ratio: Fraction, target: Fraction, band) -> int:
+    """Sign of ratio - target, where |ratio - target| <= band * target is
+    equality: the equality band's rule in Fraction arithmetic."""
+    if abs(ratio - target) <= Fraction(band) * target:
         return 0
-    return 1 if ratio > t else -1
+    return (ratio > target) - (ratio < target)
 
 
 def bcc_digraph_by_ratios(pcm: Pcm, w: WeightVector, band: float) -> BccDigraph:
-    """The BCC digraph with each exact pair decided by comparing the Fraction
-    ratio w_i/w_j with a_ij, and each float pair by ``float_ratio_sign``."""
+    """The BCC digraph with each pair decided by comparing the Fraction ratio
+    w_i/w_j, of the floats as given when w is float, with a_ij by
+    ``band_ratio_sign``: within band * a_ij for a float vector, exactly for
+    an exact one."""
     arcs, equalities = set(), set()
     for i in range(1, pcm.n + 1):
         for j in range(i + 1, pcm.n + 1):
-            if w.exact:
-                r, a = ratio(w, i, j), entry(pcm, i, j)
-                sign = (r > a) - (r < a)
-            else:
-                sign = float_ratio_sign(w.components[i - 1], w.components[j - 1],
-                                        entry(pcm, i, j), band)
+            wi, wj = (Fraction(c) for c in (w.components[i - 1], w.components[j - 1]))
+            sign = band_ratio_sign(wi / wj, entry(pcm, i, j), 0 if w.exact else band)
             if sign >= 0:
                 arcs.add((i, j))
             if sign <= 0:

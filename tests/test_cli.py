@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import random
 import re
@@ -197,6 +198,11 @@ SWAPPED_W = [0.0009999995, 1.0, 0.3, 0.3]
 NEAR_ROWS = [["1", "8/3", "2/3", "3840000000/1000000001"], ["3/8", "1", "4/5", "9/2"],
              ["3/2", "5/4", "1", "9/5"], ["1000000001/3840000000", "2/9", "5/9", "1"]]
 NEAR_W = [3.8399999980510415, 1.4399999976311004, 1.7999999985113047, 1.0]
+# every arc but those of {1,2} is strict, and none enters vertex 1, so w is
+# efficient exactly when {1,2} is an equality and carries 2 -> 1
+EXACT_EDGE_ROWS = [["1", "1", "1/2", "1/2"], ["1", "1", "1/2", "2"],
+                   ["2", "2", "1", "1/2"], ["2", "1/2", "2", "1"]]
+EXACT_EDGE_BAND = 2.0 ** -10
 
 
 def _verdicts(workdir, rows, weights):
@@ -221,6 +227,21 @@ class TestBandEdge:
     def test_relative_band_on_both_labellings(self, tmp_path, monkeypatch, rows, weights):
         monkeypatch.delenv("EFFPCM_TOL", raising=False)
         assert _verdicts(tmp_path, rows, weights) == (1, 1, "efficient: no")
+
+    @pytest.mark.parametrize("w1,verdict", [
+        (1 + EXACT_EDGE_BAND, (0, 0, "efficient: yes")),
+        (math.nextafter(1 + EXACT_EDGE_BAND, 2.0), (1, 1, "efficient: no")),
+    ], ids=["on-the-edge", "next-float-outside"])
+    def test_ratio_exactly_at_the_band_edge(self, tmp_path, monkeypatch, w1, verdict):
+        """w_1/w_2 against a_12 = 1 with band 2^-10: at 1 + 2^-10 the pair sits
+        on the edge, |lhs - rhs| b_d = b_n rhs, and is an equality; the next
+        float up is strict, and both commands say so."""
+        monkeypatch.setenv("EFFPCM_TOL", repr(EXACT_EDGE_BAND))
+        (p, q), (b_n, b_d) = w1.as_integer_ratio(), EXACT_EDGE_BAND.as_integer_ratio()
+        lhs, rhs = p, q  # p_1 q_2 den and num p_2 q_1, with w_2 = 1 and a_12 = 1
+        on_edge = abs(lhs - rhs) * b_d == b_n * rhs
+        assert on_edge == (verdict[0] == 0)
+        assert _verdicts(tmp_path, EXACT_EDGE_ROWS, [w1, 1.0, 1.0, 1.0]) == verdict
 
     def test_recorded_near_consistent_cycle(self, tmp_path, monkeypatch):
         """The cycle (1,2,3,4) has product 1 + 1e-9; w holds it backward, against
@@ -408,6 +429,30 @@ class TestSample:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["class"] == "consistent"
         assert payload["seed"] == 3
+
+    def test_unwritable_report_file_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran before -o was opened")
+        monkeypatch.setattr("effpcm.cli.run_equivalence_trials", no_trials)
+        out = tmp_path / "missing" / "report.json"
+        assert main(["sample", "--seed", "1", "--trials", "20000",
+                     "--class", "triple", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: FileError: ")
+
+    @pytest.mark.parametrize("trials,tol,code", [("0", None, "BadTrialCount"),
+                                                 ("2", "abc", "BadTolerance")])
+    def test_input_error_creates_no_report_file(self, tmp_path, capsys, monkeypatch,
+                                                trials, tol, code):
+        monkeypatch.delenv("EFFPCM_TOL", raising=False)
+        if tol is not None:
+            monkeypatch.setenv("EFFPCM_TOL", tol)
+        out = tmp_path / "report.json"
+        assert main(["sample", "--seed", "1", "--trials", trials,
+                     "--class", "triple", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {code}: ")
+        assert not out.exists()
 
 
 class TestInputFaults:

@@ -2,10 +2,11 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from effpcm.errors import DimensionMismatchError
 from effpcm.pcm import (
@@ -50,27 +51,45 @@ _COMPONENTS = st.one_of(
     st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40)),
 )
 
+# float weights: the exact draws rounded, subnormals, and the magnitudes of
+# the float-range cases (weights near 1e-300 and 1e300)
+_FLOAT_COMPONENTS = st.one_of(
+    _COMPONENTS.map(float),
+    st.floats(min_value=0.0, max_value=sys.float_info.min, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.sampled_from([1e-300, 1e300]),
+)
+
+# entries near and past the ends of the float range, as in the float-range cases
+_RANGE_ENTRIES = st.sampled_from([Fraction(10) ** k for k in (-400, -330, -300, 300, 330, 400)])
+
 
 @st.composite
 def _matrix_and_vector(draw):
     """An n x n matrix, n = 2..12, with int and Fraction entries, and an exact
-    or a float weight vector; some pairs are forced to equal their ratio."""
+    or a float weight vector; some pairs are forced to equal their ratio, and
+    some entries lie near or past the ends of the float range."""
     n = draw(st.integers(2, 12))
-    components = draw(st.lists(_COMPONENTS, min_size=n, max_size=n))
     exact = draw(st.booleans())
-    w = WeightVector(tuple(components if exact else (float(c) for c in components)))
+    components = draw(st.lists(_COMPONENTS if exact else _FLOAT_COMPONENTS,
+                               min_size=n, max_size=n))
+    w = WeightVector(tuple(components))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    kinds = draw(st.lists(st.sampled_from(["equal", "whole", "fraction"]),
+    kinds = draw(st.lists(st.sampled_from(["equal", "whole", "fraction", "range"]),
                           min_size=len(pairs), max_size=len(pairs)))
     values = iter(draw(st.lists(_COMPONENTS, min_size=kinds.count("fraction"),
                                 max_size=kinds.count("fraction"))))
+    far = iter(draw(st.lists(_RANGE_ENTRIES, min_size=kinds.count("range"),
+                             max_size=kinds.count("range"))))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # whole values, sides, int or Fraction
     grid = [[rng.choice([1, Fraction(1)]) for _ in range(n)] for _ in range(n)]
     for (i, j), kind in zip(pairs, kinds):
         if kind == "equal":  # w_i / w_j itself, of the floats when w is float
             value = Fraction(w.components[i]) / Fraction(w.components[j])
+        elif kind == "whole":
+            value = Fraction(rng.randint(1, 9))
         else:
-            value = Fraction(rng.randint(1, 9)) if kind == "whole" else next(values)
+            value = next(values) if kind == "fraction" else next(far)
         value = 1 / value if rng.random() < 0.5 else value
         grid[i][j], grid[j][i] = value, 1 / value
         for a, b in ((i, j), (j, i)):
@@ -80,12 +99,14 @@ def _matrix_and_vector(draw):
 
 
 class TestBccOnIntegerPairs:
-    """The exact digraph reads integer pairs; it must be the digraph of the
-    Fraction ratio comparisons, and the float one that of the band's rule
-    written out in ``float_ratio_sign``."""
+    """The digraph reads integer pairs; it must be the digraph of the Fraction
+    ratio comparisons, within the band for a float vector
+    (``band_ratio_sign``), whatever the floats' magnitudes."""
 
     @settings(max_examples=200, deadline=None)
     @given(_matrix_and_vector(), st.sampled_from([0.0, DEFAULT_EQUALITY_BAND, 1e-3]))
+    # 1.0 / 0.001 rounds to 1000.0, but the given floats' ratio is not 1000
+    @example((Pcm([[1, 1000], [Fraction(1, 1000), 1]]), WeightVector((1.0, 0.001))), 0.0)
     def test_digraph_and_verdict_match_the_oracles(self, matrix_and_vector, band):
         pcm, w = matrix_and_vector
         g = bcc_digraph(pcm, w, band)
