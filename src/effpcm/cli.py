@@ -100,13 +100,15 @@ def _cmd_rearrange(args) -> int:
 
 def _cmd_vertices(args) -> int:
     pcm = load_matrix(args.matrix)
+    lines = []  # all text first: a vertex too long to print leaves stdout empty
     for cycle in CANONICAL_CYCLES:
         tet = tetrahedron_for_cycle(pcm, cycle)
         cycle_text = ",".join(map(str, cycle))
-        print(f"cycle ({cycle_text}) {tet.orientation.direction.value}, rank {tet.degenerate_rank}:")
+        lines.append(f"cycle ({cycle_text}) {tet.orientation.direction.value}, rank {tet.degenerate_rank}:")
         for k, (vertex, point) in enumerate(zip(tet.vertices, tet.embedded), start=1):
             exact = " ".join(vertex.as_strings())
-            print(f"  T{k}: {exact}  ->  ({point[0]!r}, {point[1]!r}, {point[2]!r})")
+            lines.append(f"  T{k}: {exact}  ->  ({point[0]!r}, {point[1]!r}, {point[2]!r})")
+    print("\n".join(lines))
     return 0
 
 
@@ -170,7 +172,7 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def error(self, message):
-        raise UsageError(f"Usage: {self.prog}: {message}")
+        raise UsageError(f"{self.prog}: {message}")
 
 
 @functools.cache

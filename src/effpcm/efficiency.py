@@ -42,9 +42,7 @@ def float_equality_band() -> float:
     except ValueError:
         band = math.nan  # unparsable: rejected below
     if not (math.isfinite(band) and band >= 0):
-        raise BadToleranceError(
-            f"BadTolerance: EFFPCM_TOL={text!r} is not a finite number >= 0"
-        )
+        raise BadToleranceError(f"EFFPCM_TOL={text!r} is not a finite number >= 0")
     return band
 
 
@@ -59,9 +57,7 @@ class BccDigraph(Record):
 def bcc_digraph(pcm: Pcm, w: WeightVector, band: float | None = None) -> BccDigraph:
     """Build the BCC digraph of (pcm, w); both arcs appear on equality."""
     if pcm.n != w.n:
-        raise DimensionMismatchError(
-            f"DimensionMismatch: {pcm.n}x{pcm.n} matrix with {w.n}-weight vector"
-        )
+        raise DimensionMismatchError(f"{pcm.n}x{pcm.n} matrix with {w.n}-weight vector")
     if band is None:
         band = float_equality_band()
     band_num, band_den = (0, 1) if w.exact else band.as_integer_ratio()

@@ -2,7 +2,10 @@
 
 Every exception carries a short ``code`` used when rendering diagnostics
 (e.g. on the command line), so callers can match on the code without
-depending on message wording.
+depending on message wording.  ``InputError`` alone writes the text: a raise
+site passes only the message, and ``str(exc)`` is ``<code>: <message>``, or
+``<code> (a,b): <message>`` with an ``EntryError``'s position or an
+``ImpossibleCombinationError``'s counts.
 """
 
 from __future__ import annotations
@@ -12,6 +15,13 @@ class InputError(ValueError):
     """Base class for contract violations on user-supplied data."""
 
     code = "InputError"
+    _detail = ""  # what a subclass prints between the code and the colon
+
+    def __init__(self, message: str = ""):
+        super().__init__(self.code + self._detail + (f": {message}" if message else ""))
+
+    def __reduce__(self):  # a copy or an unpickled error takes the composed text as it is
+        return type(self).__new__, (type(self), *self.args), self.__dict__
 
 
 class UsageError(InputError):
@@ -28,12 +38,17 @@ class BadNumeralError(InputError):
     code = "BadNumeral"
 
 
+class NumberTooLongError(InputError):
+    code = "NumberTooLong"
+
+
 class EntryError(InputError):
     """A fault at matrix position (i, j), 1-based, kept as ``position``."""
 
     def __init__(self, i: int, j: int, message: str = ""):
         self.position = (i, j)
-        super().__init__(f"{self.code} ({i},{j})" + (f": {message}" if message else ""))
+        self._detail = f" ({i},{j})"
+        super().__init__(message)
 
 
 class NonPositiveEntryError(EntryError):
@@ -96,6 +111,10 @@ class NotACanonicalCycleError(InputError):
     code = "NotACanonicalCycle"
 
 
+class NotASpanningTreeError(InputError):
+    code = "NotASpanningTree"
+
+
 class ConsistentTriadPresentError(InputError):
     code = "ConsistentTriadPresent"
 
@@ -106,9 +125,10 @@ class ImpossibleCombinationError(InputError):
     def __init__(self, triads: int, cycles: int, expected: str | None = None,
                  given: str | None = None):
         self.counts = (triads, cycles)
-        super().__init__(f"{self.code} ({triads},{cycles}): " + (
+        self._detail = f" ({triads},{cycles})"
+        super().__init__(
             f"these counts make class {expected}, not {given}" if expected else
-            f"no admissible class has {triads} consistent triads and {cycles} consistent 4-cycles"))
+            f"no admissible class has {triads} consistent triads and {cycles} consistent 4-cycles")
 
 
 class GenerationFailedError(RuntimeError):

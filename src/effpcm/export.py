@@ -31,14 +31,14 @@ def matrix_document(pcm: Pcm) -> dict:
 
 def pcm_from_document(doc) -> Pcm:
     if not isinstance(doc, dict) or "entries" not in doc:
-        raise BadNumeralError("BadNumeral: expected a JSON object with an 'entries' grid")
+        raise BadNumeralError("expected a JSON object with an 'entries' grid")
     pcm = parse_pcm(doc["entries"])
     if "n" in doc:
         n = doc["n"]
         if not isinstance(n, int) or isinstance(n, bool):
-            raise NonSquareError(f"NonSquare: declared n={n!r} is not an integer")
+            raise NonSquareError(f"declared n={n!r} is not an integer")
         if n != pcm.n:
-            raise NonSquareError(f"NonSquare: declared n={n} but grid is {pcm.n}x{pcm.n}")
+            raise NonSquareError(f"declared n={n} but grid is {pcm.n}x{pcm.n}")
     return pcm
 
 
@@ -48,7 +48,7 @@ def load_matrix(path: str | Path) -> Pcm:
 
 def weights_from_document(doc) -> WeightVector:
     if not isinstance(doc, dict) or "w" not in doc or not isinstance(doc["w"], list):
-        raise BadNumeralError("BadNumeral: expected a JSON object with a 'w' list")
+        raise BadNumeralError("expected a JSON object with a 'w' list")
     values = list(doc["w"])
     for k, cell in enumerate(values):
         # a JSON number is the float variant; weight_vector reads every other cell
@@ -57,7 +57,7 @@ def weights_from_document(doc) -> WeightVector:
                 values[k] = float(cell)
             except OverflowError:
                 raise NonFiniteWeightError(
-                    f"NonFiniteWeight: a {cell.bit_length()}-bit integer is past the float range"
+                    f"a {cell.bit_length()}-bit integer is past the float range"
                 ) from None
     return weight_vector(values)
 
@@ -71,15 +71,15 @@ def _load_json(path: str | Path):
         with open(path, encoding="utf-8") as file:  # no Path object built per document
             text = file.read()
     except UnicodeDecodeError as exc:
-        raise BadNumeralError(f"BadNumeral: {path} is not UTF-8 text ({exc.reason})") from exc
+        raise BadNumeralError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise BadNumeralError(f"BadNumeral: {path} is not valid JSON ({exc.msg})") from exc
+        raise BadNumeralError(f"{path} is not valid JSON ({exc.msg})") from exc
     except ValueError as exc:  # a number literal past the interpreter's digit limit
-        raise BadNumeralError(f"BadNumeral: {path} has a number too long to read") from exc
+        raise BadNumeralError(f"{path} has a number too long to read") from exc
     except RecursionError as exc:
-        raise BadNumeralError(f"BadNumeral: {path} nests too deeply to parse") from exc
+        raise BadNumeralError(f"{path} nests too deeply to parse") from exc
 
 
 def _coincidences_dict(effset: EfficientSet) -> dict:

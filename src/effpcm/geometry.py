@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from .efficiency import BccDigraph, bcc_digraph, float_equality_band
 from .errors import (
@@ -171,9 +171,7 @@ def triad_rearrangement(pcm: Pcm) -> tuple[Permutation, Pcm, int]:
     """
     t, _ = pcm.signs
     if 0 in t:
-        raise ConsistentTriadPresentError(
-            "ConsistentTriadPresent: triad relations must all be strict"
-        )
+        raise ConsistentTriadPresentError("triad relations must all be strict")
     # relabelled triads in CANONICAL_TRIADS order: (1,2,3), (1,2,4), (1,3,4), (2,3,4)
     for mapping, ((k0, e0), (k1, e1), (k2, e2), (k3, e3)) in _TRIAD_IMAGES:
         if e0 * t[k0] < 0 and e2 * t[k2] < 0 and e3 * t[k3] < 0:
@@ -303,7 +301,7 @@ def barycentric(tet: Tetrahedron, w: WeightVector):
     are admitted with a -1e-12 slack on the coefficients.
     """
     if not w.is_normalized:
-        raise NotNormalizedError("NotNormalized: barycentric needs a normalized vector")
+        raise NotNormalizedError("barycentric needs a normalized vector")
     y, s = w.integer_form  # w = y / s; vertex k = v / t below
     threshold = Fraction(0) if w.exact else Fraction(-1, 10**12)
     forms = [v.integer_form for v in tet.vertices]
@@ -519,14 +517,14 @@ def embed(w: WeightVector | Sequence) -> tuple[float, float, float]:
     vector = isinstance(w, WeightVector)
     components = w.components if vector else tuple(w)
     if len(components) != 4:
-        raise DimensionMismatchError("DimensionMismatch: embedding needs 4 components")
+        raise DimensionMismatchError("embedding needs 4 components")
     if (w.exact if vector else all(isinstance(c, (Fraction, int)) for c in components)):
         x, total = w.integer_form if vector else _integer_form(components)
         if sum(x) != total:
-            raise NotNormalizedError("NotNormalized: components must sum to 1")
+            raise NotNormalizedError("components must sum to 1")
         return _embedded(x, total)
     if abs(sum(components) - 1.0) > 1e-12:
-        raise NotNormalizedError("NotNormalized: components must sum to 1")
+        raise NotNormalizedError("components must sum to 1")
     w1, w2, w3, _ = components
     return (float(w1 + w2), float(w1 + w3), float(w2 + w3))
 

@@ -41,6 +41,7 @@ from .errors import (
     NonSquareError,
     NotATriadError,
     NotConsistentError,
+    NumberTooLongError,
     ReciprocityViolationError,
     RepeatedIndexError,
     TooShortError,
@@ -63,7 +64,7 @@ def parse_rational(value: Fraction | int | float | str) -> Fraction:
         if isinstance(value, Fraction):
             return value
         if isinstance(value, bool):
-            raise BadNumeralError(f"BadNumeral: {value!r} is not a numeral")
+            raise BadNumeralError(f"{value!r} is not a numeral")
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, float):
@@ -71,10 +72,10 @@ def parse_rational(value: Fraction | int | float | str) -> Fraction:
             # shortest form exceeds the decimal budget instead of guessing.
             value = repr(value)
         elif not isinstance(value, str):
-            raise BadNumeralError(f"BadNumeral: {value!r} is not a Fraction, int, float or str")
+            raise BadNumeralError(f"{value!r} is not a Fraction, int, float or str")
     match = _NUMERAL_RE.fullmatch(value.strip())
     if match is None:
-        raise BadNumeralError(f"BadNumeral: {value!r} is not 'p', 'p/q' or a short decimal")
+        raise BadNumeralError(f"{value!r} is not 'p', 'p/q' or a short decimal")
     whole, den, digits = match.groups()
     try:
         if den is not None:
@@ -85,14 +86,17 @@ def parse_rational(value: Fraction | int | float | str) -> Fraction:
         numerator = abs(int(whole)) * scale + int(digits)
         return Fraction(-numerator if whole[0] == "-" else numerator, scale)
     except (ValueError, ZeroDivisionError) as exc:
-        raise BadNumeralError(f"BadNumeral: {value!r} ({exc})") from exc
+        raise BadNumeralError(f"{value!r} ({exc})") from exc
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a rational as "p" or "p/q"."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a rational as "p" or "p/q"; a part past the interpreter's
+    int-to-text digit limit raises ``NumberTooLongError``."""
+    try:
+        return str(value)  # a Fraction prints "p" or "p/q", as does an int
+    except ValueError:
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        raise NumberTooLongError(f"a {bits}-bit integer has too many digits to print") from None
 
 
 class Record:
@@ -161,16 +165,14 @@ class Pcm(Record):
         entries = self.__dict__["entries"] = tuple(map(tuple, self.entries))
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
-            raise NonSquareError("NonSquare: entries must form a nonempty square grid")
+            raise NonSquareError("entries must form a nonempty square grid")
         pairs = []  # each entry's (numerator, denominator), read once, row by row
         for i, row in enumerate(entries, start=1):
             row_pairs = []
             for j, value in enumerate(row, start=1):
                 if type(value) is not Fraction and (
                         not isinstance(value, (Fraction, int)) or isinstance(value, bool)):
-                    raise BadNumeralError(
-                        f"BadNumeral: a[{i},{j}]={value!r} is not a Fraction or an int"
-                    )
+                    raise BadNumeralError(f"a[{i},{j}]={value!r} is not a Fraction or an int")
                 row_pairs.append(pair := value.as_integer_ratio())
                 if pair[0] <= 0:
                     raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
@@ -213,11 +215,11 @@ class Pcm(Record):
 def parse_pcm(rows: Sequence[Sequence[Fraction | int | float | str]]) -> Pcm:
     """Read each cell with ``parse_rational`` and validate the grid as a Pcm."""
     if not isinstance(rows, Sequence) or isinstance(rows, (str, bytes)) or len(rows) == 0:
-        raise NonSquareError("NonSquare: expected a nonempty grid of rows")
+        raise NonSquareError("expected a nonempty grid of rows")
     parsed, numerals = [], {}  # each distinct numeral string is parsed once
     for row in rows:
         if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
-            raise NonSquareError("NonSquare: each row must be a sequence of cells")
+            raise NonSquareError("each row must be a sequence of cells")
         values = []
         for cell in row:
             if type(cell) is str and cell not in numerals:
@@ -233,9 +235,9 @@ def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int | float |
     for key, value in upper.items():
         i, j = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
         if not (type(i) is type(j) is int and 1 <= i < j <= n):
-            raise IndexOutOfRangeError(f"IndexOutOfRange: {key!r} is not a pair i < j in 1..{n}")
+            raise IndexOutOfRangeError(f"{key!r} is not a pair i < j in 1..{n}")
         if isinstance(value, bool):
-            raise BadNumeralError(f"BadNumeral: a[{i},{j}]={value!r} is a bool, not a number")
+            raise BadNumeralError(f"a[{i},{j}]={value!r} is a bool, not a number")
         value = parse_rational(value)
         if value <= 0:
             raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
@@ -252,21 +254,19 @@ class WeightVector(Record):
     def __post_init__(self):
         components = self.__dict__["components"] = tuple(self.components)
         if len(components) == 0:
-            raise NonPositiveWeightError("NonPositiveWeight: empty weight vector")
+            raise NonPositiveWeightError("empty weight vector")
         kinds = set()
         for c in components:
             if not isinstance(c, (Fraction, float)):
-                raise NonPositiveWeightError(
-                    f"NonPositiveWeight: component {c!r} must be Fraction or float"
-                )
+                raise NonPositiveWeightError(f"component {c!r} must be Fraction or float")
             exact = isinstance(c, Fraction)
             kinds.add(exact)
             if not (c.numerator > 0 if exact else c > 0):  # NaN fails c > 0
-                raise NonPositiveWeightError(f"NonPositiveWeight: component {c!r}")
+                raise NonPositiveWeightError(f"component {c!r}")
             if not exact and not math.isfinite(c):
-                raise NonFiniteWeightError(f"NonFiniteWeight: component {c!r}")
+                raise NonFiniteWeightError(f"component {c!r}")
         if len(kinds) != 1:
-            raise NonPositiveWeightError("NonPositiveWeight: mixed exact/float components")
+            raise NonPositiveWeightError("mixed exact/float components")
 
     @property
     def n(self) -> int:
@@ -318,7 +318,7 @@ def weight_vector(values: Iterable) -> WeightVector:
         try:
             values = [float(v) for v in values]
         except OverflowError:  # an int or Fraction that no float holds
-            raise NonFiniteWeightError("NonFiniteWeight: a component is past the float range") from None
+            raise NonFiniteWeightError("a component is past the float range") from None
     return WeightVector(values)
 
 
@@ -332,7 +332,7 @@ class Permutation(Record):
         n = len(mapping)
         if (any(not isinstance(v, int) or isinstance(v, bool) for v in mapping)
                 or sorted(mapping) != list(range(1, n + 1))):
-            raise IndexOutOfRangeError(f"IndexOutOfRange: {mapping} is not a bijection on 1..{n}")
+            raise IndexOutOfRangeError(f"{mapping} is not a bijection on 1..{n}")
 
     @property
     def n(self) -> int:
@@ -342,9 +342,7 @@ class Permutation(Record):
 def apply_permutation(pcm: Pcm, perm: Permutation) -> Pcm:
     """Reindex alternatives: the result has b_ij = a_{perm(i), perm(j)}."""
     if perm.n != pcm.n:
-        raise DimensionMismatchError(
-            f"DimensionMismatch: permutation on 1..{perm.n} applied to a {pcm.n}x{pcm.n} matrix"
-        )
+        raise DimensionMismatchError(f"permutation on 1..{perm.n} applied to a {pcm.n}x{pcm.n} matrix")
     images = [k - 1 for k in perm.mapping]  # a validated bijection: no index to check
     rows = pcm.entries
     return Pcm(tuple(tuple(rows[i][j] for j in images) for i in images))
@@ -352,18 +350,18 @@ def apply_permutation(pcm: Pcm, perm: Permutation) -> Pcm:
 
 def _check_index(n: int, i: int) -> None:
     if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
-        raise IndexOutOfRangeError(f"IndexOutOfRange: index {i} not in 1..{n}")
+        raise IndexOutOfRangeError(f"index {i} not in 1..{n}")
 
 
 def _check_distinct(indices: Sequence[int]) -> None:
     if len(set(indices)) != len(indices):
-        raise RepeatedIndexError(f"RepeatedIndex: {tuple(indices)} repeats a vertex")
+        raise RepeatedIndexError(f"{tuple(indices)} repeats a vertex")
 
 
 def triad_product(pcm: Pcm, triad: Sequence[int]) -> Fraction:
     """a_ij * a_jk * a_ki for the ordered triple (i, j, k); equals 1 iff consistent."""
     if len(triad) != 3:
-        raise NotATriadError(f"NotATriad: a triad lists 3 vertices, got {len(triad)}")
+        raise NotATriadError(f"a triad lists 3 vertices, got {len(triad)}")
     i, j, k = triad
     for idx in (i, j, k):
         _check_index(pcm.n, idx)
@@ -374,7 +372,7 @@ def triad_product(pcm: Pcm, triad: Sequence[int]) -> Fraction:
 def cycle_product(pcm: Pcm, cycle: Sequence[int]) -> Fraction:
     """Exact product of entries along the closed walk cycle[0] -> ... -> cycle[0]."""
     if len(cycle) < 3:
-        raise TooShortError(f"TooShort: a cycle needs at least 3 vertices, got {len(cycle)}")
+        raise TooShortError(f"a cycle needs at least 3 vertices, got {len(cycle)}")
     for idx in cycle:
         _check_index(pcm.n, idx)
     _check_distinct(cycle)
@@ -386,7 +384,7 @@ def cycle_product(pcm: Pcm, cycle: Sequence[int]) -> Fraction:
 
 def _require_n4(pcm: Pcm) -> None:
     if pcm.n != 4:
-        raise UnsupportedDimensionError(f"UnsupportedDimension: requires n=4, got n={pcm.n}")
+        raise UnsupportedDimensionError(f"requires n=4, got n={pcm.n}")
 
 
 def _sign(lhs: int, rhs: int) -> int:
@@ -439,7 +437,7 @@ def is_consistent(pcm: Pcm) -> bool:
 def consistent_weights(pcm: Pcm) -> WeightVector:
     """The unique normalized exact w with w_i/w_j = a_ij, for a consistent matrix."""
     if not is_consistent(pcm):
-        raise NotConsistentError("NotConsistent: matrix has an inconsistent triad")
+        raise NotConsistentError("matrix has an inconsistent triad")
     # Fix the last weight and read the ratios off the last column.
     raw = tuple(pcm.entries[i][pcm.n - 1] for i in range(pcm.n))
     return WeightVector(raw).normalized()

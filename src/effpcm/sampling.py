@@ -44,7 +44,7 @@ def trial_settings(trials: int, class_tag: PerturbTag | str) -> tuple[PerturbTag
     """The class and equality band a run reads, once its trial count is
     checked: every input error a run raises, raised before any trial."""
     if trials < 1:
-        raise BadTrialCountError(f"BadTrialCount: trials must be >= 1, got {trials}")
+        raise BadTrialCountError(f"trials must be >= 1, got {trials}")
     return PerturbTag(class_tag), float_equality_band()
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .efficiency import _walk
-from .errors import DimensionMismatchError, NotACanonicalCycleError
+from .errors import DimensionMismatchError, NotACanonicalCycleError, NotASpanningTreeError
 from .pcm import CANONICAL_CYCLES, Pcm, Record, WeightVector
 
 
@@ -34,7 +34,7 @@ class SpanningTree(Record):
             or not all(1 <= a < b <= self.n for (a, b) in self.edges)
             or len(order := tuple(_walk(_undirected(self.n, self.edges), self.n))) != self.n - 1
         ):
-            raise ValueError(f"not a spanning tree of 1..{self.n}: {sorted(self.edges)}")
+            raise NotASpanningTreeError(f"not a spanning tree of 1..{self.n}: {sorted(self.edges)}")
         self.__dict__["_order"] = order
 
     def sorted_edges(self) -> list[tuple[int, int]]:
@@ -56,9 +56,7 @@ def paths_of_cycle(cycle: tuple[int, int, int, int]) -> list[SpanningTree]:
     starts at the cycle's k-th vertex and walks the full cycle order.
     """
     if cycle not in CANONICAL_CYCLES:
-        raise NotACanonicalCycleError(
-            f"NotACanonicalCycle: {cycle} is not one of {CANONICAL_CYCLES}"
-        )
+        raise NotACanonicalCycleError(f"{cycle} is not one of {CANONICAL_CYCLES}")
     # edges[k - 1] joins cycle[k - 1] and cycle[k]
     edges = [(min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
     return [SpanningTree(4, frozenset(edges) - {edges[k - 1]}) for k in range(4)]
@@ -72,9 +70,7 @@ def tree_weight_vector(pcm: Pcm, tree: SpanningTree) -> WeightVector:
     (integer weights, their total) seed the vector's ``integer_form``.
     """
     if tree.n != pcm.n:
-        raise DimensionMismatchError(
-            f"DimensionMismatch: tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix"
-        )
+        raise DimensionMismatchError(f"tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix")
     scaled = [0] * (pcm.n - 1) + [1]
     reached = [pcm.n - 1]
     for parent, child in tree._order:

@@ -113,7 +113,7 @@ def inverse_permutation(perm: Permutation) -> Permutation:
 def permute_weights(w: WeightVector, perm: Permutation) -> WeightVector:
     """Reindex a weight vector consistently with apply_permutation: v_i = w_{perm(i)}."""
     if perm.n != w.n:
-        raise DimensionMismatchError("DimensionMismatch: permutation and weight vector lengths differ")
+        raise DimensionMismatchError("permutation and weight vector lengths differ")
     return WeightVector(tuple(w.components[k - 1] for k in perm.mapping))
 
 
@@ -169,13 +169,11 @@ def validate_by_cells(entries) -> None:
     upper triangle and diagonal; the library reads each integer pair once."""
     n = len(entries)
     if n == 0 or any(len(row) != n for row in entries):
-        raise NonSquareError("NonSquare: entries must form a nonempty square grid")
+        raise NonSquareError("entries must form a nonempty square grid")
     for i, row in enumerate(entries, start=1):
         for j, value in enumerate(row, start=1):
             if not isinstance(value, (Fraction, int)) or isinstance(value, bool):
-                raise BadNumeralError(
-                    f"BadNumeral: a[{i},{j}]={value!r} is not a Fraction or an int"
-                )
+                raise BadNumeralError(f"a[{i},{j}]={value!r} is not a Fraction or an int")
             if value.numerator <= 0:
                 raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
     for i in range(n):
@@ -244,9 +242,7 @@ def strongly_connected_by_closure(g: BccDigraph) -> bool:
 def hamiltonian_cycle_exists(g: BccDigraph) -> bool:
     """Brute-force directed Hamiltonian cycle search, capped at n <= 8."""
     if g.n > 8:
-        raise DimensionTooLargeError(
-            f"DimensionTooLarge: Hamiltonian enumeration capped at n=8, got n={g.n}"
-        )
+        raise DimensionTooLargeError(f"Hamiltonian enumeration capped at n=8, got n={g.n}")
     if g.n == 1:
         return True
     vertices = list(range(2, g.n + 1))
@@ -278,7 +274,7 @@ def dominates(pcm: Pcm, w_new: WeightVector, w_old: WeightVector) -> DominanceVe
     The first strictly improved ordered pair (row-major) is reported.
     """
     if pcm.n != w_new.n or pcm.n != w_old.n:
-        raise DimensionMismatchError("DimensionMismatch: matrix and weight vectors disagree")
+        raise DimensionMismatchError("matrix and weight vectors disagree")
     exact = w_new.exact and w_old.exact
     strict: tuple[int, int] | None = None
     for i in range(1, pcm.n + 1):
@@ -363,7 +359,7 @@ def find_dominator_sample(
 def _check_enumeration_size(n: int) -> None:
     if not 2 <= n <= MAX_ENUMERATION_N:
         raise DimensionTooLargeError(
-            f"DimensionTooLarge: enumeration supported for 2 <= n <= {MAX_ENUMERATION_N}, got {n}"
+            f"enumeration supported for 2 <= n <= {MAX_ENUMERATION_N}, got {n}"
         )
 
 
@@ -404,7 +400,7 @@ class IncompletePcm:
     def __post_init__(self):
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
-            raise NonSquareError("NonSquare: entries must form a nonempty square grid")
+            raise NonSquareError("entries must form a nonempty square grid")
         for i in range(1, n + 1):
             if self.entries[i - 1][i - 1] != 1:
                 raise ReciprocityViolationError(i, i, "diagonal must be 1")
@@ -439,9 +435,7 @@ class IncompletePcm:
 def restrict(pcm: Pcm, tree: SpanningTree) -> IncompletePcm:
     """Keep exactly the tree-edge comparisons (plus the diagonal)."""
     if tree.n != pcm.n:
-        raise DimensionMismatchError(
-            f"DimensionMismatch: tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix"
-        )
+        raise DimensionMismatchError(f"tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix")
     grid: list[list[Fraction | None]] = [[None] * pcm.n for _ in range(pcm.n)]
     for i in range(pcm.n):
         grid[i][i] = Fraction(1)
@@ -456,9 +450,7 @@ def tree_weight_vector_by_fractions(pcm: Pcm, tree: SpanningTree) -> WeightVecto
     Fraction normalization; the library carries integer numerator and
     denominator chains instead."""
     if tree.n != pcm.n:
-        raise DimensionMismatchError(
-            f"DimensionMismatch: tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix"
-        )
+        raise DimensionMismatchError(f"tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix")
     raw: dict[int, Fraction] = {pcm.n: Fraction(1)}
     for parent, child in _walk(_undirected(pcm.n, tree.edges), pcm.n):
         # w_child / w_parent = a_{child,parent} on a tree edge
@@ -479,20 +471,20 @@ def parse_rational_by_fraction_string(text: Fraction | int | float | str) -> Fra
     if isinstance(text, Fraction):
         return text
     if isinstance(text, bool):
-        raise BadNumeralError(f"BadNumeral: {text!r} is not a numeral")
+        raise BadNumeralError(f"{text!r} is not a numeral")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
         text = repr(text)
     if not isinstance(text, str):
-        raise BadNumeralError(f"BadNumeral: {text!r} is not a Fraction, int, float or str")
+        raise BadNumeralError(f"{text!r} is not a Fraction, int, float or str")
     stripped = text.strip()
     if not _NUMERAL_RE.match(stripped):
-        raise BadNumeralError(f"BadNumeral: {text!r} is not 'p', 'p/q' or a short decimal")
+        raise BadNumeralError(f"{text!r} is not 'p', 'p/q' or a short decimal")
     try:
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
-        raise BadNumeralError(f"BadNumeral: {text!r} ({exc})") from exc
+        raise BadNumeralError(f"{text!r} ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +563,7 @@ def canonical_rearrangement_search(pcm: Pcm) -> tuple[Permutation, Pcm]:
 def triad_rearrangement_search(pcm: Pcm) -> tuple[Permutation, Pcm, int]:
     """First relabelling, in lexicographic order, in triad case 1 or case 2."""
     if consistent_triads(pcm):
-        raise ConsistentTriadPresentError(
-            "ConsistentTriadPresent: triad relations must all be strict"
-        )
+        raise ConsistentTriadPresentError("triad relations must all be strict")
     for mapping in itertools.permutations((1, 2, 3, 4)):
         perm = Permutation(mapping)
         candidate = apply_permutation(pcm, perm)

@@ -515,6 +515,32 @@ class TestInputFaults:
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4500,
+                    reason="the interpreter prints a 4500-digit integer")
+class TestNumberTooLong:
+    """A valid matrix whose path-tree vertices pass the int-to-text digit limit:
+    products of three 1500-digit entries reach 14,948-bit numerators."""
+
+    @pytest.fixture
+    def long_matrix(self, tmp_path):
+        a, b = "7" * 1500, "3" * 1499 + "1"
+        return write_matrix(tmp_path / "long.json", [
+            ["1", a, "1", b], ["1/" + a, "1", a, "1"],
+            ["1", "1/" + a, "1", a], ["1/" + b, "1", "1/" + a, "1"]])
+
+    @pytest.mark.parametrize("command", ["vertices", "export"])
+    def test_exact_vertex_text_exits_2(self, long_matrix, tmp_path, command):
+        out = tmp_path / "geometry.json"
+        argv = [command, long_matrix] + (["-o", str(out)] if command == "export" else [])
+        rc, stdout, stderr = _run(argv)
+        assert (rc, stdout) == (2, "")
+        assert stderr.startswith("error: NumberTooLong: ") and stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_obj_mesh_prints_floats_only(self, long_matrix, tmp_path):
+        assert _run(["export", long_matrix, "-o", str(tmp_path / "m.obj"), "--format", "obj"])[0] == 0
+
+
 class TestUsage:
     @pytest.mark.parametrize("argv", [["--help"], ["sample", "--help"]])
     def test_help_exits_0(self, argv, capsys):
