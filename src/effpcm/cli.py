@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .efficiency import bcc_digraph, strongly_connected
-from .errors import InputError, NonPositiveWeightError, UsageError
+from .errors import InputError, UsageError
 from .export import (
     dump_json,
     geometry_document,
@@ -120,10 +120,6 @@ def _cmd_member(args) -> int:
     digraph = bcc_digraph(pcm, w)
     insides = [contains_cycle_region(digraph, region) for region in regions]
     efficient = any(insides)
-    try:
-        normalized = w.normalized() if efficient else None
-    except NonPositiveWeightError:  # a float component that normalizes to 0.0
-        normalized = None
     for orientation, region, inside in zip(orientations, regions, insides):
         cycle = orientation.cycle
         cycle_text = ",".join(map(str, cycle))
@@ -131,8 +127,8 @@ def _cmd_member(args) -> int:
         if region is not orientation:  # a float vector may hold the cycle either way
             label += ", within the band of consistent"
         print(f"cycle ({cycle_text}) {label}: " + ("inside" if inside else "outside"))
-        if inside and normalized is not None:
-            coefficients = barycentric(tetrahedron_for_cycle(pcm, cycle), normalized)
+        if inside:
+            coefficients = barycentric(tetrahedron_for_cycle(pcm, cycle), w)
             if coefficients is not None:
                 print("  barycentric: " + " ".join(format_rational(c) for c in coefficients))
     print("efficient: " + ("yes" if efficient else "no"))

@@ -34,7 +34,9 @@ vectors of the twelve canonical path trees, built once at import, and each
 comes with the ``integer_form`` that ``embed`` reads.  A tetrahedron is solid
 (rank 3) unless its cycle is consistent, when it is a point.  Vertex k's
 path omits one cycle edge that the other three vertices keep, so one 2x2
-determinant per vertex gives its barycentric coordinate, and each face
+determinant per vertex gives its barycentric coordinate, exact for float
+vectors too: ``barycentric`` reads w's ``integer_form`` and places
+w / sum(w), so the coefficients sum to exactly 1.  Each face
 lies on the cutting plane w_i/w_j = a_ij of the edge {i, j} omitted by the
 opposite vertex.
 Which vertices coincide and which edges and faces share a line or plane
@@ -289,32 +291,33 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
 
 
 def barycentric(tet: Tetrahedron, w: WeightVector):
-    """Exact convex coefficients of w over the tetrahedron vertices, if any.
+    """Exact convex coefficients of w / sum(w) over the tetrahedron vertices, if any.
 
-    Vertex k's path omits the cycle edge {a, b} = {cycle[k-1], cycle[k]};
-    the other three vertices keep it, as does vertex k+1 (mod 4), u.  So
-    x_a*u_b - x_b*u_a vanishes on every vertex but k, and on
-    w = sum(lambda_j * v_j) it leaves lambda_k times its value at v = vertex
-    k, which is nonzero unless the cycle is consistent.  The unit sum is
-    implied because the vertices and w are normalized.  A point tetrahedron
-    holds w only when w is an exact multiple of its point.  Float vectors
-    are admitted with a -1e-12 slack on the coefficients.
+    w is any positive 4-vector, exact or float, read through its exact
+    ``integer_form`` y / s; w / sum(w) is y / sum(y).  Vertex k's path omits
+    the cycle edge {a, b} = {cycle[k-1], cycle[k]}; the other three vertices
+    keep it, as does vertex k+1 (mod 4), u.  So x_a*u_b - x_b*u_a vanishes on
+    every vertex but k, and on y / sum(y) = sum(lambda_j * v_j) it leaves
+    lambda_k times its value at v = vertex k, which is nonzero unless the
+    cycle is consistent.  The coefficients sum to 1 because the vertices are
+    normalized.  A point tetrahedron holds w only when w is a multiple of its
+    point.
     """
-    if not w.is_normalized:
-        raise NotNormalizedError("barycentric needs a normalized vector")
-    y, s = w.integer_form  # w = y / s; vertex k = v / t below
-    threshold = Fraction(0) if w.exact else Fraction(-1, 10**12)
+    if w.n != 4:
+        raise DimensionMismatchError(f"barycentric needs 4 components, got {w.n}")
+    y, _ = w.integer_form
+    total = sum(y)
     forms = [v.integer_form for v in tet.vertices]
     if tet.degenerate_rank == 0:
-        (v, t), zero = forms[0], Fraction(0)
+        (v, _), zero = forms[0], Fraction(0)
         multiple = all(y_m * v[0] == y[0] * v_m for y_m, v_m in zip(y, v))
-        return (Fraction(y[0] * t, s * v[0]), zero, zero, zero) if multiple else None
+        return (Fraction(1), zero, zero, zero) if multiple else None
     lambdas = []
     for k in range(4):
         a, b = tet.cycle[k - 1] - 1, tet.cycle[k] - 1
         (v, t), (u, _) = forms[k], forms[(k + 1) % 4]
-        lambdas.append(Fraction((y[a] * u[b] - y[b] * u[a]) * t, (v[a] * u[b] - v[b] * u[a]) * s))
-    return tuple(lambdas) if all(lam >= threshold for lam in lambdas) else None
+        lambdas.append(Fraction((y[a] * u[b] - y[b] * u[a]) * t, (v[a] * u[b] - v[b] * u[a]) * total))
+    return tuple(lambdas) if all(lam >= 0 for lam in lambdas) else None
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,8 @@ def parse_pcm(rows: Sequence[Sequence[Fraction | int | float | str]]) -> Pcm:
 
 def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int | float | str]) -> Pcm:
     """Build a Pcm from entries a_ij keyed (i, j), 1 <= i < j <= n; a_ji = 1/a_ij, absent pairs 1."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise NonSquareError(f"n={n!r} is not an integer")
     grid = [[Fraction(1)] * n for _ in range(n)]
     for key, value in upper.items():
         i, j = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
@@ -313,6 +315,8 @@ def _integer_form(components: Sequence) -> tuple[tuple[int, ...], int]:
 
 def weight_vector(values: Iterable) -> WeightVector:
     """The WeightVector of the values read by parse_rational, or of floats if a value is one."""
+    if isinstance(values, (str, bytes)):
+        raise BadNumeralError(f"{values!r} is one value, not a sequence of weights")
     values = [v if isinstance(v, float) else parse_rational(v) for v in values]
     if any(isinstance(v, float) for v in values):
         try:
@@ -348,34 +352,22 @@ def apply_permutation(pcm: Pcm, perm: Permutation) -> Pcm:
     return Pcm(tuple(tuple(rows[i][j] for j in images) for i in images))
 
 
-def _check_index(n: int, i: int) -> None:
-    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
-        raise IndexOutOfRangeError(f"index {i} not in 1..{n}")
-
-
-def _check_distinct(indices: Sequence[int]) -> None:
-    if len(set(indices)) != len(indices):
-        raise RepeatedIndexError(f"{tuple(indices)} repeats a vertex")
-
-
 def triad_product(pcm: Pcm, triad: Sequence[int]) -> Fraction:
     """a_ij * a_jk * a_ki for the ordered triple (i, j, k); equals 1 iff consistent."""
     if len(triad) != 3:
         raise NotATriadError(f"a triad lists 3 vertices, got {len(triad)}")
-    i, j, k = triad
-    for idx in (i, j, k):
-        _check_index(pcm.n, idx)
-    _check_distinct((i, j, k))
-    return pcm.entries[i - 1][j - 1] * pcm.entries[j - 1][k - 1] * pcm.entries[k - 1][i - 1]
+    return cycle_product(pcm, triad)
 
 
 def cycle_product(pcm: Pcm, cycle: Sequence[int]) -> Fraction:
     """Exact product of entries along the closed walk cycle[0] -> ... -> cycle[0]."""
     if len(cycle) < 3:
         raise TooShortError(f"a cycle needs at least 3 vertices, got {len(cycle)}")
-    for idx in cycle:
-        _check_index(pcm.n, idx)
-    _check_distinct(cycle)
+    for i in cycle:
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= pcm.n:
+            raise IndexOutOfRangeError(f"index {i} not in 1..{pcm.n}")
+    if len(set(cycle)) != len(cycle):
+        raise RepeatedIndexError(f"{tuple(cycle)} repeats a vertex")
     product = Fraction(1)
     for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
         product *= pcm.entries[a - 1][b - 1]

@@ -492,21 +492,22 @@ def parse_rational_by_fraction_string(text: Fraction | int | float | str) -> Fra
 
 
 def barycentric_by_fractions(tet: Tetrahedron, w: WeightVector):
-    """``geometry.barycentric`` in Fraction arithmetic throughout; the library
-    works on the integer forms of w and of the vertices."""
-    target = [c if isinstance(c, Fraction) else Fraction(c) for c in w.components]
-    threshold = Fraction(0) if w.exact else Fraction(-1, 10**12)
+    """``geometry.barycentric`` in Fraction arithmetic throughout: the exact
+    values of w, float or not, divided by their sum; the library works on the
+    integer forms of w and of the vertices."""
+    exact = [Fraction(c) for c in w.components]
+    total = sum(exact)
+    target = [c / total for c in exact]
     vertices = [v.components for v in tet.vertices]
     if tet.degenerate_rank == 0:
-        scale = target[0] / vertices[0][0]
-        multiple = all(t == scale * c for t, c in zip(target, vertices[0]))
-        return (scale, Fraction(0), Fraction(0), Fraction(0)) if multiple else None
+        multiple = target == list(vertices[0])
+        return (Fraction(1), Fraction(0), Fraction(0), Fraction(0)) if multiple else None
     lambdas = []
     for k in range(4):
         a, b = tet.cycle[k - 1] - 1, tet.cycle[k] - 1
         v, u = vertices[k], vertices[(k + 1) % 4]
         lambdas.append((target[a] * u[b] - target[b] * u[a]) / (v[a] * u[b] - v[b] * u[a]))
-    return tuple(lambdas) if all(lam >= threshold for lam in lambdas) else None
+    return tuple(lambdas) if all(lam >= 0 for lam in lambdas) else None
 
 
 def clip_split_by_sums(pair: tuple[int, int], value: Fraction) -> list[float]:

@@ -154,14 +154,14 @@ class TestMember:
         capsys.readouterr()
         assert main(["member", matrix_file, "--weights", wfile]) == 0
         captured = capsys.readouterr()
-        assert "barycentric:" in captured.out
+        assert "  barycentric: 1107303018904957360/1107303018904957459 99/1107303018904957459 0 0" in (
+            captured.out.splitlines())
         assert "efficient: yes" in captured.out
         assert captured.err == ""
 
-
     def test_float_vector_that_normalizes_to_zero(self, tmp_path, capsys):
         """A consistent matrix and its own float weights, of which 1e-300 / 2e300
-        is 0.0 in floats: every region line and the verdict, no barycentric line."""
+        is 0.0 in floats: the exact twin's lines, barycentric ones included."""
         floats = [1e300, 1e300, 1e-300, 1e-300]
         rows = [[format_rational(Fraction(a) / Fraction(b)) for b in floats] for a in floats]
         matrix = write_matrix(tmp_path / "matrix.json", rows)
@@ -172,15 +172,47 @@ class TestMember:
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [
             "cycle (1,2,3,4) consistent: inside",
+            "  barycentric: 1 0 0 0",
             "cycle (1,4,2,3) consistent: inside",
+            "  barycentric: 1 0 0 0",
             "cycle (1,3,4,2) consistent: inside",
+            "  barycentric: 1 0 0 0",
             "efficient: yes",
         ]
         assert captured.err == ""
         exact = write_weights(tmp_path / "wx.json", [format_rational(Fraction(c)) for c in floats])
         assert main(["member", matrix, "--weights", exact]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line for line in lines if not line.startswith("  barycentric:")] == captured.out.splitlines()
+        assert capsys.readouterr().out == captured.out
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tag=st.sampled_from(CLASS_CHOICES),
+           cycle=st.integers(0, 2), inside=st.booleans())
+    def test_float_barycentric_lines_are_the_exact_twins(self, tmp_path_factory, seed, tag, cycle, inside):
+        """A float point, rounded from inside a tetrahedron or drawn at random,
+        prints each barycentric line of its exact twin, summing to exactly 1."""
+        rng = random.Random(seed)
+        pcm = generate_with_rng(rng, tag)
+        if inside:
+            lams = [rng.randint(0, 9) for _ in range(4)]
+            lams[rng.randrange(4)] += 1
+            tet = efficient_set(pcm).tetrahedra[cycle]
+            floats = [float(sum(lam * v.components[i] for lam, v in zip(lams, tet.vertices)))
+                      for i in range(4)]
+        else:
+            floats = [rng.uniform(0.01, 100.0) for _ in range(4)]
+        workdir = tmp_path_factory.mktemp("twin")
+        matrix = write_matrix(workdir / "m.json", pcm.rows_as_strings())
+        outputs = []
+        for values in (floats, [format_rational(Fraction(c)) for c in floats]):
+            with redirect_stdout(io.StringIO()) as out:
+                main(["member", matrix, "--weights", write_weights(workdir / "w.json", values)])
+            outputs.append(out.getvalue().splitlines())
+        float_lines, twin_lines = (
+            [(output[k - 1].split(")")[0], line) for k, line in enumerate(output) if "barycentric" in line]
+            for output in outputs)
+        assert float_lines == twin_lines
+        for _, line in float_lines:
+            assert sum(Fraction(c) for c in line.split(":")[1].split()) == 1
 
 
 # w_1/w_2 lies 5e-7 above a_12 = 1000 relatively, far outside the band, while

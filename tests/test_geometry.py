@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from effpcm.errors import (
     ConsistentTriadPresentError,
+    DimensionMismatchError,
     ImpossibleCombinationError,
     NotACanonicalCycleError,
     NotNormalizedError,
@@ -533,15 +534,27 @@ class TestBarycentric:
         tet = tetrahedron_for_cycle(running_example, (1, 2, 3, 4))
         assert barycentric(tet, UNIFORM) is None
 
-    def test_requires_normalized(self, running_example):
+    def test_scale_invariant(self, running_example):
+        """w and 2w name the same point w / sum(w), exact or float."""
         tet = tetrahedron_for_cycle(running_example, (1, 2, 3, 4))
-        with pytest.raises(NotNormalizedError):
-            barycentric(tet, weight_vector([1, 1, 1, 1]))
+        centroid = [sum(v.components[i] for v in tet.vertices) / 4 for i in range(4)]
+        for values in (tet.vertices[1].components, centroid, [0.25, 0.25, 0.125, 0.375],
+                       [0.3, 0.2, 0.1, 0.4], [1, 1, 1, 1]):
+            w = weight_vector(values)
+            assert barycentric(tet, weight_vector([2 * c for c in values])) == barycentric(tet, w)
+        assert barycentric(tet, weight_vector([1, 1, Fraction(1, 2), Fraction(3, 2)])) == (1, 0, 0, 0)
+
+    def test_needs_four_components(self, running_example):
+        tet = tetrahedron_for_cycle(running_example, (1, 2, 3, 4))
+        for n in (3, 5):
+            with pytest.raises(DimensionMismatchError, match=f"got {n}$"):
+                barycentric(tet, weight_vector([1] * n))
 
     def test_point_tetrahedron_membership(self, double_one_cycle_example):
         tet = tetrahedron_for_cycle(double_one_cycle_example, (1, 4, 2, 3))
         lams = barycentric(tet, weight_vector(list(SHARED_POINT)))
-        assert lams is not None and sum(lams) == 1
+        assert lams == (1, 0, 0, 0)
+        assert barycentric(tet, weight_vector([61 * c for c in SHARED_POINT])) == lams
         assert barycentric(tet, UNIFORM) is None
 
     @settings(max_examples=200, deadline=None)
@@ -576,23 +589,28 @@ class TestBarycentric:
     )
     def test_matches_the_fraction_oracle(self, seed, tag, cycle, inside, exact):
         """Coefficients from integer forms equal the Fraction computation's, for
-        points inside and outside, exact and float, solid and point tetrahedra,
-        with the vertices' kept integer forms and without them."""
+        points inside and outside, exact and float, normalized or not, solid and
+        point tetrahedra, with the vertices' kept integer forms and without them.
+        A float vector gets its exact twin's coefficients, which sum to 1."""
         rng = random.Random(seed)
         tet = tetrahedron_for_cycle(generate_with_rng(rng, tag), cycle)
-        w = _inside_samples(rng, tet, 1)[0] if inside else random_exact_weights(rng).normalized()
+        w = _inside_samples(rng, tet, 1)[0] if inside else random_exact_weights(rng)
         if not exact:
-            w = weight_vector([float(c) for c in w.components])
-            if not w.is_normalized:
-                w = w.normalized()
+            w = weight_vector([float(c) * rng.choice((1, 3)) for c in w.components])
         rebuilt = Tetrahedron(tet.cycle, tet.orientation,
                               tuple(WeightVector(v.components) for v in tet.vertices),
                               tet.degenerate_rank)
+        twin = weight_vector([Fraction(c) for c in w.components])
         for t in (tet, rebuilt):
-            assert barycentric(t, w) == barycentric_by_fractions(t, w)
+            lams = barycentric(t, w)
+            assert lams == barycentric_by_fractions(t, w) == barycentric(t, twin)
+            assert lams is None or sum(lams) == 1
             assert barycentric(t, t.vertices[0]) == barycentric_by_fractions(t, t.vertices[0])
 
     def test_region_iff_barycentric_fuzz(self):
+        """An exact vector has coefficients iff its digraph holds the cycle.  Its
+        float rounding has the coefficients of its own exact twin, which sum to 1;
+        the float band only adds arcs, so the float digraph then holds the cycle."""
         rng = random.Random(59)
         for k in range(500):
             pcm = generate_with_rng(rng, ALL_TAGS[k % 6])
@@ -602,12 +620,19 @@ class TestBarycentric:
             samples += _inside_samples(rng, tet, 2)
             samples.append(_jittered(rng, samples[1]))
             for w in samples:
-                in_region = contains_cycle_region(bcc_digraph(pcm, w), tet.orientation)
-                lams = barycentric(tet, w.normalized())
-                assert in_region == (lams is not None)
-                if lams is not None:
-                    assert sum(lams) == 1
-                    assert all(l >= 0 for l in lams)
+                floated = weight_vector([float(c) for c in w.components])
+                twin = weight_vector([Fraction(c) for c in floated.components])
+                for exact in (w, twin):
+                    in_region = contains_cycle_region(bcc_digraph(pcm, exact), tet.orientation)
+                    lams = barycentric(tet, exact)
+                    assert in_region == (lams is not None)
+                    if lams is not None:
+                        assert sum(lams) == 1
+                        assert all(l >= 0 for l in lams)
+                float_lams = barycentric(tet, floated)
+                assert float_lams == barycentric(tet, twin)
+                if float_lams is not None:
+                    assert contains_cycle_region(bcc_digraph(pcm, floated), tet.orientation)
 
 
 class TestClassify:

@@ -190,6 +190,12 @@ class TestPcmFromUpper:
         assert pcm_from_upper(3, {(2, 3): 4}).rows_as_strings() == [
             ["1", "1", "1"], ["1", "1", "4"], ["1", "1/4", "1"]]
 
+    @pytest.mark.parametrize("n", [4.0, "4", None, True, False])
+    def test_n_that_is_not_an_int_is_non_square(self, n):
+        """As a document's declared n: a bool or any non-int is refused."""
+        with pytest.raises(NonSquareError, match=rf"^NonSquare: n={n!r} is not an integer$"):
+            pcm_from_upper(n, {})
+
     @pytest.mark.parametrize("key", [
         (0, 1), (2, 1), (1, 3), (1, 1), (-1, 2), (True, 2), (1, 2.0), (1,), (1, 2, 3), 1, "12",
     ])
@@ -742,6 +748,12 @@ class TestWeightVector:
     def test_a_component_past_the_float_range_in_a_float_vector(self, values):
         with pytest.raises(NonFiniteWeightError,
                            match=r"^NonFiniteWeight: a component is past the float range$"):
+            weight_vector(values)
+
+    @pytest.mark.parametrize("values", ["1234", "1", "", b"12"])
+    def test_text_is_one_value_not_a_vector(self, values):
+        """As parse_pcm refuses a string grid: no vector of characters or bytes."""
+        with pytest.raises(BadNumeralError, match=r"^BadNumeral: .* is one value, not a sequence"):
             weight_vector(values)
 
     @pytest.mark.parametrize("values", [[True, 2], [1, False, 2], [True], [2.5, True]])
