@@ -29,6 +29,13 @@ from .pcm import Pcm, Record, WeightVector
 DEFAULT_EQUALITY_BAND = 1e-9
 
 
+def _checked_band(band: float, name: str, given) -> float:
+    """The band, if a finite number >= 0; else BadTolerance, quoting name=given."""
+    if not 0 <= band < math.inf:  # NaN fails both comparisons; an int past the float range passes
+        raise BadToleranceError(f"{name}={given!r} is not a finite number >= 0")
+    return band
+
+
 def float_equality_band() -> float:
     """Relative tolerance for treating a float ratio as a perfect estimate.
 
@@ -41,9 +48,7 @@ def float_equality_band() -> float:
         band = float(text)
     except ValueError:
         band = math.nan  # unparsable: rejected below
-    if not (math.isfinite(band) and band >= 0):
-        raise BadToleranceError(f"EFFPCM_TOL={text!r} is not a finite number >= 0")
-    return band
+    return _checked_band(band, "EFFPCM_TOL", text)
 
 
 class BccDigraph(Record):
@@ -60,7 +65,8 @@ def bcc_digraph(pcm: Pcm, w: WeightVector, band: float | None = None) -> BccDigr
         raise DimensionMismatchError(f"{pcm.n}x{pcm.n} matrix with {w.n}-weight vector")
     if band is None:
         band = float_equality_band()
-    band_num, band_den = (0, 1) if w.exact else band.as_integer_ratio()
+    # the band is read, and so checked, only for a float vector
+    band_num, band_den = (0, 1) if w.exact else _checked_band(band, "band", band).as_integer_ratio()
     weights = [c.as_integer_ratio() for c in w.components]
     arcs = set()
     equalities = set()

@@ -103,10 +103,6 @@ class BadTrialCountError(InputError):
     code = "BadTrialCount"
 
 
-class NotNormalizedError(InputError):
-    code = "NotNormalized"
-
-
 class NotACanonicalCycleError(InputError):
     code = "NotACanonicalCycle"
 

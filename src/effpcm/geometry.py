@@ -57,7 +57,6 @@ from .errors import (
     ConsistentTriadPresentError,
     DimensionMismatchError,
     ImpossibleCombinationError,
-    NotNormalizedError,
 )
 from .pcm import (
     CANONICAL_CYCLES,
@@ -66,7 +65,6 @@ from .pcm import (
     Permutation,
     Record,
     WeightVector,
-    _integer_form,
     apply_permutation,
     cycle_product,
 )
@@ -511,25 +509,13 @@ def _embedded(x: Sequence[int], total: int) -> tuple[float, float, float]:
     return ((x1 + x2) / total, (x1 + x3) / total, (x2 + x3) / total)
 
 
-def embed(w: WeightVector | Sequence) -> tuple[float, float, float]:
-    """(w1+w2, w1+w3, w2+w3): a normalized vector drawn in 3-space.
-
-    Exact input is integers x1..x4 over their total T (a vector's ``integer_form``, or a
-    sequence's over the lcm of its denominators), embedded by ``_embedded``.
-    """
-    vector = isinstance(w, WeightVector)
-    components = w.components if vector else tuple(w)
-    if len(components) != 4:
-        raise DimensionMismatchError("embedding needs 4 components")
-    if (w.exact if vector else all(isinstance(c, (Fraction, int)) for c in components)):
-        x, total = w.integer_form if vector else _integer_form(components)
-        if sum(x) != total:
-            raise NotNormalizedError("components must sum to 1")
-        return _embedded(x, total)
-    if abs(sum(components) - 1.0) > 1e-12:
-        raise NotNormalizedError("components must sum to 1")
-    w1, w2, w3, _ = components
-    return (float(w1 + w2), float(w1 + w3), float(w2 + w3))
+def embed(w: WeightVector) -> tuple[float, float, float]:
+    """(w1+w2, w1+w3, w2+w3) of w / sum(w), for a positive 4-vector w, exact or float:
+    read as its exact ``integer_form`` x / d, w / sum(w) is x / sum(x) (``_embedded``)."""
+    if w.n != 4:
+        raise DimensionMismatchError(f"embedding needs 4 components, got {w.n}")
+    x, _ = w.integer_form
+    return _embedded(x, sum(x))
 
 
 SIMPLEX_CORNERS = (

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import (
@@ -278,27 +278,12 @@ class WeightVector(Record):
     def exact(self) -> bool:
         return isinstance(self.components[0], Fraction)
 
-    @property
-    def is_normalized(self) -> bool:
-        total = sum(self.components)
-        if self.exact:
-            return total == 1
-        return abs(total - 1.0) <= 1e-12
-
-    def normalized(self) -> "WeightVector":
-        components = self.components
-        total = sum(components)
-        if not self.exact and math.isinf(total):
-            # finite floats whose sum overflows; a power-of-two scale keeps
-            # every normal float's mantissa
-            components = tuple(math.ldexp(c, -self.n.bit_length()) for c in components)
-            total = sum(components)
-        return WeightVector(tuple(c / total for c in components))
-
     @functools.cached_property
     def integer_form(self) -> tuple[tuple[int, ...], int]:
-        """(x, d): the components are x_i / d, d the lcm of their denominators."""
-        return _integer_form(self.components)
+        """(x, d): the components' exact values are x_i / d, d the lcm of their denominators."""
+        pairs = [c.as_integer_ratio() for c in self.components]
+        d = math.lcm(*(q for _, q in pairs))
+        return tuple([p * (d // q) for p, q in pairs]), d
 
     def as_strings(self) -> list[str]:
         if self.exact:
@@ -306,17 +291,12 @@ class WeightVector(Record):
         return [repr(c) for c in self.components]
 
 
-def _integer_form(components: Sequence) -> tuple[tuple[int, ...], int]:
-    """Exact values of the components as integers over the lcm of their denominators."""
-    pairs = [c.as_integer_ratio() for c in components]
-    d = math.lcm(*(q for _, q in pairs))
-    return tuple([p * (d // q) for p, q in pairs]), d
-
-
-def weight_vector(values: Iterable) -> WeightVector:
+def weight_vector(values: Sequence) -> WeightVector:
     """The WeightVector of the values read by parse_rational, or of floats if a value is one."""
     if isinstance(values, (str, bytes)):
         raise BadNumeralError(f"{values!r} is one value, not a sequence of weights")
+    if not isinstance(values, Sequence):  # as parse_pcm's rows: a set has no order to give
+        raise BadNumeralError(f"a {type(values).__name__} is not a sequence of weights")
     values = [v if isinstance(v, float) else parse_rational(v) for v in values]
     if any(isinstance(v, float) for v in values):
         try:
@@ -431,5 +411,6 @@ def consistent_weights(pcm: Pcm) -> WeightVector:
     if not is_consistent(pcm):
         raise NotConsistentError("matrix has an inconsistent triad")
     # Fix the last weight and read the ratios off the last column.
-    raw = tuple(pcm.entries[i][pcm.n - 1] for i in range(pcm.n))
-    return WeightVector(raw).normalized()
+    column = [row[-1] for row in pcm.entries]
+    total = sum(column)
+    return WeightVector(tuple(a / total for a in column))

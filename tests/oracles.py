@@ -15,7 +15,7 @@ loop, relabelling entry by entry, the BCC digraph from Fraction ratios
 (the library cross-multiplies integer pairs) and barycentric coefficients
 in Fraction arithmetic (the library reads
 integer pairs and integer forms), the clip polygons' split points written
-out coordinate by coordinate (the library calls ``embed``), the geometry document's
+out coordinate by coordinate (the library calls ``_embedded``), the geometry document's
 exact-vertex reader and the exact cutting-plane polygons that its clip
 polygons embed (the library writes them from each entry's numerator and
 denominator), the 24-matrix rearrangement
@@ -25,8 +25,8 @@ orientation by cross and dot products, both of which the library derives
 from the seven product signs instead, and the unrounded 3-space embedding
 that the library's rounded one must match.  It also holds the small
 accessors, relabellings and consistency listings that only the tests read
-values through (entries, ratios, scaled and permuted vectors, inverse and
-identity permutations, tree degrees, tetrahedron vertex points, the
+values through (entries, ratios, scaled, normalized and permuted vectors,
+inverse and identity permutations, tree degrees, tetrahedron vertex points, the
 consistent triads and 4-cycles).
 """
 
@@ -97,6 +97,13 @@ def ratio(w: WeightVector, i: int, j: int):
 
 def scaled(w: WeightVector, factor) -> WeightVector:
     return WeightVector(tuple(c * factor for c in w.components))
+
+
+def normalized(w: WeightVector) -> WeightVector:
+    """w / sum(w) in w's own arithmetic: Fraction division for an exact vector, float
+    division for a float one (the library reads a float vector's exact values)."""
+    total = sum(w.components)
+    return WeightVector(tuple(c / total for c in w.components))
 
 
 def identity_permutation(n: int) -> Permutation:
@@ -346,7 +353,7 @@ def find_dominator_sample(
             )
         else:
             components = tuple(c * f for c, f in zip(w.components, factors))
-        candidate = WeightVector(components).normalized()
+        candidate = normalized(WeightVector(components))
         if dominates(pcm, candidate, w).dominates:
             return candidate
     return None
@@ -455,7 +462,7 @@ def tree_weight_vector_by_fractions(pcm: Pcm, tree: SpanningTree) -> WeightVecto
     for parent, child in _walk(_undirected(pcm.n, tree.edges), pcm.n):
         # w_child / w_parent = a_{child,parent} on a tree edge
         raw[child] = raw[parent] * pcm.entries[child - 1][parent - 1]
-    return WeightVector(tuple(raw[v] for v in range(1, pcm.n + 1))).normalized()
+    return normalized(WeightVector(tuple(raw[v] for v in range(1, pcm.n + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +520,7 @@ def barycentric_by_fractions(tet: Tetrahedron, w: WeightVector):
 def clip_split_by_sums(pair: tuple[int, int], value: Fraction) -> list[float]:
     """The embedded split point of a clip polygon, written out as
     ((x1 + x2), (x1 + x3), (x2 + x3)) over n + d with n at i and d at j; the
-    library calls ``embed`` on the split point."""
+    library calls ``_embedded`` on the split point."""
     i, j = pair
     n, d = value.numerator, value.denominator
     x1, x2, x3 = (n if k == i else d if k == j else 0 for k in (1, 2, 3))

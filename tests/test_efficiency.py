@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from effpcm.errors import DimensionMismatchError
+from effpcm.errors import BadToleranceError, DimensionMismatchError
 from effpcm.pcm import (
     CANONICAL_CYCLES,
     Pcm,
@@ -147,6 +147,18 @@ class TestBccDigraph:
         assert (1, 2) not in bcc_digraph(running_example, w).equality_pairs
         monkeypatch.setenv("EFFPCM_TOL", "1e-5")
         assert (1, 2) in bcc_digraph(running_example, w).equality_pairs
+
+    @pytest.mark.parametrize("band", [math.nan, math.inf, -1e-9])
+    def test_a_band_is_checked_where_it_is_read(self, running_example, band):
+        """A float vector reads the band, which must be finite and >= 0 as EFFPCM_TOL
+        must; an exact vector reads none, so it gets its digraph whatever the band."""
+        with pytest.raises(BadToleranceError, match=r"^BadTolerance: band=.* is not a finite number >= 0$"):
+            bcc_digraph(running_example, weight_vector([0.25] * 4), band)
+        assert bcc_digraph(running_example, UNIFORM, band) == bcc_digraph(running_example, UNIFORM, 0.0)
+
+    def test_a_finite_band_past_the_float_range_makes_every_pair_an_equality(self, running_example):
+        g = bcc_digraph(running_example, weight_vector([0.25] * 4), 10**400)
+        assert len(g.equality_pairs) == 6
 
     @given(random_pcm4, st.tuples(*([st.integers(1, 500)] * 4)))
     def test_every_pair_has_an_arc(self, pcm, raw):

@@ -25,7 +25,6 @@ from effpcm.geometry import (
     canonical_rearrangement,
     classify,
     efficient_set,
-    embed,
     tetrahedron_for_cycle,
 )
 from effpcm.pcm import CANONICAL_CYCLES, Permutation, apply_permutation, pcm_from_upper
@@ -94,7 +93,7 @@ _ENTRIES = st.fractions(min_value=Fraction(1, 10**40), max_value=10**40)
 def test_clip_polygons_are_the_embedded_plane_polygons(values):
     pcm = pcm_from_upper(4, dict(zip(UPPER_PAIRS, values)))
     planes = geometry_document(pcm)["planes"]
-    expected = [[list(embed(p)) for p in plane_clip_polygon(pair, Fraction(value))]
+    expected = [[[float(x) for x in embed_exact(p)] for p in plane_clip_polygon(pair, Fraction(value))]
                 for pair, value in zip(UPPER_PAIRS, values)]
     assert [plane["clip_polygon"] for plane in planes] == expected
 
@@ -102,7 +101,7 @@ def test_clip_polygons_are_the_embedded_plane_polygons(values):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(_ENTRIES, st.integers(1, 10**400)), min_size=6, max_size=6))
 def test_split_points_are_the_written_out_sums_bit_for_bit(values):
-    """n/(n+d) and d/(n+d) are in lowest terms, so ``embed`` divides the same
+    """n/(n+d) and d/(n+d) are in lowest terms, so ``_embedded`` divides the same
     integer sums by n + d as the formula written out per coordinate."""
     pcm = pcm_from_upper(4, dict(zip(UPPER_PAIRS, values)))
     splits = [plane["clip_polygon"][0] for plane in geometry_document(pcm)["planes"]]

@@ -7,14 +7,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from effpcm.errors import (
     ConsistentTriadPresentError,
     DimensionMismatchError,
     ImpossibleCombinationError,
     NotACanonicalCycleError,
-    NotNormalizedError,
     UnsupportedDimensionError,
 )
 from effpcm.pcm import (
@@ -43,6 +42,7 @@ from effpcm.generators import (
 from effpcm.geometry import (
     _ORIENTATIONS,
     _band_orientations,
+    _embedded,
     _oriented,
     CycleOrientation,
     Direction,
@@ -74,6 +74,7 @@ from oracles import (
     cycle_orientation,
     embed_exact,
     entry,
+    normalized,
     permute_weights,
     plane_clip_polygon,
     triad_rearrangement_search,
@@ -368,6 +369,39 @@ class TestTetrahedra:
                 assert tet.degenerate_rank in (0, 3)
 
 
+# near.json of the console smoke: the cycle (1,2,3,4) has product 1 + 1e-9, and the
+# float vector holds it backward within the default band
+NEAR_EXAMPLE = (
+    pcm_from_upper(4, {(1, 2): Fraction(8, 3), (1, 3): Fraction(2, 3),
+                       (1, 4): Fraction(3840000000, 1000000001), (2, 3): Fraction(4, 5),
+                       (2, 4): Fraction(9, 2), (3, 4): Fraction(9, 5)}),
+    weight_vector([3.8399999980510415, 1.4399999976311004, 1.7999999985113047, 1.0]),
+)
+
+WINDOW_BANDS = (0, 1e-9, 1e-4, 0.1, 0.99, 1, 2)
+
+
+@st.composite
+def _float_points_near_cycles(draw):
+    """A generated matrix whose entry a_1j may then be scaled by 1 + e for a small e,
+    which moves its consistent cycles' products off 1 by about e, and a float vector
+    rounded from a point of one of the unscaled matrix's tetrahedra, each component
+    then scaled by about 1 + 10^-k."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pcm = generate_with_rng(rng, draw(st.sampled_from(ALL_TAGS)))
+    tet = tetrahedron_for_cycle(pcm, draw(st.sampled_from(CANONICAL_CYCLES)))
+    lams = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any))
+    point = [sum(lam * v.components[i] for lam, v in zip(lams, tet.vertices)) for i in range(4)]
+    k = draw(st.sampled_from([3, 6, 9, 12, 16]))
+    w = weight_vector([float(c) * (1 + rng.uniform(-1, 1) * 10.0 ** -k) for c in point])
+    e = draw(st.sampled_from([0, 1, 10, 10**3, 10**6, 10**8]))
+    if e:
+        upper = pcm.upper_entries()
+        upper[1, draw(st.sampled_from([2, 3, 4]))] *= 1 + Fraction(rng.choice([-1, 1]), e * 10**2)
+        pcm = pcm_from_upper(4, upper)
+    return pcm, w
+
+
 class TestRegions:
     def test_vertex_inside_own_region(self, running_example):
         w = weight_vector([Fraction(1, 4), Fraction(1, 4), Fraction(1, 8), Fraction(3, 8)])
@@ -431,11 +465,8 @@ class TestRegions:
         """The cycle (1,2,3,4) has product 1 + 1e-9 and w holds it backward within the
         band: efficient by both tests.  Its exact twin holds it in neither direction."""
         monkeypatch.delenv("EFFPCM_TOL", raising=False)
-        pcm = pcm_from_upper(4, {(1, 2): Fraction(8, 3), (1, 3): Fraction(2, 3),
-                                 (1, 4): Fraction(3840000000, 1000000001), (2, 3): Fraction(4, 5),
-                                 (2, 4): Fraction(9, 2), (3, 4): Fraction(9, 5)})
+        pcm, w = NEAR_EXAMPLE
         assert cycle_product(pcm, (1, 2, 3, 4)) == 1 + Fraction(1, 10**9)
-        w = weight_vector([3.8399999980510415, 1.4399999976311004, 1.7999999985113047, 1.0])
         assert is_efficient(pcm, w) and is_efficient_geometric(pcm, w)
         twin = weight_vector([Fraction(c) for c in w.components])
         assert not is_efficient(pcm, twin) and not is_efficient_geometric(pcm, twin)
@@ -457,6 +488,24 @@ class TestRegions:
                    for r in _band_orientations(pcm, weight_vector([0.25, 0.25, 0.25, 0.25])))
         exact = _band_orientations(pcm, weight_vector([1, 1, 1, 1]))
         assert exact == canonical_orientations(pcm)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_float_points_near_cycles())
+    @example(NEAR_EXAMPLE)
+    def test_the_band_rule_implies_the_window(self, pcm_and_w):
+        """For a float vector and each band, every cycle's region test through
+        ``_band_orientations`` equals reading the cycle's consistent record, that is
+        in both directions: outside the window the digraph never holds a cycle
+        against its orientation."""
+        pcm, w = pcm_and_w
+        for band in WINDOW_BANDS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setenv("EFFPCM_TOL", repr(band))
+                digraph = bcc_digraph(pcm, w)
+                regions = _band_orientations(pcm, w)
+            for cycle, region in zip(CANONICAL_CYCLES, regions):
+                assert (contains_cycle_region(digraph, region)
+                        == contains_cycle_region(digraph, _ORIENTATIONS[cycle, 0])), (band, cycle)
 
 
 def _inside_samples(rng, tet, count):
@@ -483,7 +532,7 @@ def _jittered(rng, w):
     components = list(w.components)
     idx = rng.randrange(4)
     components[idx] = components[idx] * factor
-    return weight_vector(components).normalized()
+    return normalized(weight_vector(components))
 
 
 class TestOracleEquivalence:
@@ -941,38 +990,43 @@ def _embedding_matrices(draw):
     return pcm_from_upper(4, upper)
 
 
+# float components from below the normal range to the top, whose sum may overflow
+_EMBEDDING_FLOATS = st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True)
+_EMBEDDING_FRACTIONS = st.one_of(
+    st.fractions(min_value=Fraction(1, 10**40), max_value=10**40),
+    st.integers(1, 2**200).map(Fraction),
+)
+
+
 class TestEmbedding:
     def test_simplex_corner(self):
-        assert embed((1, 0, 0, 0)) == (1.0, 1.0, 0.0)
+        """Each corner is the embedding of a unit vector (``_embedded`` takes zero parts)."""
+        assert _embedded((1, 0, 0, 0), 1) == (1.0, 1.0, 0.0)
         for k, corner in enumerate(SIMPLEX_CORNERS):
-            assert embed(tuple(int(i == k) for i in range(4))) == corner
+            assert _embedded(tuple(int(i == k) for i in range(4)), 1) == corner
 
     def test_uniform_center(self):
-        assert embed(UNIFORM) == (0.5, 0.5, 0.5)
+        for w in (UNIFORM, weight_vector([3] * 4), weight_vector([0.1] * 4)):
+            assert embed(w) == (0.5, 0.5, 0.5)
 
     def test_tree_vertex(self):
         w = weight_vector([Fraction(1, 4), Fraction(1, 4), Fraction(1, 8), Fraction(3, 8)])
         assert embed(w) == (0.5, 0.375, 0.375)
+        assert embed(weight_vector([2, 2, 1, 3])) == (0.5, 0.375, 0.375)
 
-    def test_requires_normalized(self):
-        with pytest.raises(NotNormalizedError):
-            embed((1, 1, 0, 0))
-        with pytest.raises(NotNormalizedError):
-            embed((1, 0, 0, -Fraction(1, 10**40)))
+    def test_needs_four_components(self):
+        for values in ([1, 2, 3], [0.5, 0.25, 0.125, 0.0625, 0.0625]):
+            with pytest.raises(DimensionMismatchError):
+                embed(weight_vector(values))
 
-    @given(st.lists(st.one_of(st.just(0), st.integers(2**150, 2**200)), min_size=4, max_size=4)
-           .filter(any), st.booleans())
-    def test_exact_vector_rounds_its_exact_sums(self, parts, as_vector):
-        """Components of 150 bits or more, or int zero cells, normalized exactly."""
-        total = sum(parts)
-        w = tuple(Fraction(p, total) if p else 0 for p in parts)
+    @given(st.lists(st.integers(2**150, 2**200), min_size=4, max_size=4))
+    def test_exact_vector_rounds_its_exact_sums(self, parts):
+        """Components of 150 bits or more, normalized or not: each coordinate is
+        the exact sum, rounded once."""
+        w = [Fraction(p, sum(parts)) for p in parts]
         rounded = tuple(float(x) for x in embed_exact(w))
-        if as_vector and all(w):
-            assert embed(weight_vector(w)) == rounded
-        assert embed(w) == rounded
-        off = (w[0] + Fraction(1, 10**40),) + w[1:]
-        with pytest.raises(NotNormalizedError):
-            embed(off)
+        assert embed(weight_vector(w)) == rounded
+        assert embed(weight_vector(parts)) == rounded
 
     @settings(max_examples=150, deadline=None)
     @given(_embedding_matrices())
@@ -986,13 +1040,24 @@ class TestEmbedding:
                 assert "integer_form" not in rebuilt.__dict__
                 assert embed(rebuilt) == point
 
-    @given(st.lists(st.floats(1e-6, 1e6), min_size=4, max_size=4))
-    def test_float_vector_sums_in_float(self, values):
-        w = weight_vector(values).normalized()
-        w1, w2, w3, _ = w.components
-        assert embed(w) == (w1 + w2, w1 + w3, w2 + w3)
-        with pytest.raises(NotNormalizedError):
-            embed(w.components[:3] + (w.components[3] + 1e-9,))
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(_EMBEDDING_FLOATS, min_size=4, max_size=4),
+                     st.lists(_EMBEDDING_FRACTIONS, min_size=4, max_size=4)),
+           st.fractions(min_value=Fraction(1, 10**30), max_value=10**30))
+    # the floats' sum overflows, and the float normalization of the second underflows
+    @example([1.4875e308, 1.7e308, 8.5e307, 2.125e307], Fraction(3))
+    @example([1e300, 1e300, 1e-300, 1e-300], Fraction(1, 7))
+    def test_any_positive_vector_is_its_normalization_rounded_once(self, values, k):
+        """embed(w) rounds each coordinate of the exact embedding of w / sum(w) once,
+        for a float vector too; it does not change when w is scaled by an exact k > 0,
+        and a float vector embeds as its exact Fraction twin does."""
+        w = weight_vector(values)
+        twin = [Fraction(c) for c in w.components]
+        total = sum(twin)
+        point = embed(w)
+        assert point == tuple(float(x) for x in embed_exact([c / total for c in twin]))
+        assert embed(weight_vector(twin)) == point
+        assert embed(weight_vector([c * k for c in twin])) == point
 
 
 class TestCuttingPlanes:
@@ -1006,7 +1071,7 @@ class TestCuttingPlanes:
     def test_split_point_ratio(self):
         polygon = plane_clip_polygon((1, 2), Fraction(2))
         assert polygon[0] == (Fraction(2, 3), Fraction(1, 3), 0, 0)
-        assert embed(polygon[0]) == (1.0, pytest.approx(2 / 3), pytest.approx(1 / 3))
+        assert embed_exact(polygon[0]) == (1, Fraction(2, 3), Fraction(1, 3))
         # the other two vertices are the opposite simplex corners
         assert polygon[1] == (0, 0, 1, 0)
         assert polygon[2] == (0, 0, 0, 1)

@@ -725,20 +725,6 @@ class TestWeightVector:
         floaty = weight_vector([0.5, 0.25, 0.25])
         assert not floaty.exact
 
-    def test_normalization(self):
-        w = weight_vector([2, 2, 4]).normalized()
-        assert w.components == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
-        assert w.is_normalized
-
-    def test_normalization_when_float_sum_overflows(self):
-        raw = (1.4875e308, 1.7e308, 8.5e307, 2.125e307)
-        assert sum(raw) == math.inf
-        w = weight_vector(raw).normalized()
-        assert all(0 < c < 1 for c in w.components)
-        assert w.is_normalized
-        for i in range(1, 4):
-            assert ratio(w, i, 4) == pytest.approx(raw[i - 1] / raw[3], rel=1e-15)
-
     def test_positivity(self):
         with pytest.raises(NonPositiveWeightError):
             weight_vector([1, 0, 2])
@@ -755,6 +741,16 @@ class TestWeightVector:
         """As parse_pcm refuses a string grid: no vector of characters or bytes."""
         with pytest.raises(BadNumeralError, match=r"^BadNumeral: .* is one value, not a sequence"):
             weight_vector(values)
+
+    @pytest.mark.parametrize("make", [
+        lambda: {3, 1, 2}, lambda: frozenset({0.5, 0.25}), lambda: {"1": 0, "2": 0},
+        lambda: (k for k in (1, 2, 3)),
+    ], ids=["set", "frozenset", "dict", "generator"])
+    def test_input_that_is_not_a_sequence_is_refused(self, make):
+        """As parse_pcm's rows must be: a set or a dict has no order to give the
+        components (a dict's keys were read as numerals)."""
+        with pytest.raises(BadNumeralError, match=r"^BadNumeral: a \w+ is not a sequence of weights$"):
+            weight_vector(make())
 
     @pytest.mark.parametrize("values", [[True, 2], [1, False, 2], [True], [2.5, True]])
     def test_bool_is_not_a_weight(self, values):
