@@ -2,6 +2,9 @@
 
 Exit codes: 0 for success (and "efficient" verdicts), 1 for semantic
 negatives (inefficient vector, sampler disagreement), 2 for input errors.
+A command returns its text and exit code and prints nothing: ``main``
+writes the text once, after the work, inside the ``try`` that turns an input
+or file error into one ``error:`` line, so an exit-2 run leaves stdout empty.
 All commands are deterministic given their flags and seeds; only the
 sampler's elapsed-seconds field depends on the wall clock.
 """
@@ -43,64 +46,61 @@ from .sampling import run_equivalence_trials, trial_settings
 CLASS_CHOICES = [tag.value for tag in PerturbTag]
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[str, int]:
     load_matrix(args.matrix)
-    print("ok")
-    return 0
+    return "ok", 0
 
 
 def _format_pair_list(pairs) -> str:
     return ", ".join(f"{{{i},{j}}}" for (i, j) in sorted(pairs)) or "-"
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
     w = load_weights(args.weights)
     digraph = bcc_digraph(pcm, w)
     efficient = strongly_connected(digraph)
     arcs = sorted(digraph.arcs)
     if args.json:
-        print(json.dumps({
+        text = json.dumps({
             "efficient": efficient,
             "arcs": [list(arc) for arc in arcs],
             "equality_pairs": [list(p) for p in sorted(digraph.equality_pairs)],
-        }, indent=2))
+        }, indent=2)
     else:
-        print("verdict: " + ("efficient" if efficient else "inefficient"))
-        print("arcs: " + ", ".join(f"{a}->{b}" for (a, b) in arcs))
-        print("equality pairs: " + _format_pair_list(digraph.equality_pairs))
-    return 0 if efficient else 1
+        text = "\n".join(["verdict: " + ("efficient" if efficient else "inefficient"),
+                          "arcs: " + ", ".join(f"{a}->{b}" for (a, b) in arcs),
+                          "equality pairs: " + _format_pair_list(digraph.equality_pairs)])
+    return text, 0 if efficient else 1
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
     cls = classify(pcm)
-    print(f"classification: {cls.tag.value}")
-    print(f"consistent triads: {cls.consistent_triad_count}")
-    print(f"consistent 4-cycles: {cls.consistent_cycle_count}")
-    return 0
+    return (f"classification: {cls.tag.value}\n"
+            f"consistent triads: {cls.consistent_triad_count}\n"
+            f"consistent 4-cycles: {cls.consistent_cycle_count}"), 0
 
 
-def _cmd_rearrange(args) -> int:
+def _cmd_rearrange(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
     if args.mode == "cycles":
         perm, rearranged = canonical_rearrangement(pcm)
         case = None
     else:
         perm, rearranged, case = triad_rearrangement(pcm)
-    print(json.dumps({
+    return json.dumps({
         "mode": args.mode,
         "permutation": list(perm.mapping),
         "case": case,
         "tie_break": "lexicographic-smallest",
         "matrix": matrix_document(rearranged),
-    }, indent=2))
-    return 0
+    }, indent=2), 0
 
 
-def _cmd_vertices(args) -> int:
+def _cmd_vertices(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
-    lines = []  # all text first: a vertex too long to print leaves stdout empty
+    lines = []
     for cycle in CANONICAL_CYCLES:
         tet = tetrahedron_for_cycle(pcm, cycle)
         cycle_text = ",".join(map(str, cycle))
@@ -108,11 +108,10 @@ def _cmd_vertices(args) -> int:
         for k, (vertex, point) in enumerate(zip(tet.vertices, tet.embedded), start=1):
             exact = " ".join(vertex.as_strings())
             lines.append(f"  T{k}: {exact}  ->  ({point[0]!r}, {point[1]!r}, {point[2]!r})")
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines), 0
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
     w = load_weights(args.weights)
     orientations = canonical_orientations(pcm)
@@ -120,42 +119,43 @@ def _cmd_member(args) -> int:
     digraph = bcc_digraph(pcm, w)
     insides = [contains_cycle_region(digraph, region) for region in regions]
     efficient = any(insides)
+    lines = []
     for orientation, region, inside in zip(orientations, regions, insides):
         cycle = orientation.cycle
         cycle_text = ",".join(map(str, cycle))
         label = orientation.direction.value
         if region is not orientation:  # a float vector may hold the cycle either way
             label += ", within the band of consistent"
-        print(f"cycle ({cycle_text}) {label}: " + ("inside" if inside else "outside"))
+        lines.append(f"cycle ({cycle_text}) {label}: " + ("inside" if inside else "outside"))
         if inside:
             coefficients = barycentric(tetrahedron_for_cycle(pcm, cycle), w)
             if coefficients is not None:
-                print("  barycentric: " + " ".join(format_rational(c) for c in coefficients))
-    print("efficient: " + ("yes" if efficient else "no"))
-    return 0 if efficient else 1
+                lines.append("  barycentric: " + " ".join(format_rational(c) for c in coefficients))
+    lines.append("efficient: " + ("yes" if efficient else "no"))
+    return "\n".join(lines), 0 if efficient else 1
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
     out = Path(args.output)
     if args.format == "json":
         dump_json(geometry_document(pcm), out)
     else:
         out.write_text(obj_mesh(pcm), encoding="utf-8")
-    print(f"wrote {out}")
-    return 0
+    return f"wrote {out}", 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> tuple[str, int]:
     # input errors come before -o is opened, so they leave no file, and -o is
     # opened before the first trial, so an unwritable path wastes no trials
     trial_settings(args.trials, args.cls)
-    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as out:
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext() as out:
         report = run_equivalence_trials(args.seed, args.trials, args.cls)
-        print(json.dumps(report.to_json_dict(), indent=2), file=out)
-    if args.output:
-        print(f"wrote {args.output}")
-    return 1 if report.disagreements else 0
+        text = json.dumps(report.to_json_dict(), indent=2)
+        if args.output:
+            print(text, file=out)
+            text = f"wrote {args.output}"
+    return text, 1 if report.disagreements else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        text, code = args.func(args)
+        print(text)
+        return code
     except (InputError, OSError) as exc:
         print("error:", exc if isinstance(exc, InputError) else f"FileError: {exc}", file=sys.stderr)
         return 2

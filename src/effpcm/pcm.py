@@ -26,6 +26,7 @@ builder that already holds the value seeds (``pcm_from_pairs``,
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from collections.abc import Sequence
@@ -48,8 +49,9 @@ from .errors import (
     UnsupportedDimensionError,
 )
 
-# Groups: the signed whole part, then a denominator or the fraction digits.
-_NUMERAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+)|\.(\d{1,15}))?")
+# Groups: the signed whole part, then a denominator or the fraction digits,
+# in ASCII digits only (a bare \d also matches other scripts' digits).
+_NUMERAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+)|\.(\d{1,15}))?", re.ASCII)
 
 # Canonical n=4 enumeration order for triads and undirected 4-cycles.
 CANONICAL_TRIADS = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
@@ -396,21 +398,15 @@ def pcm_from_pairs(pairs: Sequence[tuple[int, int]], signs: tuple) -> Pcm:
     return pcm
 
 
-def is_consistent(pcm: Pcm) -> bool:
-    """True iff a_ij * a_jk = a_ik for all triples (exact)."""
-    for i in range(1, pcm.n + 1):
-        for j in range(i + 1, pcm.n + 1):
-            for k in range(j + 1, pcm.n + 1):
-                if triad_product(pcm, (i, j, k)) != 1:
-                    return False
-    return True
-
-
 def consistent_weights(pcm: Pcm) -> WeightVector:
-    """The unique normalized exact w with w_i/w_j = a_ij, for a consistent matrix."""
-    if not is_consistent(pcm):
-        raise NotConsistentError("matrix has an inconsistent triad")
-    # Fix the last weight and read the ratios off the last column.
+    """The unique normalized exact w with w_i/w_j = a_ij: the last column scaled to
+    sum 1.  The matrix must be consistent, which holds exactly when a_ij * a_jn = a_in
+    for every i < j < n, one integer cross-multiplication on ``pairs`` each."""
+    pairs = pcm.pairs
+    for i, j in itertools.combinations(range(pcm.n - 1), 2):
+        (p_ij, q_ij), (p_jn, q_jn), (p_in, q_in) = pairs[i][j], pairs[j][-1], pairs[i][-1]
+        if p_ij * p_jn * q_in != q_ij * q_jn * p_in:
+            raise NotConsistentError(f"triad ({i + 1},{j + 1},{pcm.n}) is inconsistent")
     column = [row[-1] for row in pcm.entries]
     total = sum(column)
     return WeightVector(tuple(a / total for a in column))

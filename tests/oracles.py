@@ -27,7 +27,8 @@ that the library's rounded one must match.  It also holds the small
 accessors, relabellings and consistency listings that only the tests read
 values through (entries, ratios, scaled, normalized and permuted vectors,
 inverse and identity permutations, tree degrees, tetrahedron vertex points, the
-consistent triads and 4-cycles).
+consistent triads and 4-cycles), and consistency of any matrix by its triad
+products (the library checks a_ij * a_jn = a_in on integer pairs).
 """
 
 from __future__ import annotations
@@ -122,6 +123,17 @@ def permute_weights(w: WeightVector, perm: Permutation) -> WeightVector:
     if perm.n != w.n:
         raise DimensionMismatchError("permutation and weight vector lengths differ")
     return WeightVector(tuple(w.components[k - 1] for k in perm.mapping))
+
+
+def is_consistent(pcm: Pcm) -> bool:
+    """True iff a_ij * a_jk = a_ik for all triples, by a Fraction product per triad;
+    the library's ``consistent_weights`` cross-multiplies a_ij * a_jn = a_in instead."""
+    for i in range(1, pcm.n + 1):
+        for j in range(i + 1, pcm.n + 1):
+            for k in range(j + 1, pcm.n + 1):
+                if triad_product(pcm, (i, j, k)) != 1:
+                    return False
+    return True
 
 
 def consistent_triads(pcm: Pcm) -> list[tuple[int, int, int]]:
@@ -468,7 +480,7 @@ def tree_weight_vector_by_fractions(pcm: Pcm, tree: SpanningTree) -> WeightVecto
 # ---------------------------------------------------------------------------
 # numerals
 
-_NUMERAL_RE = re.compile(r"^[+-]?\d+(?:/\d+|\.\d{1,15})?$")
+_NUMERAL_RE = re.compile(r"^[+-]?\d+(?:/\d+|\.\d{1,15})?$", re.ASCII)
 
 
 def parse_rational_by_fraction_string(text: Fraction | int | float | str) -> Fraction:

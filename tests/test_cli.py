@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, exit codes, file formats."""
 
+import ast
 import io
 import json
 import math
@@ -19,7 +20,8 @@ import effpcm
 from effpcm.cli import CLASS_CHOICES, build_parser, main
 from effpcm.efficiency import float_equality_band
 from effpcm.generators import generate_with_rng
-from effpcm.geometry import efficient_set
+from effpcm.export import load_matrix
+from effpcm.geometry import efficient_set, tetrahedron_for_cycle
 from effpcm.pcm import format_rational, parse_pcm, pcm_from_upper
 from conftest import RUNNING_ROWS
 from oracles import entry, parse_exact_vertices
@@ -572,6 +574,54 @@ class TestNumberTooLong:
     def test_obj_mesh_prints_floats_only(self, long_matrix, tmp_path):
         assert _run(["export", long_matrix, "-o", str(tmp_path / "m.obj"), "--format", "obj"])[0] == 0
 
+    def test_member_prints_nothing_before_its_error(self, long_matrix, tmp_path):
+        """The (1,2,3,4) tetrahedron's vertex sum, scaled to w_4 = 1 and rounded:
+        1500-digit weights inside that tetrahedron, whose barycentric
+        coefficients pass the digit limit; ``check`` needs no such text."""
+        tet = tetrahedron_for_cycle(load_matrix(long_matrix), (1, 2, 3, 4))
+        total = [sum(c) for c in zip(*(v.components for v in tet.vertices))]
+        weights = write_weights(tmp_path / "long_w.json", [str(round(c / total[3])) for c in total])
+        rc, stdout, stderr = _run(["member", long_matrix, "--weights", weights])
+        assert (rc, stdout) == (2, "")
+        assert stderr.startswith("error: NumberTooLong: ") and stderr.count("\n") == 1
+        rc, stdout, stderr = _run(["check", long_matrix, "--weights", weights])
+        assert (rc, stderr) == (0, "")
+        assert stdout.startswith("verdict: efficient\n") and stdout.count("\n") == 3
+
+
+def _stdout_writers(tree: ast.Module) -> list[str]:
+    """Functions other than ``main`` that call ``print`` without ``file=`` or name ``sys.stdout``."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+                    and not any(keyword.arg == "file" for keyword in node.keywords)):
+                found.append(f"line {node.lineno}: print in {func.name}")
+            if (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                found.append(f"line {node.lineno}: sys.stdout in {func.name}")
+    return found
+
+
+def test_only_main_writes_stdout():
+    """A command returns its text and ``main`` prints it once, after the work:
+    an error raised anywhere in a command leaves stdout empty."""
+    source = Path(effpcm.__file__).with_name("cli.py").read_text(encoding="utf-8")
+    assert _stdout_writers(ast.parse(source)) == []
+
+
+def test_a_failing_stdout_write_is_a_file_error(matrix_file):
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    err = io.StringIO()
+    with redirect_stdout(BrokenPipe()), redirect_stderr(err):
+        assert main(["validate", matrix_file]) == 2
+    assert err.getvalue() == "error: FileError: [Errno 32] Broken pipe\n"
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv", [["--help"], ["sample", "--help"]])
@@ -622,7 +672,7 @@ class TestSharedParser:
 
 _CELLS = st.one_of(
     st.sampled_from(["1", "2", "1/2", "5", "1/5", "0.25", "4", "0", "-1", "1/0", "x", "", " 3 ",
-                     "1e3", ".5", "1_000"]),
+                     "1e3", ".5", "1_000", "\u0661/\u0662", "\uff11", "\u0663.\u0665"]),
     st.integers(-2, 9),
     st.just(10**400),  # past the float range
     st.floats(),

@@ -39,7 +39,6 @@ from effpcm.pcm import (
     consistent_weights,
     cycle_product,
     format_rational,
-    is_consistent,
     parse_pcm,
     parse_rational,
     pcm_from_upper,
@@ -53,6 +52,7 @@ from oracles import (
     entry,
     identity_permutation,
     inverse_permutation,
+    is_consistent,
     parse_rational_by_fraction_string,
     ratio,
     validate_by_cells,
@@ -132,7 +132,8 @@ class TestParsing:
         with pytest.raises(NonSquareError):
             parse_pcm([])
 
-    @pytest.mark.parametrize("cell", ["", "abc", "1/0", "1e3", ".5", "1.", "0.1234567890123456"])
+    @pytest.mark.parametrize("cell", ["", "abc", "1/0", "1e3", ".5", "1.", "0.1234567890123456",
+                                      "\u0661/\u0662", "\uff11", "\u0663.\u0665"])
     def test_bad_numerals(self, cell):
         with pytest.raises(BadNumeralError):
             parse_rational(cell)
@@ -632,6 +633,20 @@ class TestProductSigns:
             running_example.entries = fresh.entries
 
 
+@st.composite
+def _consistent_or_perturbed(draw):
+    """A consistent matrix a_ij = w_i / w_j, n = 1..6, with at most one upper
+    entry scaled (by 1 too, which keeps it consistent)."""
+    n = draw(st.integers(1, 6))
+    w = draw(st.lists(st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+                      min_size=n, max_size=n))
+    upper = {(i, j): w[i - 1] / w[j - 1] for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    if upper and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(upper)))
+        upper[key] *= draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(1001, 1000)]))
+    return pcm_from_upper(n, upper)
+
+
 class TestConsistentWeights:
     def test_consistent_example_weights(self, consistent_example):
         w = consistent_weights(consistent_example)
@@ -652,13 +667,29 @@ class TestConsistentWeights:
         assert consistent_weights(pcm).components == (Fraction(3, 4), Fraction(1, 4))
 
     def test_small_matrices_are_consistent(self):
-        assert is_consistent(parse_pcm([["1"]]))
-        assert is_consistent(parse_pcm([["1", "7"], ["1/7", "1"]]))
+        assert consistent_weights(parse_pcm([["1"]])).components == (Fraction(1),)
+        pcm = parse_pcm([["1", "7"], ["1/7", "1"]])
+        assert consistent_weights(pcm).components == (Fraction(7, 8), Fraction(1, 8))
 
     def test_rejects_inconsistent(self, running_example):
         assert not is_consistent(running_example)
-        with pytest.raises(NotConsistentError):
+        with pytest.raises(NotConsistentError, match=r"^NotConsistent: triad \(1,2,4\) is inconsistent$"):
             consistent_weights(running_example)
+
+    @settings(max_examples=150)
+    @given(_consistent_or_perturbed())
+    def test_refuses_exactly_the_inconsistent(self, pcm):
+        """``consistent_weights`` raises exactly when a triad product is not 1;
+        otherwise its weights reproduce every entry and sum to 1."""
+        try:
+            w = consistent_weights(pcm)
+        except NotConsistentError:
+            assert not is_consistent(pcm)
+            return
+        assert is_consistent(pcm) and sum(w.components) == 1
+        for i in range(1, pcm.n + 1):
+            for j in range(1, pcm.n + 1):
+                assert ratio(w, i, j) == entry(pcm, i, j)
 
 
 class TestPermutation:
