@@ -105,8 +105,8 @@ def _cmd_vertices(args) -> tuple[str, int]:
         tet = tetrahedron_for_cycle(pcm, cycle)
         cycle_text = ",".join(map(str, cycle))
         lines.append(f"cycle ({cycle_text}) {tet.orientation.direction.value}, rank {tet.degenerate_rank}:")
-        for k, (vertex, point) in enumerate(zip(tet.vertices, tet.embedded), start=1):
-            exact = " ".join(vertex.as_strings())
+        for k, (texts, point) in enumerate(zip(tet.vertex_strings(), tet.embedded), start=1):
+            exact = " ".join(texts)
             lines.append(f"  T{k}: {exact}  ->  ({point[0]!r}, {point[1]!r}, {point[2]!r})")
     return "\n".join(lines), 0
 

@@ -8,6 +8,7 @@ coordinates, so re-parsing loses nothing.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -23,6 +24,8 @@ from .geometry import (
 from .pcm import Pcm, WeightVector, format_rational, parse_pcm, weight_vector
 
 SCHEMA_VERSION = "1"
+# each canonical cycle's path trees as sorted edge lists, in vertex order
+_PATH_EDGES = {cycle: tuple(tree.sorted_edges() for tree in trees) for cycle, trees in PATH_TREES.items()}
 
 
 def matrix_document(pcm: Pcm) -> dict:
@@ -112,24 +115,22 @@ def geometry_document(pcm: Pcm) -> dict:
                 "direction": tet.orientation.direction.value,
                 "directed": list(tet.orientation.directed),
             },
-            "path_trees": [
-                [list(edge) for edge in tree.sorted_edges()] for tree in PATH_TREES[tet.cycle]
-            ],
-            "vertices_exact": [v.as_strings() for v in tet.vertices],
+            "path_trees": [[list(edge) for edge in edges] for edges in _PATH_EDGES[tet.cycle]],
+            "vertices_exact": tet.vertex_strings(),
             "vertices_embedded": [list(point) for point in tet.embedded],
             "rank": tet.degenerate_rank,
         })
     planes = []
-    for (i, j), value in pcm.upper_entries().items():
+    for i, j in itertools.combinations(range(1, 5), 2):
         # The plane w_i = a_ij * w_j, a_ij = n/d, cuts the simplex in the triangle
         # of the corners with w_i = w_j = 0 and the point with w_i = n/(n + d),
         # w_j = d/(n + d); each is written as its embedding
-        n, d = value.numerator, value.denominator
+        n, d = pcm.pairs[i - 1][j - 1]
         split = [n if k == i else d if k == j else 0 for k in range(1, 5)]
         corners = [list(SIMPLEX_CORNERS[k - 1]) for k in range(1, 5) if k not in (i, j)]
         planes.append({
             "pair": [i, j],
-            "value": format_rational(value),
+            "value": format_rational(n, d),
             "clip_polygon": [list(_embedded(split, n + d))] + corners,
         })
     return {

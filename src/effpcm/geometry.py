@@ -27,18 +27,18 @@ canonical cycle or triad onto a canonical one, forward or reversed, so the
 rearrangements scan a 24-entry table of those images built at import.
 
 Everything here is exact rational arithmetic; floats appear only in
-``embed``, the one 3-space embedding (w1+w2, w1+w3, w2+w3) used for
+``_embedded``, the one 3-space embedding (w1+w2, w1+w3, w2+w3) used for
 visualization exports, each coordinate rounded once from integers over one
-total.  The tetrahedra read the same signs; their vertices are the tree
-vectors of the twelve canonical path trees, built once at import, and each
-comes with the ``integer_form`` that ``embed`` reads.  A tetrahedron is solid
-(rank 3) unless its cycle is consistent, when it is a point.  Vertex k's
-path omits one cycle edge that the other three vertices keep, so one 2x2
-determinant per vertex gives its barycentric coordinate, exact for float
-vectors too: ``barycentric`` reads w's ``integer_form`` and places
-w / sum(w), so the coefficients sum to exactly 1.  Each face
-lies on the cutting plane w_i/w_j = a_ij of the edge {i, j} omitted by the
-opposite vertex.
+total.  The tetrahedra read the same signs; their vertices, of the twelve
+canonical path trees built once at import, are the reduced integer points of
+``trees.tree_integers``, which the embedding, the exact text and
+``barycentric`` read: a vertex ``WeightVector`` is built only when read.  A
+tetrahedron is solid (rank 3) unless its cycle is consistent, when it is a
+point.  Vertex k's path omits one cycle edge that the other three vertices
+keep, so one 2x2 determinant per vertex gives its barycentric coordinate,
+exact for float vectors too: it reads w's ``integer_form`` and places
+w / sum(w), so the coefficients sum to exactly 1.  Each face lies on the
+cutting plane w_i/w_j = a_ij of the edge {i, j} omitted by the opposite vertex.
 Which vertices coincide and which edges and faces share a line or plane
 depends only on which triads and cycles are consistent: a table per pair
 of canonical cycles, built at import, lists those conditions.
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
@@ -67,8 +68,9 @@ from .pcm import (
     WeightVector,
     apply_permutation,
     cycle_product,
+    format_rational,
 )
-from .trees import paths_of_cycle, tree_weight_vector
+from .trees import paths_of_cycle, tree_integers
 
 
 class Direction(str, Enum):
@@ -182,17 +184,30 @@ def triad_rearrangement(pcm: Pcm) -> tuple[Permutation, Pcm, int]:
 
 
 class Tetrahedron(Record):
-    """Four path-tree weight vectors of one cycle, with exact degeneracy rank."""
+    """One cycle's four path-tree vertices, vertex k the vector points[k] / sum(points[k]), with
+    exact degeneracy rank; each point is kept reduced, so equal vertices are equal points."""
 
     cycle: tuple[int, int, int, int]
     orientation: CycleOrientation
-    vertices: tuple[WeightVector, WeightVector, WeightVector, WeightVector]
+    points: tuple[tuple[int, int, int, int], ...]
     degenerate_rank: int
+
+    def __post_init__(self):
+        self.__dict__["points"] = tuple(tuple(x // g for x in p) for p in self.points for g in [math.gcd(*p)])
+
+    @functools.cached_property
+    def vertices(self) -> tuple[WeightVector, WeightVector, WeightVector, WeightVector]:
+        """Each point as its normalized exact weight vector, built when first read."""
+        return tuple(WeightVector(tuple(Fraction(x, t) for x in p)) for p in self.points for t in [sum(p)])
 
     @functools.cached_property
     def embedded(self) -> tuple[tuple[float, float, float], ...]:
         """``embed`` of each vertex, computed once and kept outside the fields."""
-        return tuple(embed(v) for v in self.vertices)
+        return tuple(_embedded(p, sum(p)) for p in self.points)
+
+    def vertex_strings(self) -> list[list[str]]:
+        """Each vertex's exact components as ``format_rational`` text."""
+        return [[format_rational(x, total) for x in p] for p in self.points for total in [sum(p)]]
 
 
 PATH_TREES = {c: tuple(paths_of_cycle(c)) for c in CANONICAL_CYCLES}
@@ -203,10 +218,10 @@ def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahe
     if cycle not in CANONICAL_CYCLES:  # compared by equality, so a list is refused too
         paths_of_cycle(cycle)  # raises NotACanonicalCycle
     sign = cycle_signs[CANONICAL_CYCLES.index(cycle)]
-    vertices = tuple(tree_weight_vector(pcm, tree) for tree in PATH_TREES[cycle])
+    points = tuple(tree_integers(pcm, tree) for tree in PATH_TREES[cycle])
     # an inconsistent cycle's four inequalities have a strictly feasible
     # point, so its tetrahedron is solid; a consistent one's is a point
-    return Tetrahedron(cycle, _ORIENTATIONS[cycle, sign], vertices, 3 if sign else 0)
+    return Tetrahedron(cycle, _ORIENTATIONS[cycle, sign], points, 3 if sign else 0)
 
 
 def contains_cycle_region(digraph: BccDigraph, orientation: CycleOrientation) -> bool:
@@ -305,16 +320,16 @@ def barycentric(tet: Tetrahedron, w: WeightVector):
         raise DimensionMismatchError(f"barycentric needs 4 components, got {w.n}")
     y, _ = w.integer_form
     total = sum(y)
-    forms = [v.integer_form for v in tet.vertices]
+    points = tet.points
     if tet.degenerate_rank == 0:
-        (v, _), zero = forms[0], Fraction(0)
+        v, zero = points[0], Fraction(0)
         multiple = all(y_m * v[0] == y[0] * v_m for y_m, v_m in zip(y, v))
         return (Fraction(1), zero, zero, zero) if multiple else None
     lambdas = []
     for k in range(4):
         a, b = tet.cycle[k - 1] - 1, tet.cycle[k] - 1
-        (v, t), (u, _) = forms[k], forms[(k + 1) % 4]
-        lambdas.append(Fraction((y[a] * u[b] - y[b] * u[a]) * t, (v[a] * u[b] - v[b] * u[a]) * total))
+        v, u = points[k], points[(k + 1) % 4]
+        lambdas.append(Fraction((y[a] * u[b] - y[b] * u[a]) * sum(v), (v[a] * u[b] - v[b] * u[a]) * total))
     return tuple(lambdas) if all(lam >= 0 for lam in lambdas) else None
 
 

@@ -75,7 +75,7 @@ def parse_rational(value: Fraction | int | float | str) -> Fraction:
             value = repr(value)
         elif not isinstance(value, str):
             raise BadNumeralError(f"{value!r} is not a Fraction, int, float or str")
-    match = _NUMERAL_RE.fullmatch(value.strip())
+    match = _NUMERAL_RE.fullmatch(value.strip(" \t\n\r\f\v"))  # ASCII padding: strip() takes any
     if match is None:
         raise BadNumeralError(f"{value!r} is not 'p', 'p/q' or a short decimal")
     whole, den, digits = match.groups()
@@ -91,13 +91,15 @@ def parse_rational(value: Fraction | int | float | str) -> Fraction:
         raise BadNumeralError(f"{value!r} ({exc})") from exc
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a rational as "p" or "p/q"; a part past the interpreter's
-    int-to-text digit limit raises ``NumberTooLongError``."""
-    try:
-        return str(value)  # a Fraction prints "p" or "p/q", as does an int
+def format_rational(value: Fraction | int, denominator: int = 1) -> str:
+    """Render value / denominator, an int over a positive int or a Fraction over 1, as "p" or
+    "p/q" in lowest terms; a part past the int-to-text digit limit raises ``NumberTooLongError``."""
+    if denominator != 1:  # an int over an int: reduce it
+        value, denominator = value // (g := math.gcd(value, denominator)), denominator // g
+    try:  # a Fraction prints "p" or "p/q", as does an int
+        return str(value) if denominator == 1 else f"{value}/{denominator}"
     except ValueError:
-        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        bits = max(value.numerator.bit_length(), (value.denominator * denominator).bit_length())
         raise NumberTooLongError(f"a {bits}-bit integer has too many digits to print") from None
 
 

@@ -5,9 +5,9 @@ down a weight vector: fixing one weight and propagating the exact ratios
 along tree edges yields the unique vector reproducing every tree entry
 perfectly.  Path-shaped trees are singled out because deleting one edge of
 a 4-cycle leaves a path, and those four path trees supply the tetrahedron
-vertices of the efficient-set geometry.  Propagation follows the walk a
-tree keeps from vertex n, on integers; they and their total seed the
-vector's ``integer_form``, which ``geometry.embed`` reads.
+vertices of the efficient-set geometry.  ``tree_integers`` propagates along
+the walk a tree keeps from vertex n, on the entries' integer pairs; a tree
+vector is those integers over their total, which seed its ``integer_form``.
 """
 
 from __future__ import annotations
@@ -62,24 +62,26 @@ def paths_of_cycle(cycle: tuple[int, int, int, int]) -> list[SpanningTree]:
     return [SpanningTree(4, frozenset(edges) - {edges[k - 1]}) for k in range(4)]
 
 
-def tree_weight_vector(pcm: Pcm, tree: SpanningTree) -> WeightVector:
-    """The unique normalized exact vector with w_i/w_j = a_ij on every tree edge.
-
-    The propagation follows the tree's walk from its highest-index vertex,
-    valued 1; the root choice does not affect the normalized result.  The
-    (integer weights, their total) seed the vector's ``integer_form``.
-    """
+def tree_integers(pcm: Pcm, tree: SpanningTree) -> list[int]:
+    """Positive integers x, not reduced, with x_i/x_j = a_ij on every tree edge: the tree's
+    walk from its highest-index vertex, valued 1, reading each entry from ``pcm.pairs``."""
     if tree.n != pcm.n:
         raise DimensionMismatchError(f"tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix")
     scaled = [0] * (pcm.n - 1) + [1]
     reached = [pcm.n - 1]
     for parent, child in tree._order:
-        # w_child / w_parent = a_{child,parent} = p / q: the reached weights gain a factor q
-        entry = pcm.entries[child - 1][parent - 1]
-        scaled[child - 1] = scaled[parent - 1] * entry.numerator
+        # x_child / x_parent = a_{child,parent} = p / q: the reached weights gain a factor q
+        p, q = pcm.pairs[child - 1][parent - 1]
+        scaled[child - 1] = scaled[parent - 1] * p
         for v in reached:
-            scaled[v] *= entry.denominator
+            scaled[v] *= q
         reached.append(child - 1)
+    return scaled
+
+
+def tree_weight_vector(pcm: Pcm, tree: SpanningTree) -> WeightVector:
+    """The unique normalized exact vector with w_i/w_j = a_ij on every tree edge."""
+    scaled = tree_integers(pcm, tree)
     total = sum(scaled)
     vector = WeightVector(tuple([Fraction(x, total) for x in scaled]))
     vector.__dict__["integer_form"] = (tuple(scaled), total)

@@ -497,7 +497,7 @@ def parse_rational_by_fraction_string(text: Fraction | int | float | str) -> Fra
         text = repr(text)
     if not isinstance(text, str):
         raise BadNumeralError(f"{text!r} is not a Fraction, int, float or str")
-    stripped = text.strip()
+    stripped = text.strip(" \t\n\r\f\v")  # ASCII padding only
     if not _NUMERAL_RE.match(stripped):
         raise BadNumeralError(f"{text!r} is not 'p', 'p/q' or a short decimal")
     try:

@@ -672,7 +672,8 @@ class TestSharedParser:
 
 _CELLS = st.one_of(
     st.sampled_from(["1", "2", "1/2", "5", "1/5", "0.25", "4", "0", "-1", "1/0", "x", "", " 3 ",
-                     "1e3", ".5", "1_000", "\u0661/\u0662", "\uff11", "\u0663.\u0665"]),
+                     "1e3", ".5", "1_000", "\u0661/\u0662", "\uff11", "\u0663.\u0665",
+                     "\u30001\u3000"]),
     st.integers(-2, 9),
     st.just(10**400),  # past the float range
     st.floats(),

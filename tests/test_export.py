@@ -1,10 +1,12 @@
 """Export bytes: the geometry document and OBJ mesh of every benchmark pool
 matrix still hash to the digests recorded when the benchmark was introduced,
 each exporter builds the efficient set once and both share one build of its
-twelve vertices and their embeddings, each clip polygon is the embedded
-plane polygon, the seven product signs are computed once per matrix
-however many functions read them, and every mesh face points outward."""
+twelve vertices and their embeddings, the exporters build no vertex Fraction
+or WeightVector, each clip polygon is the embedded plane polygon, the seven
+product signs are computed once per matrix however many functions read
+them, and every mesh face points outward."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -14,6 +16,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import effpcm.cli
 import effpcm.export
 import effpcm.geometry
 import effpcm.pcm
@@ -27,7 +30,7 @@ from effpcm.geometry import (
     efficient_set,
     tetrahedron_for_cycle,
 )
-from effpcm.pcm import CANONICAL_CYCLES, Permutation, apply_permutation, pcm_from_upper
+from effpcm.pcm import CANONICAL_CYCLES, Permutation, WeightVector, apply_permutation, pcm_from_upper
 from oracles import clip_split_by_sums, embed_exact, plane_clip_polygon, points_outward
 
 DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -71,7 +74,7 @@ def test_each_exporter_builds_the_efficient_set_once(monkeypatch, running_exampl
 
 
 def test_both_formats_build_the_tetrahedra_once(monkeypatch, running_example):
-    calls = {"tree_weight_vector": 0, "classify": 0, "_coincidence_report": 0, "embed": 0}
+    calls = {"tree_integers": 0, "classify": 0, "_coincidence_report": 0, "_embedded": 0}
     for name in calls:
         original = getattr(effpcm.geometry, name)
 
@@ -82,7 +85,31 @@ def test_both_formats_build_the_tetrahedra_once(monkeypatch, running_example):
         monkeypatch.setattr(effpcm.geometry, name, counting)
     geometry_document(running_example)
     obj_mesh(running_example)
-    assert calls == {"tree_weight_vector": 12, "classify": 1, "_coincidence_report": 1, "embed": 12}
+    assert calls == {"tree_integers": 12, "classify": 1, "_coincidence_report": 1, "_embedded": 12}
+
+
+def test_the_exporters_build_no_vertex_records(monkeypatch, running_example):
+    """Past the load, the document, the mesh and ``vertices`` read the integer
+    points: no Fraction and no WeightVector is built."""
+    built = {"Fraction": 0, "WeightVector": 0}
+    new, init = Fraction.__new__, WeightVector.__init__
+
+    def counting_new(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        built["WeightVector"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(effpcm.cli, "load_matrix", lambda path: running_example)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(WeightVector, "__init__", counting_init)
+    geometry_document(running_example)
+    obj_mesh(running_example)
+    text, code = effpcm.cli._cmd_vertices(argparse.Namespace(matrix="running.json"))
+    assert code == 0 and text.count(" T") == 12
+    assert built == {"Fraction": 0, "WeightVector": 0}
 
 
 _ENTRIES = st.fractions(min_value=Fraction(1, 10**40), max_value=10**40)

@@ -2,9 +2,12 @@
 coincidence structure, and the 3-simplex embedding."""
 
 import itertools
+import json
+import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -46,6 +49,7 @@ from effpcm.geometry import (
     _oriented,
     CycleOrientation,
     Direction,
+    PATH_TREES,
     PerturbClass,
     PerturbTag,
     SIMPLEX_CORNERS,
@@ -63,7 +67,7 @@ from effpcm.geometry import (
     tetrahedron_for_cycle,
     triad_rearrangement,
 )
-from effpcm.trees import paths_of_cycle
+from effpcm.trees import paths_of_cycle, tree_weight_vector
 from conftest import RUNNING_UPPER, flip_family
 from oracles import (
     barycentric_by_fractions,
@@ -85,6 +89,10 @@ ALL_TAGS = ["triple", "double-triad", "double-one-cycle",
             "double-two-cycles", "simple", "consistent"]
 
 UNIFORM = weight_vector([Fraction(1, 4)] * 4)
+
+_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pool.json"
+_POOL_DECIMALS = [parse_pcm(item["entries"]) for item in json.loads(_POOL.read_text(encoding="utf-8"))["n4"]
+                  if item["half"] == "decimal"]
 
 # embedded tetrahedron vertices of the running example, in path order per cycle
 RUNNING_EMBEDS = {
@@ -326,12 +334,34 @@ class TestTetrahedra:
                 all_vertices.add(vertex.components)
         assert len(all_vertices) == 12
 
-    def test_vertices_follow_path_order(self, running_example):
-        from effpcm.trees import tree_weight_vector
-        for cycle in CANONICAL_CYCLES:
-            tet = tetrahedron_for_cycle(running_example, cycle)
-            for vertex, tree in zip(tet.vertices, paths_of_cycle(cycle)):
-                assert vertex == tree_weight_vector(running_example, tree)
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.builds(lambda seed, tag: generate_with_rng(random.Random(seed), tag),
+                  st.integers(0, 2**32 - 1), st.sampled_from(ALL_TAGS)),
+        st.sampled_from(_POOL_DECIMALS),
+    ))
+    @example(pcm_from_upper(4, RUNNING_UPPER))
+    def test_vertices_follow_path_order(self, pcm):
+        """Over every generated class and the benchmark pool's 15-digit decimal
+        matrices: each point is positive and primitive, vertex k is the vector of
+        the cycle's k-th path tree, and the exported text is its components'."""
+        document = geometry_document(pcm)
+        for tet, exported in zip(efficient_set(pcm).tetrahedra, document["tetrahedra"]):
+            for k, point in enumerate(tet.points):
+                assert all(x > 0 for x in point) and math.gcd(*point) == 1
+                vertex = tree_weight_vector(pcm, PATH_TREES[tet.cycle][k])
+                assert tet.vertices[k] == vertex
+                assert exported["vertices_exact"][k] == [format_rational(c) for c in vertex.components]
+
+    def test_a_scaled_point_is_kept_reduced(self, running_example):
+        """Points are reduced on the way in, so a record given multiples of them
+        equals, and hashes like, the one built from the primitive points."""
+        tet = tetrahedron_for_cycle(running_example, (1, 2, 3, 4))
+        scaled = Tetrahedron(tet.cycle, tet.orientation,
+                             [[6 * x for x in p] for p in tet.points], tet.degenerate_rank)
+        assert scaled.points == tet.points
+        assert scaled == tet and hash(scaled) == hash(tet)
+        assert scaled.vertices == tet.vertices
 
     def test_rejects_non_canonical_cycle(self, running_example):
         for listing in ((1, 2, 4, 3), (2, 3, 4, 1), (1, 4, 3, 2)):
@@ -639,7 +669,7 @@ class TestBarycentric:
     def test_matches_the_fraction_oracle(self, seed, tag, cycle, inside, exact):
         """Coefficients from integer forms equal the Fraction computation's, for
         points inside and outside, exact and float, normalized or not, solid and
-        point tetrahedra, with the vertices' kept integer forms and without them.
+        point tetrahedra, and for a tetrahedron given its points scaled by 3.
         A float vector gets its exact twin's coefficients, which sum to 1."""
         rng = random.Random(seed)
         tet = tetrahedron_for_cycle(generate_with_rng(rng, tag), cycle)
@@ -647,7 +677,7 @@ class TestBarycentric:
         if not exact:
             w = weight_vector([float(c) * rng.choice((1, 3)) for c in w.components])
         rebuilt = Tetrahedron(tet.cycle, tet.orientation,
-                              tuple(WeightVector(v.components) for v in tet.vertices),
+                              tuple(tuple(3 * x for x in p) for p in tet.points),
                               tet.degenerate_rank)
         twin = weight_vector([Fraction(c) for c in w.components])
         for t in (tet, rebuilt):
@@ -1031,7 +1061,7 @@ class TestEmbedding:
     @settings(max_examples=150, deadline=None)
     @given(_embedding_matrices())
     def test_tetrahedron_points_are_the_rounded_exact_sums(self, pcm):
-        """Read off each tree vector's integer form, or put over the lcm of the
+        """Read off each tetrahedron's integer points, or put over the lcm of the
         reduced components of a rebuilt vector: the same doubles either way."""
         for tet in efficient_set(pcm).tetrahedra:
             for vertex, point in zip(tet.vertices, tet.embedded):

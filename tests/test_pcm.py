@@ -251,7 +251,7 @@ def _parse_outcome(parse, value):
 
 # Numerals and near misses: ASCII digits, one non-ASCII digit (Arabic-Indic
 # three), signs, separators, an exponent, an underscore and whitespace.
-_NUMERAL_ALPHABET = "0123456789\u0663+-/.e_ \t"
+_NUMERAL_ALPHABET = "0123456789\u0663+-/.e_ \t\u3000\x85"
 _DIGITS = st.text("0123456789\u0663", min_size=1, max_size=18)
 _BUILT_NUMERALS = st.builds(
     lambda pad, sign, whole, tail, end: pad + sign + whole + tail + end,
@@ -289,6 +289,15 @@ class TestParseRationalByGroups:
         """The README's example: a signed numeral padded with whitespace."""
         assert parse_rational(" -0.5\t") == Fraction(-1, 2)
         assert parse_rational("+3/4 ") == Fraction(3, 4)
+        assert parse_rational("\n\r\f\v7\n\r\f\v") == Fraction(7)
+
+    @pytest.mark.parametrize("value", ["\u30001\u3000", "\x1c2", "\u20283/4", "\x855", "\xa06"])
+    def test_padding_outside_ascii_is_refused(self, value):
+        """Only the six ASCII whitespace characters pad a numeral; str.strip() would
+        also take an ideographic space, the separators \\x1c-\\x1f and \\u2028, NEL
+        and a no-break space."""
+        with pytest.raises(BadNumeralError, match=r"^BadNumeral: "):
+            parse_rational(value)
 
 
 # Any value a caller may hand a builder: text of every kind, numerals and

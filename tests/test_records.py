@@ -58,7 +58,7 @@ SAMPLES = {
     CycleOrientation: (("cycle", "direction", "directed"),
                        canonical_orientations(RUNNING)[0],
                        canonical_orientations(RUNNING)[2]),
-    Tetrahedron: (("cycle", "orientation", "vertices", "degenerate_rank"),
+    Tetrahedron: (("cycle", "orientation", "points", "degenerate_rank"),
                   tetrahedron_for_cycle(RUNNING, (1, 2, 3, 4)),
                   tetrahedron_for_cycle(SIMPLE, (1, 2, 3, 4))),
     PerturbClass: (("tag", "consistent_triad_count", "consistent_cycle_count"),
