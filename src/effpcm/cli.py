@@ -5,6 +5,8 @@ negatives (inefficient vector, sampler disagreement), 2 for input errors.
 A command returns its text and exit code and prints nothing: ``main``
 writes the text once, after the work, inside the ``try`` that turns an input
 or file error into one ``error:`` line, so an exit-2 run leaves stdout empty.
+A line naming a command is parsed once, by that command's parser alone; the
+top-level parser reads the rest (empty, option first, unknown command).
 All commands are deterministic given their flags and seeds; only the
 sampler's elapsed-seconds field depends on the wall clock.
 """
@@ -21,6 +23,7 @@ from pathlib import Path
 from .efficiency import bcc_digraph, strongly_connected
 from .errors import InputError, UsageError
 from .export import (
+    _open,
     dump_json,
     geometry_document,
     load_matrix,
@@ -141,7 +144,9 @@ def _cmd_export(args) -> tuple[str, int]:
     if args.format == "json":
         dump_json(geometry_document(pcm), out)
     else:
-        out.write_text(obj_mesh(pcm), encoding="utf-8")
+        mesh = obj_mesh(pcm)  # before the file is opened, so an error leaves none
+        with _open(out, "w") as file:
+            file.write(mesh)
     return f"wrote {out}", 0
 
 
@@ -149,7 +154,7 @@ def _cmd_sample(args) -> tuple[str, int]:
     # input errors come before -o is opened, so they leave no file, and -o is
     # opened before the first trial, so an unwritable path wastes no trials
     trial_settings(args.trials, args.cls)
-    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext() as out:
+    with _open(args.output, "w") if args.output else nullcontext() as out:
         report = run_equivalence_trials(args.seed, args.trials, args.cls)
         text = json.dumps(report.to_json_dict(), indent=2)
         if args.output:
@@ -164,7 +169,7 @@ class _Parser(argparse.ArgumentParser):
     argparse's own ``error`` prints a usage block and exits; this one raises
     a ``UsageError``, so ``main`` prints one ``error:`` line and returns 2.
     Subparsers are built with the same class (``parser_class`` defaults to
-    the parent's type).
+    the parent's type).  ``commands`` maps each command's name to its parser.
     """
 
     def error(self, message):
@@ -172,9 +177,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The argparse tree, built once per process: it depends only on the code,
-    ``parse_args`` returns a fresh namespace per call and ``error`` raises."""
+    ``parse_args`` returns a fresh namespace per call and ``error`` raises.
+    ``main`` parses a command's line with ``commands[name]`` alone, any other with the tree."""
     parser = _Parser(
         prog="effpcm",
         description="Exact Pareto-efficiency analysis of pairwise comparison matrices",
@@ -222,12 +228,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_sample)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        if argv and argv[0] in parser.commands:  # the parse the subparsers action makes, alone
+            args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error("unrecognized arguments: " + " ".join(extras))
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
         text, code = args.func(args)
         print(text)
         return code

@@ -69,10 +69,18 @@ def load_weights(path: str | Path) -> WeightVector:
     return weights_from_document(_load_json(path))
 
 
+def _open(path: str | Path, mode: str = "rb"):
+    """``open`` in binary or UTF-8 text mode; a path with a NUL byte is an ``OSError``."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except ValueError as exc:
+        raise OSError(f"{exc}: {str(path)!r}") from None
+
+
 def _load_json(path: str | Path):
     try:
-        with open(path, encoding="utf-8") as file:  # no Path object built per document
-            text = file.read()
+        with _open(path) as file:  # bytes, decoded once; no Path object built per document
+            text = file.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BadNumeralError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     try:
@@ -178,4 +186,6 @@ def obj_mesh(pcm: Pcm) -> str:
 
 
 def dump_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(doc, indent=2) + "\n"  # before the file is opened, so an error leaves none
+    with _open(path, "w") as file:
+        file.write(text)

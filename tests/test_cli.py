@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import effpcm
 from effpcm.cli import CLASS_CHOICES, build_parser, main
 from effpcm.efficiency import float_equality_band
+from effpcm.errors import UsageError
 from effpcm.generators import generate_with_rng
 from effpcm.export import load_matrix
 from effpcm.geometry import efficient_set, tetrahedron_for_cycle
@@ -45,9 +46,13 @@ def matrix_file(tmp_path):
 
 
 class TestValidate:
-    def test_valid(self, matrix_file, capsys):
-        assert main(["validate", matrix_file]) == 0
-        assert "ok" in capsys.readouterr().out
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_valid(self, tmp_path, capsys, newline):
+        path = tmp_path / "matrix.json"
+        text = json.dumps({"n": 4, "entries": RUNNING_ROWS}, indent=1)
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == "ok\n"
 
     def test_reciprocity_violation(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "bad.json", [["1", "2"], ["1/3", "1"]])
@@ -492,6 +497,13 @@ class TestSample:
 class TestInputFaults:
     """Every malformed input ends with exit 2 and one error line, in a real process."""
 
+    # a document is read as bytes and decoded once as UTF-8; a BOM is not skipped
+    _DOCUMENT_LINES = {
+        "non-utf8.json": "is not UTF-8 text (invalid start byte)",
+        "bom.json": "is not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
+        "utf16.json": "is not UTF-8 text (invalid start byte)",
+    }
+
     @staticmethod
     def _write_inputs(tmp_path):
         write_matrix(tmp_path / "matrix.json", RUNNING_ROWS)
@@ -501,6 +513,9 @@ class TestInputFaults:
         write_weights(tmp_path / "mixed.json", ["1" + "0" * 400, 1.0, 1.0, 1.0])
         (tmp_path / "non-utf8.json").write_bytes(
             b'{"n": 2, "entries": [["1", "\xff\xfe"], ["1", "1"]]}')
+        small = json.dumps({"n": 2, "entries": [["1", "3"], ["1/3", "1"]]})
+        (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + small.encode("utf-8"))
+        (tmp_path / "utf16.json").write_bytes(small.encode("utf-16"))
         (tmp_path / "deep.json").write_text("[" * 50_000 + "]" * 50_000, encoding="utf-8")
         (tmp_path / "long.json").write_text("1" * 5000, encoding="utf-8")
         for name, n, rows in (("n-true", True, [["1"]]), ("n-float", 4.0, RUNNING_ROWS),
@@ -510,6 +525,8 @@ class TestInputFaults:
 
     @pytest.mark.parametrize("argv,tol", [
         pytest.param(["validate", "non-utf8.json"], None, id="non-utf8"),
+        pytest.param(["validate", "bom.json"], None, id="utf8-bom"),
+        pytest.param(["validate", "utf16.json"], None, id="utf16"),
         pytest.param(["validate", "deep.json"], None, id="deep-json"),
         pytest.param(["validate", "long.json"], None, id="long-number"),
         *[pytest.param(["validate", f"{name}.json"], None, id=name)
@@ -547,6 +564,8 @@ class TestInputFaults:
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+        if argv[-1] in self._DOCUMENT_LINES:
+            assert proc.stderr == f"error: BadNumeral: {argv[-1]} {self._DOCUMENT_LINES[argv[-1]]}\n"
 
 
 @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4500,
@@ -668,6 +687,139 @@ class TestSharedParser:
         assert _run(check) == first
         assert build_parser.cache_info().misses == 1
         assert build_parser.cache_info().hits == 4
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["validate", "a\x00b"], id="validate"),
+    pytest.param(["check", "MATRIX", "--weights", "w\x00.json"], id="check-weights"),
+    pytest.param(["export", "MATRIX", "-o", "x\x00y"], id="export-json"),
+    pytest.param(["export", "MATRIX", "-o", "x\x00y", "--format", "obj"], id="export-obj"),
+    pytest.param(["sample", "--seed", "1", "--trials", "1", "--class", "triple", "-o", "a\x00"],
+                 id="sample"),
+])
+def test_a_path_with_a_nul_byte_is_a_file_error(matrix_file, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    rc, out, err = _run([matrix_file if part == "MATRIX" else part for part in argv])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: FileError: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+# Command lines that main parses with one parser; the argparse tree is the reference.
+_PARSE_CORPUS = [
+    # every command with valid flags, in both orders, with --opt=value and abbreviations
+    ["validate", "m.json"],
+    ["check", "m.json", "--weights", "w.json"],
+    ["check", "--json", "--weights", "w.json", "m.json"],
+    ["check", "m.json", "--weights=w.json", "--js"],
+    ["check", "m.json", "--weigh", "w.json"],
+    ["classify", "m.json"],
+    ["rearrange", "m.json", "--mode", "triads"],
+    ["rearrange", "--mode=cycles", "m.json"],
+    ["rearrange", "m.json", "--mo", "triads"],
+    ["vertices", "m.json"],
+    ["member", "m.json", "--weights", "w.json"],
+    ["member", "--weigh=w.json", "m.json"],
+    ["export", "m.json", "-o", "g.json"],
+    ["export", "--format", "obj", "-o", "g.obj", "m.json"],
+    ["export", "m.json", "--output=g.json", "--format=json"],
+    ["export", "m.json", "-og.obj", "--form", "obj"],
+    ["sample", "--seed", "1", "--trials", "2", "--class", "triple"],
+    ["sample", "-o", "r.json", "--class", "simple", "--trials", "3", "--seed", "-4"],
+    ["sample", "--seed=1", "--trials=2", "--class=consistent", "--output=r.json"],
+    ["sample", "--se", "1", "--tr", "2", "--cl", "double-triad"],
+    # --
+    ["validate", "--", "m.json"],
+    ["validate", "--", "--json"],
+    ["check", "--weights", "w.json", "--", "m.json"],
+    ["check", "m.json", "--weights", "w.json", "--", "extra"],
+    ["--", "validate", "m.json"],
+    # rejected by the command's parser
+    ["validate"],
+    ["check", "m.json"],
+    ["check", "m.json", "--weights"],
+    ["member", "--weights", "w.json"],
+    ["export", "m.json"],
+    ["sample", "--seed", "1", "--trials", "2"],
+    ["rearrange", "m.json", "--mode", "spiral"],
+    ["export", "m.json", "-o", "g.svg", "--format", "svg"],
+    ["sample", "--seed", "1", "--trials", "2", "--class", "quadruple"],
+    ["sample", "--seed", "1", "--trials", "x", "--class", "triple"],
+    ["sample", "--seed", "1.5", "--trials", "2", "--class", "triple"],
+    # extra arguments
+    ["validate", "m.json", "extra"],
+    ["check", "m.json", "--weights", "w.json", "extra", "--bogus"],
+    ["classify", "m.json", "--json"],
+    ["vertices", "m.json", "--bogus=1", "-x"],
+    ["sample", "--seed", "1", "--trials", "2", "--class", "triple", "r.json"],
+    # help after a command
+    ["check", "-h"],
+    ["sample", "--help"],
+    ["validate", "m.json", "--help"],
+    ["export", "--he"],
+    # lines only the top-level parser reads
+    ["frobnicate", "m.json"],
+    ["Check", "m.json"],
+    [],
+    ["--help"],
+    ["-h", "check"],
+    ["--json", "check", "m.json"],
+    ["--version"],
+]
+
+
+@pytest.fixture
+def parsed():
+    """The namespaces ``main`` hands to a command: on a fresh tree, every
+    command records its namespace instead of running."""
+    namespaces = []
+
+    def record(args):
+        namespaces.append(vars(args))
+        return "", 0
+
+    build_parser.cache_clear()
+    for command in build_parser().commands.values():
+        command.set_defaults(func=record)
+    yield namespaces
+    build_parser.cache_clear()
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("argv", _PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "empty")
+    def test_same_outcome_as_the_argparse_tree(self, parsed, argv):
+        """A namespace, the same error line, or the same exit code and stdout."""
+        help_text = io.StringIO()
+        try:
+            with redirect_stdout(help_text):
+                expected = vars(build_parser().parse_args(argv))
+        except UsageError as exc:
+            expected = f"error: {exc}\n"
+        except SystemExit as stop:
+            expected = (stop.code, help_text.getvalue())
+        rc, out, err = _run(argv)
+        if parsed:
+            assert (rc, parsed) == (0, [expected])
+        else:
+            assert (err if rc == 2 else (rc, out)) == expected
+
+    def test_a_command_line_is_parsed_once(self, parsed, monkeypatch):
+        parser = build_parser()
+        calls = []
+        for name, each in [("effpcm", parser), *parser.commands.items()]:
+            def spy(*args, name=name, real=each.parse_known_args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(each, "parse_known_args", spy)
+        for name in parser.commands:
+            calls.clear()
+            assert _run(next(argv for argv in _PARSE_CORPUS if argv and argv[0] == name))[0] == 0
+            assert calls == [name]
+        for argv in (["--help"], ["frobnicate", "m.json"]):
+            calls.clear()
+            assert _run(argv)[0] in (0, 2)
+            assert calls == ["effpcm"]
 
 
 _CELLS = st.one_of(
