@@ -6,49 +6,21 @@ this digraph is strongly connected; for tournaments (no perfectly estimated
 pair) that is in turn equivalent to having a directed Hamiltonian cycle.
 
 ``bcc_digraph`` is the one place where a weight ratio meets its entry, and
-it signs every pair by one rule on integers.  Every weight, float or exact,
-is read once as p/q (a float is a dyadic rational), each entry as
-``Pcm.pairs`` keeps it, and the equality band as b_n/b_d: the float band
-(default 1e-9, overridable through EFFPCM_TOL) for a float vector, so that
-a perfectly estimated pair is still recognized as carrying both arcs, and
-0 for an exact one.  With lhs = p_i q_j den and rhs = num p_j q_i, the
-pair is an equality when |lhs - rhs| b_d <= b_n rhs, that is when
+it signs every pair by one rule on integers.  Every weight is read once as
+p/q, each entry as ``Pcm.pairs`` keeps it, and the vector's own equality
+band as b_n/b_d: the float band for a vector read from floats, so that a
+perfectly estimated pair is still recognized as carrying both arcs, and 0
+for an exact one.  With lhs = p_i q_j den and rhs = num p_j q_i, the pair
+is an equality when |lhs - rhs| b_d <= b_n rhs, that is when
 |w_i/w_j - a_ij| <= band * a_ij, and otherwise takes the sign of lhs - rhs.
-No float is rounded on the way, so a float vector's digraph is that of its
-exact values.  The region test of ``geometry`` reads this digraph.
+The digraph is a function of the matrix and the vector alone.  The region
+test of ``geometry`` reads it.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
-from .errors import BadToleranceError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .pcm import Pcm, Record, WeightVector
-
-DEFAULT_EQUALITY_BAND = 1e-9
-
-
-def _checked_band(band: float, name: str, given) -> float:
-    """The band, if a finite number >= 0; else BadTolerance, quoting name=given."""
-    if not 0 <= band < math.inf:  # NaN fails both comparisons; an int past the float range passes
-        raise BadToleranceError(f"{name}={given!r} is not a finite number >= 0")
-    return band
-
-
-def float_equality_band() -> float:
-    """Relative tolerance for treating a float ratio as a perfect estimate.
-
-    EFFPCM_TOL overrides the default; it must be a finite number >= 0.
-    """
-    text = os.environ.get("EFFPCM_TOL")
-    if text is None:
-        return DEFAULT_EQUALITY_BAND
-    try:
-        band = float(text)
-    except ValueError:
-        band = math.nan  # unparsable: rejected below
-    return _checked_band(band, "EFFPCM_TOL", text)
 
 
 class BccDigraph(Record):
@@ -59,14 +31,11 @@ class BccDigraph(Record):
     equality_pairs: frozenset[tuple[int, int]]  # unordered, stored with i < j
 
 
-def bcc_digraph(pcm: Pcm, w: WeightVector, band: float | None = None) -> BccDigraph:
-    """Build the BCC digraph of (pcm, w); both arcs appear on equality."""
+def bcc_digraph(pcm: Pcm, w: WeightVector) -> BccDigraph:
+    """Build the BCC digraph of (pcm, w) within w's band; both arcs appear on equality."""
     if pcm.n != w.n:
         raise DimensionMismatchError(f"{pcm.n}x{pcm.n} matrix with {w.n}-weight vector")
-    if band is None:
-        band = float_equality_band()
-    # the band is read, and so checked, only for a float vector
-    band_num, band_den = (0, 1) if w.exact else _checked_band(band, "band", band).as_integer_ratio()
+    band_num, band_den = w.band.as_integer_ratio()
     weights = [c.as_integer_ratio() for c in w.components]
     arcs = set()
     equalities = set()

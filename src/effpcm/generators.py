@@ -110,4 +110,4 @@ def random_exact_weights(rng: random.Random) -> WeightVector:
     """A random exact normalized weight vector with integer-born components."""
     draws = [rng.randint(1, WEIGHT_MAX_COMPONENT) for _ in range(WEIGHT_COUNT)]
     total = sum(draws)
-    return WeightVector(tuple(Fraction(k, total) for k in draws))
+    return WeightVector(tuple(Fraction(k, total) for k in draws), 0)

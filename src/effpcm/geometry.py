@@ -10,13 +10,14 @@ reads the digraph.  A cycle's admissible orientation is fixed by whether its
 entry product lies below or above 1; a product of exactly 1 collapses the
 tetrahedron to a single point.  Each orientation keeps the arc sets it
 admits, built with the record, so a region test is one subset test per set;
-the nine orientations of the canonical cycles are built at import.  A float
-vector's equality band lets it hold a cycle whose product lies within a few
-bands of 1 in either direction, so for it such a cycle is read through its
-consistent orientation (``_band_orientations``).  ``bcc_digraph`` decides
-the band by one exact rule on the weights' and entries' integer pairs, so
-that window holds with no rounding and the region test agrees with strong
-connectivity for float vectors too.
+the nine orientations of the canonical cycles are built at import.  A
+vector read from floats carries a nonzero equality band, which lets it hold
+a cycle whose product lies within a few bands of 1 in either direction, so
+for it such a cycle is read through its consistent orientation
+(``_band_orientations``).  ``bcc_digraph`` decides the band by one exact
+rule on the weights' and entries' integer pairs, so that window holds with
+no rounding and the region test agrees with strong connectivity for those
+vectors too.  Both read the matrix and the vector alone.
 
 Classification, the canonical cycles' orientations, the tetrahedra, the
 coincidence report and both rearrangements read the seven signs of
@@ -36,7 +37,7 @@ canonical path trees built once at import, are the reduced integer points of
 tetrahedron is solid (rank 3) unless its cycle is consistent, when it is a
 point.  Vertex k's path omits one cycle edge that the other three vertices
 keep, so one 2x2 determinant per vertex gives its barycentric coordinate,
-exact for float vectors too: it reads w's ``integer_form`` and places
+exact whatever w's band: it reads w's ``integer_form`` and places
 w / sum(w), so the coefficients sum to exactly 1.  Each face lies on the
 cutting plane w_i/w_j = a_ij of the edge {i, j} omitted by the opposite vertex.
 Which vertices coincide and which edges and faces share a line or plane
@@ -53,7 +54,7 @@ from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 
-from .efficiency import BccDigraph, bcc_digraph, float_equality_band
+from .efficiency import BccDigraph, bcc_digraph
 from .errors import (
     ConsistentTriadPresentError,
     DimensionMismatchError,
@@ -198,7 +199,7 @@ class Tetrahedron(Record):
     @functools.cached_property
     def vertices(self) -> tuple[WeightVector, WeightVector, WeightVector, WeightVector]:
         """Each point as its normalized exact weight vector, built when first read."""
-        return tuple(WeightVector(tuple(Fraction(x, t) for x in p)) for p in self.points for t in [sum(p)])
+        return tuple(WeightVector(tuple(Fraction(x, t) for x in p), 0) for p in self.points for t in [sum(p)])
 
     @functools.cached_property
     def embedded(self) -> tuple[tuple[float, float, float], ...]:
@@ -243,19 +244,18 @@ def contains_cycle_region(digraph: BccDigraph, orientation: CycleOrientation) ->
 def _band_orientations(pcm: Pcm, w: WeightVector) -> tuple[CycleOrientation, ...]:
     """The orientation whose arc sets a region test for w reads, per canonical cycle.
 
-    A float vector w with band t (``float_equality_band``) holds the arc
-    (a, b) exactly when w_a/w_b >= (1 - t) a_ab, the one band rule of
-    ``bcc_digraph`` taken on w's exact values, so along a cycle it holds, the
-    entries' product in the held direction is at most (1 - t)^-4.  A cycle
-    whose exact product P lies in [(1 - t)^4, (1 - t)^-4] can so be held in
-    either direction, and is read through its consistent record's two arc
-    sets; for t >= 1 every cycle is.  An exact w has t = 0: its admissible
-    orientations are returned as they are.
+    A vector w with band t = ``w.band`` holds the arc (a, b) exactly when
+    w_a/w_b >= (1 - t) a_ab, the one band rule of ``bcc_digraph``, so along a
+    cycle it holds, the entries' product in the held direction is at most
+    (1 - t)^-4.  A cycle whose exact product P lies in [(1 - t)^4, (1 - t)^-4]
+    can so be held in either direction, and is read through its consistent
+    record's two arc sets; for t >= 1 every cycle is.  With t = 0, as for an
+    exact vector, the admissible orientations are returned as they are.
     """
     orientations = canonical_orientations(pcm)
-    if w.exact:
+    band = w.band
+    if not band:
         return orientations
-    band = Fraction(float_equality_band())
     low = (1 - band) ** 4
     return tuple(
         _ORIENTATIONS[o.cycle, 0]
@@ -306,7 +306,7 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
 def barycentric(tet: Tetrahedron, w: WeightVector):
     """Exact convex coefficients of w / sum(w) over the tetrahedron vertices, if any.
 
-    w is any positive 4-vector, exact or float, read through its exact
+    w is any positive 4-vector, whatever its band, read through its
     ``integer_form`` y / s; w / sum(w) is y / sum(y).  Vertex k's path omits
     the cycle edge {a, b} = {cycle[k-1], cycle[k]}; the other three vertices
     keep it, as does vertex k+1 (mod 4), u.  So x_a*u_b - x_b*u_a vanishes on
@@ -525,8 +525,8 @@ def _embedded(x: Sequence[int], total: int) -> tuple[float, float, float]:
 
 
 def embed(w: WeightVector) -> tuple[float, float, float]:
-    """(w1+w2, w1+w3, w2+w3) of w / sum(w), for a positive 4-vector w, exact or float:
-    read as its exact ``integer_form`` x / d, w / sum(w) is x / sum(x) (``_embedded``)."""
+    """(w1+w2, w1+w3, w2+w3) of w / sum(w), for a positive 4-vector w, whatever its band:
+    read as its ``integer_form`` x / d, w / sum(w) is x / sum(x) (``_embedded``)."""
     if w.n != 4:
         raise DimensionMismatchError(f"embedding needs 4 components, got {w.n}")
     x, _ = w.integer_form

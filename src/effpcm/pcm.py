@@ -17,10 +17,13 @@ integer cross-multiplication, and ``Pcm.signs`` keeps them.  Classification,
 orientation, the tetrahedra, the coincidence report and both rearrangements
 in ``geometry`` derive from them.  ``triad_product`` and ``cycle_product``
 remain for arbitrary listings.  Weight ratios meet their entries in one
-place only, the BCC digraph of ``efficiency``.  A record keeps a value
+place only, the BCC digraph of ``efficiency``.  A weight vector is exact
+too, and carries the equality band its pairs are compared with:
+``weight_vector`` is the one place a float enters, read as its exact value,
+and there the vector takes the float band (default 1e-9, overridable
+through EFFPCM_TOL); any other vector has band 0.  A record keeps a value
 derived from its fields as a ``functools.cached_property``, whose slot a
-builder that already holds the value seeds (``pcm_from_pairs``,
-``trees.tree_weight_vector``).
+builder that already holds the value seeds (``pcm_from_pairs``).
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import re
 from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import (
     BadNumeralError,
+    BadToleranceError,
     DimensionMismatchError,
     IndexOutOfRangeError,
     NonFiniteWeightError,
@@ -253,61 +258,85 @@ def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int | float |
 
 
 class WeightVector(Record):
-    """A positive weight vector, either exact (Fraction) or float-valued."""
+    """A positive weight vector of exact components, with the equality band its pairs
+    are compared with: 0 for exact input, the float band for a vector read from floats."""
 
-    components: tuple
+    components: tuple[Fraction, ...]
+    band: Fraction | int
 
     def __post_init__(self):
         components = self.__dict__["components"] = tuple(self.components)
         if len(components) == 0:
             raise NonPositiveWeightError("empty weight vector")
-        kinds = set()
         for c in components:
-            if not isinstance(c, (Fraction, float)):
-                raise NonPositiveWeightError(f"component {c!r} must be Fraction or float")
-            exact = isinstance(c, Fraction)
-            kinds.add(exact)
-            if not (c.numerator > 0 if exact else c > 0):  # NaN fails c > 0
+            if not isinstance(c, Fraction):
+                raise NonPositiveWeightError(f"component {c!r} must be a Fraction")
+            if c.numerator <= 0:
                 raise NonPositiveWeightError(f"component {c!r}")
-            if not exact and not math.isfinite(c):
-                raise NonFiniteWeightError(f"component {c!r}")
-        if len(kinds) != 1:
-            raise NonPositiveWeightError("mixed exact/float components")
+        band = self.band
+        if not isinstance(band, (Fraction, int)) or isinstance(band, bool) or band < 0:
+            raise BadToleranceError(f"band={band!r} is not a Fraction or an int >= 0")
 
     @property
     def n(self) -> int:
         return len(self.components)
 
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.components[0], Fraction)
-
     @functools.cached_property
     def integer_form(self) -> tuple[tuple[int, ...], int]:
-        """(x, d): the components' exact values are x_i / d, d the lcm of their denominators."""
+        """(x, d): the components are x_i / d, d the lcm of their denominators."""
         pairs = [c.as_integer_ratio() for c in self.components]
         d = math.lcm(*(q for _, q in pairs))
         return tuple([p * (d // q) for p, q in pairs]), d
 
     def as_strings(self) -> list[str]:
-        if self.exact:
-            return [format_rational(c) for c in self.components]
-        return [repr(c) for c in self.components]
+        if self.band:  # read from floats: each component is a float's exact value
+            return [repr(float(c)) for c in self.components]
+        return [format_rational(c) for c in self.components]
+
+
+DEFAULT_EQUALITY_BAND = 1e-9
+
+
+def float_equality_band() -> float:
+    """Relative tolerance for treating a float ratio as a perfect estimate.
+
+    EFFPCM_TOL overrides the default; it must be a finite number >= 0.
+    """
+    text = os.environ.get("EFFPCM_TOL")
+    if text is None:
+        return DEFAULT_EQUALITY_BAND
+    try:
+        band = float(text)
+    except ValueError:
+        band = math.nan  # unparsable: rejected below
+    if not 0 <= band < math.inf:  # NaN fails both comparisons
+        raise BadToleranceError(f"EFFPCM_TOL={text!r} is not a finite number >= 0")
+    return band
 
 
 def weight_vector(values: Sequence) -> WeightVector:
-    """The WeightVector of the values read by parse_rational, or of floats if a value is one."""
+    """The WeightVector of the values read by parse_rational, band 0, or, if a value is a
+    float, of every value's float read exactly, with the band of ``float_equality_band``.
+    The values are checked first; the band is read and checked for every vector."""
     if isinstance(values, (str, bytes)):
         raise BadNumeralError(f"{values!r} is one value, not a sequence of weights")
     if not isinstance(values, Sequence):  # as parse_pcm's rows: a set has no order to give
         raise BadNumeralError(f"a {type(values).__name__} is not a sequence of weights")
     values = [v if isinstance(v, float) else parse_rational(v) for v in values]
-    if any(isinstance(v, float) for v in values):
-        try:
-            values = [float(v) for v in values]
-        except OverflowError:  # an int or Fraction that no float holds
-            raise NonFiniteWeightError("a component is past the float range") from None
-    return WeightVector(values)
+    if not any(isinstance(v, float) for v in values):
+        vector = WeightVector(values, 0)
+        float_equality_band()  # read, and so checked, for an exact vector too
+        return vector
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:  # an int or Fraction that no float holds
+        raise NonFiniteWeightError("a component is past the float range") from None
+    for c in floats:
+        if not c > 0:  # NaN fails c > 0
+            raise NonPositiveWeightError(f"component {c!r}")
+        if not math.isfinite(c):
+            raise NonFiniteWeightError(f"component {c!r}")
+    return WeightVector([Fraction(c) for c in floats], Fraction(float_equality_band()))
 
 
 class Permutation(Record):
@@ -411,4 +440,4 @@ def consistent_weights(pcm: Pcm) -> WeightVector:
             raise NotConsistentError(f"triad ({i + 1},{j + 1},{pcm.n}) is inconsistent")
     column = [row[-1] for row in pcm.entries]
     total = sum(column)
-    return WeightVector(tuple(a / total for a in column))
+    return WeightVector(tuple(a / total for a in column), 0)

@@ -14,11 +14,11 @@ from __future__ import annotations
 import random
 import time
 
-from .efficiency import bcc_digraph, float_equality_band, strongly_connected
+from .efficiency import bcc_digraph, strongly_connected
 from .errors import BadTrialCountError
 from .generators import generate_with_rng, random_exact_weights
 from .geometry import PerturbTag, canonical_orientations, contains_cycle_region
-from .pcm import Record
+from .pcm import Record, float_equality_band
 
 
 class EquivalenceReport(Record):
@@ -40,17 +40,19 @@ class EquivalenceReport(Record):
         }
 
 
-def trial_settings(trials: int, class_tag: PerturbTag | str) -> tuple[PerturbTag, float]:
-    """The class and equality band a run reads, once its trial count is
-    checked: every input error a run raises, raised before any trial."""
+def trial_settings(trials: int, class_tag: PerturbTag | str) -> PerturbTag:
+    """The class a run reads, once its trial count and EFFPCM_TOL are checked:
+    every input error a run raises, raised before any trial."""
     if trials < 1:
         raise BadTrialCountError(f"trials must be >= 1, got {trials}")
-    return PerturbTag(class_tag), float_equality_band()
+    tag = PerturbTag(class_tag)
+    float_equality_band()
+    return tag
 
 
 def run_equivalence_trials(seed: int, trials: int, class_tag: PerturbTag | str) -> EquivalenceReport:
     """Run the harness; deterministic verdict stream for a fixed seed."""
-    tag, band = trial_settings(trials, class_tag)
+    tag = trial_settings(trials, class_tag)
     rng = random.Random(seed)
     start = time.perf_counter()
     disagreements = []
@@ -58,7 +60,7 @@ def run_equivalence_trials(seed: int, trials: int, class_tag: PerturbTag | str) 
     for index in range(trials):
         pcm = generate_with_rng(rng, tag)
         w = random_exact_weights(rng)
-        digraph = bcc_digraph(pcm, w, band)
+        digraph = bcc_digraph(pcm, w)
         scc_verdict = strongly_connected(digraph)
         geometric_verdict = any(contains_cycle_region(digraph, o) for o in canonical_orientations(pcm))
         if scc_verdict == geometric_verdict:

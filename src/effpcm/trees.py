@@ -7,7 +7,7 @@ perfectly.  Path-shaped trees are singled out because deleting one edge of
 a 4-cycle leaves a path, and those four path trees supply the tetrahedron
 vertices of the efficient-set geometry.  ``tree_integers`` propagates along
 the walk a tree keeps from vertex n, on the entries' integer pairs; a tree
-vector is those integers over their total, which seed its ``integer_form``.
+vector is those integers over their total.
 """
 
 from __future__ import annotations
@@ -83,6 +83,4 @@ def tree_weight_vector(pcm: Pcm, tree: SpanningTree) -> WeightVector:
     """The unique normalized exact vector with w_i/w_j = a_ij on every tree edge."""
     scaled = tree_integers(pcm, tree)
     total = sum(scaled)
-    vector = WeightVector(tuple([Fraction(x, total) for x in scaled]))
-    vector.__dict__["integer_form"] = (tuple(scaled), total)
-    return vector
+    return WeightVector(tuple([Fraction(x, total) for x in scaled]), 0)

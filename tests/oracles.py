@@ -97,14 +97,13 @@ def ratio(w: WeightVector, i: int, j: int):
 
 
 def scaled(w: WeightVector, factor) -> WeightVector:
-    return WeightVector(tuple(c * factor for c in w.components))
+    return WeightVector(tuple(c * factor for c in w.components), w.band)
 
 
 def normalized(w: WeightVector) -> WeightVector:
-    """w / sum(w) in w's own arithmetic: Fraction division for an exact vector, float
-    division for a float one (the library reads a float vector's exact values)."""
+    """w / sum(w) by Fraction division, with w's band."""
     total = sum(w.components)
-    return WeightVector(tuple(c / total for c in w.components))
+    return WeightVector(tuple(c / total for c in w.components), w.band)
 
 
 def identity_permutation(n: int) -> Permutation:
@@ -122,7 +121,7 @@ def permute_weights(w: WeightVector, perm: Permutation) -> WeightVector:
     """Reindex a weight vector consistently with apply_permutation: v_i = w_{perm(i)}."""
     if perm.n != w.n:
         raise DimensionMismatchError("permutation and weight vector lengths differ")
-    return WeightVector(tuple(w.components[k - 1] for k in perm.mapping))
+    return WeightVector(tuple(w.components[k - 1] for k in perm.mapping), w.band)
 
 
 def is_consistent(pcm: Pcm) -> bool:
@@ -229,16 +228,14 @@ def band_ratio_sign(ratio: Fraction, target: Fraction, band) -> int:
     return (ratio > target) - (ratio < target)
 
 
-def bcc_digraph_by_ratios(pcm: Pcm, w: WeightVector, band: float) -> BccDigraph:
+def bcc_digraph_by_ratios(pcm: Pcm, w: WeightVector) -> BccDigraph:
     """The BCC digraph with each pair decided by comparing the Fraction ratio
-    w_i/w_j, of the floats as given when w is float, with a_ij by
-    ``band_ratio_sign``: within band * a_ij for a float vector, exactly for
-    an exact one."""
+    w_i/w_j with a_ij by ``band_ratio_sign``, within w's band: within
+    band * a_ij, exactly for band 0."""
     arcs, equalities = set(), set()
     for i in range(1, pcm.n + 1):
         for j in range(i + 1, pcm.n + 1):
-            wi, wj = (Fraction(c) for c in (w.components[i - 1], w.components[j - 1]))
-            sign = band_ratio_sign(wi / wj, entry(pcm, i, j), 0 if w.exact else band)
+            sign = band_ratio_sign(ratio(w, i, j), entry(pcm, i, j), w.band)
             if sign >= 0:
                 arcs.add((i, j))
             if sign <= 0:
@@ -289,25 +286,19 @@ def dominates(pcm: Pcm, w_new: WeightVector, w_old: WeightVector) -> DominanceVe
     """Pareto dominance: w_new approximates every entry at least as well as
     w_old, and at least one entry strictly better.
 
-    Exact arithmetic when both vectors are exact; otherwise float arithmetic.
-    The first strictly improved ordered pair (row-major) is reported.
+    Exact arithmetic on the components; the bands are not read.  The first
+    strictly improved ordered pair (row-major) is reported.
     """
     if pcm.n != w_new.n or pcm.n != w_old.n:
         raise DimensionMismatchError("matrix and weight vectors disagree")
-    exact = w_new.exact and w_old.exact
     strict: tuple[int, int] | None = None
     for i in range(1, pcm.n + 1):
         for j in range(1, pcm.n + 1):
             if i == j:
                 continue
             a = pcm.entries[i - 1][j - 1]
-            if exact:
-                err_new = abs(a - ratio(w_new, i, j))
-                err_old = abs(a - ratio(w_old, i, j))
-            else:
-                a = float(a)
-                err_new = abs(a - float(w_new.components[i - 1]) / float(w_new.components[j - 1]))
-                err_old = abs(a - float(w_old.components[i - 1]) / float(w_old.components[j - 1]))
+            err_new = abs(a - ratio(w_new, i, j))
+            err_old = abs(a - ratio(w_old, i, j))
             if err_new > err_old:
                 return DominanceVerdict(False, None)
             if strict is None and err_new < err_old:
@@ -337,8 +328,8 @@ def find_dominator_sample(
     entry is estimated perfectly: a dominator must reproduce that equality
     exactly, an event of probability zero under independent factors.
 
-    For exact w the factors are converted to rationals, so the dominance
-    re-check is exact and a returned vector always truly dominates.
+    The factors are converted to rationals, so the dominance re-check is
+    exact and a returned vector always truly dominates.
     Positivity is preserved by construction; deterministic for a fixed seed.
     """
     if trials < 1:
@@ -358,14 +349,11 @@ def find_dominator_sample(
             member = rng.choice(subsets)
             shifts = [shift if i in member else 0.0 for i in range(n)]
         factors = [math.exp(u) for u in shifts]
-        if w.exact:
-            components = tuple(
-                c * Fraction(f).limit_denominator(10 ** 6)
-                for c, f in zip(w.components, factors)
-            )
-        else:
-            components = tuple(c * f for c, f in zip(w.components, factors))
-        candidate = normalized(WeightVector(components))
+        components = tuple(
+            c * Fraction(f).limit_denominator(10 ** 6)
+            for c, f in zip(w.components, factors)
+        )
+        candidate = normalized(WeightVector(components, w.band))
         if dominates(pcm, candidate, w).dominates:
             return candidate
     return None
@@ -474,7 +462,7 @@ def tree_weight_vector_by_fractions(pcm: Pcm, tree: SpanningTree) -> WeightVecto
     for parent, child in _walk(_undirected(pcm.n, tree.edges), pcm.n):
         # w_child / w_parent = a_{child,parent} on a tree edge
         raw[child] = raw[parent] * pcm.entries[child - 1][parent - 1]
-    return normalized(WeightVector(tuple(raw[v] for v in range(1, pcm.n + 1))))
+    return normalized(WeightVector(tuple(raw[v] for v in range(1, pcm.n + 1)), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +499,11 @@ def parse_rational_by_fraction_string(text: Fraction | int | float | str) -> Fra
 
 
 def barycentric_by_fractions(tet: Tetrahedron, w: WeightVector):
-    """``geometry.barycentric`` in Fraction arithmetic throughout: the exact
-    values of w, float or not, divided by their sum; the library works on the
-    integer forms of w and of the vertices."""
-    exact = [Fraction(c) for c in w.components]
-    total = sum(exact)
-    target = [c / total for c in exact]
+    """``geometry.barycentric`` in Fraction arithmetic throughout: the components
+    of w divided by their sum; the library works on the integer forms of w and
+    of the vertices."""
+    total = sum(w.components)
+    target = [c / total for c in w.components]
     vertices = [v.components for v in tet.vertices]
     if tet.degenerate_rank == 0:
         multiple = target == list(vertices[0])

@@ -18,12 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import effpcm
 from effpcm.cli import CLASS_CHOICES, build_parser, main
-from effpcm.efficiency import float_equality_band
 from effpcm.errors import UsageError
 from effpcm.generators import generate_with_rng
 from effpcm.export import load_matrix
 from effpcm.geometry import efficient_set, tetrahedron_for_cycle
-from effpcm.pcm import format_rational, parse_pcm, pcm_from_upper
+from effpcm.pcm import float_equality_band, format_rational, parse_pcm, pcm_from_upper
 from conftest import RUNNING_ROWS
 from oracles import entry, parse_exact_vertices
 from test_pcm import random_pcm4
@@ -89,6 +88,16 @@ class TestCheck:
     def test_dimension_mismatch(self, matrix_file, tmp_path, capsys):
         wfile = write_weights(tmp_path / "w.json", ["1", "1", "1"])
         assert main(["check", matrix_file, "--weights", wfile]) == 2
+
+    @pytest.mark.parametrize("command", ["check", "member"])
+    def test_the_band_is_checked_when_the_weights_are_read(self, matrix_file, tmp_path, capsys,
+                                                           monkeypatch, command):
+        """A malformed EFFPCM_TOL is reported before the vector meets the matrix."""
+        monkeypatch.setenv("EFFPCM_TOL", "abc")
+        wfile = write_weights(tmp_path / "w.json", ["1", "1", "1"])
+        assert main([command, matrix_file, "--weights", wfile]) == 2
+        assert capsys.readouterr().err == (
+            "error: BadTolerance: EFFPCM_TOL='abc' is not a finite number >= 0\n")
 
     def test_float_weights_accepted(self, matrix_file, tmp_path):
         wfile = write_weights(tmp_path / "w.json", [0.25, 0.25, 0.25, 0.25])

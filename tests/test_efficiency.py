@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from effpcm.errors import BadToleranceError, DimensionMismatchError
 from effpcm.pcm import (
     CANONICAL_CYCLES,
+    DEFAULT_EQUALITY_BAND,
     Pcm,
     Permutation,
     WeightVector,
@@ -19,7 +20,6 @@ from effpcm.pcm import (
     weight_vector,
 )
 from effpcm.efficiency import (
-    DEFAULT_EQUALITY_BAND,
     BccDigraph,
     bcc_digraph,
     is_efficient,
@@ -67,13 +67,14 @@ _RANGE_ENTRIES = st.sampled_from([Fraction(10) ** k for k in (-400, -330, -300, 
 @st.composite
 def _matrix_and_vector(draw):
     """An n x n matrix, n = 2..12, with int and Fraction entries, and an exact
-    or a float weight vector; some pairs are forced to equal their ratio, and
-    some entries lie near or past the ends of the float range."""
+    weight vector or one of floats' exact values with the default band; some
+    pairs are forced to equal their ratio, and some entries lie near or past
+    the ends of the float range."""
     n = draw(st.integers(2, 12))
     exact = draw(st.booleans())
     components = draw(st.lists(_COMPONENTS if exact else _FLOAT_COMPONENTS,
                                min_size=n, max_size=n))
-    w = WeightVector(tuple(components))
+    w = WeightVector(tuple(map(Fraction, components)), 0 if exact else Fraction(DEFAULT_EQUALITY_BAND))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     kinds = draw(st.lists(st.sampled_from(["equal", "whole", "fraction", "range"]),
                           min_size=len(pairs), max_size=len(pairs)))
@@ -84,8 +85,8 @@ def _matrix_and_vector(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # whole values, sides, int or Fraction
     grid = [[rng.choice([1, Fraction(1)]) for _ in range(n)] for _ in range(n)]
     for (i, j), kind in zip(pairs, kinds):
-        if kind == "equal":  # w_i / w_j itself, of the floats when w is float
-            value = Fraction(w.components[i]) / Fraction(w.components[j])
+        if kind == "equal":  # w_i / w_j itself
+            value = w.components[i] / w.components[j]
         elif kind == "whole":
             value = Fraction(rng.randint(1, 9))
         else:
@@ -100,17 +101,20 @@ def _matrix_and_vector(draw):
 
 class TestBccOnIntegerPairs:
     """The digraph reads integer pairs; it must be the digraph of the Fraction
-    ratio comparisons, within the band for a float vector
-    (``band_ratio_sign``), whatever the floats' magnitudes."""
+    ratio comparisons, within the vector's band (``band_ratio_sign``),
+    whatever the floats' magnitudes."""
 
     @settings(max_examples=200, deadline=None)
     @given(_matrix_and_vector(), st.sampled_from([0.0, DEFAULT_EQUALITY_BAND, 1e-3]))
     # 1.0 / 0.001 rounds to 1000.0, but the given floats' ratio is not 1000
-    @example((Pcm([[1, 1000], [Fraction(1, 1000), 1]]), WeightVector((1.0, 0.001))), 0.0)
+    @example((Pcm([[1, 1000], [Fraction(1, 1000), 1]]),
+              WeightVector((Fraction(1.0), Fraction(0.001)), Fraction(DEFAULT_EQUALITY_BAND))), 0.0)
     def test_digraph_and_verdict_match_the_oracles(self, matrix_and_vector, band):
         pcm, w = matrix_and_vector
-        g = bcc_digraph(pcm, w, band)
-        assert g == bcc_digraph_by_ratios(pcm, w, band)
+        if w.band:  # the floats' values, rebuilt with the drawn band
+            w = WeightVector(w.components, Fraction(band))
+        g = bcc_digraph(pcm, w)
+        assert g == bcc_digraph_by_ratios(pcm, w)
         assert strongly_connected(g) == strongly_connected_by_closure(g)
 
 
@@ -143,22 +147,43 @@ class TestBccDigraph:
         assert (1, 2) in g.equality_pairs
 
     def test_band_override(self, running_example, monkeypatch):
-        w = weight_vector([0.25, 0.25 * (1 + 1e-7), 0.25, 0.25])
+        """EFFPCM_TOL is read when a vector is built: it sets the band the vector keeps."""
+        floats = [0.25, 0.25 * (1 + 1e-7), 0.25, 0.25]
+        w = weight_vector(floats)
         assert (1, 2) not in bcc_digraph(running_example, w).equality_pairs
         monkeypatch.setenv("EFFPCM_TOL", "1e-5")
+        assert (1, 2) not in bcc_digraph(running_example, w).equality_pairs
+        w = weight_vector(floats)
         assert (1, 2) in bcc_digraph(running_example, w).equality_pairs
 
-    @pytest.mark.parametrize("band", [math.nan, math.inf, -1e-9])
-    def test_a_band_is_checked_where_it_is_read(self, running_example, band):
-        """A float vector reads the band, which must be finite and >= 0 as EFFPCM_TOL
-        must; an exact vector reads none, so it gets its digraph whatever the band."""
-        with pytest.raises(BadToleranceError, match=r"^BadTolerance: band=.* is not a finite number >= 0$"):
-            bcc_digraph(running_example, weight_vector([0.25] * 4), band)
-        assert bcc_digraph(running_example, UNIFORM, band) == bcc_digraph(running_example, UNIFORM, 0.0)
+    @pytest.mark.parametrize("text", ["nan", "inf", "-1e-9", "abc"])
+    def test_the_band_is_checked_where_it_enters(self, monkeypatch, text):
+        """EFFPCM_TOL must be finite and >= 0; it is read, and so checked, when any
+        vector is built through ``weight_vector``, exact or float."""
+        monkeypatch.setenv("EFFPCM_TOL", text)
+        for values in ([0.25] * 4, [Fraction(1, 4)] * 4):
+            with pytest.raises(BadToleranceError,
+                               match=rf"^BadTolerance: EFFPCM_TOL='{text}' is not a finite number >= 0$"):
+                weight_vector(values)
 
     def test_a_finite_band_past_the_float_range_makes_every_pair_an_equality(self, running_example):
-        g = bcc_digraph(running_example, weight_vector([0.25] * 4), 10**400)
+        g = bcc_digraph(running_example, WeightVector((Fraction(1, 4),) * 4, Fraction(10**400)))
         assert len(g.equality_pairs) == 6
+
+    def test_a_float_vector_and_its_exact_twin_are_distinct_records(self, monkeypatch):
+        """Under the default band a float vector keeps it, so it is not the exact
+        vector of the same values and need not get its digraph; under a zero band it is."""
+        monkeypatch.delenv("EFFPCM_TOL", raising=False)
+        pcm = pcm_from_upper(2, {(1, 2): "2.0000000001"})
+        w, twin = weight_vector([1.0, 0.5]), weight_vector(["1", "1/2"])
+        assert w != twin and hash(w) != hash(twin)
+        assert bcc_digraph(pcm, w).equality_pairs == frozenset({(1, 2)})
+        assert bcc_digraph(pcm, w).equality_pairs != bcc_digraph(pcm, twin).equality_pairs
+        assert WeightVector(w.components, 0) == twin
+        monkeypatch.setenv("EFFPCM_TOL", "0")
+        w = weight_vector([1.0, 0.5])
+        assert w == twin and hash(w) == hash(twin)
+        assert bcc_digraph(pcm, w) == bcc_digraph(pcm, twin)
 
     @given(random_pcm4, st.tuples(*([st.integers(1, 500)] * 4)))
     def test_every_pair_has_an_arc(self, pcm, raw):
@@ -203,9 +228,10 @@ class TestPairSigns:
     @pytest.mark.parametrize("k,sign", [(0.5, 0), (-0.5, 0), (2, 1), (-2, -1)])
     def test_float_band_is_relative_to_the_target(self, target, k, sign):
         band = 1e-9
-        w = weight_vector([float(target) * (1 + k * band), 1.0])
+        floats = weight_vector([float(target) * (1 + k * band), 1.0])
+        w = WeightVector(floats.components, Fraction(band))
         pcm = Pcm(((1, target), (1 / target, 1)))
-        assert _pair_sign(bcc_digraph(pcm, w, band), 1, 2) == sign
+        assert _pair_sign(bcc_digraph(pcm, w), 1, 2) == sign
 
 
 class TestStrongConnectivity:

@@ -47,7 +47,7 @@ def test_distinct_seeds_vary():
 def test_random_exact_weights_properties():
     rng = random.Random(0)
     w = random_exact_weights(rng)
-    assert w.exact and sum(w.components) == 1 and w.n == 4
+    assert w.band == 0 and sum(w.components) == 1 and w.n == 4
     rng_a, rng_b = random.Random(42), random.Random(42)
     assert random_exact_weights(rng_a) == random_exact_weights(rng_b)
 
@@ -58,7 +58,7 @@ def test_random_exact_weights_match_fraction_normalization():
         rng, reference = random.Random(seed), random.Random(seed)
         for _ in range(3):
             expected = normalized(WeightVector(
-                tuple(Fraction(reference.randint(1, 9999)) for _ in range(4))
+                tuple(Fraction(reference.randint(1, 9999)) for _ in range(4)), 0
             ))
             assert random_exact_weights(rng) == expected
         assert rng.random() == reference.random()

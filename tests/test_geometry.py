@@ -21,6 +21,7 @@ from effpcm.errors import (
 )
 from effpcm.pcm import (
     CANONICAL_CYCLES,
+    DEFAULT_EQUALITY_BAND,
     Permutation,
     WeightVector,
     apply_permutation,
@@ -405,7 +406,8 @@ NEAR_EXAMPLE = (
     pcm_from_upper(4, {(1, 2): Fraction(8, 3), (1, 3): Fraction(2, 3),
                        (1, 4): Fraction(3840000000, 1000000001), (2, 3): Fraction(4, 5),
                        (2, 4): Fraction(9, 2), (3, 4): Fraction(9, 5)}),
-    weight_vector([3.8399999980510415, 1.4399999976311004, 1.7999999985113047, 1.0]),
+    WeightVector(tuple(map(Fraction, [3.8399999980510415, 1.4399999976311004, 1.7999999985113047, 1.0])),
+                 Fraction(DEFAULT_EQUALITY_BAND)),
 )
 
 WINDOW_BANDS = (0, 1e-9, 1e-4, 0.1, 0.99, 1, 2)
@@ -491,14 +493,13 @@ class TestRegions:
             assert (contains_cycle_region(digraph, orientation)
                     == contains_cycle_region_by_zip(digraph, orientation))
 
-    def test_float_vector_near_a_consistent_cycle(self, monkeypatch):
+    def test_float_vector_near_a_consistent_cycle(self):
         """The cycle (1,2,3,4) has product 1 + 1e-9 and w holds it backward within the
         band: efficient by both tests.  Its exact twin holds it in neither direction."""
-        monkeypatch.delenv("EFFPCM_TOL", raising=False)
         pcm, w = NEAR_EXAMPLE
         assert cycle_product(pcm, (1, 2, 3, 4)) == 1 + Fraction(1, 10**9)
         assert is_efficient(pcm, w) and is_efficient_geometric(pcm, w)
-        twin = weight_vector([Fraction(c) for c in w.components])
+        twin = WeightVector(w.components, 0)
         assert not is_efficient(pcm, twin) and not is_efficient_geometric(pcm, twin)
 
     @pytest.mark.parametrize("tol,within", [("0", False), ("4.9e-10", False), ("5e-10", True)])
@@ -529,10 +530,9 @@ class TestRegions:
         against its orientation."""
         pcm, w = pcm_and_w
         for band in WINDOW_BANDS:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setenv("EFFPCM_TOL", repr(band))
-                digraph = bcc_digraph(pcm, w)
-                regions = _band_orientations(pcm, w)
+            w = WeightVector(w.components, Fraction(band))
+            digraph = bcc_digraph(pcm, w)
+            regions = _band_orientations(pcm, w)
             for cycle, region in zip(CANONICAL_CYCLES, regions):
                 assert (contains_cycle_region(digraph, region)
                         == contains_cycle_region(digraph, _ORIENTATIONS[cycle, 0])), (band, cycle)
@@ -1066,7 +1066,7 @@ class TestEmbedding:
         for tet in efficient_set(pcm).tetrahedra:
             for vertex, point in zip(tet.vertices, tet.embedded):
                 assert point == tuple(float(x) for x in embed_exact(vertex.components))
-                rebuilt = WeightVector(vertex.components)
+                rebuilt = WeightVector(vertex.components, 0)
                 assert "integer_form" not in rebuilt.__dict__
                 assert embed(rebuilt) == point
 

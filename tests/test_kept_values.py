@@ -17,7 +17,6 @@ PACKAGE = Path(effpcm.__file__).resolve().parent
 # (module, function) pairs allowed to reach into another object's __dict__
 ALLOWED = {
     ("pcm", "pcm_from_pairs"),  # seeds Pcm.signs
-    ("trees", "tree_weight_vector"),  # seeds WeightVector.integer_form
     ("geometry", "efficient_set"),  # keeps the EfficientSet on a Pcm
 }
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from effpcm.errors import (
     BadNumeralError,
+    BadToleranceError,
     DimensionMismatchError,
     IndexOutOfRangeError,
     NonFiniteWeightError,
@@ -32,6 +33,7 @@ from effpcm.geometry import PerturbTag
 from effpcm.pcm import (
     CANONICAL_CYCLES,
     CANONICAL_TRIADS,
+    DEFAULT_EQUALITY_BAND,
     Pcm,
     Permutation,
     WeightVector,
@@ -352,9 +354,13 @@ class TestOneReader:
     def test_builders_read_as_parse_rational(self, value):
         reference = _parse_outcome(parse_rational, value)
         readers = [_read_by_parse_pcm, _read_by_pcm_from_upper]
-        if isinstance(value, float):  # a float selects weight_vector's float variant
-            assert _parse_outcome(weight_vector, [value, 1]) == _parse_outcome(
-                WeightVector, (value, 1.0))
+        if isinstance(value, float):  # a float selects weight_vector's float variant: its exact value
+            if 0 < value < math.inf:
+                expected = WeightVector((Fraction(value), Fraction(1)), Fraction(DEFAULT_EQUALITY_BAND))
+            else:  # NaN fails value > 0
+                error = NonFiniteWeightError if value > 0 else NonPositiveWeightError
+                expected = error, f"{error.code}: component {value!r}"
+            assert _parse_outcome(weight_vector, [value, 1]) == expected
         else:
             readers.append(_read_by_weight_vector)
         if isinstance(value, str):  # a document's numbers are floats, its strings numerals
@@ -376,7 +382,8 @@ class TestOneReader:
         pytest.param(lambda: weight_vector(["abc", 1]), BadNumeralError, id="weights-no-numeral"),
         pytest.param(lambda: weight_vector(["1/0", 1]), BadNumeralError, id="weights-zero-denominator"),
         pytest.param(lambda: weight_vector([None, 1]), BadNumeralError, id="weights-none"),
-        pytest.param(lambda: weight_vector([0.5, "1/2"]), WeightVector((0.5, 0.5)),
+        pytest.param(lambda: weight_vector([0.5, "1/2"]),
+                     WeightVector((Fraction(1, 2),) * 2, Fraction(DEFAULT_EQUALITY_BAND)),
                      id="weights-float-and-numeral"),
         pytest.param(lambda: pcm_from_upper(2, {(1, 2): None}), BadNumeralError, id="upper-none"),
         pytest.param(lambda: parse_pcm([[Fraction(1), Fraction(1, 2)], ["2", 1]]),
@@ -395,8 +402,8 @@ class TestOneReader:
             pass
 
         w = weight_vector([Weight(0.25), Fraction(3, 4)])
-        assert not w.exact and w.components == (0.25, 0.75)
-        assert type(w.components[0]) is float
+        assert w.band and w.components == (Fraction(1, 4), Fraction(3, 4))
+        assert type(w.components[0]) is Fraction
 
 
 # Entries whose pairs are often reciprocal: whole values come as Fraction and
@@ -761,9 +768,10 @@ class TestPermutation:
 class TestWeightVector:
     def test_variants(self):
         exact = weight_vector([1, 2, 3])
-        assert exact.exact and exact.components[0] == Fraction(1)
+        assert exact.band == 0 and exact.components[0] == Fraction(1)
         floaty = weight_vector([0.5, 0.25, 0.25])
-        assert not floaty.exact
+        assert floaty.band == Fraction(DEFAULT_EQUALITY_BAND)
+        assert floaty.components == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
 
     def test_positivity(self):
         with pytest.raises(NonPositiveWeightError):
@@ -807,7 +815,27 @@ class TestWeightVector:
         (math.inf, NonFiniteWeightError, "NonFiniteWeight: component inf"),
     ])
     def test_rejected_components(self, bad, error, message):
-        good = Fraction(1) if isinstance(bad, Fraction) else 1.0
+        """A Fraction is checked by the record, a float where floats enter, weight_vector."""
         with pytest.raises(error) as raised:
-            WeightVector((good, bad, good))
+            if isinstance(bad, Fraction):
+                WeightVector((Fraction(1), bad, Fraction(1)), 0)
+            else:
+                weight_vector((1.0, bad, 1.0))
         assert str(raised.value) == message
+
+    def test_as_strings(self):
+        """A vector with a band was read from floats and prints them; one without, its
+        exact components."""
+        components = (Fraction(0.1), Fraction(2))
+        assert WeightVector(components, Fraction(1, 10**9)).as_strings() == ["0.1", "2.0"]
+        assert WeightVector(components, 0).as_strings() == ["3602879701896397/36028797018963968", "2"]
+
+    def test_a_float_component_is_refused(self):
+        with pytest.raises(NonPositiveWeightError,
+                           match=r"^NonPositiveWeight: component 0.5 must be a Fraction$"):
+            WeightVector((0.5, 0.5), 0)
+
+    @pytest.mark.parametrize("band", [-1, Fraction(-1, 10**9), 1e-9, math.nan, True, "0", None])
+    def test_a_band_is_a_fraction_or_an_int_at_least_0(self, band):
+        with pytest.raises(BadToleranceError, match=r"^BadTolerance: band=.* is not a Fraction or an int >= 0$"):
+            WeightVector((Fraction(1), Fraction(2)), band)

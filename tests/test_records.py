@@ -50,7 +50,7 @@ W = weight_vector([1, 2, 3, 4])
 # class: (its fields in declaration order, one instance, an unequal instance)
 SAMPLES = {
     Pcm: (("entries",), RUNNING, SIMPLE),
-    WeightVector: (("components",), W, weight_vector([1, 2, 3, 5])),
+    WeightVector: (("components", "band"), W, WeightVector(W.components, Fraction(1, 10**9))),
     Permutation: (("mapping",), Permutation((2, 1, 3, 4)), Permutation((1, 2, 3, 4))),
     BccDigraph: (("n", "arcs", "equality_pairs"), bcc_digraph(RUNNING, W),
                  bcc_digraph(RUNNING, weight_vector([4, 3, 2, 1]))),
@@ -179,8 +179,8 @@ class TestRecords:
      NonPositiveEntryError),
     (lambda: Pcm(((Fraction(1), Fraction(2)), (Fraction(1, 3), Fraction(1)))),
      ReciprocityViolationError),
-    (lambda: WeightVector(()), NonPositiveWeightError),
-    (lambda: WeightVector((Fraction(1), 0.5)), NonPositiveWeightError),
+    (lambda: WeightVector((), 0), NonPositiveWeightError),
+    (lambda: WeightVector((Fraction(1), 0.5), 0), NonPositiveWeightError),
     (lambda: Permutation((1, 1, 3)), IndexOutOfRangeError),
     (lambda: Permutation((1.0, 2.0, 3.0, 4.0)), IndexOutOfRangeError),
     (lambda: Permutation((True, 2)), IndexOutOfRangeError),
@@ -228,7 +228,7 @@ def test_records_built_from_lists_equal_their_tuple_twins_and_stay_unchanged():
     components = list(W.components)
     mapping = [2, 1, 3, 4]
     edges = [(1, 2), (2, 3), (3, 4)]
-    twins = [(Pcm(rows), RUNNING), (WeightVector(components), W),
+    twins = [(Pcm(rows), RUNNING), (WeightVector(components, 0), W),
              (Permutation(mapping), Permutation((2, 1, 3, 4))),
              (SpanningTree(4, edges), path_tree((1, 2, 3, 4)))]
     rows[0][1] = Fraction(-5)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from effpcm.errors import NotACanonicalCycleError
 from effpcm.pcm import CANONICAL_CYCLES, WeightVector, consistent_weights, pcm_from_upper
@@ -225,13 +225,14 @@ class TestTreeWeights:
 
     @settings(max_examples=100, deadline=None)
     @given(_matrix_and_tree())
-    def test_the_kept_integer_form_is_the_vector_unreduced(self, matrix_and_tree):
+    # the second path tree of (1,2,3,4): its unreduced integers are (108, 72, 48, 32)
+    @example((pcm_from_upper(4, {(1, 2): Fraction(3, 2), (2, 3): Fraction(3, 2),
+                                 (3, 4): Fraction(3, 2), (1, 3): Fraction(9, 4),
+                                 (2, 4): Fraction(9, 4), (1, 4): Fraction(27, 8)}),
+              paths_of_cycle((1, 2, 3, 4))[1]))
+    def test_the_integer_form_is_the_plain_vectors(self, matrix_and_tree):
+        """A tree vector's integer form is that of the equal vector built plainly:
+        its components over the lcm of their denominators."""
         pcm, tree = matrix_and_tree
         w = tree_weight_vector(pcm, tree)
-        assert "integer_form" in vars(w)  # seeded by the builder, not computed on first read
-        scaled, total = w.integer_form
-        assert sum(scaled) == total
-        assert tuple(Fraction(x, total) for x in scaled) == w.components
-        # the form sits outside the fields: equality, hash and repr ignore it
-        plain = WeightVector(w.components)
-        assert (plain, hash(plain), repr(plain)) == (w, hash(w), repr(w))
+        assert w.integer_form == WeightVector(w.components, 0).integer_form
