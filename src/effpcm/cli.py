@@ -43,7 +43,7 @@ from .geometry import (
     tetrahedron_for_cycle,
     triad_rearrangement,
 )
-from .pcm import format_rational
+from .pcm import float_equality_band, format_rational
 from .sampling import run_equivalence_trials, trial_settings
 
 CLASS_CHOICES = [tag.value for tag in PerturbTag]
@@ -154,6 +154,7 @@ def _cmd_sample(args) -> tuple[str, int]:
     # input errors come before -o is opened, so they leave no file, and -o is
     # opened before the first trial, so an unwritable path wastes no trials
     trial_settings(args.trials, args.cls)
+    float_equality_band()  # a malformed EFFPCM_TOL is an input error, though no trial reads it
     with _open(args.output, "w") if args.output else nullcontext() as out:
         report = run_equivalence_trials(args.seed, args.trials, args.cls)
         text = json.dumps(report.to_json_dict(), indent=2)

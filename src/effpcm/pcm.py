@@ -3,8 +3,9 @@
 A pairwise comparison matrix (PCM) records ratio judgments a_ij > 0 with
 a_ji = 1/a_ij.  All entries are exact rationals and every operation here is
 exact: consistency is an equality of products, so no rounding is ever
-acceptable.  Every builder reads its values with ``parse_rational``, so
-decimal input is converted exactly ("0.25" becomes 1/4).
+acceptable.  A ``Pcm`` keeps each entry as its reduced integer pair, and every
+builder reads its values with ``parse_pair``, so decimal input is converted
+exactly ("0.25" becomes (1, 4)).
 
 All indices in the public API are 1-based, matching the usual notation for
 alternatives 1..n.  Values are immutable after construction and every
@@ -63,17 +64,18 @@ CANONICAL_TRIADS = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 CANONICAL_CYCLES = ((1, 2, 3, 4), (1, 4, 2, 3), (1, 3, 4, 2))
 
 
-def parse_rational(value: Fraction | int | float | str) -> Fraction:
-    """The exact value of a Fraction (kept as it is), an int, a numeral ("p", "p/q"
-    or a decimal with at most 15 fraction digits) or a float (read as its repr);
-    anything else, a bool, None or a Decimal too, raises BadNumeral."""
+def parse_pair(value: Fraction | int | float | str) -> tuple[int, int]:
+    """The exact value, as (numerator, denominator) in lowest terms with a positive
+    denominator, of a Fraction, an int, a numeral ("p", "p/q" or a decimal with at most 15
+    fraction digits) or a float (read as its repr); anything else, a bool, None or a
+    Decimal too, raises BadNumeral.  A numeral builds no Fraction."""
     if type(value) is not str:  # a document's cells are all str: skip the tests below
         if isinstance(value, Fraction):
-            return value
+            return value.as_integer_ratio()
         if isinstance(value, bool):
             raise BadNumeralError(f"{value!r} is not a numeral")
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value), 1
         if isinstance(value, float):
             # repr() is the shortest decimal that round-trips; reject floats whose
             # shortest form exceeds the decimal budget instead of guessing.
@@ -84,16 +86,24 @@ def parse_rational(value: Fraction | int | float | str) -> Fraction:
     if match is None:
         raise BadNumeralError(f"{value!r} is not 'p', 'p/q' or a short decimal")
     whole, den, digits = match.groups()
-    try:
-        if den is not None:
-            return Fraction(int(whole), int(den))
-        if digits is None:
-            return Fraction(int(whole))
-        scale = 10 ** len(digits)
-        numerator = abs(int(whole)) * scale + int(digits)
-        return Fraction(-numerator if whole[0] == "-" else numerator, scale)
+    try:  # int() past the digit limit raises ValueError, as Fraction(str) does
+        numerator = int(whole)
+        if digits is not None:
+            den = 10 ** len(digits)
+            numerator = numerator * den + (-int(digits) if whole[0] == "-" else int(digits))
+        elif den is None:
+            return numerator, 1
+        elif (den := int(den)) == 0:
+            raise ZeroDivisionError(f"Fraction({numerator}, 0)")  # Fraction's own words
     except (ValueError, ZeroDivisionError) as exc:
         raise BadNumeralError(f"{value!r} ({exc})") from exc
+    g = math.gcd(numerator, den)
+    return numerator // g, den // g
+
+
+def parse_rational(value: Fraction | int | float | str) -> Fraction:
+    """The value ``parse_pair`` reads, as a Fraction."""
+    return Fraction(*parse_pair(value))
 
 
 def format_rational(value: Fraction | int, denominator: int = 1) -> str:
@@ -164,28 +174,25 @@ class Record:
 
 
 class Pcm(Record):
-    """A positive reciprocal matrix of exact rationals, checked on integer pairs: each
-    entry's (numerator, denominator), row by row, kept as ``pairs`` outside the fields."""
+    """A positive reciprocal matrix of exact rationals: each entry's (numerator,
+    denominator) in lowest terms, denominator positive, row by row.  ``parse_pcm`` and
+    ``pcm_from_upper`` build one from values; ``entries`` reads the grid as Fractions."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    pairs: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
         # tuples, so a record built from lists hashes and cannot be mutated
-        entries = self.__dict__["entries"] = tuple(map(tuple, self.entries))
-        n = len(entries)
-        if n == 0 or any(len(row) != n for row in entries):
+        pairs = self.__dict__["pairs"] = tuple(map(tuple, self.pairs))
+        n = len(pairs)
+        if n == 0 or any(len(row) != n for row in pairs):
             raise NonSquareError("entries must form a nonempty square grid")
-        pairs = []  # each entry's (numerator, denominator), read once, row by row
-        for i, row in enumerate(entries, start=1):
-            row_pairs = []
-            for j, value in enumerate(row, start=1):
-                if type(value) is not Fraction and (
-                        not isinstance(value, (Fraction, int)) or isinstance(value, bool)):
-                    raise BadNumeralError(f"a[{i},{j}]={value!r} is not a Fraction or an int")
-                row_pairs.append(pair := value.as_integer_ratio())
+        for i, row in enumerate(pairs, start=1):
+            for j, pair in enumerate(row, start=1):
+                if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int
+                        and type(pair[1]) is int and pair[1] > 0 and math.gcd(*pair) == 1):
+                    raise BadNumeralError(f"a[{i},{j}]={pair!r} is not an int pair in lowest terms")
                 if pair[0] <= 0:
-                    raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
-            pairs.append(tuple(row_pairs))
+                    raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(*pair)}")
         # Both entries are positive and in lowest terms, so a_ij * a_ji = 1
         # exactly when one is the other with numerator and denominator swapped.
         for i in range(n):
@@ -193,14 +200,17 @@ class Pcm(Record):
                 if pairs[i][j] != pairs[j][i][::-1]:
                     raise ReciprocityViolationError(
                         j + 1, i + 1,
-                        f"a[{j + 1},{i + 1}]={format_rational(entries[j][i])} is not the "
-                        f"reciprocal of a[{i + 1},{j + 1}]={format_rational(entries[i][j])}",
+                        f"a[{j + 1},{i + 1}]={format_rational(*pairs[j][i])} is not the "
+                        f"reciprocal of a[{i + 1},{j + 1}]={format_rational(*pairs[i][j])}",
                     )
-        self.__dict__["pairs"] = tuple(pairs)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.pairs)
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(*pair) for pair in row) for row in self.pairs)
 
     @functools.cached_property
     def signs(self) -> tuple[tuple[int, int, int, int], tuple[int, int, int]]:
@@ -210,7 +220,7 @@ class Pcm(Record):
         return upper_signs((a12, a13, a14, a23, a24, a34))
 
     def rows_as_strings(self) -> list[list[str]]:
-        return [[format_rational(v) for v in row] for row in self.entries]
+        return [[format_rational(*pair) for pair in row] for row in self.pairs]
 
     def upper_entries(self) -> dict[tuple[int, int], Fraction]:
         """The n(n-1)/2 independent entries a_ij with i < j."""
@@ -222,18 +232,18 @@ class Pcm(Record):
 
 
 def parse_pcm(rows: Sequence[Sequence[Fraction | int | float | str]]) -> Pcm:
-    """Read each cell with ``parse_rational`` and validate the grid as a Pcm."""
+    """Read each cell with ``parse_pair`` and validate the grid as a Pcm."""
     if not isinstance(rows, Sequence) or isinstance(rows, (str, bytes)) or len(rows) == 0:
         raise NonSquareError("expected a nonempty grid of rows")
-    parsed, numerals = [], {}  # each distinct numeral string is parsed once
+    parsed, numerals = [], {}  # each distinct numeral string is read once
     for row in rows:
         if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
             raise NonSquareError("each row must be a sequence of cells")
         values = []
         for cell in row:
             if type(cell) is str and cell not in numerals:
-                numerals[cell] = parse_rational(cell)
-            values.append(numerals[cell] if type(cell) is str else parse_rational(cell))
+                numerals[cell] = parse_pair(cell)
+            values.append(numerals[cell] if type(cell) is str else parse_pair(cell))
         parsed.append(tuple(values))
     return Pcm(tuple(parsed))
 
@@ -242,19 +252,18 @@ def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int | float |
     """Build a Pcm from entries a_ij keyed (i, j), 1 <= i < j <= n; a_ji = 1/a_ij, absent pairs 1."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise NonSquareError(f"n={n!r} is not an integer")
-    grid = [[Fraction(1)] * n for _ in range(n)]
+    grid = [[(1, 1)] * n for _ in range(n)]
     for key, value in upper.items():
         i, j = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
         if not (type(i) is type(j) is int and 1 <= i < j <= n):
             raise IndexOutOfRangeError(f"{key!r} is not a pair i < j in 1..{n}")
         if isinstance(value, bool):
             raise BadNumeralError(f"a[{i},{j}]={value!r} is a bool, not a number")
-        value = parse_rational(value)
-        if value <= 0:
-            raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
-        grid[i - 1][j - 1] = value
-        grid[j - 1][i - 1] = Fraction(value.denominator, value.numerator)
-    return Pcm(tuple(tuple(row) for row in grid))
+        p, q = parse_pair(value)
+        if p <= 0:
+            raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(p, q)}")
+        grid[i - 1][j - 1], grid[j - 1][i - 1] = (p, q), (q, p)
+    return Pcm(grid)
 
 
 class WeightVector(Record):
@@ -361,7 +370,7 @@ def apply_permutation(pcm: Pcm, perm: Permutation) -> Pcm:
     if perm.n != pcm.n:
         raise DimensionMismatchError(f"permutation on 1..{perm.n} applied to a {pcm.n}x{pcm.n} matrix")
     images = [k - 1 for k in perm.mapping]  # a validated bijection: no index to check
-    rows = pcm.entries
+    rows = pcm.pairs
     return Pcm(tuple(tuple(rows[i][j] for j in images) for i in images))
 
 
@@ -417,14 +426,14 @@ def upper_signs(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], tupl
 
 
 def pcm_from_pairs(pairs: Sequence[tuple[int, int]], signs: tuple) -> Pcm:
-    """The 4x4 Pcm with upper entries n_ij / d_ij; every Pcm check runs.
-
-    ``signs`` must be ``upper_signs(pairs)``: they seed ``Pcm.signs``.
+    """The 4x4 Pcm with upper entries n_ij / d_ij, each reduced by one gcd and
+    mirrored; every Pcm check runs.  ``signs`` must be ``upper_signs(pairs)``:
+    they seed ``Pcm.signs``.
     """
-    one = Fraction(1)
-    a12, a13, a14, a23, a24, a34 = upper = [Fraction(n, d) for n, d in pairs]
-    a21, a31, a41, a32, a42, a43 = (Fraction(a.denominator, a.numerator) for a in upper)
-    pcm = Pcm(((one, a12, a13, a14), (a21, one, a23, a24), (a31, a32, one, a34), (a41, a42, a43, one)))
+    one = (1, 1)
+    a12, a13, a14, a23, a24, a34 = [(n // g, d // g) for n, d in pairs for g in [math.gcd(n, d)]]
+    pcm = Pcm(((one, a12, a13, a14), (a12[::-1], one, a23, a24),
+               (a13[::-1], a23[::-1], one, a34), (a14[::-1], a24[::-1], a34[::-1], one)))
     pcm.__dict__["signs"] = signs
     return pcm
 

@@ -18,7 +18,7 @@ from .efficiency import bcc_digraph, strongly_connected
 from .errors import BadTrialCountError
 from .generators import generate_with_rng, random_exact_weights
 from .geometry import PerturbTag, canonical_orientations, contains_cycle_region
-from .pcm import Record, float_equality_band
+from .pcm import Record
 
 
 class EquivalenceReport(Record):
@@ -41,13 +41,11 @@ class EquivalenceReport(Record):
 
 
 def trial_settings(trials: int, class_tag: PerturbTag | str) -> PerturbTag:
-    """The class a run reads, once its trial count and EFFPCM_TOL are checked:
-    every input error a run raises, raised before any trial."""
+    """The class a run reads, once its trial count is checked: every input error
+    a run raises, raised before any trial.  A run reads no environment."""
     if trials < 1:
         raise BadTrialCountError(f"trials must be >= 1, got {trials}")
-    tag = PerturbTag(class_tag)
-    float_equality_band()
-    return tag
+    return PerturbTag(class_tag)
 
 
 def run_equivalence_trials(seed: int, trials: int, class_tag: PerturbTag | str) -> EquivalenceReport:

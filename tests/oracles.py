@@ -69,6 +69,7 @@ from effpcm.pcm import (
     cycle_product,
     format_rational,
     parse_rational,
+    pcm_from_upper,
     triad_product,
 )
 from effpcm.trees import SpanningTree, _undirected
@@ -181,24 +182,24 @@ def contains_cycle_region_by_zip(digraph: BccDigraph, orientation: CycleOrientat
     return arcs <= digraph.arcs
 
 
-def validate_by_cells(entries) -> None:
-    """The Pcm checks cell by cell on Fraction properties: types and
-    positivity over the grid in row-major order, then reciprocity over the
-    upper triangle and diagonal; the library reads each integer pair once."""
-    n = len(entries)
-    if n == 0 or any(len(row) != n for row in entries):
+def validate_by_cells(pairs) -> None:
+    """The Pcm checks cell by cell on Fraction values: each cell's form and
+    positivity over the grid in row-major order, then a_ij * a_ji == 1 over the
+    upper triangle and diagonal; the library compares swapped pairs instead."""
+    n = len(pairs)
+    if n == 0 or any(len(row) != n for row in pairs):
         raise NonSquareError("entries must form a nonempty square grid")
-    for i, row in enumerate(entries, start=1):
-        for j, value in enumerate(row, start=1):
-            if not isinstance(value, (Fraction, int)) or isinstance(value, bool):
-                raise BadNumeralError(f"a[{i},{j}]={value!r} is not a Fraction or an int")
-            if value.numerator <= 0:
-                raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(value)}")
+    for i, row in enumerate(pairs, start=1):
+        for j, cell in enumerate(row, start=1):
+            if not (isinstance(cell, tuple) and len(cell) == 2 and all(type(x) is int for x in cell)
+                    and cell[1] > 0 and Fraction(*cell).as_integer_ratio() == cell):
+                raise BadNumeralError(f"a[{i},{j}]={cell!r} is not an int pair in lowest terms")
+            if Fraction(*cell) <= 0:
+                raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(Fraction(*cell))}")
     for i in range(n):
         for j in range(i, n):
-            a_ij = entries[i][j]
-            a_ji = entries[j][i]
-            if a_ij.numerator != a_ji.denominator or a_ij.denominator != a_ji.numerator:
+            a_ij, a_ji = Fraction(*pairs[i][j]), Fraction(*pairs[j][i])
+            if a_ij * a_ji != 1:
                 raise ReciprocityViolationError(
                     j + 1, i + 1,
                     f"a[{j + 1},{i + 1}]={format_rational(a_ji)} is not the reciprocal "
@@ -210,10 +211,10 @@ def apply_permutation_by_entries(pcm: Pcm, perm: Permutation) -> Pcm:
     """b_ij = a_{perm(i), perm(j)}, read entry by entry through ``entry``; the
     library indexes whole rows by the mapping instead."""
     image = perm.mapping
-    return Pcm(tuple(
-        tuple(entry(pcm, image[i - 1], image[j - 1]) for j in range(1, pcm.n + 1))
-        for i in range(1, pcm.n + 1)
-    ))
+    return pcm_from_upper(pcm.n, {
+        (i, j): entry(pcm, image[i - 1], image[j - 1])
+        for i in range(1, pcm.n + 1) for j in range(i + 1, pcm.n + 1)
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,103 @@
+"""The A/B script's summary and verdict on canned results; no process is started."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
+bench_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_ab)
+
+SPEC = {"end_to_end": [
+    {"name": "ops_per_s", "unit": "ops/s", "better": "higher", "bound": 0.24},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    {"name": "ok_ratio", "unit": "ratio", "better": "higher", "bound": 0.05},
+]}
+
+
+def _runs(base_ops, head_ops, base_rss, head_rss, correct=True):
+    return [{"seed": k, "first": "base" if k % 2 == 0 else "head",
+             "base": {"correct": True, "metrics": {"ops_per_s": b, "peak_rss_mb": br, "ok_ratio": 1.0}},
+             "head": {"correct": correct, "metrics": {"ops_per_s": h, "peak_rss_mb": hr, "ok_ratio": 1.0}}}
+            for k, (b, h, br, hr) in enumerate(zip(base_ops, head_ops, base_rss, head_rss))]
+
+
+def test_quartiles_interpolate_between_order_statistics():
+    assert bench_ab.quartiles([5]) == (5, 5, 5)
+    assert bench_ab.quartiles([4, 1, 3, 2, 5]) == (2, 3, 4)
+    assert bench_ab.quartiles([1, 2, 3, 4]) == (1.75, 2.5, 3.25)
+    with pytest.raises(ValueError):
+        bench_ab.quartiles([])
+
+
+def test_a_gain_wins_nine_tenths_and_clears_the_base_spread():
+    base = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
+    head = [b * 1.15 for b in base]
+    head[3] = 90  # one lost pair of ten
+    summary = bench_ab.summarize(_runs(base, head, [30] * 10, [31] * 10), SPEC)
+    ops = summary["ops_per_s"]
+    assert (ops["won"], ops["lost"]) == (9, 1)
+    assert ops["gain"] and not ops["breach"]
+    assert ops["base"]["median"] == 100 and ops["change"] == pytest.approx(0.15)
+    rss = summary["peak_rss_mb"]  # lower is better: +3.3% is worse, inside its 10% bound
+    assert (rss["won"], rss["lost"], rss["gain"], rss["breach"]) == (0, 10, False, False)
+    ties = summary["ok_ratio"]
+    assert (ties["won"], ties["lost"], ties["change"], ties["gain"]) == (0, 0, 0, False)
+    assert bench_ab.verdict(_runs(base, head, [30] * 10, [31] * 10), summary) == (0, [])
+
+
+def test_no_gain_when_eight_pairs_of_ten_are_won_or_the_spread_is_wider():
+    base = [100] * 10
+    head = [120] * 8 + [90, 90]
+    assert not bench_ab.summarize(_runs(base, head, [1] * 10, [1] * 10), SPEC)["ops_per_s"]["gain"]
+    base = [80, 90, 100, 110, 120, 80, 90, 100, 110, 120]  # quartiles 90 and 110
+    head = [b + 15 for b in base]
+    ops = bench_ab.summarize(_runs(base, head, [1] * 10, [1] * 10), SPEC)["ops_per_s"]
+    assert ops["won"] == 10 and not ops["gain"]
+
+
+def test_a_breached_bound_or_an_incorrect_run_exits_1():
+    runs = _runs([100] * 3, [100] * 3, [30] * 3, [33.3] * 3)
+    summary = bench_ab.summarize(runs, SPEC)
+    assert summary["peak_rss_mb"]["breach"]
+    code, reasons = bench_ab.verdict(runs, summary)
+    assert code == 1 and reasons == ["peak_rss_mb is 11.0% worse than the base, past its bound of 10%"]
+    runs = _runs([100] * 3, [70] * 3, [30] * 3, [30] * 3, correct=False)
+    code, reasons = bench_ab.verdict(runs, bench_ab.summarize(runs, SPEC))
+    assert code == 1
+    assert reasons[:3] == [f"head run on seed {k} is not correct" for k in range(3)]
+    assert reasons[3] == "ops_per_s is 30.0% worse than the base, past its bound of 24%"
+
+
+def test_a_base_median_of_zero_gives_an_absolute_change():
+    runs = _runs([100] * 2, [100] * 2, [1] * 2, [1] * 2)
+    for run, value in zip(runs, (0.0, 0.02)):
+        run["base"]["metrics"]["ok_ratio"], run["head"]["metrics"]["ok_ratio"] = 0.0, value
+    ok = bench_ab.summarize(runs, SPEC)["ok_ratio"]
+    assert ok["change"] == pytest.approx(0.01) and not ok["breach"]
+
+
+def test_the_summary_covers_every_end_to_end_metric_of_the_benchmark():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in spec["end_to_end"]]
+    runs = [{"seed": 1, "first": "base",
+             "base": {"correct": True, "metrics": dict.fromkeys(names, 1.0)},
+             "head": {"correct": True, "metrics": dict.fromkeys(names, 1.0)}}]
+    assert list(bench_ab.summarize(runs, spec)) == names
+
+
+@pytest.mark.parametrize("argv", [
+    ["--base", "HEAD", "--workload", "sampler", "--pairs", "0", "--seconds", "1"],
+    ["--base", "HEAD", "--workload", "sampler", "--pairs", "1", "--seconds", "0"],
+    ["--base", "HEAD", "--workload", "sampler", "--pairs", "1", "--seconds", "nan"],
+    ["--base", "HEAD", "--workload", "nosuch", "--pairs", "1", "--seconds", "1"],
+    ["--workload", "sampler", "--pairs", "1", "--seconds", "1"],
+], ids=["no-pairs", "no-seconds", "nan-seconds", "unknown-workload", "no-base"])
+def test_a_bad_argument_exits_2_before_any_run(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        bench_ab.main(argv)
+    assert exited.value.code == 2
+    assert "error: " in capsys.readouterr().err

@@ -12,10 +12,10 @@ from effpcm.errors import BadToleranceError, DimensionMismatchError
 from effpcm.pcm import (
     CANONICAL_CYCLES,
     DEFAULT_EQUALITY_BAND,
-    Pcm,
     Permutation,
     WeightVector,
     apply_permutation,
+    parse_pcm,
     pcm_from_upper,
     weight_vector,
 )
@@ -96,7 +96,7 @@ def _matrix_and_vector(draw):
         for a, b in ((i, j), (j, i)):
             if grid[a][b].denominator == 1 and rng.random() < 0.5:
                 grid[a][b] = int(grid[a][b])
-    return Pcm(grid), w
+    return parse_pcm(grid), w
 
 
 class TestBccOnIntegerPairs:
@@ -107,7 +107,7 @@ class TestBccOnIntegerPairs:
     @settings(max_examples=200, deadline=None)
     @given(_matrix_and_vector(), st.sampled_from([0.0, DEFAULT_EQUALITY_BAND, 1e-3]))
     # 1.0 / 0.001 rounds to 1000.0, but the given floats' ratio is not 1000
-    @example((Pcm([[1, 1000], [Fraction(1, 1000), 1]]),
+    @example((parse_pcm([[1, 1000], [Fraction(1, 1000), 1]]),
               WeightVector((Fraction(1.0), Fraction(0.001)), Fraction(DEFAULT_EQUALITY_BAND))), 0.0)
     def test_digraph_and_verdict_match_the_oracles(self, matrix_and_vector, band):
         pcm, w = matrix_and_vector
@@ -230,7 +230,7 @@ class TestPairSigns:
         band = 1e-9
         floats = weight_vector([float(target) * (1 + k * band), 1.0])
         w = WeightVector(floats.components, Fraction(band))
-        pcm = Pcm(((1, target), (1 / target, 1)))
+        pcm = pcm_from_upper(2, {(1, 2): target})
         assert _pair_sign(bcc_digraph(pcm, w), 1, 2) == sign
 
 

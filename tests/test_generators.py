@@ -12,7 +12,8 @@ from effpcm.generators import generate_pcm, generate_with_rng, random_exact_weig
 from effpcm.generators import UPPER_PAIRS, OPPOSITE_PAIRS, TRIAD_SHARING_PAIRS
 from effpcm.efficiency import BccDigraph
 from effpcm.geometry import CycleOrientation, PerturbTag, classify
-from effpcm.pcm import Pcm, WeightVector, parse_pcm
+import effpcm.pcm
+from effpcm.pcm import Pcm, WeightVector, parse_pcm, pcm_from_pairs, upper_signs
 from effpcm.sampling import run_equivalence_trials
 from oracles import normalized
 
@@ -136,3 +137,32 @@ def test_one_record_of_each_kind_per_trial(monkeypatch):
             run_equivalence_trials(seed, 1, tag)
             names = sorted(cls.__name__ for cls in built)
             assert names == ["BccDigraph", "Pcm", "WeightVector"], (tag, seed)
+
+
+def test_a_trial_builds_no_fraction_entries(monkeypatch):
+    """A sampler trial's Pcm is its integer pairs: no trial reads ``entries``, and
+    ``pcm_from_pairs`` and ``parse_pcm`` of numerals run with Fraction made to raise."""
+    built = []
+    original = Pcm.__post_init__
+
+    def keeping(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Pcm, "__post_init__", keeping)
+    for tag in ALL_TAGS:
+        run_equivalence_trials(31, 20, tag)
+    assert len(built) == 20 * len(ALL_TAGS)
+    assert not any("entries" in pcm.__dict__ for pcm in built)
+
+    pairs = [(6, 4), (10**20, 3), (7, 7), (2, 9), (18, 4), (5, 1)]
+    expected = pcm_from_pairs(pairs, upper_signs(pairs))
+    rows = expected.rows_as_strings()
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(effpcm.pcm, "Fraction", no_fraction)
+    assert pcm_from_pairs(pairs, upper_signs(pairs)) == expected
+    assert parse_pcm(rows) == expected
+    assert parse_pcm([["1", "0.25"], ["4", "1"]]).pairs == (((1, 1), (1, 4)), ((4, 1), (1, 1)))

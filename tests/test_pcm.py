@@ -28,7 +28,7 @@ from effpcm.errors import (
     UnsupportedDimensionError,
 )
 from effpcm.export import weights_from_document
-from effpcm.generators import generate_with_rng
+from effpcm.generators import UPPER_PAIRS, generate_with_rng
 from effpcm.geometry import PerturbTag
 from effpcm.pcm import (
     CANONICAL_CYCLES,
@@ -41,10 +41,13 @@ from effpcm.pcm import (
     consistent_weights,
     cycle_product,
     format_rational,
+    parse_pair,
     parse_pcm,
     parse_rational,
+    pcm_from_pairs,
     pcm_from_upper,
     triad_product,
+    upper_signs,
     weight_vector,
 )
 from oracles import (
@@ -80,7 +83,7 @@ _GRID_CELLS = st.sampled_from([
 
 
 def _parse_cell_by_cell(rows):
-    return Pcm(tuple(tuple(parse_rational(cell) for cell in row) for row in rows))
+    return Pcm(tuple(tuple(parse_rational(cell).as_integer_ratio() for cell in row) for row in rows))
 
 
 # Spellings of each value the random grids use, repeated across the grid.
@@ -157,15 +160,14 @@ class TestParsing:
             for j in range(1, 5):
                 assert entry(pcm, i, j) * entry(pcm, j, i) == 1
 
-    @pytest.mark.parametrize("entries", [
-        ((1.0, 2.0), (0.5, 1.0)),
-        ((Fraction(1), True), (Fraction(1), Fraction(1))),
-        ((Fraction(1), "2"), (Fraction(1, 2), Fraction(1))),
-        ((Fraction(1), None), (Fraction(1), Fraction(1))),
+    @pytest.mark.parametrize("cell", [
+        (2.0, 1), (True, 1), (2, True), ("2", 1), None, 2, Fraction(2), [2, 1], (2,), (2, 1, 1),
+        (4, 2), (-2, -1), (2, -1), (2, 0), (0, 2),
     ])
-    def test_non_rational_entries_rejected(self, entries):
-        with pytest.raises(BadNumeralError):
-            Pcm(entries)
+    def test_non_rational_entries_rejected(self, cell):
+        """A cell is an int pair, no bool, in lowest terms with a positive denominator."""
+        with pytest.raises(BadNumeralError, match=r"^BadNumeral: a\[1,2\]=.* is not an int pair in lowest terms$"):
+            Pcm((((1, 1), cell), ((1, 2), (1, 1))))
 
     @settings(max_examples=300)
     @given(_grids())
@@ -184,7 +186,7 @@ class TestParsing:
         assert parse_pcm(rows) == _parse_cell_by_cell(rows)
 
     def test_int_entries_accepted(self):
-        pcm = Pcm(((1, 2), (Fraction(1, 2), 1)))
+        pcm = parse_pcm(((1, 2), (Fraction(1, 2), 1)))
         assert pcm.rows_as_strings() == [["1", "2"], ["1/2", "1"]]
 
 
@@ -243,6 +245,34 @@ class TestPcmFromUpper:
             pcm_from_upper(2, {(1, 2): value})
 
 
+# Six upper entries as pairs, small or large, often sharing a factor: not in lowest terms.
+_UNREDUCED_UPPER = st.lists(
+    st.builds(lambda n, d, k: (n * k, d * k),
+              st.one_of(st.integers(1, 12), st.integers(1, 10**20)),
+              st.one_of(st.integers(1, 12), st.integers(1, 10**20)),
+              st.sampled_from([1, 1, 2, 6, 10**9 + 7])),
+    min_size=6, max_size=6,
+)
+
+
+class TestBuildersAgree:
+    """``pcm_from_pairs``, ``pcm_from_upper`` and ``parse_pcm`` of the printed rows
+    build one record: equal, with equal hashes, entries and signs."""
+
+    @settings(max_examples=200)
+    @given(_UNREDUCED_UPPER)
+    def test_one_record_from_every_builder(self, pairs):
+        from_pairs = pcm_from_pairs(pairs, upper_signs(pairs))
+        from_upper = pcm_from_upper(4, {key: Fraction(n, d) for key, (n, d) in zip(UPPER_PAIRS, pairs)})
+        printed = parse_pcm(from_pairs.rows_as_strings())
+        for pcm in (from_upper, printed):
+            assert pcm == from_pairs and hash(pcm) == hash(from_pairs)
+            assert pcm.entries == from_pairs.entries
+            assert pcm.signs == from_pairs.signs
+        assert [from_pairs.entries[i - 1][j - 1] for i, j in UPPER_PAIRS] == [
+            Fraction(n, d) for n, d in pairs]
+
+
 def _parse_outcome(parse, value):
     """The parsed value, or the type and message of the error raised."""
     try:
@@ -292,6 +322,31 @@ class TestParseRationalByGroups:
         assert parse_rational(" -0.5\t") == Fraction(-1, 2)
         assert parse_rational("+3/4 ") == Fraction(3, 4)
         assert parse_rational("\n\r\f\v7\n\r\f\v") == Fraction(7)
+
+    @given(st.one_of(st.text(_NUMERAL_ALPHABET, max_size=24), _BUILT_NUMERALS))
+    def test_pair_reader_matches_fraction_string(self, text):
+        """``parse_pair`` reads the oracle's value as a reduced pair, or raises its error."""
+        assert _parse_outcome(parse_pair, text) == _parse_outcome(
+            lambda t: parse_rational_by_fraction_string(t).as_integer_ratio(), text)
+
+    @pytest.mark.parametrize("value,expected", [
+        ("1/0", (BadNumeralError, "BadNumeral: '1/0' (Fraction(1, 0))")),
+        ("-3/0", (BadNumeralError, "BadNumeral: '-3/0' (Fraction(-3, 0))")),
+        ("0." + "1" * 16, (BadNumeralError,
+                           f"BadNumeral: '0.{'1' * 16}' is not 'p', 'p/q' or a short decimal")),
+        ("0." + "1" * 15, (int("1" * 15), 10**15)),
+        ("-0.25", (-1, 4)), ("-0.0", (0, 1)), ("0/7", (0, 1)), ("+6/4", (3, 2)), ("-12/8", (-3, 2)),
+        ("9." + "0" * 15, (9, 1)), (" 07\t", (7, 1)), (12, (12, 1)), (Fraction(6, 4), (3, 2)),
+        (0.1, (1, 10)), (2.5, (5, 2)),
+    ])
+    def test_pair_reader_fixed_cases(self, value, expected):
+        """Reduced pairs with a positive denominator, and the oracle's errors word for word."""
+        outcome = _parse_outcome(parse_pair, value)
+        assert outcome == expected
+        assert outcome == _parse_outcome(
+            lambda v: parse_rational_by_fraction_string(v).as_integer_ratio(), value)
+        if type(expected[0]) is int:
+            assert type(outcome) is tuple and all(type(part) is int for part in outcome)
 
     @pytest.mark.parametrize("value", ["\u30001\u3000", "\x1c2", "\u20283/4", "\x855", "\xa06"])
     def test_padding_outside_ascii_is_refused(self, value):
@@ -387,7 +442,7 @@ class TestOneReader:
                      id="weights-float-and-numeral"),
         pytest.param(lambda: pcm_from_upper(2, {(1, 2): None}), BadNumeralError, id="upper-none"),
         pytest.param(lambda: parse_pcm([[Fraction(1), Fraction(1, 2)], ["2", 1]]),
-                     Pcm(((1, Fraction(1, 2)), (2, 1))), id="grid-fraction-cell"),
+                     pcm_from_upper(2, {(1, 2): Fraction(1, 2)}), id="grid-fraction-cell"),
     ])
     def test_reader_faults(self, build, expected):
         """Each value is refused with BadNumeral or read by the numeral rule."""
@@ -424,10 +479,10 @@ class TestReciprocitySwapCheck:
         a21 = (int(inverse) if inverse.denominator == 1 else inverse) if invert else other
         reciprocal = a11 * a11 == 1 and a22 * a22 == 1 and a12 * a21 == 1
         if reciprocal:
-            Pcm(((a11, a12), (a21, a22)))
+            parse_pcm(((a11, a12), (a21, a22)))
         else:
             with pytest.raises(ReciprocityViolationError):
-                Pcm(((a11, a12), (a21, a22)))
+                parse_pcm(((a11, a12), (a21, a22)))
 
 
 def _validation_outcome(check, entries):
@@ -439,32 +494,33 @@ def _validation_outcome(check, entries):
     return None
 
 
-# A faulty cell: zero, negative, not the reciprocal of its mirror, a bool, a float.
+# A faulty cell (n, d): zero, negative, not the reciprocal of its mirror, a bool,
+# a float, not in lowest terms, a negative denominator, a Fraction.
 _BAD_KINDS = {
-    "zero": lambda value: Fraction(0),
-    "negative": lambda value: -value,
-    "non-reciprocal": lambda value: value * 2,
-    "bool": lambda value: True,
-    "float": lambda value: float(value),
+    "zero": lambda n, d: (0, 1),
+    "negative": lambda n, d: (-n, d),
+    "non-reciprocal": lambda n, d: Fraction(2 * n, d).as_integer_ratio(),
+    "bool": lambda n, d: (True, d),
+    "float": lambda n, d: (float(n), d),
+    "unreduced": lambda n, d: (2 * n, 2 * d),
+    "negative-denominator": lambda n, d: (-n, -d),
+    "fraction": lambda n, d: Fraction(n, d),
 }
 
 
 def _valid_grid(n: int, rng: random.Random) -> list[list]:
-    """A reciprocal n x n grid; whole entries are ints or Fractions at random."""
-    grid = [[rng.choice([1, Fraction(1)]) for _ in range(n)] for _ in range(n)]
+    """A reciprocal n x n grid of reduced pairs, in lists."""
+    grid = [[(1, 1)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            value = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            grid[i][j], grid[j][i] = value, 1 / value
-            for a, b in ((i, j), (j, i)):
-                if grid[a][b].denominator == 1 and rng.random() < 0.5:
-                    grid[a][b] = int(grid[a][b])
+            p, q = Fraction(rng.randint(1, 9), rng.randint(1, 9)).as_integer_ratio()
+            grid[i][j], grid[j][i] = (p, q), (q, p)
     return grid
 
 
 class TestValidationOnIntegerPairs:
-    """``Pcm`` reads each entry's integer pair once; it must raise what the
-    cell-by-cell loop raises, with the same message, at the same cell."""
+    """``Pcm`` compares swapped integer pairs; it must raise what the cell-by-cell
+    loop on Fraction values raises, with the same message, at the same cell."""
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("kind", list(_BAD_KINDS))
@@ -472,7 +528,7 @@ class TestValidationOnIntegerPairs:
         rng = random.Random(n)
         for i, j in itertools.product(range(n), repeat=2):
             grid = _valid_grid(n, rng)
-            grid[i][j] = _BAD_KINDS[kind](grid[i][j])
+            grid[i][j] = _BAD_KINDS[kind](*grid[i][j])
             expected = _validation_outcome(validate_by_cells, grid)
             assert expected is not None
             assert _validation_outcome(Pcm, grid) == expected, (i, j, kind)
@@ -482,17 +538,20 @@ class TestValidationOnIntegerPairs:
         kinds = list(_BAD_KINDS)
         for _ in range(400):
             n = rng.randint(2, 6)
-            grid = _valid_grid(n, rng)
+            valid = _valid_grid(n, rng)
+            grid = [list(row) for row in valid]
             for _ in range(2):
                 i, j = rng.randrange(n), rng.randrange(n)
-                grid[i][j] = _BAD_KINDS[rng.choice(kinds)](grid[i][j])
+                grid[i][j] = _BAD_KINDS[rng.choice(kinds)](*valid[i][j])
             assert _validation_outcome(Pcm, grid) == _validation_outcome(validate_by_cells, grid)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5, 12])
     def test_valid_grids_pass(self, n):
         grid = _valid_grid(n, random.Random(n))
         assert _validation_outcome(validate_by_cells, grid) is None
-        assert Pcm(grid).entries == tuple(map(tuple, grid))
+        pcm = Pcm(grid)
+        assert pcm.pairs == tuple(map(tuple, grid))
+        assert pcm.entries == tuple(tuple(Fraction(*pair) for pair in row) for row in grid)
 
 
 class TestTriadAndCycleProducts:
@@ -633,20 +692,23 @@ class TestProductSigns:
                 pcm.signs
 
     def test_stored_signs_leave_the_record_as_it_was(self, running_example):
-        """The kept signs and integer pairs sit outside the fields."""
+        """The kept signs and Fraction entries sit outside the fields."""
         signs = running_example.signs
         assert running_example.signs is signs
         pairs = running_example.pairs
-        assert pairs == tuple(tuple(a.as_integer_ratio() for a in row) for row in running_example.entries)
+        entries = running_example.entries
+        assert running_example.entries is entries
+        assert pairs == tuple(tuple(a.as_integer_ratio() for a in row) for row in entries)
         assert type(pairs) is tuple and all(type(row) is tuple for row in pairs)
         assert all(type(pair) is tuple for row in pairs for pair in row)
         fresh = parse_pcm(running_example.rows_as_strings())
         assert running_example == fresh and fresh == running_example
         assert hash(running_example) == hash(fresh)
         assert repr(running_example) == repr(fresh)
-        assert "pairs" not in repr(fresh) and "signs" not in repr(running_example)
-        with pytest.raises(AttributeError):
-            running_example.entries = fresh.entries
+        assert "entries" not in repr(running_example) and "signs" not in repr(running_example)
+        for name in ("pairs", "entries"):
+            with pytest.raises(AttributeError):
+                setattr(running_example, name, getattr(fresh, name))
 
 
 @st.composite

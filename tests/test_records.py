@@ -49,7 +49,7 @@ W = weight_vector([1, 2, 3, 4])
 
 # class: (its fields in declaration order, one instance, an unequal instance)
 SAMPLES = {
-    Pcm: (("entries",), RUNNING, SIMPLE),
+    Pcm: (("pairs",), RUNNING, SIMPLE),
     WeightVector: (("components", "band"), W, WeightVector(W.components, Fraction(1, 10**9))),
     Permutation: (("mapping",), Permutation((2, 1, 3, 4)), Permutation((1, 2, 3, 4))),
     BccDigraph: (("n", "arcs", "equality_pairs"), bcc_digraph(RUNNING, W),
@@ -174,11 +174,9 @@ class TestRecords:
 
 @pytest.mark.parametrize("build,error", [
     (lambda: Pcm(()), NonSquareError),
-    (lambda: Pcm(((Fraction(1), Fraction(2)),)), NonSquareError),
-    (lambda: Pcm(((Fraction(1), Fraction(-2)), (Fraction(-1, 2), Fraction(1)))),
-     NonPositiveEntryError),
-    (lambda: Pcm(((Fraction(1), Fraction(2)), (Fraction(1, 3), Fraction(1)))),
-     ReciprocityViolationError),
+    (lambda: parse_pcm([["1", "2"]]), NonSquareError),
+    (lambda: parse_pcm([["1", "-2"], ["-1/2", "1"]]), NonPositiveEntryError),
+    (lambda: parse_pcm([["1", "2"], ["1/3", "1"]]), ReciprocityViolationError),
     (lambda: WeightVector((), 0), NonPositiveWeightError),
     (lambda: WeightVector((Fraction(1), 0.5), 0), NonPositiveWeightError),
     (lambda: Permutation((1, 1, 3)), IndexOutOfRangeError),
@@ -224,14 +222,14 @@ def test_pcm_validation_is_an_own_method_called_through_the_instance(monkeypatch
 
 
 def test_records_built_from_lists_equal_their_tuple_twins_and_stay_unchanged():
-    rows = [list(row) for row in RUNNING.entries]
+    rows = [list(row) for row in RUNNING.pairs]
     components = list(W.components)
     mapping = [2, 1, 3, 4]
     edges = [(1, 2), (2, 3), (3, 4)]
     twins = [(Pcm(rows), RUNNING), (WeightVector(components, 0), W),
              (Permutation(mapping), Permutation((2, 1, 3, 4))),
              (SpanningTree(4, edges), path_tree((1, 2, 3, 4)))]
-    rows[0][1] = Fraction(-5)
+    rows[0][1] = (-5, 1)
     rows.pop()
     components[0] = Fraction(9)
     mapping[0] = 7
