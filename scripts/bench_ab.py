@@ -1,14 +1,15 @@
 """A/B benchmark of this checkout against an earlier commit, in alternating pairs.
 
-    python scripts/bench_ab.py --base REV --workload W --pairs N --seconds S [--seed K] [--out PATH]
+    python scripts/bench_ab.py [--base REV] --workload W [--pairs N] [--seconds S] [--seed K] [--out PATH]
 
-Exports REV with ``git archive`` into a temporary directory, then runs each
-tree's own ``perfbench/run.py --trace 0`` once per pair, pair k on seed
-K + k, with the base tree first in even pairs and the checkout first in odd
-ones.  Writes BENCH_<W>.json at the repository root (or PATH): every run's
-end-to-end metrics and, per metric, each side's median and quartiles, the
-pairs the checkout won and lost, and a verdict against the bounds that
-BENCHMARK.json fixes; that file is read, never written.  A change is
+REV defaults to HEAD, N to 10, S to 20 and K to 1.  Exports REV with
+``git archive`` into a temporary directory, then runs each tree's own
+``perfbench/run.py --trace 0`` once per pair, pair k on seed K + k, with the
+base tree first in even pairs and the checkout first in odd ones.  Writes
+BENCH_<W>.json at the repository root (or PATH): every run's end-to-end
+metrics and, per metric, each side's median and quartiles, the pairs the
+checkout won and lost, and a verdict against the bounds that BENCHMARK.json
+fixes; that file is read, never written.  A change is
 relative to the base's median, or absolute where that median is 0.
 
 A metric is a breach when the checkout's median is worse than the base's by
@@ -103,15 +104,20 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def _parse(argv) -> argparse.Namespace:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--base", required=True, help="the commit to compare against")
+    parser.add_argument("--base", default="HEAD", help="the commit to compare against (default HEAD)")
     parser.add_argument("--workload", required=True, choices=[w["name"] for w in SPEC["workloads"]])
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs of runs (default 10)")
+    parser.add_argument("--seconds", type=float, default=20.0, help="seconds per run (default 20)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
     parser.add_argument("--out", type=Path, help="result file (default BENCH_<workload>.json)")
+    return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")

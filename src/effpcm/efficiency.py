@@ -6,15 +6,15 @@ this digraph is strongly connected; for tournaments (no perfectly estimated
 pair) that is in turn equivalent to having a directed Hamiltonian cycle.
 
 ``bcc_digraph`` is the one place where a weight ratio meets its entry, and
-it signs every pair by one rule on integers.  Every weight is read once as
-p/q, each entry as ``Pcm.pairs`` keeps it, and the vector's own equality
-band as b_n/b_d: the float band for a vector read from floats, so that a
-perfectly estimated pair is still recognized as carrying both arcs, and 0
-for an exact one.  With lhs = p_i q_j den and rhs = num p_j q_i, the pair
-is an equality when |lhs - rhs| b_d <= b_n rhs, that is when
-|w_i/w_j - a_ij| <= band * a_ij, and otherwise takes the sign of lhs - rhs.
-The digraph is a function of the matrix and the vector alone.  The region
-test of ``geometry`` reads it.
+it signs every pair by one rule on integers.  The weights are read as the
+numerators x_i of their integer form x / d, each entry as num/den from
+``Pcm.pairs``, and the vector's own equality band as b_n/b_d: the float
+band for a vector read from floats, so that a perfectly estimated pair is
+still recognized as carrying both arcs, and 0 for an exact one.  With
+lhs = x_i den and rhs = num x_j, the pair is an equality when
+|lhs - rhs| b_d <= b_n rhs, that is when |w_i/w_j - a_ij| <= band * a_ij,
+and otherwise takes the sign of lhs - rhs.  The digraph is a function of
+the matrix and the vector alone.  The region test of ``geometry`` reads it.
 """
 
 from __future__ import annotations
@@ -36,14 +36,13 @@ def bcc_digraph(pcm: Pcm, w: WeightVector) -> BccDigraph:
     if pcm.n != w.n:
         raise DimensionMismatchError(f"{pcm.n}x{pcm.n} matrix with {w.n}-weight vector")
     band_num, band_den = w.band.as_integer_ratio()
-    weights = [c.as_integer_ratio() for c in w.components]
+    x = w.numerators
     arcs = set()
     equalities = set()
     for i, row in enumerate(pcm.pairs, start=1):
-        pi, qi = weights[i - 1]
+        xi = x[i - 1]
         for j, (num, den) in enumerate(row[i:], start=i + 1):
-            pj, qj = weights[j - 1]
-            lhs, rhs = pi * qj * den, num * pj * qi
+            lhs, rhs = xi * den, num * x[j - 1]
             sign = 0 if abs(lhs - rhs) * band_den <= band_num * rhs else (lhs > rhs) - (lhs < rhs)
             if sign >= 0:
                 arcs.add((i, j))

@@ -10,8 +10,8 @@ from an explicit random.Random, so a seed reproduces the matrix bit for bit.
 
 from __future__ import annotations
 
+import math
 import random
-from fractions import Fraction
 
 from .errors import GenerationFailedError
 from .geometry import PerturbTag, classify_signs
@@ -109,5 +109,5 @@ def generate_pcm(seed: int, class_tag: PerturbTag | str) -> Pcm:
 def random_exact_weights(rng: random.Random) -> WeightVector:
     """A random exact normalized weight vector with integer-born components."""
     draws = [rng.randint(1, WEIGHT_MAX_COMPONENT) for _ in range(WEIGHT_COUNT)]
-    total = sum(draws)
-    return WeightVector(tuple(Fraction(k, total) for k in draws), 0)
+    g = math.gcd(*draws)  # it divides their total too
+    return WeightVector(tuple([k // g for k in draws]), sum(draws) // g, 0)

@@ -199,7 +199,7 @@ class Tetrahedron(Record):
     @functools.cached_property
     def vertices(self) -> tuple[WeightVector, WeightVector, WeightVector, WeightVector]:
         """Each point as its normalized exact weight vector, built when first read."""
-        return tuple(WeightVector(tuple(Fraction(x, t) for x in p), 0) for p in self.points for t in [sum(p)])
+        return tuple(WeightVector(p, sum(p), 0) for p in self.points)  # gcd(p) = 1: in lowest terms
 
     @functools.cached_property
     def embedded(self) -> tuple[tuple[float, float, float], ...]:

@@ -267,40 +267,48 @@ def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int | float |
 
 
 class WeightVector(Record):
-    """A positive weight vector of exact components, with the equality band its pairs
-    are compared with: 0 for exact input, the float band for a vector read from floats."""
+    """A positive weight vector x_i / d, gcd(d, x_1, ..., x_n) = 1, with the equality band its
+    pairs are compared with: 0 for exact input, the float band for a vector read from floats."""
 
-    components: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
     band: Fraction | int
 
     def __post_init__(self):
-        components = self.__dict__["components"] = tuple(self.components)
-        if len(components) == 0:
+        x = self.__dict__["numerators"] = tuple(self.numerators)
+        d = self.denominator
+        if len(x) == 0:
             raise NonPositiveWeightError("empty weight vector")
-        for c in components:
-            if not isinstance(c, Fraction):
-                raise NonPositiveWeightError(f"component {c!r} must be a Fraction")
-            if c.numerator <= 0:
-                raise NonPositiveWeightError(f"component {c!r}")
+        if type(d) is not int or d <= 0:
+            raise NonPositiveWeightError(f"denominator {d!r} is not a positive int")
+        for c in x:
+            if type(c) is not int:
+                raise NonPositiveWeightError(f"component {c!r} must be an int numerator")
+            if c <= 0:
+                raise NonPositiveWeightError(f"component {format_rational(c, d)}")
+        if math.gcd(d, *x) != 1:
+            raise NonPositiveWeightError(f"{x} / {d} is not in lowest terms")
         band = self.band
         if not isinstance(band, (Fraction, int)) or isinstance(band, bool) or band < 0:
             raise BadToleranceError(f"band={band!r} is not a Fraction or an int >= 0")
 
     @property
     def n(self) -> int:
-        return len(self.components)
+        return len(self.numerators)
+
+    @property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(x, d): the components are x_i / d."""
+        return self.numerators, self.denominator
 
     @functools.cached_property
-    def integer_form(self) -> tuple[tuple[int, ...], int]:
-        """(x, d): the components are x_i / d, d the lcm of their denominators."""
-        pairs = [c.as_integer_ratio() for c in self.components]
-        d = math.lcm(*(q for _, q in pairs))
-        return tuple([p * (d // q) for p, q in pairs]), d
+    def components(self) -> tuple[Fraction, ...]:  # for the few readers that want Fractions
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
     def as_strings(self) -> list[str]:
         if self.band:  # read from floats: each component is a float's exact value
-            return [repr(float(c)) for c in self.components]
-        return [format_rational(c) for c in self.components]
+            return [repr(x / self.denominator) for x in self.numerators]
+        return [format_rational(x, self.denominator) for x in self.numerators]
 
 
 DEFAULT_EQUALITY_BAND = 1e-9
@@ -324,28 +332,31 @@ def float_equality_band() -> float:
 
 
 def weight_vector(values: Sequence) -> WeightVector:
-    """The WeightVector of the values read by parse_rational, band 0, or, if a value is a
-    float, of every value's float read exactly, with the band of ``float_equality_band``.
-    The values are checked first; the band is read and checked for every vector."""
+    """The WeightVector of the values read by parse_pair, band 0, or, if a value is a
+    float, of every value's float read exactly, with the band of ``float_equality_band``;
+    d is the lcm of the values' denominators.  The values are checked first; the band is
+    read and checked for every vector."""
     if isinstance(values, (str, bytes)):
         raise BadNumeralError(f"{values!r} is one value, not a sequence of weights")
     if not isinstance(values, Sequence):  # as parse_pcm's rows: a set has no order to give
         raise BadNumeralError(f"a {type(values).__name__} is not a sequence of weights")
-    values = [v if isinstance(v, float) else parse_rational(v) for v in values]
-    if not any(isinstance(v, float) for v in values):
-        vector = WeightVector(values, 0)
+    values, band = [v if isinstance(v, float) else parse_pair(v) for v in values], 0
+    if any(isinstance(v, float) for v in values):
+        try:
+            floats = [float(v) if isinstance(v, float) else v[0] / v[1] for v in values]
+        except OverflowError:  # an int or Fraction that no float holds
+            raise NonFiniteWeightError("a component is past the float range") from None
+        for c in floats:
+            if not c > 0:  # NaN fails c > 0
+                raise NonPositiveWeightError(f"component {c!r}")
+            if not math.isfinite(c):
+                raise NonFiniteWeightError(f"component {c!r}")
+        values, band = [c.as_integer_ratio() for c in floats], Fraction(float_equality_band())
+    d = math.lcm(*(q for _, q in values))
+    vector = WeightVector(tuple([p * (d // q) for p, q in values]), d, band)
+    if not band:
         float_equality_band()  # read, and so checked, for an exact vector too
-        return vector
-    try:
-        floats = [float(v) for v in values]
-    except OverflowError:  # an int or Fraction that no float holds
-        raise NonFiniteWeightError("a component is past the float range") from None
-    for c in floats:
-        if not c > 0:  # NaN fails c > 0
-            raise NonPositiveWeightError(f"component {c!r}")
-        if not math.isfinite(c):
-            raise NonFiniteWeightError(f"component {c!r}")
-    return WeightVector([Fraction(c) for c in floats], Fraction(float_equality_band()))
+    return vector
 
 
 class Permutation(Record):
@@ -447,6 +458,8 @@ def consistent_weights(pcm: Pcm) -> WeightVector:
         (p_ij, q_ij), (p_jn, q_jn), (p_in, q_in) = pairs[i][j], pairs[j][-1], pairs[i][-1]
         if p_ij * p_jn * q_in != q_ij * q_jn * p_in:
             raise NotConsistentError(f"triad ({i + 1},{j + 1},{pcm.n}) is inconsistent")
-    column = [row[-1] for row in pcm.entries]
-    total = sum(column)
-    return WeightVector(tuple(a / total for a in column), 0)
+    # a_nn = 1 makes x_n = d, so gcd(x) = gcd(d, x) = 1 and x / sum(x) is reduced
+    column = [row[-1] for row in pairs]
+    d = math.lcm(*(q for _, q in column))
+    x = tuple([p * (d // q) for p, q in column])
+    return WeightVector(x, sum(x), 0)

@@ -12,7 +12,7 @@ vector is those integers over their total.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .efficiency import _walk
 from .errors import DimensionMismatchError, NotACanonicalCycleError, NotASpanningTreeError
@@ -82,5 +82,5 @@ def tree_integers(pcm: Pcm, tree: SpanningTree) -> list[int]:
 def tree_weight_vector(pcm: Pcm, tree: SpanningTree) -> WeightVector:
     """The unique normalized exact vector with w_i/w_j = a_ij on every tree edge."""
     scaled = tree_integers(pcm, tree)
-    total = sum(scaled)
-    return WeightVector(tuple([Fraction(x, total) for x in scaled]), 0)
+    g = math.gcd(*scaled)  # it divides their total too
+    return WeightVector(tuple([x // g for x in scaled]), sum(scaled) // g, 0)

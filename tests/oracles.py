@@ -97,14 +97,25 @@ def ratio(w: WeightVector, i: int, j: int):
     return w.components[i - 1] / w.components[j - 1]
 
 
+def vector_of(components, band=0) -> WeightVector:
+    """The WeightVector of rational components with the given band: each component
+    times the product of the denominators, all divided by one gcd; the library forms
+    x / d over the lcm of the denominators instead."""
+    fractions = [Fraction(c) for c in components]
+    d = math.prod(c.denominator for c in fractions)
+    x = [c.numerator * (d // c.denominator) for c in fractions]
+    g = math.gcd(d, *x)
+    return WeightVector(tuple(v // g for v in x), d // g, band)
+
+
 def scaled(w: WeightVector, factor) -> WeightVector:
-    return WeightVector(tuple(c * factor for c in w.components), w.band)
+    return vector_of([c * factor for c in w.components], w.band)
 
 
 def normalized(w: WeightVector) -> WeightVector:
     """w / sum(w) by Fraction division, with w's band."""
     total = sum(w.components)
-    return WeightVector(tuple(c / total for c in w.components), w.band)
+    return vector_of([c / total for c in w.components], w.band)
 
 
 def identity_permutation(n: int) -> Permutation:
@@ -122,7 +133,7 @@ def permute_weights(w: WeightVector, perm: Permutation) -> WeightVector:
     """Reindex a weight vector consistently with apply_permutation: v_i = w_{perm(i)}."""
     if perm.n != w.n:
         raise DimensionMismatchError("permutation and weight vector lengths differ")
-    return WeightVector(tuple(w.components[k - 1] for k in perm.mapping), w.band)
+    return vector_of([w.components[k - 1] for k in perm.mapping], w.band)
 
 
 def is_consistent(pcm: Pcm) -> bool:
@@ -354,7 +365,7 @@ def find_dominator_sample(
             c * Fraction(f).limit_denominator(10 ** 6)
             for c, f in zip(w.components, factors)
         )
-        candidate = normalized(WeightVector(components, w.band))
+        candidate = normalized(vector_of(components, w.band))
         if dominates(pcm, candidate, w).dominates:
             return candidate
     return None
@@ -463,7 +474,7 @@ def tree_weight_vector_by_fractions(pcm: Pcm, tree: SpanningTree) -> WeightVecto
     for parent, child in _walk(_undirected(pcm.n, tree.edges), pcm.n):
         # w_child / w_parent = a_{child,parent} on a tree edge
         raw[child] = raw[parent] * pcm.entries[child - 1][parent - 1]
-    return normalized(WeightVector(tuple(raw[v] for v in range(1, pcm.n + 1)), 0))
+    return normalized(vector_of([raw[v] for v in range(1, pcm.n + 1)]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The A/B script's summary and verdict on canned results; no process is started."""
+"""The A/B script's arguments, summary and verdict on canned results; no process is started."""
 
 import importlib.util
 import json
@@ -94,10 +94,18 @@ def test_the_summary_covers_every_end_to_end_metric_of_the_benchmark():
     ["--base", "HEAD", "--workload", "sampler", "--pairs", "1", "--seconds", "0"],
     ["--base", "HEAD", "--workload", "sampler", "--pairs", "1", "--seconds", "nan"],
     ["--base", "HEAD", "--workload", "nosuch", "--pairs", "1", "--seconds", "1"],
-    ["--workload", "sampler", "--pairs", "1", "--seconds", "1"],
-], ids=["no-pairs", "no-seconds", "nan-seconds", "unknown-workload", "no-base"])
+    ["--base", "HEAD", "--pairs", "1", "--seconds", "1"],
+], ids=["no-pairs", "no-seconds", "nan-seconds", "unknown-workload", "no-workload"])
 def test_a_bad_argument_exits_2_before_any_run(argv, capsys):
     with pytest.raises(SystemExit) as exited:
         bench_ab.main(argv)
     assert exited.value.code == 2
     assert "error: " in capsys.readouterr().err
+
+
+def test_the_defaults_are_ten_20_second_pairs_against_head():
+    args = bench_ab._parser().parse_args(["--workload", "sampler"])
+    assert (args.base, args.pairs, args.seconds, args.seed, args.out) == ("HEAD", 10, 20.0, 1, None)
+    args = bench_ab._parser().parse_args(["--workload", "export", "--base", "abc123", "--pairs", "1",
+                                          "--seconds", "1", "--seed", "601"])
+    assert (args.base, args.pairs, args.seconds, args.seed) == ("abc123", 1, 1.0, 601)

@@ -37,6 +37,7 @@ from oracles import (
     permute_weights,
     scaled,
     strongly_connected_by_closure,
+    vector_of,
 )
 from test_pcm import positive_rationals, random_pcm4
 
@@ -74,7 +75,7 @@ def _matrix_and_vector(draw):
     exact = draw(st.booleans())
     components = draw(st.lists(_COMPONENTS if exact else _FLOAT_COMPONENTS,
                                min_size=n, max_size=n))
-    w = WeightVector(tuple(map(Fraction, components)), 0 if exact else Fraction(DEFAULT_EQUALITY_BAND))
+    w = vector_of(components, 0 if exact else Fraction(DEFAULT_EQUALITY_BAND))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     kinds = draw(st.lists(st.sampled_from(["equal", "whole", "fraction", "range"]),
                           min_size=len(pairs), max_size=len(pairs)))
@@ -108,11 +109,11 @@ class TestBccOnIntegerPairs:
     @given(_matrix_and_vector(), st.sampled_from([0.0, DEFAULT_EQUALITY_BAND, 1e-3]))
     # 1.0 / 0.001 rounds to 1000.0, but the given floats' ratio is not 1000
     @example((parse_pcm([[1, 1000], [Fraction(1, 1000), 1]]),
-              WeightVector((Fraction(1.0), Fraction(0.001)), Fraction(DEFAULT_EQUALITY_BAND))), 0.0)
+              vector_of((1.0, 0.001), Fraction(DEFAULT_EQUALITY_BAND))), 0.0)
     def test_digraph_and_verdict_match_the_oracles(self, matrix_and_vector, band):
         pcm, w = matrix_and_vector
         if w.band:  # the floats' values, rebuilt with the drawn band
-            w = WeightVector(w.components, Fraction(band))
+            w = WeightVector(*w.integer_form, Fraction(band))
         g = bcc_digraph(pcm, w)
         assert g == bcc_digraph_by_ratios(pcm, w)
         assert strongly_connected(g) == strongly_connected_by_closure(g)
@@ -167,7 +168,7 @@ class TestBccDigraph:
                 weight_vector(values)
 
     def test_a_finite_band_past_the_float_range_makes_every_pair_an_equality(self, running_example):
-        g = bcc_digraph(running_example, WeightVector((Fraction(1, 4),) * 4, Fraction(10**400)))
+        g = bcc_digraph(running_example, WeightVector((1,) * 4, 4, Fraction(10**400)))
         assert len(g.equality_pairs) == 6
 
     def test_a_float_vector_and_its_exact_twin_are_distinct_records(self, monkeypatch):
@@ -179,7 +180,7 @@ class TestBccDigraph:
         assert w != twin and hash(w) != hash(twin)
         assert bcc_digraph(pcm, w).equality_pairs == frozenset({(1, 2)})
         assert bcc_digraph(pcm, w).equality_pairs != bcc_digraph(pcm, twin).equality_pairs
-        assert WeightVector(w.components, 0) == twin
+        assert WeightVector(*w.integer_form, 0) == twin
         monkeypatch.setenv("EFFPCM_TOL", "0")
         w = weight_vector([1.0, 0.5])
         assert w == twin and hash(w) == hash(twin)
@@ -229,7 +230,7 @@ class TestPairSigns:
     def test_float_band_is_relative_to_the_target(self, target, k, sign):
         band = 1e-9
         floats = weight_vector([float(target) * (1 + k * band), 1.0])
-        w = WeightVector(floats.components, Fraction(band))
+        w = WeightVector(*floats.integer_form, Fraction(band))
         pcm = pcm_from_upper(2, {(1, 2): target})
         assert _pair_sign(bcc_digraph(pcm, w), 1, 2) == sign
 

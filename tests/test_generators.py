@@ -15,7 +15,7 @@ from effpcm.geometry import CycleOrientation, PerturbTag, classify
 import effpcm.pcm
 from effpcm.pcm import Pcm, WeightVector, parse_pcm, pcm_from_pairs, upper_signs
 from effpcm.sampling import run_equivalence_trials
-from oracles import normalized
+from oracles import normalized, vector_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -58,9 +58,7 @@ def test_random_exact_weights_match_fraction_normalization():
     for seed in range(300):
         rng, reference = random.Random(seed), random.Random(seed)
         for _ in range(3):
-            expected = normalized(WeightVector(
-                tuple(Fraction(reference.randint(1, 9999)) for _ in range(4)), 0
-            ))
+            expected = normalized(vector_of([reference.randint(1, 9999) for _ in range(4)]))
             assert random_exact_weights(rng) == expected
         assert rng.random() == reference.random()
 
@@ -137,6 +135,22 @@ def test_one_record_of_each_kind_per_trial(monkeypatch):
             run_equivalence_trials(seed, 1, tag)
             names = sorted(cls.__name__ for cls in built)
             assert names == ["BccDigraph", "Pcm", "WeightVector"], (tag, seed)
+
+
+def test_a_trial_builds_no_fraction(monkeypatch):
+    """100 sampler trials per class construct no Fraction: the matrix is its
+    integer pairs and the weight vector its integer form."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for tag in ALL_TAGS:
+        run_equivalence_trials(5, 100, tag)
+    assert built == []
 
 
 def test_a_trial_builds_no_fraction_entries(monkeypatch):

@@ -83,6 +83,7 @@ from oracles import (
     permute_weights,
     plane_clip_polygon,
     triad_rearrangement_search,
+    vector_of,
     vertex_points,
 )
 
@@ -406,8 +407,8 @@ NEAR_EXAMPLE = (
     pcm_from_upper(4, {(1, 2): Fraction(8, 3), (1, 3): Fraction(2, 3),
                        (1, 4): Fraction(3840000000, 1000000001), (2, 3): Fraction(4, 5),
                        (2, 4): Fraction(9, 2), (3, 4): Fraction(9, 5)}),
-    WeightVector(tuple(map(Fraction, [3.8399999980510415, 1.4399999976311004, 1.7999999985113047, 1.0])),
-                 Fraction(DEFAULT_EQUALITY_BAND)),
+    vector_of([3.8399999980510415, 1.4399999976311004, 1.7999999985113047, 1.0],
+              Fraction(DEFAULT_EQUALITY_BAND)),
 )
 
 WINDOW_BANDS = (0, 1e-9, 1e-4, 0.1, 0.99, 1, 2)
@@ -499,7 +500,7 @@ class TestRegions:
         pcm, w = NEAR_EXAMPLE
         assert cycle_product(pcm, (1, 2, 3, 4)) == 1 + Fraction(1, 10**9)
         assert is_efficient(pcm, w) and is_efficient_geometric(pcm, w)
-        twin = WeightVector(w.components, 0)
+        twin = WeightVector(*w.integer_form, 0)
         assert not is_efficient(pcm, twin) and not is_efficient_geometric(pcm, twin)
 
     @pytest.mark.parametrize("tol,within", [("0", False), ("4.9e-10", False), ("5e-10", True)])
@@ -530,7 +531,7 @@ class TestRegions:
         against its orientation."""
         pcm, w = pcm_and_w
         for band in WINDOW_BANDS:
-            w = WeightVector(w.components, Fraction(band))
+            w = WeightVector(*w.integer_form, Fraction(band))
             digraph = bcc_digraph(pcm, w)
             regions = _band_orientations(pcm, w)
             for cycle, region in zip(CANONICAL_CYCLES, regions):
@@ -1061,13 +1062,14 @@ class TestEmbedding:
     @settings(max_examples=150, deadline=None)
     @given(_embedding_matrices())
     def test_tetrahedron_points_are_the_rounded_exact_sums(self, pcm):
-        """Read off each tetrahedron's integer points, or put over the lcm of the
-        reduced components of a rebuilt vector: the same doubles either way."""
+        """Read off each tetrahedron's integer points, or from a vector rebuilt from
+        the vertex's components over the product of their denominators: the same
+        doubles either way."""
         for tet in efficient_set(pcm).tetrahedra:
             for vertex, point in zip(tet.vertices, tet.embedded):
                 assert point == tuple(float(x) for x in embed_exact(vertex.components))
-                rebuilt = WeightVector(vertex.components, 0)
-                assert "integer_form" not in rebuilt.__dict__
+                rebuilt = vector_of(vertex.components)
+                assert rebuilt == vertex
                 assert embed(rebuilt) == point
 
     @settings(max_examples=300, deadline=None)

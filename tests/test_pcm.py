@@ -28,8 +28,8 @@ from effpcm.errors import (
     UnsupportedDimensionError,
 )
 from effpcm.export import weights_from_document
-from effpcm.generators import UPPER_PAIRS, generate_with_rng
-from effpcm.geometry import PerturbTag
+from effpcm.generators import UPPER_PAIRS, generate_with_rng, random_exact_weights
+from effpcm.geometry import PerturbTag, tetrahedron_for_cycle
 from effpcm.pcm import (
     CANONICAL_CYCLES,
     CANONICAL_TRIADS,
@@ -50,6 +50,7 @@ from effpcm.pcm import (
     upper_signs,
     weight_vector,
 )
+from effpcm.trees import paths_of_cycle, tree_weight_vector
 from oracles import (
     apply_permutation_by_entries,
     consistent_four_cycles,
@@ -60,7 +61,9 @@ from oracles import (
     is_consistent,
     parse_rational_by_fraction_string,
     ratio,
+    tree_weight_vector_by_fractions,
     validate_by_cells,
+    vector_of,
 )
 
 positive_rationals = st.builds(Fraction, st.integers(1, 60), st.integers(1, 60))
@@ -411,7 +414,7 @@ class TestOneReader:
         readers = [_read_by_parse_pcm, _read_by_pcm_from_upper]
         if isinstance(value, float):  # a float selects weight_vector's float variant: its exact value
             if 0 < value < math.inf:
-                expected = WeightVector((Fraction(value), Fraction(1)), Fraction(DEFAULT_EQUALITY_BAND))
+                expected = vector_of((value, 1), Fraction(DEFAULT_EQUALITY_BAND))
             else:  # NaN fails value > 0
                 error = NonFiniteWeightError if value > 0 else NonPositiveWeightError
                 expected = error, f"{error.code}: component {value!r}"
@@ -438,7 +441,7 @@ class TestOneReader:
         pytest.param(lambda: weight_vector(["1/0", 1]), BadNumeralError, id="weights-zero-denominator"),
         pytest.param(lambda: weight_vector([None, 1]), BadNumeralError, id="weights-none"),
         pytest.param(lambda: weight_vector([0.5, "1/2"]),
-                     WeightVector((Fraction(1, 2),) * 2, Fraction(DEFAULT_EQUALITY_BAND)),
+                     WeightVector((1, 1), 2, Fraction(DEFAULT_EQUALITY_BAND)),
                      id="weights-float-and-numeral"),
         pytest.param(lambda: pcm_from_upper(2, {(1, 2): None}), BadNumeralError, id="upper-none"),
         pytest.param(lambda: parse_pcm([[Fraction(1), Fraction(1, 2)], ["2", 1]]),
@@ -868,8 +871,8 @@ class TestWeightVector:
             weight_vector(values)
 
     @pytest.mark.parametrize("bad,error,message", [
-        (Fraction(0), NonPositiveWeightError, "NonPositiveWeight: component Fraction(0, 1)"),
-        (Fraction(-1, 3), NonPositiveWeightError, "NonPositiveWeight: component Fraction(-1, 3)"),
+        (Fraction(0), NonPositiveWeightError, "NonPositiveWeight: component 0"),
+        (Fraction(-1, 3), NonPositiveWeightError, "NonPositiveWeight: component -1/3"),
         (0.0, NonPositiveWeightError, "NonPositiveWeight: component 0.0"),
         (-0.0, NonPositiveWeightError, "NonPositiveWeight: component -0.0"),
         (-1.5, NonPositiveWeightError, "NonPositiveWeight: component -1.5"),
@@ -877,27 +880,93 @@ class TestWeightVector:
         (math.inf, NonFiniteWeightError, "NonFiniteWeight: component inf"),
     ])
     def test_rejected_components(self, bad, error, message):
-        """A Fraction is checked by the record, a float where floats enter, weight_vector."""
+        """A Fraction is checked by the record, as its numerator over the vector's
+        denominator, a float where floats enter, weight_vector."""
         with pytest.raises(error) as raised:
-            if isinstance(bad, Fraction):
-                WeightVector((Fraction(1), bad, Fraction(1)), 0)
-            else:
-                weight_vector((1.0, bad, 1.0))
+            weight_vector((1, bad, 1) if isinstance(bad, Fraction) else (1.0, bad, 1.0))
         assert str(raised.value) == message
 
     def test_as_strings(self):
         """A vector with a band was read from floats and prints them; one without, its
         exact components."""
-        components = (Fraction(0.1), Fraction(2))
-        assert WeightVector(components, Fraction(1, 10**9)).as_strings() == ["0.1", "2.0"]
-        assert WeightVector(components, 0).as_strings() == ["3602879701896397/36028797018963968", "2"]
+        x, d = vector_of((0.1, 2)).integer_form
+        assert WeightVector(x, d, Fraction(1, 10**9)).as_strings() == ["0.1", "2.0"]
+        assert WeightVector(x, d, 0).as_strings() == ["3602879701896397/36028797018963968", "2"]
 
-    def test_a_float_component_is_refused(self):
-        with pytest.raises(NonPositiveWeightError,
-                           match=r"^NonPositiveWeight: component 0.5 must be a Fraction$"):
-            WeightVector((0.5, 0.5), 0)
+    @pytest.mark.parametrize("x,d,message", [
+        ((), 1, "empty weight vector"),
+        ((True, 2), 3, "component True must be an int numerator"),
+        ((1, 2), True, "denominator True is not a positive int"),
+        ((0.5, 0.5), 1, "component 0.5 must be an int numerator"),
+        ((Fraction(1), 2), 3, "component Fraction(1, 1) must be an int numerator"),
+        ((1, 2), 3.0, "denominator 3.0 is not a positive int"),
+        ((1, 2), Fraction(3), "denominator Fraction(3, 1) is not a positive int"),
+        ((1, 0, 2), 3, "component 0"),
+        ((1, -2, 2), 3, "component -2/3"),
+        ((1, 2), 0, "denominator 0 is not a positive int"),
+        ((1, 2), -3, "denominator -3 is not a positive int"),
+        ((2, 4), 6, "(2, 4) / 6 is not in lowest terms"),
+    ], ids=["empty", "bool-numerator", "bool-denominator", "float-numerator",
+            "fraction-numerator", "float-denominator", "fraction-denominator", "zero-numerator",
+            "negative-numerator", "zero-denominator", "negative-denominator", "unreduced"])
+    def test_the_record_refuses_a_bad_integer_form(self, x, d, message):
+        """The fields are positive non-bool ints in lowest terms; a bad one is a bad component."""
+        with pytest.raises(NonPositiveWeightError) as raised:
+            WeightVector(x, d, 0)
+        assert str(raised.value) == f"NonPositiveWeight: {message}"
 
     @pytest.mark.parametrize("band", [-1, Fraction(-1, 10**9), 1e-9, math.nan, True, "0", None])
     def test_a_band_is_a_fraction_or_an_int_at_least_0(self, band):
         with pytest.raises(BadToleranceError, match=r"^BadTolerance: band=.* is not a Fraction or an int >= 0$"):
-            WeightVector((Fraction(1), Fraction(2)), band)
+            WeightVector((1, 2), 1, band)
+
+
+def _a_reduced_twin(w, values) -> bool:
+    """w is in lowest terms, gcd(d, x_1, ..., x_n) = 1, and is the record
+    ``weight_vector`` gives for the exact values."""
+    x, d = w.integer_form
+    return math.gcd(d, *x) == 1 and w == weight_vector(values)
+
+
+class TestOneIntegerForm:
+    """Every builder gives the record ``weight_vector`` gives for the same exact
+    values, in lowest terms, so equal vectors are equal records."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(positive_rationals, st.fractions(min_value=Fraction(1, 10**20),
+                                                               max_value=10**20)),
+                    min_size=1, max_size=6))
+    def test_weight_vector_reads_each_spelling_to_one_record(self, values):
+        reference = weight_vector(values)
+        assert _a_reduced_twin(reference, values) and reference.components == tuple(values)
+        assert weight_vector([format_rational(v) for v in values]) == reference
+        ints = [v.numerator if v.denominator == 1 else v for v in values]
+        assert weight_vector(ints) == reference
+        floats = [float(v) for v in values]
+        assert _a_reduced_twin(WeightVector(*weight_vector(floats).integer_form, 0),
+                               [Fraction(f) for f in floats])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(list(PerturbTag)))
+    def test_the_package_builders_give_reduced_twins(self, seed, tag):
+        rng, reference = random.Random(seed), random.Random(seed)
+        pcm = generate_with_rng(rng, tag)
+        generate_with_rng(reference, tag)
+        draws = [reference.randint(1, 9999) for _ in range(4)]
+        assert _a_reduced_twin(random_exact_weights(rng), [Fraction(k, sum(draws)) for k in draws])
+        for cycle in CANONICAL_CYCLES:
+            tet = tetrahedron_for_cycle(pcm, cycle)
+            for tree, point, vertex in zip(paths_of_cycle(cycle), tet.points, tet.vertices):
+                assert _a_reduced_twin(vertex, [Fraction(v, sum(point)) for v in point])
+                assert _a_reduced_twin(tree_weight_vector(pcm, tree),
+                                       tree_weight_vector_by_fractions(pcm, tree).components)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_consistent_or_perturbed())
+    def test_consistent_weights_give_reduced_twins(self, pcm):
+        try:
+            w = consistent_weights(pcm)
+        except NotConsistentError:
+            return
+        column = [entry(pcm, i, pcm.n) for i in range(1, pcm.n + 1)]
+        assert _a_reduced_twin(w, [a / sum(column) for a in column])

@@ -50,7 +50,8 @@ W = weight_vector([1, 2, 3, 4])
 # class: (its fields in declaration order, one instance, an unequal instance)
 SAMPLES = {
     Pcm: (("pairs",), RUNNING, SIMPLE),
-    WeightVector: (("components", "band"), W, WeightVector(W.components, Fraction(1, 10**9))),
+    WeightVector: (("numerators", "denominator", "band"), W,
+                   WeightVector(*W.integer_form, Fraction(1, 10**9))),
     Permutation: (("mapping",), Permutation((2, 1, 3, 4)), Permutation((1, 2, 3, 4))),
     BccDigraph: (("n", "arcs", "equality_pairs"), bcc_digraph(RUNNING, W),
                  bcc_digraph(RUNNING, weight_vector([4, 3, 2, 1]))),
@@ -177,8 +178,8 @@ class TestRecords:
     (lambda: parse_pcm([["1", "2"]]), NonSquareError),
     (lambda: parse_pcm([["1", "-2"], ["-1/2", "1"]]), NonPositiveEntryError),
     (lambda: parse_pcm([["1", "2"], ["1/3", "1"]]), ReciprocityViolationError),
-    (lambda: WeightVector((), 0), NonPositiveWeightError),
-    (lambda: WeightVector((Fraction(1), 0.5), 0), NonPositiveWeightError),
+    (lambda: WeightVector((), 1, 0), NonPositiveWeightError),
+    (lambda: WeightVector((1, 0.5), 2, 0), NonPositiveWeightError),
     (lambda: Permutation((1, 1, 3)), IndexOutOfRangeError),
     (lambda: Permutation((1.0, 2.0, 3.0, 4.0)), IndexOutOfRangeError),
     (lambda: Permutation((True, 2)), IndexOutOfRangeError),
@@ -223,15 +224,15 @@ def test_pcm_validation_is_an_own_method_called_through_the_instance(monkeypatch
 
 def test_records_built_from_lists_equal_their_tuple_twins_and_stay_unchanged():
     rows = [list(row) for row in RUNNING.pairs]
-    components = list(W.components)
+    numerators = list(W.numerators)
     mapping = [2, 1, 3, 4]
     edges = [(1, 2), (2, 3), (3, 4)]
-    twins = [(Pcm(rows), RUNNING), (WeightVector(components, 0), W),
+    twins = [(Pcm(rows), RUNNING), (WeightVector(numerators, W.denominator, 0), W),
              (Permutation(mapping), Permutation((2, 1, 3, 4))),
              (SpanningTree(4, edges), path_tree((1, 2, 3, 4)))]
     rows[0][1] = (-5, 1)
     rows.pop()
-    components[0] = Fraction(9)
+    numerators[0] = 9
     mapping[0] = 7
     edges[0] = (1, 3)
     for built, twin in twins:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from effpcm.errors import NotACanonicalCycleError
-from effpcm.pcm import CANONICAL_CYCLES, WeightVector, consistent_weights, pcm_from_upper
+from effpcm.pcm import CANONICAL_CYCLES, consistent_weights, pcm_from_upper
 from effpcm.efficiency import is_efficient
 from effpcm.generators import generate_with_rng
 from effpcm.geometry import embed, is_efficient_geometric
@@ -22,6 +22,7 @@ from oracles import (
     restrict,
     tree_degrees,
     tree_weight_vector_by_fractions,
+    vector_of,
 )
 
 # Saaty-scale values, 15-digit decimals up to 10, and entries past the float range
@@ -232,7 +233,7 @@ class TestTreeWeights:
               paths_of_cycle((1, 2, 3, 4))[1]))
     def test_the_integer_form_is_the_plain_vectors(self, matrix_and_tree):
         """A tree vector's integer form is that of the equal vector built plainly:
-        its components over the lcm of their denominators."""
+        its components over the product of their denominators, reduced by one gcd."""
         pcm, tree = matrix_and_tree
         w = tree_weight_vector(pcm, tree)
-        assert w.integer_form == WeightVector(w.components, 0).integer_form
+        assert w.integer_form == vector_of(w.components).integer_form
