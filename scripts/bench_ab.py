@@ -1,6 +1,7 @@
 """A/B benchmark of this checkout against an earlier commit, in alternating pairs.
 
     python scripts/bench_ab.py [--base REV] --workload W [--pairs N] [--seconds S] [--seed K] [--out PATH]
+    python scripts/bench_ab.py [--base REV] --tier1 N [--out PATH]
 
 REV defaults to HEAD, N to 10, S to 20 and K to 1.  Exports REV with
 ``git archive`` into a temporary directory, then runs each tree's own
@@ -11,6 +12,11 @@ metrics and, per metric, each side's median and quartiles, the pairs the
 checkout won and lost, and a verdict against the bounds that BENCHMARK.json
 fixes; that file is read, never written.  A change is
 relative to the base's median, or absolute where that median is 0.
+
+``--tier1 N`` instead times each tree's tier-1 suite (TIER1, with the tree's
+``src`` first on PYTHONPATH) in N alternating pairs, into BENCH_tier1.json:
+its one metric, ``tier1_s``, has no bound, and a run is correct when the
+suite exits 0.
 
 A metric is a breach when the checkout's median is worse than the base's by
 more than its bound.  It is a gain when the checkout wins at least nine
@@ -29,11 +35,14 @@ import platform
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 GAIN_SHARE = 0.9  # of the pairs the checkout must win for a gain
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_SPEC = {"end_to_end": [{"name": "tier1_s", "unit": "s", "better": "lower", "bound": None}]}
 
 
 class RunFailed(RuntimeError):
@@ -72,7 +81,7 @@ def summarize(runs: list[dict], spec: dict = SPEC) -> dict:
             "base": {"q1": b1, "median": b2, "q3": b3},
             "head": {"q1": h1, "median": h2, "q3": h3},
             "change": change, "won": won, "lost": lost,
-            "breach": -sign * change > metric["bound"],
+            "breach": metric["bound"] is not None and -sign * change > metric["bound"],
             "gain": won >= GAIN_SHARE * len(runs) and sign * (h2 - b2) > b3 - b1,
         }
     return summary
@@ -104,11 +113,25 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
+def _tier1(tree: Path) -> dict:
+    """One tier-1 run in ``tree``: {"correct", "metrics": {"tier1_s"}, "result": its last line}."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=tree, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=1800)
+    seconds = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"correct": proc.returncode == 0, "metrics": {"tier1_s": seconds},
+            "result": lines[-1] if lines else ""}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", default="HEAD", help="the commit to compare against (default HEAD)")
-    parser.add_argument("--workload", required=True, choices=[w["name"] for w in SPEC["workloads"]])
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", choices=[w["name"] for w in SPEC["workloads"]])
+    what.add_argument("--tier1", type=int, metavar="N", help="time the tier-1 suite in N pairs")
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs of runs (default 10)")
     parser.add_argument("--seconds", type=float, default=20.0, help="seconds per run (default 20)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
@@ -121,9 +144,12 @@ def _parse(argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
+    if args.tier1 is not None and args.tier1 < 1:
+        parser.error(f"--tier1 must be >= 1, got {args.tier1}")
     if not 0 < args.seconds < float("inf"):
         parser.error(f"--seconds must be a positive number, got {args.seconds}")
-    args.out = args.out or ROOT / f"BENCH_{args.workload}.json"
+    args.name = "tier1" if args.tier1 else args.workload
+    args.out = args.out or ROOT / f"BENCH_{args.name}.json"
     sha = _git("rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}")
     if sha.returncode != 0:
         parser.error(f"--base {args.base!r} names no commit")
@@ -133,6 +159,8 @@ def _parse(argv) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = _parse(argv)
+    spec, pairs = (TIER1_SPEC, args.tier1) if args.tier1 else (SPEC, args.pairs)
+    first = spec["end_to_end"][0]["name"]
     head = _git("rev-parse", "HEAD").stdout.decode().strip()
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no").stdout.strip())
     runs = []
@@ -141,22 +169,23 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", scratch], input=archive, check=True, timeout=120)
         trees = {"base": Path(scratch), "head": ROOT}
         try:
-            for k in range(args.pairs):
+            for k in range(pairs):
                 seed, order = args.seed + k, ("base", "head") if k % 2 == 0 else ("head", "base")
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = _run(trees[side], args.workload, seed, args.seconds)
+                    run[side] = (_tier1(trees[side]) if args.tier1
+                                 else _run(trees[side], args.workload, seed, args.seconds))
                 runs.append(run)
-                print(f"pair {k + 1}/{args.pairs} seed {seed}: ops_per_s base "
-                      f"{run['base']['metrics']['ops_per_s']:.1f} head "
-                      f"{run['head']['metrics']['ops_per_s']:.1f}", file=sys.stderr)
+                print(f"pair {k + 1}/{pairs} seed {seed}: {first} base "
+                      f"{run['base']['metrics'][first]:.1f} head "
+                      f"{run['head']['metrics'][first]:.1f}", file=sys.stderr)
         except RunFailed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    summary = summarize(runs)
+    summary = summarize(runs, spec)
     code, reasons = verdict(runs, summary)
     document = {
-        "workload": args.workload, "seconds": args.seconds, "pairs": args.pairs,
+        "workload": args.name, "seconds": None if args.tier1 else args.seconds, "pairs": pairs,
         "base": args.base_sha, "head": head + ("+uncommitted" if dirty else ""),
         "python": platform.python_version(), "nproc": os.cpu_count(),
         "correct": all(run[side]["correct"] for run in runs for side in ("base", "head")),

@@ -8,7 +8,7 @@ pair) that is in turn equivalent to having a directed Hamiltonian cycle.
 ``bcc_digraph`` is the one place where a weight ratio meets its entry, and
 it signs every pair by one rule on integers.  The weights are read as the
 numerators x_i of their integer form x / d, each entry as num/den from
-``Pcm.pairs``, and the vector's own equality band as b_n/b_d: the float
+``Pcm.upper``, and the vector's own equality band as b_n/b_d: the float
 band for a vector read from floats, so that a perfectly estimated pair is
 still recognized as carrying both arcs, and 0 for an exact one.  With
 lhs = x_i den and rhs = num x_j, the pair is an equality when
@@ -18,6 +18,8 @@ the matrix and the vector alone.  The region test of ``geometry`` reads it.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import DimensionMismatchError
 from .pcm import Pcm, Record, WeightVector
@@ -39,17 +41,15 @@ def bcc_digraph(pcm: Pcm, w: WeightVector) -> BccDigraph:
     x = w.numerators
     arcs = set()
     equalities = set()
-    for i, row in enumerate(pcm.pairs, start=1):
-        xi = x[i - 1]
-        for j, (num, den) in enumerate(row[i:], start=i + 1):
-            lhs, rhs = xi * den, num * x[j - 1]
-            sign = 0 if abs(lhs - rhs) * band_den <= band_num * rhs else (lhs > rhs) - (lhs < rhs)
-            if sign >= 0:
-                arcs.add((i, j))
-            if sign <= 0:
-                arcs.add((j, i))
-            if sign == 0:
-                equalities.add((i, j))
+    for (i, j), (num, den) in zip(itertools.combinations(range(1, pcm.n + 1), 2), pcm.upper):
+        lhs, rhs = x[i - 1] * den, num * x[j - 1]
+        sign = 0 if abs(lhs - rhs) * band_den <= band_num * rhs else (lhs > rhs) - (lhs < rhs)
+        if sign >= 0:
+            arcs.add((i, j))
+        if sign <= 0:
+            arcs.add((j, i))
+        if sign == 0:
+            equalities.add((i, j))
     return BccDigraph(pcm.n, frozenset(arcs), frozenset(equalities))
 
 

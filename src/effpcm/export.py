@@ -129,11 +129,10 @@ def geometry_document(pcm: Pcm) -> dict:
             "rank": tet.degenerate_rank,
         })
     planes = []
-    for i, j in itertools.combinations(range(1, 5), 2):
+    for (i, j), (n, d) in zip(itertools.combinations(range(1, 5), 2), pcm.upper):
         # The plane w_i = a_ij * w_j, a_ij = n/d, cuts the simplex in the triangle
         # of the corners with w_i = w_j = 0 and the point with w_i = n/(n + d),
         # w_j = d/(n + d); each is written as its embedding
-        n, d = pcm.pairs[i - 1][j - 1]
         split = [n if k == i else d if k == j else 0 for k in range(1, 5)]
         corners = [list(SIMPLEX_CORNERS[k - 1]) for k in range(1, 5) if k not in (i, j)]
         planes.append({

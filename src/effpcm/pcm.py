@@ -3,9 +3,9 @@
 A pairwise comparison matrix (PCM) records ratio judgments a_ij > 0 with
 a_ji = 1/a_ij.  All entries are exact rationals and every operation here is
 exact: consistency is an equality of products, so no rounding is ever
-acceptable.  A ``Pcm`` keeps each entry as its reduced integer pair, and every
-builder reads its values with ``parse_pair``, so decimal input is converted
-exactly ("0.25" becomes (1, 4)).
+acceptable.  A ``Pcm`` keeps only its upper triangle, each entry as its
+reduced integer pair, and every builder reads its values with ``parse_pair``,
+so decimal input is converted exactly ("0.25" becomes (1, 4)).
 
 All indices in the public API are 1-based, matching the usual notation for
 alternatives 1..n.  Values are immutable after construction and every
@@ -24,7 +24,7 @@ too, and carries the equality band its pairs are compared with:
 and there the vector takes the float band (default 1e-9, overridable
 through EFFPCM_TOL); any other vector has band 0.  A record keeps a value
 derived from its fields as a ``functools.cached_property``, whose slot a
-builder that already holds the value seeds (``pcm_from_pairs``).
+builder that already holds the value seeds (``pcm_from_pairs``, ``parse_pcm``).
 """
 
 from __future__ import annotations
@@ -174,39 +174,36 @@ class Record:
 
 
 class Pcm(Record):
-    """A positive reciprocal matrix of exact rationals: each entry's (numerator,
-    denominator) in lowest terms, denominator positive, row by row.  ``parse_pcm`` and
-    ``pcm_from_upper`` build one from values; ``entries`` reads the grid as Fractions."""
+    """A positive reciprocal n x n matrix of exact rationals, kept as its upper triangle: each
+    a_ij, i < j, row by row (``itertools.combinations`` order), as its (numerator, denominator)
+    in lowest terms, denominator positive; a_ii = 1 and a_ji = 1/a_ij hold by construction.
+    ``parse_pcm`` and ``pcm_from_upper`` build one; ``pairs`` and ``entries`` read the grid."""
 
-    pairs: tuple[tuple[tuple[int, int], ...], ...]
+    n: int
+    upper: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        # tuples, so a record built from lists hashes and cannot be mutated
-        pairs = self.__dict__["pairs"] = tuple(map(tuple, self.pairs))
-        n = len(pairs)
-        if n == 0 or any(len(row) != n for row in pairs):
+        # a tuple, so a record built from a list hashes and cannot be mutated
+        upper = self.__dict__["upper"] = tuple(self.upper)
+        n = self.n
+        if type(n) is not int or n < 1 or len(upper) != n * (n - 1) // 2:
             raise NonSquareError("entries must form a nonempty square grid")
-        for i, row in enumerate(pairs, start=1):
-            for j, pair in enumerate(row, start=1):
-                if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int
-                        and type(pair[1]) is int and pair[1] > 0 and math.gcd(*pair) == 1):
+        for k, pair in enumerate(upper):
+            form = (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int
+                    and type(pair[1]) is int and pair[1] > 0 and math.gcd(*pair) == 1)
+            if not form or pair[0] <= 0:  # the position (i, j) is worked out for a fault only
+                i, j = next(itertools.islice(itertools.combinations(range(1, n + 1), 2), k, None))
+                if not form:
                     raise BadNumeralError(f"a[{i},{j}]={pair!r} is not an int pair in lowest terms")
-                if pair[0] <= 0:
-                    raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(*pair)}")
-        # Both entries are positive and in lowest terms, so a_ij * a_ji = 1
-        # exactly when one is the other with numerator and denominator swapped.
-        for i in range(n):
-            for j in range(i, n):
-                if pairs[i][j] != pairs[j][i][::-1]:
-                    raise ReciprocityViolationError(
-                        j + 1, i + 1,
-                        f"a[{j + 1},{i + 1}]={format_rational(*pairs[j][i])} is not the "
-                        f"reciprocal of a[{i + 1},{j + 1}]={format_rational(*pairs[i][j])}",
-                    )
+                raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(*pair)}")
 
-    @property
-    def n(self) -> int:
-        return len(self.pairs)
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The full grid of pairs, row by row: a_ii is (1, 1) and a_ji is a_ij swapped."""
+        grid = [[(1, 1)] * self.n for _ in range(self.n)]
+        for (i, j), (p, q) in zip(itertools.combinations(range(self.n), 2), self.upper):
+            grid[i][j], grid[j][i] = (p, q), (q, p)
+        return tuple(map(tuple, grid))
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -216,23 +213,20 @@ class Pcm(Record):
     def signs(self) -> tuple[tuple[int, int, int, int], tuple[int, int, int]]:
         """(triad signs, cycle signs) of product - 1 in canonical order; 0 marks a consistent one."""
         _require_n4(self)
-        (_, a12, a13, a14), (_, _, a23, a24), (_, _, _, a34), _ = self.pairs
-        return upper_signs((a12, a13, a14, a23, a24, a34))
+        return upper_signs(self.upper)
 
     def rows_as_strings(self) -> list[list[str]]:
         return [[format_rational(*pair) for pair in row] for row in self.pairs]
 
     def upper_entries(self) -> dict[tuple[int, int], Fraction]:
         """The n(n-1)/2 independent entries a_ij with i < j."""
-        return {
-            (i, j): self.entries[i - 1][j - 1]
-            for i in range(1, self.n + 1)
-            for j in range(i + 1, self.n + 1)
-        }
+        keys = itertools.combinations(range(1, self.n + 1), 2)
+        return {key: Fraction(*pair) for key, pair in zip(keys, self.upper)}
 
 
 def parse_pcm(rows: Sequence[Sequence[Fraction | int | float | str]]) -> Pcm:
-    """Read each cell with ``parse_pair`` and validate the grid as a Pcm."""
+    """Read each cell with ``parse_pair``, then check the grid: square, each cell positive
+    in row-major order, then a_ji = 1/a_ij for i <= j.  The grid seeds ``Pcm.pairs``."""
     if not isinstance(rows, Sequence) or isinstance(rows, (str, bytes)) or len(rows) == 0:
         raise NonSquareError("expected a nonempty grid of rows")
     parsed, numerals = [], {}  # each distinct numeral string is read once
@@ -245,14 +239,32 @@ def parse_pcm(rows: Sequence[Sequence[Fraction | int | float | str]]) -> Pcm:
                 numerals[cell] = parse_pair(cell)
             values.append(numerals[cell] if type(cell) is str else parse_pair(cell))
         parsed.append(tuple(values))
-    return Pcm(tuple(parsed))
+    n = len(parsed)
+    if any(len(row) != n for row in parsed):
+        raise NonSquareError("entries must form a nonempty square grid")
+    for i, row in enumerate(parsed, start=1):
+        for j, (p, q) in enumerate(row, start=1):
+            if p <= 0:
+                raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(p, q)}")
+    # Both entries are positive and in lowest terms, so a_ij * a_ji = 1
+    # exactly when one is the other with numerator and denominator swapped.
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        if parsed[i][j] != parsed[j][i][::-1]:
+            raise ReciprocityViolationError(
+                j + 1, i + 1,
+                f"a[{j + 1},{i + 1}]={format_rational(*parsed[j][i])} is not the "
+                f"reciprocal of a[{i + 1},{j + 1}]={format_rational(*parsed[i][j])}",
+            )
+    pcm = Pcm(n, tuple([parsed[i][j] for i, j in itertools.combinations(range(n), 2)]))
+    pcm.__dict__["pairs"] = tuple(parsed)
+    return pcm
 
 
 def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int | float | str]) -> Pcm:
     """Build a Pcm from entries a_ij keyed (i, j), 1 <= i < j <= n; a_ji = 1/a_ij, absent pairs 1."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise NonSquareError(f"n={n!r} is not an integer")
-    grid = [[(1, 1)] * n for _ in range(n)]
+    pairs = dict.fromkeys(itertools.combinations(range(1, n + 1), 2), (1, 1))
     for key, value in upper.items():
         i, j = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
         if not (type(i) is type(j) is int and 1 <= i < j <= n):
@@ -262,8 +274,8 @@ def pcm_from_upper(n: int, upper: dict[tuple[int, int], Fraction | int | float |
         p, q = parse_pair(value)
         if p <= 0:
             raise NonPositiveEntryError(i, j, f"a[{i},{j}]={format_rational(p, q)}")
-        grid[i - 1][j - 1], grid[j - 1][i - 1] = (p, q), (q, p)
-    return Pcm(grid)
+        pairs[i, j] = p, q
+    return Pcm(n, tuple(pairs.values()))
 
 
 class WeightVector(Record):
@@ -380,9 +392,10 @@ def apply_permutation(pcm: Pcm, perm: Permutation) -> Pcm:
     """Reindex alternatives: the result has b_ij = a_{perm(i), perm(j)}."""
     if perm.n != pcm.n:
         raise DimensionMismatchError(f"permutation on 1..{perm.n} applied to a {pcm.n}x{pcm.n} matrix")
-    images = [k - 1 for k in perm.mapping]  # a validated bijection: no index to check
-    rows = pcm.pairs
-    return Pcm(tuple(tuple(rows[i][j] for j in images) for i in images))
+    a = dict(zip(itertools.combinations(range(1, pcm.n + 1), 2), pcm.upper))
+    # b_ij for i < j is a_st, s = perm(i) and t = perm(j): a stored pair when s < t, else swapped
+    return Pcm(pcm.n, tuple([a[s, t] if s < t else a[t, s][::-1]
+                             for s, t in itertools.combinations(perm.mapping, 2)]))
 
 
 def triad_product(pcm: Pcm, triad: Sequence[int]) -> Fraction:
@@ -437,14 +450,10 @@ def upper_signs(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], tupl
 
 
 def pcm_from_pairs(pairs: Sequence[tuple[int, int]], signs: tuple) -> Pcm:
-    """The 4x4 Pcm with upper entries n_ij / d_ij, each reduced by one gcd and
-    mirrored; every Pcm check runs.  ``signs`` must be ``upper_signs(pairs)``:
-    they seed ``Pcm.signs``.
+    """The 4x4 Pcm with upper entries n_ij / d_ij, each reduced by one gcd; every Pcm
+    check runs.  ``signs`` must be ``upper_signs(pairs)``: they seed ``Pcm.signs``.
     """
-    one = (1, 1)
-    a12, a13, a14, a23, a24, a34 = [(n // g, d // g) for n, d in pairs for g in [math.gcd(n, d)]]
-    pcm = Pcm(((one, a12, a13, a14), (a12[::-1], one, a23, a24),
-               (a13[::-1], a23[::-1], one, a34), (a14[::-1], a24[::-1], a34[::-1], one)))
+    pcm = Pcm(4, tuple([(n // g, d // g) for n, d in pairs for g in [math.gcd(n, d)]]))
     pcm.__dict__["signs"] = signs
     return pcm
 
@@ -452,14 +461,15 @@ def pcm_from_pairs(pairs: Sequence[tuple[int, int]], signs: tuple) -> Pcm:
 def consistent_weights(pcm: Pcm) -> WeightVector:
     """The unique normalized exact w with w_i/w_j = a_ij: the last column scaled to
     sum 1.  The matrix must be consistent, which holds exactly when a_ij * a_jn = a_in
-    for every i < j < n, one integer cross-multiplication on ``pairs`` each."""
-    pairs = pcm.pairs
-    for i, j in itertools.combinations(range(pcm.n - 1), 2):
-        (p_ij, q_ij), (p_jn, q_jn), (p_in, q_in) = pairs[i][j], pairs[j][-1], pairs[i][-1]
+    for every i < j < n, one integer cross-multiplication on ``upper`` each."""
+    last = pcm.n - 1
+    a = dict(zip(itertools.combinations(range(pcm.n), 2), pcm.upper))
+    for i, j in itertools.combinations(range(last), 2):
+        (p_ij, q_ij), (p_jn, q_jn), (p_in, q_in) = a[i, j], a[j, last], a[i, last]
         if p_ij * p_jn * q_in != q_ij * q_jn * p_in:
             raise NotConsistentError(f"triad ({i + 1},{j + 1},{pcm.n}) is inconsistent")
     # a_nn = 1 makes x_n = d, so gcd(x) = gcd(d, x) = 1 and x / sum(x) is reduced
-    column = [row[-1] for row in pairs]
+    column = [a[i, last] for i in range(last)] + [(1, 1)]
     d = math.lcm(*(q for _, q in column))
     x = tuple([p * (d // q) for p, q in column])
     return WeightVector(x, sum(x), 0)

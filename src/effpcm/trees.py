@@ -64,7 +64,7 @@ def paths_of_cycle(cycle: tuple[int, int, int, int]) -> list[SpanningTree]:
 
 def tree_integers(pcm: Pcm, tree: SpanningTree) -> list[int]:
     """Positive integers x, not reduced, with x_i/x_j = a_ij on every tree edge: the tree's
-    walk from its highest-index vertex, valued 1, reading each entry from ``pcm.pairs``."""
+    walk from its highest-index vertex, valued 1, reading each entry from the grid ``pcm.pairs``."""
     if tree.n != pcm.n:
         raise DimensionMismatchError(f"tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix")
     scaled = [0] * (pcm.n - 1) + [1]

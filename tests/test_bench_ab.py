@@ -95,7 +95,11 @@ def test_the_summary_covers_every_end_to_end_metric_of_the_benchmark():
     ["--base", "HEAD", "--workload", "sampler", "--pairs", "1", "--seconds", "nan"],
     ["--base", "HEAD", "--workload", "nosuch", "--pairs", "1", "--seconds", "1"],
     ["--base", "HEAD", "--pairs", "1", "--seconds", "1"],
-], ids=["no-pairs", "no-seconds", "nan-seconds", "unknown-workload", "no-workload"])
+    ["--base", "HEAD", "--tier1", "0"],
+    ["--base", "HEAD", "--tier1", "three"],
+    ["--base", "HEAD", "--tier1", "3", "--workload", "sampler"],
+], ids=["no-pairs", "no-seconds", "nan-seconds", "unknown-workload", "no-workload",
+        "no-tier1-pairs", "tier1-not-a-count", "tier1-and-a-workload"])
 def test_a_bad_argument_exits_2_before_any_run(argv, capsys):
     with pytest.raises(SystemExit) as exited:
         bench_ab.main(argv)
@@ -109,3 +113,34 @@ def test_the_defaults_are_ten_20_second_pairs_against_head():
     args = bench_ab._parser().parse_args(["--workload", "export", "--base", "abc123", "--pairs", "1",
                                           "--seconds", "1", "--seed", "601"])
     assert (args.base, args.pairs, args.seconds, args.seed) == ("abc123", 1, 1.0, 601)
+    args = bench_ab._parser().parse_args(["--tier1", "3"])
+    assert (args.base, args.tier1, args.workload) == ("HEAD", 3, None)
+
+
+def _tier1_runs(base_seconds, head_seconds, head_correct=True):
+    return [{"seed": k, "first": "base" if k % 2 == 0 else "head",
+             "base": {"correct": True, "metrics": {"tier1_s": b}, "result": "878 passed"},
+             "head": {"correct": head_correct, "metrics": {"tier1_s": h}, "result": "878 passed"}}
+            for k, (b, h) in enumerate(zip(base_seconds, head_seconds))]
+
+
+def test_tier1_timings_summarize_as_a_lower_is_better_metric_without_a_bound():
+    runs = _tier1_runs([42.0, 41.0, 44.0, 43.0, 40.0], [40.0, 41.5, 39.0, 38.0, 39.5])
+    summary = bench_ab.summarize(runs, bench_ab.TIER1_SPEC)
+    assert list(summary) == ["tier1_s"]
+    entry = summary["tier1_s"]
+    assert entry["base"] == {"q1": 41.0, "median": 42.0, "q3": 43.0}
+    assert entry["head"] == {"q1": 39.0, "median": 39.5, "q3": 40.0}
+    assert (entry["won"], entry["lost"]) == (4, 1)
+    assert entry["change"] == pytest.approx(-2.5 / 42)
+    assert not entry["gain"] and not entry["breach"]  # 4 of 5 pairs is under nine tenths
+    slower = _tier1_runs([40.0] * 3, [80.0] * 3)
+    entry = bench_ab.summarize(slower, bench_ab.TIER1_SPEC)["tier1_s"]
+    assert entry["change"] == pytest.approx(1.0) and not entry["breach"]
+    assert bench_ab.verdict(slower, {"tier1_s": entry}) == (0, [])
+
+
+def test_a_tier1_run_that_fails_a_test_is_not_correct():
+    runs = _tier1_runs([40.0, 41.0], [39.0, 39.0], head_correct=False)
+    code, reasons = bench_ab.verdict(runs, bench_ab.summarize(runs, bench_ab.TIER1_SPEC))
+    assert code == 1 and reasons == [f"head run on seed {k} is not correct" for k in range(2)]

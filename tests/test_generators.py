@@ -138,19 +138,28 @@ def test_one_record_of_each_kind_per_trial(monkeypatch):
 
 
 def test_a_trial_builds_no_fraction(monkeypatch):
-    """100 sampler trials per class construct no Fraction: the matrix is its
-    integer pairs and the weight vector its integer form."""
-    built = []
+    """100 sampler trials per class construct no Fraction and no full grid: the
+    matrix is the integer pairs of its upper triangle and the weight vector its
+    integer form."""
+    built, matrices = [], []
     new = Fraction.__new__
+    validate = Pcm.__post_init__
 
     def counting(cls, *args, **kwargs):
         built.append(args)
         return new(cls, *args, **kwargs)
 
+    def keeping(self):
+        matrices.append(self)
+        validate(self)
+
     monkeypatch.setattr(Fraction, "__new__", counting)
+    monkeypatch.setattr(Pcm, "__post_init__", keeping)
     for tag in ALL_TAGS:
         run_equivalence_trials(5, 100, tag)
     assert built == []
+    assert len(matrices) == 100 * len(ALL_TAGS)
+    assert not any("pairs" in pcm.__dict__ for pcm in matrices)
 
 
 def test_a_trial_builds_no_fraction_entries(monkeypatch):

@@ -17,6 +17,7 @@ PACKAGE = Path(effpcm.__file__).resolve().parent
 # (module, function) pairs allowed to reach into another object's __dict__
 ALLOWED = {
     ("pcm", "pcm_from_pairs"),  # seeds Pcm.signs
+    ("pcm", "parse_pcm"),  # seeds Pcm.pairs with the grid it has read and checked
     ("geometry", "efficient_set"),  # keeps the EfficientSet on a Pcm
 }
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from effpcm.errors import (
     BadNumeralError,
+    InputError,
     BadToleranceError,
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -51,6 +52,7 @@ from effpcm.pcm import (
     weight_vector,
 )
 from effpcm.trees import paths_of_cycle, tree_weight_vector
+from conftest import RUNNING_ROWS
 from oracles import (
     apply_permutation_by_entries,
     consistent_four_cycles,
@@ -85,8 +87,16 @@ _GRID_CELLS = st.sampled_from([
 ])
 
 
+def _upper_of(grid) -> tuple:
+    """The cells a_ij, i < j, of a square grid, row by row."""
+    return tuple(grid[i][j] for i, j in itertools.combinations(range(len(grid)), 2))
+
+
 def _parse_cell_by_cell(rows):
-    return Pcm(tuple(tuple(parse_rational(cell).as_integer_ratio() for cell in row) for row in rows))
+    """Each cell read alone, row by row, then the grid checked cell by cell."""
+    grid = [[parse_rational(cell).as_integer_ratio() for cell in row] for row in rows]
+    validate_by_cells(grid)
+    return Pcm(len(grid), _upper_of(grid))
 
 
 # Spellings of each value the random grids use, repeated across the grid.
@@ -170,7 +180,7 @@ class TestParsing:
     def test_non_rational_entries_rejected(self, cell):
         """A cell is an int pair, no bool, in lowest terms with a positive denominator."""
         with pytest.raises(BadNumeralError, match=r"^BadNumeral: a\[1,2\]=.* is not an int pair in lowest terms$"):
-            Pcm((((1, 1), cell), ((1, 2), (1, 1))))
+            Pcm(2, (cell,))
 
     @settings(max_examples=300)
     @given(_grids())
@@ -509,6 +519,10 @@ _BAD_KINDS = {
     "negative-denominator": lambda n, d: (-n, -d),
     "fraction": lambda n, d: Fraction(n, d),
 }
+# A document's cell can be any value, so any cell can break positivity or
+# reciprocity; a record's upper entry can break form or positivity only.
+_DOCUMENT_KINDS = ("zero", "negative", "non-reciprocal")
+_RECORD_KINDS = ("zero", "negative", "bool", "float", "unreduced", "negative-denominator", "fraction")
 
 
 def _valid_grid(n: int, rng: random.Random) -> list[list]:
@@ -521,40 +535,186 @@ def _valid_grid(n: int, rng: random.Random) -> list[list]:
     return grid
 
 
+def _by_document(grid):
+    """``parse_pcm`` of the grid written as numerals."""
+    return parse_pcm([[format_rational(*cell) for cell in row] for row in grid])
+
+
+def _by_record(grid):
+    """The record of the grid's upper triangle."""
+    return Pcm(len(grid), _upper_of(grid))
+
+
+def _faulty_cells(n: int, kind: str):
+    """(cell, builder) for each cell a fault of this kind can reach, by each builder."""
+    if kind in _DOCUMENT_KINDS:
+        yield from ((cell, _by_document) for cell in itertools.product(range(n), repeat=2))
+    if kind in _RECORD_KINDS:
+        yield from ((cell, _by_record) for cell in itertools.combinations(range(n), 2))
+
+
 class TestValidationOnIntegerPairs:
-    """``Pcm`` compares swapped integer pairs; it must raise what the cell-by-cell
-    loop on Fraction values raises, with the same message, at the same cell."""
+    """A document's grid and a record's upper triangle compare swapped integer pairs;
+    each must raise what the cell-by-cell loop on Fraction values raises over the full
+    grid, with the same message, at the same cell."""
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("kind", list(_BAD_KINDS))
     def test_every_cell_and_kind_of_fault(self, n, kind):
         rng = random.Random(n)
-        for i, j in itertools.product(range(n), repeat=2):
+        for (i, j), build in _faulty_cells(n, kind):
             grid = _valid_grid(n, rng)
             grid[i][j] = _BAD_KINDS[kind](*grid[i][j])
             expected = _validation_outcome(validate_by_cells, grid)
             assert expected is not None
-            assert _validation_outcome(Pcm, grid) == expected, (i, j, kind)
+            assert _validation_outcome(build, grid) == expected, (i, j, kind, build.__name__)
 
     def test_two_faults_report_the_first(self):
         rng = random.Random(29)
-        kinds = list(_BAD_KINDS)
         for _ in range(400):
             n = rng.randint(2, 6)
             valid = _valid_grid(n, rng)
             grid = [list(row) for row in valid]
+            build, kinds = rng.choice([(_by_document, _DOCUMENT_KINDS), (_by_record, _RECORD_KINDS)])
             for _ in range(2):
                 i, j = rng.randrange(n), rng.randrange(n)
+                if build is _by_record:
+                    i, j = sorted(rng.sample(range(n), 2))
                 grid[i][j] = _BAD_KINDS[rng.choice(kinds)](*valid[i][j])
-            assert _validation_outcome(Pcm, grid) == _validation_outcome(validate_by_cells, grid)
+            assert _validation_outcome(build, grid) == _validation_outcome(validate_by_cells, grid)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5, 12])
     def test_valid_grids_pass(self, n):
         grid = _valid_grid(n, random.Random(n))
         assert _validation_outcome(validate_by_cells, grid) is None
-        pcm = Pcm(grid)
+        pcm = _by_record(grid)
         assert pcm.pairs == tuple(map(tuple, grid))
         assert pcm.entries == tuple(tuple(Fraction(*pair) for pair in row) for row in grid)
+        assert _by_document(grid) == pcm
+
+
+def _document_outcome(rows):
+    """``parse_pcm``'s record, or its error's code and message."""
+    try:
+        return parse_pcm(rows)
+    except InputError as exc:
+        return exc.code, str(exc)
+
+
+def _document_outcome_by_cells(rows):
+    """Each cell read by ``parse_pair`` row by row, then ``validate_by_cells`` on the
+    pairs: the record of their upper triangle, or the first error's code and message."""
+    try:
+        grid = [[parse_pair(cell) for cell in row] for row in rows]
+        validate_by_cells(grid)
+    except InputError as exc:
+        return exc.code, str(exc)
+    return Pcm(len(grid), _upper_of(grid))
+
+
+@st.composite
+def _faulty_documents(draw):
+    """A valid n x n document, n = 1..6, then 0-2 faults: a bad numeral, a row one
+    cell short or long, a row too many or too few, a non-positive cell, a cell that
+    is not its mirror's reciprocal, a diagonal cell other than 1."""
+    n = draw(st.integers(1, 6))
+    rows = [["1"] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        value = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        rows[i][j], rows[j][i] = format_rational(value), format_rational(1 / value)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["bad-numeral", "short-row", "long-row", "extra-row",
+                                     "missing-row", "non-positive", "non-reciprocal", "diagonal"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, max(len(rows[i]) - 1, 0)))
+        if kind == "short-row" and rows[i]:
+            rows[i].pop()
+        elif kind == "long-row":
+            rows[i].append("1")
+        elif kind == "extra-row":
+            rows.append(list(rows[i]))
+        elif kind == "missing-row" and len(rows) > 1:
+            rows.pop(i)
+        elif kind == "diagonal" and i < len(rows[i]):
+            rows[i][i] = draw(st.sampled_from(["2", "1/2", "1.5", "3/3"]))
+        elif j < len(rows[i]):
+            rows[i][j] = draw(st.sampled_from({
+                "bad-numeral": ["x", "", "1/0", "1e3", ".5", "0.1234567890123456"],
+                "non-positive": ["0", "-2", "-1/3", "0/5", "-0.5"],
+                "non-reciprocal": ["7", "1/7", "9/2", "1"],
+            }.get(kind, ["1"])))
+    return rows
+
+
+class TestDocumentErrors:
+    """``parse_pcm`` raises what reading each cell, then checking the pairs cell by
+    cell (``validate_by_cells``), raises: the same code and message."""
+
+    @settings(max_examples=400)
+    @given(_faulty_documents())
+    def test_parse_pcm_matches_the_cell_by_cell_checks(self, rows):
+        assert _document_outcome(rows) == _document_outcome_by_cells(rows)
+
+    @pytest.mark.parametrize("rows,line", [
+        ([["1", "2"], ["1/2"]], "NonSquare: entries must form a nonempty square grid"),
+        ([["1", "2"], ["1/2", "1"], ["1", "1"]], "NonSquare: entries must form a nonempty square grid"),
+        ([["1", "0"], ["x"]], "BadNumeral: 'x' is not 'p', 'p/q' or a short decimal"),
+        ([["1", "0"], ["0", "x"]], "BadNumeral: 'x' is not 'p', 'p/q' or a short decimal"),
+        ([["1", "2"], ["-1/2", "1"]], "NonPositiveEntry (2,1): a[2,1]=-1/2"),
+        ([["1", "2", "3"], ["1/3", "1", "1"], ["1/3", "1", "0"]], "NonPositiveEntry (3,3): a[3,3]=0"),
+        ([["1", "2", "3"], ["1/3", "1", "1"], ["1/3", "1", "1"]],
+         "ReciprocityViolation (2,1): a[2,1]=1/3 is not the reciprocal of a[1,2]=2"),
+        ([["1", "2"], ["1/2", "2/4"]],
+         "ReciprocityViolation (2,2): a[2,2]=1/2 is not the reciprocal of a[2,2]=1/2"),
+        ([["1.0", "0.5"], ["2", "1"]], None),
+    ], ids=["short-row", "extra-row", "numeral-before-shape", "numeral-before-sign",
+            "sign-below-the-diagonal", "sign-before-reciprocity", "reciprocity-below",
+            "diagonal", "valid"])
+    def test_fixed_documents(self, rows, line):
+        outcome = _document_outcome(rows)
+        assert outcome == _document_outcome_by_cells(rows)
+        if line is None:
+            assert outcome == pcm_from_upper(2, {(1, 2): Fraction(1, 2)})
+        else:
+            assert outcome[1] == line
+
+
+class TestUpperTriangle:
+    """A ``Pcm`` is n and its upper triangle; the grid is derived from them."""
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(1, 50), st.integers(1, 50)),
+                             min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+    def test_the_grid_is_reciprocal_with_a_unit_diagonal(self, n_and_values):
+        n, values = n_and_values
+        pcm = Pcm(n, [Fraction(p, q).as_integer_ratio() for p, q in values])
+        grid = pcm.pairs
+        assert len(grid) == n and all(len(row) == n for row in grid)
+        for i, j in itertools.product(range(n), repeat=2):
+            assert grid[i][j] == ((1, 1) if i == j else grid[j][i][::-1])
+        assert _upper_of(grid) == pcm.upper
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_printed_rows_parse_back_to_the_record(self, n):
+        rng = random.Random(n)
+        pcm = Pcm(n, [Fraction(rng.randint(1, 99), rng.randint(1, 99)).as_integer_ratio()
+                      for _ in range(n * (n - 1) // 2)])
+        parsed = parse_pcm(pcm.rows_as_strings())
+        assert parsed == pcm and hash(parsed) == hash(pcm) and parsed.pairs == pcm.pairs
+
+    @pytest.mark.parametrize("n,upper", [
+        (4, ((2, 1),) * 5), (4, ((2, 1),) * 7), (1, ((2, 1),)), (2, ()), (3, ((2, 1),) * 2),
+        (0, ()), (-1, ((2, 1),)), (-10**12, ()), (4.0, ((2, 1),) * 6), (True, ()), (None, ()), ("4", ()),
+    ])
+    def test_an_n_or_upper_that_makes_no_square_is_non_square(self, n, upper):
+        with pytest.raises(NonSquareError, match=r"^NonSquare: entries must form a nonempty square grid$"):
+            Pcm(n, upper)
+
+    def test_parse_pcm_seeds_the_grid_it_read(self, running_example):
+        grid = tuple(tuple(parse_pair(cell) for cell in row) for row in RUNNING_ROWS)
+        assert running_example.__dict__["pairs"] == grid
+        assert "pairs" not in pcm_from_upper(4, {(1, 2): 3}).__dict__
 
 
 class TestTriadAndCycleProducts:
@@ -708,8 +868,8 @@ class TestProductSigns:
         assert running_example == fresh and fresh == running_example
         assert hash(running_example) == hash(fresh)
         assert repr(running_example) == repr(fresh)
-        assert "entries" not in repr(running_example) and "signs" not in repr(running_example)
-        for name in ("pairs", "entries"):
+        assert all(name not in repr(running_example) for name in ("pairs", "entries", "signs"))
+        for name in ("n", "upper", "pairs", "entries"):
             with pytest.raises(AttributeError):
                 setattr(running_example, name, getattr(fresh, name))
 

@@ -49,7 +49,7 @@ W = weight_vector([1, 2, 3, 4])
 
 # class: (its fields in declaration order, one instance, an unequal instance)
 SAMPLES = {
-    Pcm: (("pairs",), RUNNING, SIMPLE),
+    Pcm: (("n", "upper"), RUNNING, SIMPLE),
     WeightVector: (("numerators", "denominator", "band"), W,
                    WeightVector(*W.integer_form, Fraction(1, 10**9))),
     Permutation: (("mapping",), Permutation((2, 1, 3, 4)), Permutation((1, 2, 3, 4))),
@@ -174,7 +174,8 @@ class TestRecords:
 
 
 @pytest.mark.parametrize("build,error", [
-    (lambda: Pcm(()), NonSquareError),
+    (lambda: Pcm(0, ()), NonSquareError),
+    (lambda: Pcm(3, ((2, 1),) * 2), NonSquareError),
     (lambda: parse_pcm([["1", "2"]]), NonSquareError),
     (lambda: parse_pcm([["1", "-2"], ["-1/2", "1"]]), NonPositiveEntryError),
     (lambda: parse_pcm([["1", "2"], ["1/3", "1"]]), ReciprocityViolationError),
@@ -189,7 +190,7 @@ class TestRecords:
     (lambda: PerturbClass(PerturbTag.TRIPLE, 1, 0), ImpossibleCombinationError),
     (lambda: PerturbClass(None, 3, 3), ImpossibleCombinationError),
     (lambda: PerturbClass(None, 1, 1), ImpossibleCombinationError),
-], ids=["pcm-empty", "pcm-ragged", "pcm-negative", "pcm-reciprocity", "weights-empty",
+], ids=["pcm-empty", "pcm-short-upper", "pcm-ragged", "pcm-negative", "pcm-reciprocity", "weights-empty",
         "weights-mixed", "permutation", "permutation-float", "permutation-bool",
         "permutation-fraction", "tree-short",
         "tree-cycle", "class", "class-untagged-3-3", "class-untagged-1-1"])
@@ -223,15 +224,15 @@ def test_pcm_validation_is_an_own_method_called_through_the_instance(monkeypatch
 
 
 def test_records_built_from_lists_equal_their_tuple_twins_and_stay_unchanged():
-    rows = [list(row) for row in RUNNING.pairs]
+    upper = list(RUNNING.upper)
     numerators = list(W.numerators)
     mapping = [2, 1, 3, 4]
     edges = [(1, 2), (2, 3), (3, 4)]
-    twins = [(Pcm(rows), RUNNING), (WeightVector(numerators, W.denominator, 0), W),
+    twins = [(Pcm(4, upper), RUNNING), (WeightVector(numerators, W.denominator, 0), W),
              (Permutation(mapping), Permutation((2, 1, 3, 4))),
              (SpanningTree(4, edges), path_tree((1, 2, 3, 4)))]
-    rows[0][1] = (-5, 1)
-    rows.pop()
+    upper[0] = (-5, 1)
+    upper.pop()
     numerators[0] = 9
     mapping[0] = 7
     edges[0] = (1, 3)
