@@ -4,8 +4,9 @@ Perturbed classes start from a random consistent matrix and multiply a
 class-appropriate entry set by random rational factors, all as integer
 (numerator, denominator) pairs.  A candidate's class is read off its integer
 signs and it is resampled on mismatch, so accidental extra consistencies
-cannot leak through; only the accepted one becomes a Pcm.  All draws come
-from an explicit random.Random, so a seed reproduces the matrix bit for bit.
+cannot leak through; only the accepted one becomes a Pcm.  A trial's draws
+are an explicit random.Random's getrandbits rejection draws (those randrange
+takes) and random() coin flips, so a seed reproduces the matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -40,45 +41,55 @@ TRIAD_SHARING_PAIRS = tuple(
 )
 
 
-def _saaty_like_entry(rng: random.Random) -> tuple[int, int]:
+def _below(bits, n: int) -> int:
+    """0..n-1 from getrandbits ``bits``: n.bit_length() bits until below n, as randrange(n)."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _saaty_like_entry(bits, coin) -> tuple[int, int]:
     """An entry s * 2^k with s in 1..9 or its reciprocal, as (numerator, denominator)."""
-    s = rng.randint(1, 9)
-    n, d = (1, s) if rng.random() < 0.5 else (s, 1)
-    k = rng.randint(-2, 2)
+    s = 1 + _below(bits, 9)
+    n, d = (1, s) if coin() < 0.5 else (s, 1)
+    k = _below(bits, 5) - 2
     return (n << k, d) if k >= 0 else (n, d << -k)
 
 
-def _random_factor(rng: random.Random) -> tuple[int, int]:
+def _random_factor(bits) -> tuple[int, int]:
     while True:
-        p, q = rng.randint(1, 12), rng.randint(1, 12)
+        p, q = 1 + _below(bits, 12), 1 + _below(bits, 12)
         if p != q:  # the factor p/q is not 1
             return p, q
 
 
 def _candidate(rng: random.Random, tag: PerturbTag) -> list[tuple[int, int]]:
     """The six upper entries, in UPPER_PAIRS order, as (numerator, denominator) pairs."""
+    bits = rng.getrandbits
     if tag is PerturbTag.TRIPLE:
-        return [_saaty_like_entry(rng) for _ in UPPER_PAIRS]
-    weights = [rng.randint(1, 20) for _ in range(4)]
+        return [_saaty_like_entry(bits, rng.random) for _ in UPPER_PAIRS]
+    weights = [1 + _below(bits, 20) for _ in range(4)]
     upper = {(i, j): (weights[i - 1], weights[j - 1]) for (i, j) in UPPER_PAIRS}  # consistent
     if tag is PerturbTag.CONSISTENT:
         factors = {}
     elif tag is PerturbTag.SIMPLE:
-        factors = {rng.choice(UPPER_PAIRS): _random_factor(rng)}
+        factors = {UPPER_PAIRS[_below(bits, len(UPPER_PAIRS))]: _random_factor(bits)}
     elif tag is PerturbTag.DOUBLE_TRIAD:
-        first, second = rng.choice(TRIAD_SHARING_PAIRS)
-        f, g = _random_factor(rng), _random_factor(rng)
+        first, second = TRIAD_SHARING_PAIRS[_below(bits, len(TRIAD_SHARING_PAIRS))]
+        f, g = _random_factor(bits), _random_factor(bits)
         if f[0] * g[1] == f[1] * g[0] or f[0] * g[0] == f[1] * g[1]:  # f == g or f * g == 1
-            g = _random_factor(rng)
+            g = _random_factor(bits)
         factors = {first: f, second: g}
     elif tag is PerturbTag.DOUBLE_ONE_CYCLE:
-        first, second = rng.choice(OPPOSITE_PAIRS)
-        factors = {first: _random_factor(rng), second: _random_factor(rng)}
+        first, second = OPPOSITE_PAIRS[_below(bits, len(OPPOSITE_PAIRS))]
+        factors = {first: _random_factor(bits), second: _random_factor(bits)}
     elif tag is PerturbTag.DOUBLE_TWO_CYCLES:
         # Equal factors on an opposite pair keep the two cycles through
         # exactly one of the entries consistent.
-        first, second = rng.choice(OPPOSITE_PAIRS)
-        f = _random_factor(rng)
+        first, second = OPPOSITE_PAIRS[_below(bits, len(OPPOSITE_PAIRS))]
+        f = _random_factor(bits)
         factors = {first: f, second: f}
     else:
         raise ValueError(f"unknown class tag {tag!r}")
@@ -108,6 +119,7 @@ def generate_pcm(seed: int, class_tag: PerturbTag | str) -> Pcm:
 
 def random_exact_weights(rng: random.Random) -> WeightVector:
     """A random exact normalized weight vector with integer-born components."""
-    draws = [rng.randint(1, WEIGHT_MAX_COMPONENT) for _ in range(WEIGHT_COUNT)]
+    bits = rng.getrandbits
+    draws = [1 + _below(bits, WEIGHT_MAX_COMPONENT) for _ in range(WEIGHT_COUNT)]
     g = math.gcd(*draws)  # it divides their total too
     return WeightVector(tuple([k // g for k in draws]), sum(draws) // g, 0)

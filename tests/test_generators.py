@@ -7,8 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from effpcm.generators import generate_pcm, generate_with_rng, random_exact_weights
+from effpcm.generators import _below, generate_pcm, generate_with_rng, random_exact_weights
 from effpcm.generators import UPPER_PAIRS, OPPOSITE_PAIRS, TRIAD_SHARING_PAIRS
 from effpcm.efficiency import BccDigraph
 from effpcm.geometry import CycleOrientation, PerturbTag, classify
@@ -89,6 +90,32 @@ def test_draw_stream_is_pinned(tag):
         assert _trial_digest(seed, tag) == digest, seed
 
 
+# The bounds the generators draw below, and bounds at and next to powers of two.
+BELOW_BOUNDS = sorted({1, 2, 3, 5, 6, 8, 9, 12, 16, 20, 9999}
+                      | {2**k + d for k in range(1, 41) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64), st.sampled_from(BELOW_BOUNDS))
+def test_below_draws_as_randrange(seed, n):
+    """The pinned draw stream (test_draw_stream_is_pinned) is the contract;
+    this property only ties ``_below`` to the running interpreter's
+    ``randrange``: the same value from the same getrandbits calls."""
+    a, b = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert _below(a.getrandbits, n) == b.randrange(n)
+    assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("table", [UPPER_PAIRS, OPPOSITE_PAIRS, TRIAD_SHARING_PAIRS])
+def test_table_picks_draw_as_choice(table):
+    """A pair table is picked as ``rng.choice`` picks from it, leaving the same state."""
+    for seed in range(200):
+        a, b = random.Random(seed), random.Random(seed)
+        assert table[_below(a.getrandbits, len(table))] == b.choice(table)
+        assert a.getstate() == b.getstate()
+
+
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_generated_matrix_is_its_parsed_twin(tag):
     """The kept signs are those of the entries: the re-parsed matrix, which
@@ -160,6 +187,19 @@ def test_a_trial_builds_no_fraction(monkeypatch):
     assert built == []
     assert len(matrices) == 100 * len(ALL_TAGS)
     assert not any("pairs" in pcm.__dict__ for pcm in matrices)
+
+
+def test_a_trial_calls_no_randint_randrange_or_choice(monkeypatch):
+    """100 sampler trials per class draw from getrandbits and random() alone:
+    with randint, randrange and choice made to raise, every verdict still agrees."""
+    def no_call(*args, **kwargs):
+        raise AssertionError("a trial called a random wrapper")
+
+    for name in ("randint", "randrange", "choice"):
+        monkeypatch.setattr(random.Random, name, no_call)
+    for tag in ALL_TAGS:
+        report = run_equivalence_trials(5, 100, tag)
+        assert report.agreements == 100 and report.disagreements == (), tag
 
 
 def test_a_trial_builds_no_fraction_entries(monkeypatch):
