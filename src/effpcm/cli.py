@@ -5,8 +5,9 @@ negatives (inefficient vector, sampler disagreement), 2 for input errors.
 A command returns its text and exit code and prints nothing: ``main``
 writes the text once, after the work, inside the ``try`` that turns an input
 or file error into one ``error:`` line, so an exit-2 run leaves stdout empty.
-A line naming a command is parsed once, by that command's parser alone; the
-top-level parser reads the rest (empty, option first, unknown command).
+A line naming a command is parsed once, by that command's parser alone, and
+the command imports the library modules it calls after its documents are read;
+the argparse tree reads the rest (empty, option first, unknown command).
 All commands are deterministic given their flags and seeds; only the
 sampler's elapsed-seconds field depends on the wall clock.
 """
@@ -15,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .efficiency import bcc_digraph, strongly_connected
 from .errors import InputError, UsageError
 from .export import (
     _open,
@@ -31,22 +32,14 @@ from .export import (
     matrix_document,
     obj_mesh,
 )
-from .geometry import (
-    CANONICAL_CYCLES,
-    PerturbTag,
-    _band_orientations,
-    barycentric,
-    canonical_rearrangement,
-    classify,
-    contains_cycle_region,
-    canonical_orientations,
-    tetrahedron_for_cycle,
-    triad_rearrangement,
-)
-from .pcm import float_equality_band, format_rational
-from .sampling import run_equivalence_trials, trial_settings
+from .pcm import CANONICAL_CYCLES, float_equality_band, format_rational
 
-CLASS_CHOICES = [tag.value for tag in PerturbTag]
+
+@functools.cache
+def _module(name: str):
+    """The library module a command calls into, imported on its first call, so a
+    process loads only what its command runs; a later call reads this cache."""
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 def _cmd_validate(args) -> tuple[str, int]:
@@ -61,8 +54,9 @@ def _format_pair_list(pairs) -> str:
 def _cmd_check(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
     w = load_weights(args.weights)
-    digraph = bcc_digraph(pcm, w)
-    efficient = strongly_connected(digraph)
+    efficiency = _module("efficiency")
+    digraph = efficiency.bcc_digraph(pcm, w)
+    efficient = efficiency.strongly_connected(digraph)
     arcs = sorted(digraph.arcs)
     if args.json:
         text = json.dumps({
@@ -79,7 +73,7 @@ def _cmd_check(args) -> tuple[str, int]:
 
 def _cmd_classify(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
-    cls = classify(pcm)
+    cls = _module("geometry").classify(pcm)
     return (f"classification: {cls.tag.value}\n"
             f"consistent triads: {cls.consistent_triad_count}\n"
             f"consistent 4-cycles: {cls.consistent_cycle_count}"), 0
@@ -87,11 +81,12 @@ def _cmd_classify(args) -> tuple[str, int]:
 
 def _cmd_rearrange(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
+    geometry = _module("geometry")
     if args.mode == "cycles":
-        perm, rearranged = canonical_rearrangement(pcm)
+        perm, rearranged = geometry.canonical_rearrangement(pcm)
         case = None
     else:
-        perm, rearranged, case = triad_rearrangement(pcm)
+        perm, rearranged, case = geometry.triad_rearrangement(pcm)
     return json.dumps({
         "mode": args.mode,
         "permutation": list(perm.mapping),
@@ -103,9 +98,10 @@ def _cmd_rearrange(args) -> tuple[str, int]:
 
 def _cmd_vertices(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
+    geometry = _module("geometry")
     lines = []
     for cycle in CANONICAL_CYCLES:
-        tet = tetrahedron_for_cycle(pcm, cycle)
+        tet = geometry.tetrahedron_for_cycle(pcm, cycle)
         cycle_text = ",".join(map(str, cycle))
         lines.append(f"cycle ({cycle_text}) {tet.orientation.direction.value}, rank {tet.degenerate_rank}:")
         for k, (texts, point) in enumerate(zip(tet.vertex_strings(), tet.embedded), start=1):
@@ -117,10 +113,11 @@ def _cmd_vertices(args) -> tuple[str, int]:
 def _cmd_member(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
     w = load_weights(args.weights)
-    orientations = canonical_orientations(pcm)
-    regions = _band_orientations(pcm, w)
-    digraph = bcc_digraph(pcm, w)
-    insides = [contains_cycle_region(digraph, region) for region in regions]
+    geometry = _module("geometry")
+    orientations = geometry.canonical_orientations(pcm)
+    regions = geometry._band_orientations(pcm, w)
+    digraph = _module("efficiency").bcc_digraph(pcm, w)
+    insides = [geometry.contains_cycle_region(digraph, region) for region in regions]
     efficient = any(insides)
     lines = []
     for orientation, region, inside in zip(orientations, regions, insides):
@@ -131,7 +128,7 @@ def _cmd_member(args) -> tuple[str, int]:
             label += ", within the band of consistent"
         lines.append(f"cycle ({cycle_text}) {label}: " + ("inside" if inside else "outside"))
         if inside:
-            coefficients = barycentric(tetrahedron_for_cycle(pcm, cycle), w)
+            coefficients = geometry.barycentric(geometry.tetrahedron_for_cycle(pcm, cycle), w)
             if coefficients is not None:
                 lines.append("  barycentric: " + " ".join(format_rational(c) for c in coefficients))
     lines.append("efficient: " + ("yes" if efficient else "no"))
@@ -153,10 +150,11 @@ def _cmd_export(args) -> tuple[str, int]:
 def _cmd_sample(args) -> tuple[str, int]:
     # input errors come before -o is opened, so they leave no file, and -o is
     # opened before the first trial, so an unwritable path wastes no trials
-    trial_settings(args.trials, args.cls)
+    sampling = _module("sampling")
+    sampling.trial_settings(args.trials, args.cls)
     float_equality_band()  # a malformed EFFPCM_TOL is an input error, though no trial reads it
     with _open(args.output, "w") if args.output else nullcontext() as out:
-        report = run_equivalence_trials(args.seed, args.trials, args.cls)
+        report = sampling.run_equivalence_trials(args.seed, args.trials, args.cls)
         text = json.dumps(report.to_json_dict(), indent=2)
         if args.output:
             print(text, file=out)
@@ -170,80 +168,82 @@ class _Parser(argparse.ArgumentParser):
     argparse's own ``error`` prints a usage block and exits; this one raises
     a ``UsageError``, so ``main`` prints one ``error:`` line and returns 2.
     Subparsers are built with the same class (``parser_class`` defaults to
-    the parent's type).  ``commands`` maps each command's name to its parser.
+    the parent's type).  The tree keeps its subparsers, by name, as ``commands``.
     """
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
 
+_COMMANDS = {  # name: (handler, help line)
+    "validate": (_cmd_validate, "validate a matrix file"),
+    "check": (_cmd_check, "decide efficiency of a weight vector"),
+    "classify": (_cmd_classify, "consistency-structure class of a 4x4 matrix"),
+    "rearrange": (_cmd_rearrange, "canonical reindexing of alternatives"),
+    "vertices": (_cmd_vertices, "tetrahedron vertices, exact and embedded"),
+    "member": (_cmd_member, "per-cycle region membership of a weight vector"),
+    "export": (_cmd_export, "write the efficient-set geometry to a file"),
+    "sample": (_cmd_sample, "Monte Carlo digraph-vs-geometry agreement harness"),
+}
+
+
+def _add_arguments(p: _Parser, name: str) -> _Parser:
+    """Gives ``p`` the arguments and handler of command ``name``: the tree's
+    subparser and the command's own parser are built alike."""
+    if name == "sample":
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--trials", type=int, required=True)
+        tags = _module("geometry").PerturbTag
+        p.add_argument("--class", dest="cls", choices=[tag.value for tag in tags], required=True)
+        p.add_argument("-o", "--output")
+    else:
+        p.add_argument("matrix")
+    if name in ("check", "member"):
+        p.add_argument("--weights", required=True)
+    if name == "check":
+        p.add_argument("--json", action="store_true")
+    if name == "rearrange":
+        p.add_argument("--mode", choices=["cycles", "triads"], default="cycles")
+    if name == "export":
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--format", choices=["json", "obj"], default="json")
+    p.set_defaults(func=_COMMANDS[name][0])
+    return p
+
+
+@functools.cache
+def command_parser(name: str) -> _Parser:
+    """Command ``name``'s parser alone, built once per process: it is the
+    subparser of the tree, with the same prog, so the same usage and help."""
+    return _add_arguments(_Parser(prog=f"effpcm {name}"), name)
+
+
 @functools.cache
 def build_parser() -> _Parser:
-    """The argparse tree, built once per process: it depends only on the code,
-    ``parse_args`` returns a fresh namespace per call and ``error`` raises.
-    ``main`` parses a command's line with ``commands[name]`` alone, any other with the tree."""
+    """The argparse tree, built once per process and only for a line that names
+    no command (empty, option first, unknown command): ``parse_args`` returns a
+    fresh namespace per call and ``error`` raises."""
     parser = _Parser(
         prog="effpcm",
         description="Exact Pareto-efficiency analysis of pairwise comparison matrices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a matrix file")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("check", help="decide efficiency of a weight vector")
-    p.add_argument("matrix")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("classify", help="consistency-structure class of a 4x4 matrix")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("rearrange", help="canonical reindexing of alternatives")
-    p.add_argument("matrix")
-    p.add_argument("--mode", choices=["cycles", "triads"], default="cycles")
-    p.set_defaults(func=_cmd_rearrange)
-
-    p = sub.add_parser("vertices", help="tetrahedron vertices, exact and embedded")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_vertices)
-
-    p = sub.add_parser("member", help="per-cycle region membership of a weight vector")
-    p.add_argument("matrix")
-    p.add_argument("--weights", required=True)
-    p.set_defaults(func=_cmd_member)
-
-    p = sub.add_parser("export", help="write the efficient-set geometry to a file")
-    p.add_argument("matrix")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--format", choices=["json", "obj"], default="json")
-    p.set_defaults(func=_cmd_export)
-
-    p = sub.add_parser("sample", help="Monte Carlo digraph-vs-geometry agreement harness")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--class", dest="cls", choices=CLASS_CHOICES, required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_sample)
-
+    for name, (_, text) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if argv and argv[0] in parser.commands:  # the parse the subparsers action makes, alone
-            args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if argv and argv[0] in _COMMANDS:  # the parse the subparsers action makes, alone
+            args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
             if extras:
-                parser.error("unrecognized arguments: " + " ".join(extras))
+                raise UsageError("effpcm: unrecognized arguments: " + " ".join(extras))
             args.command = argv[0]
         else:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         text, code = args.func(args)
         print(text)
         return code

@@ -3,7 +3,8 @@
 The matrix JSON document {"n": ..., "entries": [[str, ...], ...]} is the
 single canonical representation consumed by every CLI command.  The geometry
 document carries both exact rational vertex strings and their embedded float
-coordinates, so re-parsing loses nothing.
+coordinates, so re-parsing loses nothing.  The two exporters import ``geometry``
+when they run, so a process that only reads documents never loads it.
 """
 
 from __future__ import annotations
@@ -13,19 +14,9 @@ import json
 from pathlib import Path
 
 from .errors import BadNumeralError, NonFiniteWeightError, NonSquareError
-from .geometry import (
-    PATH_TREES,
-    SIMPLEX_CORNERS,
-    Direction,
-    EfficientSet,
-    _embedded,
-    efficient_set,
-)
 from .pcm import Pcm, WeightVector, format_rational, parse_pcm, weight_vector
 
 SCHEMA_VERSION = "1"
-# each canonical cycle's path trees as sorted edge lists, in vertex order
-_PATH_EDGES = {cycle: tuple(tree.sorted_edges() for tree in trees) for cycle, trees in PATH_TREES.items()}
 
 
 def matrix_document(pcm: Pcm) -> dict:
@@ -93,7 +84,7 @@ def _load_json(path: str | Path):
         raise BadNumeralError(f"{path} nests too deeply to parse") from exc
 
 
-def _coincidences_dict(effset: EfficientSet) -> dict:
+def _coincidences_dict(effset) -> dict:
     report = effset.coincidences
     return {
         "shared_vertices": [
@@ -114,6 +105,8 @@ def _coincidences_dict(effset: EfficientSet) -> dict:
 
 def geometry_document(pcm: Pcm) -> dict:
     """The full exportable geometry of a 4x4 matrix."""
+    from .geometry import _PATH_EDGES, SIMPLEX_CORNERS, _embedded, efficient_set
+
     effset = efficient_set(pcm)
     tetrahedra = []
     for tet in effset.tetrahedra:
@@ -151,22 +144,13 @@ def geometry_document(pcm: Pcm) -> dict:
     }
 
 
-# Outward faces of a solid tetrahedron, the k-th opposite vertex k (0-based).
-# Its region's slack rows S, each ordered by the vertex whose path omits that
-# arc's edge, satisfy S [T_1..T_4] = diag(s_k(T_k)) > 0, so det[T_1..T_4] has
-# the sign of det S = sign(perm) * (1 - p), p < 1 in the admissible direction.
-# perm is odd forward and even backward for every canonical cycle.
-_OUTWARD_FACES = {
-    Direction.FORWARD: ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2)),
-    Direction.BACKWARD: ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)),
-}
-
-
 def obj_mesh(pcm: Pcm) -> str:
     """Wavefront OBJ mesh of the efficient set's nondegenerate tetrahedra.
 
     Degenerate tetrahedra produce comment lines only.
     """
+    from .geometry import _OUTWARD_FACES, efficient_set
+
     effset = efficient_set(pcm)
     lines = ["# effpcm efficient-set mesh", f"# classification: {effset.classification.tag.value}"]
     vertex_count = 0

@@ -212,6 +212,18 @@ class Tetrahedron(Record):
 
 
 PATH_TREES = {c: tuple(paths_of_cycle(c)) for c in CANONICAL_CYCLES}
+# each canonical cycle's path trees as sorted edge lists, in vertex order
+_PATH_EDGES = {cycle: tuple(tree.sorted_edges() for tree in trees) for cycle, trees in PATH_TREES.items()}
+
+# Outward faces of a solid tetrahedron, the k-th opposite vertex k (0-based).
+# Its region's slack rows S, each ordered by the vertex whose path omits that
+# arc's edge, satisfy S [T_1..T_4] = diag(s_k(T_k)) > 0, so det[T_1..T_4] has
+# the sign of det S = sign(perm) * (1 - p), p < 1 in the admissible direction.
+# perm is odd forward and even backward for every canonical cycle.
+_OUTWARD_FACES = {
+    Direction.FORWARD: ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2)),
+    Direction.BACKWARD: ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)),
+}
 
 
 def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahedron:

@@ -17,15 +17,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import effpcm
-from effpcm.cli import CLASS_CHOICES, build_parser, main
+from effpcm.cli import build_parser, command_parser, main
 from effpcm.errors import UsageError
 from effpcm.generators import generate_with_rng
 from effpcm.export import load_matrix
-from effpcm.geometry import efficient_set, tetrahedron_for_cycle
+from effpcm.geometry import PerturbTag, efficient_set, tetrahedron_for_cycle
 from effpcm.pcm import float_equality_band, format_rational, parse_pcm, pcm_from_upper
 from conftest import RUNNING_ROWS
 from oracles import entry, parse_exact_vertices
 from test_pcm import random_pcm4
+
+CLASS_CHOICES = [tag.value for tag in PerturbTag]
 
 
 def write_matrix(path, rows, n=None):
@@ -481,7 +483,7 @@ class TestSample:
     def test_unwritable_report_file_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
         def no_trials(*args):
             raise AssertionError("a trial ran before -o was opened")
-        monkeypatch.setattr("effpcm.cli.run_equivalence_trials", no_trials)
+        monkeypatch.setattr("effpcm.sampling.run_equivalence_trials", no_trials)
         out = tmp_path / "missing" / "report.json"
         assert main(["sample", "--seed", "1", "--trials", "20000",
                      "--class", "triple", "-o", str(out)]) == 2
@@ -651,13 +653,62 @@ def test_a_failing_stdout_write_is_a_file_error(matrix_file):
     assert err.getvalue() == "error: FileError: [Errno 32] Broken pipe\n"
 
 
+_TOP_HELP = """\
+usage: effpcm [-h]
+              {validate,check,classify,rearrange,vertices,member,export,sample}
+              ...
+
+Exact Pareto-efficiency analysis of pairwise comparison matrices
+
+positional arguments:
+  {validate,check,classify,rearrange,vertices,member,export,sample}
+    validate            validate a matrix file
+    check               decide efficiency of a weight vector
+    classify            consistency-structure class of a 4x4 matrix
+    rearrange           canonical reindexing of alternatives
+    vertices            tetrahedron vertices, exact and embedded
+    member              per-cycle region membership of a weight vector
+    export              write the efficient-set geometry to a file
+    sample              Monte Carlo digraph-vs-geometry agreement harness
+
+options:
+  -h, --help            show this help message and exit
+"""
+_CLASSES = "{triple,double-triad,double-one-cycle,double-two-cycles,simple,consistent}"
+_SAMPLE_HELP = f"""\
+usage: effpcm sample [-h] --seed SEED --trials TRIALS --class
+                     {_CLASSES}
+                     [-o OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --trials TRIALS
+  --class {_CLASSES}
+  -o OUTPUT, --output OUTPUT
+"""
+
+
 class TestUsage:
     @pytest.mark.parametrize("argv", [["--help"], ["sample", "--help"]])
-    def test_help_exits_0(self, argv, capsys):
+    def test_help_exits_0(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
         with pytest.raises(SystemExit) as stop:
             main(argv)
         assert stop.value.code == 0
-        assert "usage:" in capsys.readouterr().out
+        assert capsys.readouterr().out == (_SAMPLE_HELP if argv[0] == "sample" else _TOP_HELP)
+
+    @pytest.mark.parametrize("name", build_parser().commands)
+    def test_a_command_parser_is_its_subparser(self, name, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        tree = build_parser().commands[name]
+        assert command_parser(name).format_usage() == tree.format_usage()
+        assert command_parser(name).format_help() == tree.format_help()
+
+    def test_unknown_command_is_one_error_line(self):
+        assert _run(["frobnicate", "m.json"]) == (2, "", (
+            "error: Usage: effpcm: argument command: invalid choice: 'frobnicate' (choose from "
+            "'validate', 'check', 'classify', 'rearrange', 'vertices', 'member', 'export', 'sample')\n"))
 
     def test_rejection_is_one_error_line(self, capsys):
         assert main(["sample", "--seed", "1", "--trials", "x", "--class", "triple"]) == 2
@@ -685,6 +736,7 @@ class TestSharedParser:
         wfile = write_weights(tmp_path / "w.json", ["7/20", "2/5", "1/5", "1/20"])
         check = ["check", matrix_file, "--weights", wfile, "--json"]
         build_parser.cache_clear()
+        command_parser.cache_clear()
         first = _run(check)
         assert first[0] == 0 and first[2] == ""
         rc, out, err = _run(["sample", "--seed", "1", "--trials", "x", "--class", "triple"])
@@ -694,8 +746,9 @@ class TestSharedParser:
         assert rc == 0 and "usage:" in out
         assert _run(check) == first
         assert _run(check) == first
-        assert build_parser.cache_info().misses == 1
-        assert build_parser.cache_info().hits == 4
+        # the tree only for --help; each command's parser once, then reused
+        assert (build_parser.cache_info().misses, build_parser.cache_info().hits) == (1, 0)
+        assert (command_parser.cache_info().misses, command_parser.cache_info().hits) == (2, 2)
 
 
 @pytest.mark.parametrize("argv", [
@@ -789,10 +842,13 @@ def parsed():
         return "", 0
 
     build_parser.cache_clear()
-    for command in build_parser().commands.values():
+    command_parser.cache_clear()
+    for name, command in build_parser().commands.items():
         command.set_defaults(func=record)
+        command_parser(name).set_defaults(func=record)
     yield namespaces
     build_parser.cache_clear()
+    command_parser.cache_clear()
 
 
 class TestOnePass:
@@ -814,9 +870,12 @@ class TestOnePass:
             assert (err if rc == 2 else (rc, out)) == expected
 
     def test_a_command_line_is_parsed_once(self, parsed, monkeypatch):
+        """By its command's own parser alone; the tree and its subparsers read none."""
         parser = build_parser()
         calls = []
-        for name, each in [("effpcm", parser), *parser.commands.items()]:
+        spied = [("effpcm", parser), *((f"tree {name}", each) for name, each in parser.commands.items()),
+                 *((name, command_parser(name)) for name in parser.commands)]
+        for name, each in spied:
             def spy(*args, name=name, real=each.parse_known_args, **kwargs):
                 calls.append(name)
                 return real(*args, **kwargs)

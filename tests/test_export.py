@@ -60,13 +60,13 @@ def test_every_pool_matrix_matches_its_golden_digest():
 
 def test_each_exporter_builds_the_efficient_set_once(monkeypatch, running_example):
     calls = []
-    original = effpcm.export.efficient_set
+    original = effpcm.geometry.efficient_set
 
     def counting(pcm):
         calls.append(pcm)
         return original(pcm)
 
-    monkeypatch.setattr(effpcm.export, "efficient_set", counting)
+    monkeypatch.setattr(effpcm.geometry, "efficient_set", counting)  # the exporters import it per call
     for export in (obj_mesh, geometry_document):
         calls.clear()
         export(running_example)
@@ -85,7 +85,9 @@ def test_both_formats_build_the_tetrahedra_once(monkeypatch, running_example):
         monkeypatch.setattr(effpcm.geometry, name, counting)
     geometry_document(running_example)
     obj_mesh(running_example)
-    assert calls == {"tree_integers": 12, "classify": 1, "_coincidence_report": 1, "_embedded": 12}
+    # _embedded: the twelve vertices once, plus the document's six plane split
+    # points, which the exporter embeds through the same module attribute
+    assert calls == {"tree_integers": 12, "classify": 1, "_coincidence_report": 1, "_embedded": 12 + 6}
 
 
 def test_the_exporters_build_no_vertex_records(monkeypatch, running_example):
