@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import json
 import sys
 from contextlib import nullcontext
@@ -24,6 +23,7 @@ from pathlib import Path
 
 from .errors import InputError, UsageError
 from .export import (
+    _module,
     _open,
     dump_json,
     geometry_document,
@@ -33,13 +33,6 @@ from .export import (
     obj_mesh,
 )
 from .pcm import CANONICAL_CYCLES, float_equality_band, format_rational
-
-
-@functools.cache
-def _module(name: str):
-    """The library module a command calls into, imported on its first call, so a
-    process loads only what its command runs; a later call reads this cache."""
-    return importlib.import_module(f"{__package__}.{name}")
 
 
 def _cmd_validate(args) -> tuple[str, int]:

@@ -5,20 +5,24 @@ i -> j whenever w_i/w_j >= a_ij.  A weight vector is efficient exactly when
 this digraph is strongly connected; for tournaments (no perfectly estimated
 pair) that is in turn equivalent to having a directed Hamiltonian cycle.
 
-``bcc_digraph`` is the one place where a weight ratio meets its entry, and
-it signs every pair by one rule on integers.  The weights are read as the
-numerators x_i of their integer form x / d, each entry as num/den from
-``Pcm.upper``, and the vector's own equality band as b_n/b_d: the float
-band for a vector read from floats, so that a perfectly estimated pair is
-still recognized as carrying both arcs, and 0 for an exact one.  With
-lhs = x_i den and rhs = num x_j, the pair is an equality when
-|lhs - rhs| b_d <= b_n rhs, that is when |w_i/w_j - a_ij| <= band * a_ij,
-and otherwise takes the sign of lhs - rhs.  The digraph is a function of
-the matrix and the vector alone.  The region test of ``geometry`` reads it.
+A digraph is its arc mask, bit (i-1)n + (j-1) for the arc i -> j, so row i
+is vertex i's successors.  ``bcc_digraph`` is the one place where a weight
+ratio meets its entry, and it signs every pair by one rule on integers.
+The weights are read as the numerators x_i of their integer form x / d,
+each entry as num/den from ``Pcm.upper``, and the vector's own equality
+band as b_n/b_d: the float band for a vector read from floats, so that a
+perfectly estimated pair is still recognized as carrying both arcs, and 0
+for an exact one.  With lhs = x_i den and rhs = num x_j, the pair is an
+equality when |lhs - rhs| b_d <= b_n rhs, that is when |w_i/w_j - a_ij| <=
+band * a_ij, and otherwise takes the sign of lhs - rhs; ``digraph_from_signs``
+takes such signs as given.  The digraph is a function of the matrix and the
+vector alone.  Strong connectivity is two mask closures from vertex 1, and
+the region test of ``geometry`` masks the arcs with a cycle's.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import DimensionMismatchError
@@ -26,11 +30,53 @@ from .pcm import Pcm, Record, WeightVector
 
 
 class BccDigraph(Record):
-    """Arc set over the alternatives induced by comparing w_i/w_j to a_ij."""
+    """Arcs over the alternatives 1..n induced by comparing w_i/w_j to a_ij, as masks:
+    bit (i-1)n + (j-1) of ``arc_mask`` is i -> j, and of ``equality_mask`` the pair
+    i < j that carries both arcs.  ``arcs`` and ``equality_pairs`` read them as sets."""
 
     n: int
-    arcs: frozenset[tuple[int, int]]
-    equality_pairs: frozenset[tuple[int, int]]  # unordered, stored with i < j
+    arc_mask: int
+    equality_mask: int
+
+    @functools.cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return _pairs(self.n, self.arc_mask)
+
+    @functools.cached_property
+    def equality_pairs(self) -> frozenset[tuple[int, int]]:  # unordered, stored with i < j
+        return _pairs(self.n, self.equality_mask)
+
+
+def _pairs(n: int, mask: int) -> frozenset[tuple[int, int]]:
+    """The pair (i, j) of each set bit (i-1)n + (j-1), read off the binary digits lowest first."""
+    pairs = _pair_of_bit(n)
+    return frozenset([pairs[k] for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"])
+
+
+@functools.cache
+def _pair_of_bit(n: int) -> tuple[tuple[int, int], ...]:
+    """The pair (i, j) of each bit (i-1)n + (j-1) of an n-vertex mask, bit by bit."""
+    return tuple(itertools.product(range(1, n + 1), repeat=2))
+
+
+@functools.cache
+def _pair_bits(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(i, j, bit of i -> j, bit of j -> i) per pair i < j of 0-based vertices, in
+    ``itertools.combinations`` order, the order of ``Pcm.upper``."""
+    return tuple((i, j, 1 << i * n + j, 1 << j * n + i) for i, j in itertools.combinations(range(n), 2))
+
+
+def digraph_from_signs(n: int, signs) -> BccDigraph:
+    """The digraph of one sign per pair i < j, in ``itertools.combinations`` order:
+    +1 gives i -> j, -1 gives j -> i, and 0 both arcs and an equality."""
+    arcs = equalities = 0
+    for (_, _, forward, backward), sign in zip(_pair_bits(n), signs, strict=True):
+        if sign == 0:
+            arcs |= forward | backward
+            equalities |= forward
+        else:
+            arcs |= forward if sign > 0 else backward
+    return BccDigraph(n, arcs, equalities)
 
 
 def bcc_digraph(pcm: Pcm, w: WeightVector) -> BccDigraph:
@@ -39,47 +85,40 @@ def bcc_digraph(pcm: Pcm, w: WeightVector) -> BccDigraph:
         raise DimensionMismatchError(f"{pcm.n}x{pcm.n} matrix with {w.n}-weight vector")
     band_num, band_den = w.band.as_integer_ratio()
     x = w.numerators
-    arcs = set()
-    equalities = set()
-    for (i, j), (num, den) in zip(itertools.combinations(range(1, pcm.n + 1), 2), pcm.upper):
-        lhs, rhs = x[i - 1] * den, num * x[j - 1]
-        sign = 0 if abs(lhs - rhs) * band_den <= band_num * rhs else (lhs > rhs) - (lhs < rhs)
-        if sign >= 0:
-            arcs.add((i, j))
-        if sign <= 0:
-            arcs.add((j, i))
-        if sign == 0:
-            equalities.add((i, j))
-    return BccDigraph(pcm.n, frozenset(arcs), frozenset(equalities))
+    arcs = equalities = 0
+    for (i, j, forward, backward), (num, den) in zip(_pair_bits(pcm.n), pcm.upper):
+        lhs, rhs = x[i] * den, num * x[j]
+        if abs(lhs - rhs) * band_den <= band_num * rhs:
+            arcs |= forward | backward
+            equalities |= forward
+        else:
+            arcs |= forward if lhs > rhs else backward
+    return BccDigraph(pcm.n, arcs, equalities)
 
 
 def strongly_connected(g: BccDigraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path."""
-    n = g.n
+    """True iff every ordered vertex pair is joined by a directed path: vertex 1 reaches
+    every vertex (push each reached vertex's row of successors), and every vertex reaches
+    vertex 1 (pull each vertex whose row meets the set already reaching it)."""
+    n, arcs, full = g.n, g.arc_mask, (1 << g.n) - 1
     if n <= 1:
         return True
-    succ, pred = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]  # slot 0 unused
-    for (a, b) in g.arcs:
-        succ[a].append(b)
-        pred[b].append(a)
-    # vertex 1 reaches every vertex, and every vertex reaches vertex 1
-    return len(_walk(succ, 1)) == n - 1 and len(_walk(pred, 1)) == n - 1
-
-
-def _walk(adjacency: list[list[int]], start: int) -> list[tuple[int, int]]:
-    """Each (parent, child) pair by which a walk over adjacency from start first
-    reaches child: every vertex reachable from start, bar start, once."""
-    seen = {start}
-    frontier = [start]
-    pairs = []
+    reached = frontier = 1
     while frontier:
-        parent = frontier.pop()
-        for child in adjacency[parent]:
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-                pairs.append((parent, child))
-    return pairs
+        low = frontier & -frontier
+        grown = arcs >> (low.bit_length() - 1) * n & full & ~reached
+        reached |= grown
+        frontier = frontier ^ low | grown
+    if reached != full:
+        return False
+    rows = [arcs >> shift & full for shift in range(0, n * n, n)]
+    reached, before = 1, 0
+    while reached != before:
+        before = reached
+        for v, row in enumerate(rows):
+            if row & reached:
+                reached |= 1 << v
+    return reached == full
 
 
 def is_efficient(pcm: Pcm, w: WeightVector) -> bool:

@@ -3,12 +3,15 @@
 The matrix JSON document {"n": ..., "entries": [[str, ...], ...]} is the
 single canonical representation consumed by every CLI command.  The geometry
 document carries both exact rational vertex strings and their embedded float
-coordinates, so re-parsing loses nothing.  The two exporters import ``geometry``
-when they run, so a process that only reads documents never loads it.
+coordinates, so re-parsing loses nothing.  The two exporters resolve ``geometry``
+through ``_module`` when they run, so a process that only reads documents never
+loads it.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import itertools
 import json
 from pathlib import Path
@@ -17,6 +20,13 @@ from .errors import BadNumeralError, NonFiniteWeightError, NonSquareError
 from .pcm import Pcm, WeightVector, format_rational, parse_pcm, weight_vector
 
 SCHEMA_VERSION = "1"
+
+
+@functools.cache
+def _module(name: str):
+    """The package module an exporter or a command calls into, imported on its first
+    call, so a process loads only what it runs; a later call reads this cache."""
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 def matrix_document(pcm: Pcm) -> dict:
@@ -105,9 +115,8 @@ def _coincidences_dict(effset) -> dict:
 
 def geometry_document(pcm: Pcm) -> dict:
     """The full exportable geometry of a 4x4 matrix."""
-    from .geometry import _PATH_EDGES, SIMPLEX_CORNERS, _embedded, efficient_set
-
-    effset = efficient_set(pcm)
+    geometry = _module("geometry")
+    effset = geometry.efficient_set(pcm)
     tetrahedra = []
     for tet in effset.tetrahedra:
         tetrahedra.append({
@@ -116,7 +125,7 @@ def geometry_document(pcm: Pcm) -> dict:
                 "direction": tet.orientation.direction.value,
                 "directed": list(tet.orientation.directed),
             },
-            "path_trees": [[list(edge) for edge in edges] for edges in _PATH_EDGES[tet.cycle]],
+            "path_trees": [[list(edge) for edge in edges] for edges in geometry._PATH_EDGES[tet.cycle]],
             "vertices_exact": tet.vertex_strings(),
             "vertices_embedded": [list(point) for point in tet.embedded],
             "rank": tet.degenerate_rank,
@@ -127,11 +136,11 @@ def geometry_document(pcm: Pcm) -> dict:
         # of the corners with w_i = w_j = 0 and the point with w_i = n/(n + d),
         # w_j = d/(n + d); each is written as its embedding
         split = [n if k == i else d if k == j else 0 for k in range(1, 5)]
-        corners = [list(SIMPLEX_CORNERS[k - 1]) for k in range(1, 5) if k not in (i, j)]
+        corners = [list(geometry.SIMPLEX_CORNERS[k - 1]) for k in range(1, 5) if k not in (i, j)]
         planes.append({
             "pair": [i, j],
             "value": format_rational(n, d),
-            "clip_polygon": [list(_embedded(split, n + d))] + corners,
+            "clip_polygon": [list(geometry._embedded(split, n + d))] + corners,
         })
     return {
         "schema_version": SCHEMA_VERSION,
@@ -140,7 +149,7 @@ def geometry_document(pcm: Pcm) -> dict:
         "tetrahedra": tetrahedra,
         "coincidences": _coincidences_dict(effset),
         "planes": planes,
-        "simplex_corners": [list(corner) for corner in SIMPLEX_CORNERS],
+        "simplex_corners": [list(corner) for corner in geometry.SIMPLEX_CORNERS],
     }
 
 
@@ -149,9 +158,8 @@ def obj_mesh(pcm: Pcm) -> str:
 
     Degenerate tetrahedra produce comment lines only.
     """
-    from .geometry import _OUTWARD_FACES, efficient_set
-
-    effset = efficient_set(pcm)
+    geometry = _module("geometry")
+    effset = geometry.efficient_set(pcm)
     lines = ["# effpcm efficient-set mesh", f"# classification: {effset.classification.tag.value}"]
     vertex_count = 0
     for tet in effset.tetrahedra:
@@ -162,7 +170,7 @@ def obj_mesh(pcm: Pcm) -> str:
             continue
         for point in tet.embedded:
             lines.append("v " + " ".join(repr(c) for c in point))
-        for (a, b, c) in _OUTWARD_FACES[tet.orientation.direction]:
+        for (a, b, c) in geometry._OUTWARD_FACES[tet.orientation.direction]:
             lines.append(f"f {vertex_count + a + 1} {vertex_count + b + 1} {vertex_count + c + 1}")
         vertex_count += 4
     return "\n".join(lines) + "\n"

@@ -8,8 +8,8 @@ the four ratio inequalities along the cycle in its admissible orientation,
 that is to w's BCC digraph holding the directed cycle: the region test
 reads the digraph.  A cycle's admissible orientation is fixed by whether its
 entry product lies below or above 1; a product of exactly 1 collapses the
-tetrahedron to a single point.  Each orientation keeps the arc sets it
-admits, built with the record, so a region test is one subset test per set;
+tetrahedron to a single point.  Each orientation keeps the arc masks it
+admits, built with the record, so a region test is one mask test per mask;
 the nine orientations of the canonical cycles are built at import.  A
 vector read from floats carries a nonzero equality band, which lets it hold
 a cycle whose product lies within a few bands of 1 in either direction, so
@@ -86,8 +86,9 @@ class CycleOrientation(Record):
     ``directed`` is the vertex listing to iterate arcs in the valid
     direction; a backward orientation stores the reversed listing so region
     tests never have to special-case the direction.  The arcs a region test
-    reads are built once and kept outside the fields, as ``_arc_sets``: the
-    directed cycle's arcs, and for a consistent cycle their reversal too.
+    reads are built once and kept outside the fields, as ``_arc_masks`` laid out
+    as a 4-vertex ``BccDigraph.arc_mask``: the directed cycle's, and for a
+    consistent cycle their reversal too.
     """
 
     cycle: tuple[int, int, int, int]
@@ -96,11 +97,10 @@ class CycleOrientation(Record):
 
     def __post_init__(self):
         listing = tuple(self.directed)
-        arcs = frozenset(zip(listing, listing[1:] + listing[:1]))
-        if self.direction is Direction.CONSISTENT_BOTH:
-            self.__dict__["_arc_sets"] = (arcs, frozenset((b, a) for a, b in arcs))
-        else:
-            self.__dict__["_arc_sets"] = (arcs,)
+        arcs = set(zip(listing, listing[1:] + listing[:1]))
+        masks = (sum(1 << 4 * (a - 1) + (b - 1) for a, b in arcs),
+                 sum(1 << 4 * (b - 1) + (a - 1) for a, b in arcs))
+        self.__dict__["_arc_masks"] = masks if self.direction is Direction.CONSISTENT_BOTH else masks[:1]
 
 
 def _oriented(cycle: tuple[int, int, int, int], sign: int) -> CycleOrientation:
@@ -244,24 +244,27 @@ def contains_cycle_region(digraph: BccDigraph, orientation: CycleOrientation) ->
     oriented cycle, w_a/w_b >= a_ab.  A consistent cycle's region is the
     point where all four are equalities; as ratios and entries have the same
     product along it, an exact w holding it in either direction is there.
-    Each kept arc set of the orientation is one subset test.
+    Each arc mask the orientation keeps is one test on the digraph's, whose
+    layout is a 4-vertex one: any other digraph raises ``DimensionMismatch``.
     """
-    arcs = digraph.arcs
-    for admissible in orientation._arc_sets:
-        if admissible <= arcs:
+    if digraph.n != 4:
+        raise DimensionMismatchError(f"4-cycle region with a {digraph.n}-vertex digraph")
+    arcs = digraph.arc_mask
+    for need in orientation._arc_masks:
+        if arcs & need == need:
             return True
     return False
 
 
 def _band_orientations(pcm: Pcm, w: WeightVector) -> tuple[CycleOrientation, ...]:
-    """The orientation whose arc sets a region test for w reads, per canonical cycle.
+    """The orientation whose arc masks a region test for w reads, per canonical cycle.
 
     A vector w with band t = ``w.band`` holds the arc (a, b) exactly when
     w_a/w_b >= (1 - t) a_ab, the one band rule of ``bcc_digraph``, so along a
     cycle it holds, the entries' product in the held direction is at most
     (1 - t)^-4.  A cycle whose exact product P lies in [(1 - t)^4, (1 - t)^-4]
     can so be held in either direction, and is read through its consistent
-    record's two arc sets; for t >= 1 every cycle is.  With t = 0, as for an
+    record's two arc masks; for t >= 1 every cycle is.  With t = 0, as for an
     exact vector, the admissible orientations are returned as they are.
     """
     orientations = canonical_orientations(pcm)

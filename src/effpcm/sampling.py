@@ -2,9 +2,9 @@
 
 Each trial draws a matrix from a class generator and a random exact simplex
 weight vector, then reads two verdicts off their BCC digraph: strong
-connectivity, by two graph walks from vertex 1, and holding a canonical cycle
-in its admissible orientation (a cycle region), by subset tests against the
-arc sets that the orientations keep.  A trial builds one matrix, one weight
+connectivity, by two mask closures from vertex 1, and holding a canonical cycle
+in its admissible orientation (a cycle region), by testing its arc mask against
+the arc masks that the orientations keep.  A trial builds one matrix, one weight
 vector and one digraph; the orientations are built at import.  The verdicts
 must agree on every exact instance; any disagreement is recorded verbatim.
 """

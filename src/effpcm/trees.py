@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 
-from .efficiency import _walk
 from .errors import DimensionMismatchError, NotACanonicalCycleError, NotASpanningTreeError
 from .pcm import CANONICAL_CYCLES, Pcm, Record, WeightVector
 
@@ -32,7 +31,7 @@ class SpanningTree(Record):
         if (
             len(self.edges) != self.n - 1
             or not all(1 <= a < b <= self.n for (a, b) in self.edges)
-            or len(order := tuple(_walk(_undirected(self.n, self.edges), self.n))) != self.n - 1
+            or len(order := tuple(_walk(self.n, self.edges))) != self.n - 1
         ):
             raise NotASpanningTreeError(f"not a spanning tree of 1..{self.n}: {sorted(self.edges)}")
         self.__dict__["_order"] = order
@@ -41,12 +40,22 @@ class SpanningTree(Record):
         return sorted(self.edges)
 
 
-def _undirected(n: int, edges: frozenset[tuple[int, int]]) -> list[list[int]]:
+def _walk(n: int, edges: frozenset[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Each (parent, child) pair by which a walk over the undirected edges from vertex n
+    first reaches child: every vertex reachable from n, bar n, once."""
     adjacency: list[list[int]] = [[] for _ in range(n + 1)]  # indexed by vertex
     for (a, b) in edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    return adjacency
+    seen, frontier, pairs = {n}, [n], []
+    while frontier:
+        parent = frontier.pop()
+        for child in adjacency[parent]:
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+                pairs.append((parent, child))
+    return pairs
 
 
 def paths_of_cycle(cycle: tuple[int, int, int, int]) -> list[SpanningTree]:

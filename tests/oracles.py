@@ -12,7 +12,8 @@ restrictions to incomplete matrices, tree vectors by Fraction products
 (the library uses integer chains), numerals converted by ``Fraction(str)``
 (the library converts its regex groups), the cell-by-cell validation
 loop, relabelling entry by entry, the BCC digraph from Fraction ratios
-(the library cross-multiplies integer pairs) and barycentric coefficients
+(the library cross-multiplies integer pairs), digraph records from arc sets
+by their own mask encoder (the library sets bits from signs) and barycentric coefficients
 in Fraction arithmetic (the library reads
 integer pairs and integer forms), the clip polygons' split points written
 out coordinate by coordinate (the library calls ``_embedded``), the geometry document's
@@ -40,7 +41,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from effpcm.efficiency import BccDigraph, _walk
+from effpcm.efficiency import BccDigraph
 from effpcm.geometry import (
     CoincidenceReport,
     CycleOrientation,
@@ -72,7 +73,7 @@ from effpcm.pcm import (
     pcm_from_upper,
     triad_product,
 )
-from effpcm.trees import SpanningTree, _undirected
+from effpcm.trees import SpanningTree, _walk
 
 MAX_ENUMERATION_N = 6
 
@@ -254,7 +255,17 @@ def bcc_digraph_by_ratios(pcm: Pcm, w: WeightVector) -> BccDigraph:
                 arcs.add((j, i))
             if sign == 0:
                 equalities.add((i, j))
-    return BccDigraph(pcm.n, frozenset(arcs), frozenset(equalities))
+    return digraph_of(pcm.n, arcs, equalities)
+
+
+def digraph_of(n: int, arcs, equality_pairs=()) -> BccDigraph:
+    """The record of an arc set and its equality pairs, each pair (i, j) as bit
+    (i - 1) n + (j - 1) of its mask, summed over the distinct pairs; the library
+    ORs a per-n table of pair bits instead."""
+    def mask(pairs):
+        return sum(1 << (i - 1) * n + (j - 1) for i, j in set(pairs))
+
+    return BccDigraph(n, mask(arcs), mask(equality_pairs))
 
 
 def strongly_connected_by_closure(g: BccDigraph) -> bool:
@@ -471,7 +482,7 @@ def tree_weight_vector_by_fractions(pcm: Pcm, tree: SpanningTree) -> WeightVecto
     if tree.n != pcm.n:
         raise DimensionMismatchError(f"tree on 1..{tree.n} with {pcm.n}x{pcm.n} matrix")
     raw: dict[int, Fraction] = {pcm.n: Fraction(1)}
-    for parent, child in _walk(_undirected(pcm.n, tree.edges), pcm.n):
+    for parent, child in _walk(pcm.n, tree.edges):
         # w_child / w_parent = a_{child,parent} on a tree edge
         raw[child] = raw[parent] * pcm.entries[child - 1][parent - 1]
     return normalized(vector_of([raw[v] for v in range(1, pcm.n + 1)]))

@@ -1,9 +1,14 @@
 """BCC digraph construction, strong connectivity, and Pareto dominance."""
 
+import ast
+import functools
+import itertools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -19,9 +24,11 @@ from effpcm.pcm import (
     pcm_from_upper,
     weight_vector,
 )
+import effpcm.efficiency
 from effpcm.efficiency import (
     BccDigraph,
     bcc_digraph,
+    digraph_from_signs,
     is_efficient,
     strongly_connected,
 )
@@ -30,6 +37,7 @@ from effpcm.geometry import PerturbTag, tetrahedron_for_cycle
 from oracles import (
     DimensionTooLargeError,
     bcc_digraph_by_ratios,
+    digraph_of,
     dominates,
     entry,
     find_dominator_sample,
@@ -66,12 +74,12 @@ _RANGE_ENTRIES = st.sampled_from([Fraction(10) ** k for k in (-400, -330, -300, 
 
 
 @st.composite
-def _matrix_and_vector(draw):
-    """An n x n matrix, n = 2..12, with int and Fraction entries, and an exact
+def _matrix_and_vector(draw, min_n=2):
+    """An n x n matrix, n = min_n..12, with int and Fraction entries, and an exact
     weight vector or one of floats' exact values with the default band; some
     pairs are forced to equal their ratio, and some entries lie near or past
     the ends of the float range."""
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(min_n, 12))
     exact = draw(st.booleans())
     components = draw(st.lists(_COMPONENTS if exact else _FLOAT_COMPONENTS,
                                min_size=n, max_size=n))
@@ -202,6 +210,29 @@ def _pair_sign(g: BccDigraph, i: int, j: int) -> int:
     return ((i, j) in g.arcs) - ((j, i) in g.arcs)
 
 
+class TestDigraphFromSigns:
+    @settings(max_examples=150, deadline=None)
+    @given(_matrix_and_vector(min_n=1))
+    def test_bcc_digraphs_own_signs_give_an_equal_record(self, matrix_and_vector):
+        pcm, w = matrix_and_vector
+        g = bcc_digraph(pcm, w)
+        signs = [_pair_sign(g, i, j) for i, j in itertools.combinations(range(1, pcm.n + 1), 2)]
+        rebuilt = digraph_from_signs(pcm.n, iter(signs))
+        assert rebuilt == g and hash(rebuilt) == hash(g)
+        assert rebuilt.arcs == g.arcs and rebuilt.equality_pairs == g.equality_pairs
+
+    def test_each_sign_sets_its_arcs(self):
+        g = digraph_from_signs(3, [1, -1, 0])  # pairs (1, 2), (1, 3), (2, 3)
+        assert g == digraph_of(3, {(1, 2), (3, 1), (2, 3), (3, 2)}, {(2, 3)})
+        with pytest.raises(TypeError):  # a missing sign is not read as an equality
+            digraph_from_signs(3, [1, None, 0])
+
+    @pytest.mark.parametrize("signs", [[], [1, 1], [1, 1, 1, 1]])
+    def test_one_sign_per_pair(self, signs):
+        with pytest.raises(ValueError):
+            digraph_from_signs(3, signs)
+
+
 class TestPairSigns:
     @given(
         pcm=random_pcm4,
@@ -241,11 +272,11 @@ class TestStrongConnectivity:
 
     def test_complete_bidirectional(self):
         arcs = frozenset((i, j) for i in range(1, 5) for j in range(1, 5) if i != j)
-        g = BccDigraph(4, arcs, frozenset((i, j) for i in range(1, 5) for j in range(i + 1, 5)))
+        g = digraph_of(4, arcs, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
         assert strongly_connected(g)
 
     def test_single_directed_cycle(self):
-        g = BccDigraph(4, frozenset({(1, 2), (2, 3), (3, 4), (4, 1)}), frozenset())
+        g = digraph_of(4, {(1, 2), (2, 3), (3, 4), (4, 1)})
         assert strongly_connected(g)
         assert hamiltonian_cycle_exists(g)
 
@@ -253,7 +284,7 @@ class TestStrongConnectivity:
         assert not hamiltonian_cycle_exists(bcc_digraph(running_example, UNIFORM))
 
     def test_hamiltonian_dimension_cap(self):
-        g = BccDigraph(9, frozenset(), frozenset())
+        g = digraph_of(9, ())
         with pytest.raises(DimensionTooLargeError):
             hamiltonian_cycle_exists(g)
 
@@ -271,7 +302,7 @@ class TestStrongConnectivity:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5])
     def test_no_arcs(self, n):
-        g = BccDigraph(n, frozenset(), frozenset())
+        g = digraph_of(n, ())
         assert strongly_connected(g) == (n <= 1) == strongly_connected_by_closure(g)
 
     def test_matches_transitive_closure(self):
@@ -286,11 +317,23 @@ class TestStrongConnectivity:
                 (i, j) for i in range(1, n + 1) for j in range(1, n + 1)
                 if i != j and rng.random() < density
             )
-            g = BccDigraph(n, arcs, frozenset())
+            g = digraph_of(n, arcs)
             expected = strongly_connected_by_closure(g)
             assert strongly_connected(g) == expected, sorted(arcs)
             verdicts.add((n > 1, expected))
         assert verdicts == {(False, True), (True, True), (True, False)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 2 ** (n * n) - 1), min_size=1, max_size=4))))
+    def test_arbitrary_arc_masks_match_transitive_closure(self, drawn):
+        """Masks with every density from 1/2 down (an AND of up to four draws), so
+        most are not semicomplete: the closures must not assume an arc per pair."""
+        n, draws = drawn
+        diagonal = sum(1 << v * n + v for v in range(n))
+        mask = functools.reduce(operator.and_, draws) & ~diagonal
+        g = BccDigraph(n, mask, 0)
+        assert strongly_connected(g) == strongly_connected_by_closure(g)
 
 
 class TestEfficiency:
@@ -423,3 +466,35 @@ class TestDominatorSampler:
                 assert dominates(pcm, found, w).dominates
                 successes += 1
         assert successes >= 990, f"only {successes}/1000 searches succeeded"
+
+
+def _float_sites(source: str) -> list[tuple[str, int]]:
+    """(kind, line) of each true division, ``float`` name and float constant in source."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            sites.append(("/", node.lineno))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            sites.append(("float", node.lineno))
+        elif isinstance(node, ast.Constant) and type(node.value) is float:
+            sites.append(("constant", node.lineno))
+    return sorted(sites, key=lambda site: (site[1], site[0]))
+
+
+def test_efficiency_decides_with_no_float():
+    """The module that decides the digraph verdict divides nothing and names no float:
+    every pair is signed, and both closures run, on integers."""
+    source = Path(effpcm.efficiency.__file__).read_text(encoding="utf-8")
+    assert _float_sites(source) == []
+
+
+def test_the_float_guard_sees_each_kind():
+    source = ('"""w_i/w_j is text"""\n'
+              "a = x // y\n"
+              "b = x / y\n"
+              "b /= 2\n"
+              "c = float(b)\n"
+              "d: float = 1e-9\n"
+              "e = 3 * 0.5\n")
+    assert _float_sites(source) == [("/", 3), ("/", 4), ("float", 5), ("constant", 6),
+                                    ("float", 6), ("constant", 7)]

@@ -34,7 +34,7 @@ from effpcm.pcm import (
     upper_signs,
     weight_vector,
 )
-from effpcm.efficiency import BccDigraph, bcc_digraph, is_efficient
+from effpcm.efficiency import bcc_digraph, is_efficient
 from effpcm.export import geometry_document
 from effpcm.generators import (
     UPPER_PAIRS,
@@ -77,6 +77,7 @@ from oracles import (
     consistent_triads,
     contains_cycle_region_by_zip,
     cycle_orientation,
+    digraph_of,
     embed_exact,
     entry,
     normalized,
@@ -469,11 +470,12 @@ class TestRegions:
         orientation = cycle_orientation(running_example, (1, 2, 3, 4))
         assert contains_cycle_region(bcc_digraph(running_example, w), orientation)
 
-    def test_kept_arc_sets_leave_the_record_as_it_was(self):
+    def test_kept_arc_masks_leave_the_record_as_it_was(self):
         forward, consistent = _ORIENTATIONS[(1, 2, 3, 4), -1], _ORIENTATIONS[(1, 2, 3, 4), 0]
-        assert forward._arc_sets == (frozenset({(1, 2), (2, 3), (3, 4), (4, 1)}),)
-        assert consistent._arc_sets == (frozenset({(1, 2), (2, 3), (3, 4), (4, 1)}),
-                                         frozenset({(2, 1), (3, 2), (4, 3), (1, 4)}))
+        cycle = digraph_of(4, {(1, 2), (2, 3), (3, 4), (4, 1)}).arc_mask
+        assert cycle == 1 << 1 | 1 << 6 | 1 << 11 | 1 << 12
+        assert forward._arc_masks == (cycle,)
+        assert consistent._arc_masks == (cycle, digraph_of(4, {(2, 1), (3, 2), (4, 3), (1, 4)}).arc_mask)
         twin = CycleOrientation((1, 2, 3, 4), Direction.FORWARD, (1, 2, 3, 4))
         assert twin == forward and hash(twin) == hash(forward)
         assert repr(twin) == ("CycleOrientation(cycle=(1, 2, 3, 4), "
@@ -487,12 +489,21 @@ class TestRegions:
     )
     def test_kept_arc_sets_agree_with_zipped_arcs(self, arcs, built):
         """Every import-time record, and records built from tuple and list listings."""
-        digraph = BccDigraph(4, arcs, frozenset())
+        digraph = digraph_of(4, arcs)
         direction, listing, kind = built
         user_built = CycleOrientation(tuple(listing), direction, kind(listing))
         for orientation in (*_ORIENTATIONS.values(), user_built):
             assert (contains_cycle_region(digraph, orientation)
                     == contains_cycle_region_by_zip(digraph, orientation))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_a_region_reads_a_four_vertex_digraph_only(self, n):
+        """The orientations keep 4-vertex masks, so another digraph, even a complete
+        one that holds every cycle, is refused rather than misread."""
+        complete = digraph_of(n, itertools.permutations(range(1, n + 1), 2))
+        for orientation in _ORIENTATIONS.values():
+            with pytest.raises(DimensionMismatchError, match=f"with a {n}-vertex digraph$"):
+                contains_cycle_region(complete, orientation)
 
     def test_float_vector_near_a_consistent_cycle(self):
         """The cycle (1,2,3,4) has product 1 + 1e-9 and w holds it backward within the
