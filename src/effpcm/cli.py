@@ -8,8 +8,9 @@ or file error into one ``error:`` line, so an exit-2 run leaves stdout empty.
 A line naming a command is parsed once, by that command's parser alone, and
 the command imports the library modules it calls after its documents are read;
 the argparse tree reads the rest (empty, option first, unknown command).
-All commands are deterministic given their flags and seeds; only the
-sampler's elapsed-seconds field depends on the wall clock.
+All commands are deterministic given their flags, seeds and ``EFFPCM_TOL`` (the
+float band, which of the package only this module reads); only the sampler's
+elapsed-seconds field depends on the wall clock.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .errors import InputError, UsageError
+from .errors import BadToleranceError, InputError, UsageError
 from .export import (
     _module,
     _open,
@@ -32,7 +35,21 @@ from .export import (
     matrix_document,
     obj_mesh,
 )
-from .pcm import CANONICAL_CYCLES, float_equality_band, format_rational
+from .pcm import CANONICAL_CYCLES, DEFAULT_EQUALITY_BAND, format_rational
+
+
+def float_equality_band() -> float:
+    """The float band of ``check`` and ``member``: EFFPCM_TOL, a finite number >= 0,
+    else the library default.  Both read it, and so check it, after the matrix
+    document and before the weights document, for exact weights too."""
+    text = os.environ.get("EFFPCM_TOL")
+    try:
+        band = DEFAULT_EQUALITY_BAND if text is None else float(text)
+    except ValueError:
+        band = math.nan  # unparsable: rejected below
+    if not 0 <= band < math.inf:  # NaN fails both comparisons
+        raise BadToleranceError(f"EFFPCM_TOL={text!r} is not a finite number >= 0")
+    return band
 
 
 def _cmd_validate(args) -> tuple[str, int]:
@@ -46,7 +63,7 @@ def _format_pair_list(pairs) -> str:
 
 def _cmd_check(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
-    w = load_weights(args.weights)
+    w = load_weights(args.weights, float_equality_band())
     efficiency = _module("efficiency")
     digraph = efficiency.bcc_digraph(pcm, w)
     efficient = efficiency.strongly_connected(digraph)
@@ -105,7 +122,7 @@ def _cmd_vertices(args) -> tuple[str, int]:
 
 def _cmd_member(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
-    w = load_weights(args.weights)
+    w = load_weights(args.weights, float_equality_band())
     geometry = _module("geometry")
     orientations = geometry.canonical_orientations(pcm)
     regions = geometry._band_orientations(pcm, w)

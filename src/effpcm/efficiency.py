@@ -10,14 +10,16 @@ is vertex i's successors.  ``bcc_digraph`` is the one place where a weight
 ratio meets its entry, and it signs every pair by one rule on integers.
 The weights are read as the numerators x_i of their integer form x / d,
 each entry as num/den from ``Pcm.upper``, and the vector's own equality
-band as b_n/b_d: the float band for a vector read from floats, so that a
-perfectly estimated pair is still recognized as carrying both arcs, and 0
-for an exact one.  With lhs = x_i den and rhs = num x_j, the pair is an
-equality when |lhs - rhs| b_d <= b_n rhs, that is when |w_i/w_j - a_ij| <=
-band * a_ij, and otherwise takes the sign of lhs - rhs; ``digraph_from_signs``
-takes such signs as given.  The digraph is a function of the matrix and the
-vector alone.  Strong connectivity is two mask closures from vertex 1, and
-the region test of ``geometry`` masks the arcs with a cycle's.
+band as b_n/b_d: for a vector read from floats the band its reader passed,
+so that a perfectly estimated pair is still recognized as carrying both
+arcs, and 0 for an exact one.  With lhs = x_i den and rhs = num x_j, the
+pair is an equality when |lhs - rhs| b_d <= b_n rhs, that is when
+|w_i/w_j - a_ij| <= band * a_ij, and otherwise takes the sign of lhs - rhs;
+``digraph_from_signs`` takes such signs as given.  An equality is a pair
+with both arcs, so the one mask holds the equalities too.  The digraph is a
+function of the matrix and the vector alone, never of a process setting.
+Strong connectivity is two mask closures from vertex 1, and the region test
+of ``geometry`` masks the arcs with a cycle's.
 """
 
 from __future__ import annotations
@@ -30,27 +32,23 @@ from .pcm import Pcm, Record, WeightVector
 
 
 class BccDigraph(Record):
-    """Arcs over the alternatives 1..n induced by comparing w_i/w_j to a_ij, as masks:
-    bit (i-1)n + (j-1) of ``arc_mask`` is i -> j, and of ``equality_mask`` the pair
-    i < j that carries both arcs.  ``arcs`` and ``equality_pairs`` read them as sets."""
+    """Arcs over the alternatives 1..n induced by comparing w_i/w_j to a_ij, as a mask:
+    bit (i-1)n + (j-1) of ``arc_mask`` is i -> j.  ``arcs`` reads it as a set, and
+    ``equality_pairs`` as the pairs i < j that carry both arcs."""
 
     n: int
     arc_mask: int
-    equality_mask: int
 
     @functools.cached_property
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        return _pairs(self.n, self.arc_mask)
+    def arcs(self) -> frozenset[tuple[int, int]]:  # each set bit's pair, lowest bit first
+        pairs = _pair_of_bit(self.n)
+        return frozenset([pairs[k] for k, bit in enumerate(bin(self.arc_mask)[:1:-1]) if bit == "1"])
 
     @functools.cached_property
     def equality_pairs(self) -> frozenset[tuple[int, int]]:  # unordered, stored with i < j
-        return _pairs(self.n, self.equality_mask)
-
-
-def _pairs(n: int, mask: int) -> frozenset[tuple[int, int]]:
-    """The pair (i, j) of each set bit (i-1)n + (j-1), read off the binary digits lowest first."""
-    pairs = _pair_of_bit(n)
-    return frozenset([pairs[k] for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"])
+        arcs = self.arc_mask
+        return frozenset([(i + 1, j + 1) for i, j, forward, backward in _pair_bits(self.n)
+                          if arcs & forward and arcs & backward])
 
 
 @functools.cache
@@ -68,15 +66,11 @@ def _pair_bits(n: int) -> tuple[tuple[int, int, int, int], ...]:
 
 def digraph_from_signs(n: int, signs) -> BccDigraph:
     """The digraph of one sign per pair i < j, in ``itertools.combinations`` order:
-    +1 gives i -> j, -1 gives j -> i, and 0 both arcs and an equality."""
-    arcs = equalities = 0
+    +1 gives i -> j, -1 gives j -> i, and 0 both arcs, an equality."""
+    arcs = 0
     for (_, _, forward, backward), sign in zip(_pair_bits(n), signs, strict=True):
-        if sign == 0:
-            arcs |= forward | backward
-            equalities |= forward
-        else:
-            arcs |= forward if sign > 0 else backward
-    return BccDigraph(n, arcs, equalities)
+        arcs |= forward | backward if sign == 0 else forward if sign > 0 else backward
+    return BccDigraph(n, arcs)
 
 
 def bcc_digraph(pcm: Pcm, w: WeightVector) -> BccDigraph:
@@ -85,15 +79,12 @@ def bcc_digraph(pcm: Pcm, w: WeightVector) -> BccDigraph:
         raise DimensionMismatchError(f"{pcm.n}x{pcm.n} matrix with {w.n}-weight vector")
     band_num, band_den = w.band.as_integer_ratio()
     x = w.numerators
-    arcs = equalities = 0
+    arcs = 0
     for (i, j, forward, backward), (num, den) in zip(_pair_bits(pcm.n), pcm.upper):
         lhs, rhs = x[i] * den, num * x[j]
-        if abs(lhs - rhs) * band_den <= band_num * rhs:
-            arcs |= forward | backward
-            equalities |= forward
-        else:
-            arcs |= forward if lhs > rhs else backward
-    return BccDigraph(pcm.n, arcs, equalities)
+        arcs |= (forward | backward if abs(lhs - rhs) * band_den <= band_num * rhs
+                 else forward if lhs > rhs else backward)
+    return BccDigraph(pcm.n, arcs)
 
 
 def strongly_connected(g: BccDigraph) -> bool:

@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 
 from .errors import BadNumeralError, NonFiniteWeightError, NonSquareError
-from .pcm import Pcm, WeightVector, format_rational, parse_pcm, weight_vector
+from .pcm import DEFAULT_EQUALITY_BAND, Pcm, WeightVector, format_rational, parse_pcm, weight_vector
 
 SCHEMA_VERSION = "1"
 
@@ -50,7 +50,7 @@ def load_matrix(path: str | Path) -> Pcm:
     return pcm_from_document(_load_json(path))
 
 
-def weights_from_document(doc) -> WeightVector:
+def weights_from_document(doc, float_band=DEFAULT_EQUALITY_BAND) -> WeightVector:
     if not isinstance(doc, dict) or "w" not in doc or not isinstance(doc["w"], list):
         raise BadNumeralError("expected a JSON object with a 'w' list")
     values = list(doc["w"])
@@ -63,11 +63,11 @@ def weights_from_document(doc) -> WeightVector:
                 raise NonFiniteWeightError(
                     f"a {cell.bit_length()}-bit integer is past the float range"
                 ) from None
-    return weight_vector(values)
+    return weight_vector(values, float_band)
 
 
-def load_weights(path: str | Path) -> WeightVector:
-    return weights_from_document(_load_json(path))
+def load_weights(path: str | Path, float_band=DEFAULT_EQUALITY_BAND) -> WeightVector:
+    return weights_from_document(_load_json(path), float_band)
 
 
 def _open(path: str | Path, mode: str = "rb"):

@@ -21,10 +21,10 @@ remain for arbitrary listings.  Weight ratios meet their entries in one
 place only, the BCC digraph of ``efficiency``.  A weight vector is exact
 too, and carries the equality band its pairs are compared with:
 ``weight_vector`` is the one place a float enters, read as its exact value,
-and there the vector takes the float band (default 1e-9, overridable
-through EFFPCM_TOL); any other vector has band 0.  A record keeps a value
-derived from its fields as a ``functools.cached_property``, whose slot a
-builder that already holds the value seeds (``pcm_from_pairs``, ``parse_pcm``).
+and there the vector takes the float band its caller passes (default 1e-9);
+any other vector has band 0; no band here comes from a process setting.  A
+record keeps a value derived from its fields as a ``functools.cached_property``,
+whose slot a builder that already holds the value seeds (``pcm_from_pairs``, ``parse_pcm``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import re
 from collections.abc import Sequence
 from fractions import Fraction
@@ -326,28 +325,18 @@ class WeightVector(Record):
 DEFAULT_EQUALITY_BAND = 1e-9
 
 
-def float_equality_band() -> float:
-    """Relative tolerance for treating a float ratio as a perfect estimate.
-
-    EFFPCM_TOL overrides the default; it must be a finite number >= 0.
-    """
-    text = os.environ.get("EFFPCM_TOL")
-    if text is None:
-        return DEFAULT_EQUALITY_BAND
-    try:
-        band = float(text)
-    except ValueError:
-        band = math.nan  # unparsable: rejected below
-    if not 0 <= band < math.inf:  # NaN fails both comparisons
-        raise BadToleranceError(f"EFFPCM_TOL={text!r} is not a finite number >= 0")
+def _checked_band(band):
+    """``band`` if it is a finite int, float or Fraction >= 0; else BadTolerance."""
+    if isinstance(band, bool) or not isinstance(band, (int, float, Fraction)) or not 0 <= band < math.inf:
+        raise BadToleranceError(f"float_band={band!r} is not a finite number >= 0")
     return band
 
 
-def weight_vector(values: Sequence) -> WeightVector:
+def weight_vector(values: Sequence, float_band=DEFAULT_EQUALITY_BAND) -> WeightVector:
     """The WeightVector of the values read by parse_pair, band 0, or, if a value is a
-    float, of every value's float read exactly, with the band of ``float_equality_band``;
-    d is the lcm of the values' denominators.  The values are checked first; the band is
-    read and checked for every vector."""
+    float, of every value's float read exactly, with band ``float_band``; d is the lcm
+    of the values' denominators.  The values are checked first, then ``float_band``,
+    which must be a finite number >= 0 for every vector."""
     if isinstance(values, (str, bytes)):
         raise BadNumeralError(f"{values!r} is one value, not a sequence of weights")
     if not isinstance(values, Sequence):  # as parse_pcm's rows: a set has no order to give
@@ -363,11 +352,11 @@ def weight_vector(values: Sequence) -> WeightVector:
                 raise NonPositiveWeightError(f"component {c!r}")
             if not math.isfinite(c):
                 raise NonFiniteWeightError(f"component {c!r}")
-        values, band = [c.as_integer_ratio() for c in floats], Fraction(float_equality_band())
+        values, band = [c.as_integer_ratio() for c in floats], Fraction(_checked_band(float_band))
     d = math.lcm(*(q for _, q in values))
     vector = WeightVector(tuple([p * (d // q) for p, q in values]), d, band)
     if not band:
-        float_equality_band()  # read, and so checked, for an exact vector too
+        _checked_band(float_band)  # after an exact vector's values, as after a float one's
     return vector
 
 

@@ -42,7 +42,7 @@ class EquivalenceReport(Record):
 
 def trial_settings(trials: int, class_tag: PerturbTag | str) -> PerturbTag:
     """The class a run reads, once its trial count is checked: every input error
-    a run raises, raised before any trial.  A run reads no environment."""
+    a run raises, raised before any trial.  A run reads no process setting."""
     if trials < 1:
         raise BadTrialCountError(f"trials must be >= 1, got {trials}")
     return PerturbTag(class_tag)

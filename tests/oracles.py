@@ -245,7 +245,7 @@ def bcc_digraph_by_ratios(pcm: Pcm, w: WeightVector) -> BccDigraph:
     """The BCC digraph with each pair decided by comparing the Fraction ratio
     w_i/w_j with a_ij by ``band_ratio_sign``, within w's band: within
     band * a_ij, exactly for band 0."""
-    arcs, equalities = set(), set()
+    arcs = set()
     for i in range(1, pcm.n + 1):
         for j in range(i + 1, pcm.n + 1):
             sign = band_ratio_sign(ratio(w, i, j), entry(pcm, i, j), w.band)
@@ -253,19 +253,14 @@ def bcc_digraph_by_ratios(pcm: Pcm, w: WeightVector) -> BccDigraph:
                 arcs.add((i, j))
             if sign <= 0:
                 arcs.add((j, i))
-            if sign == 0:
-                equalities.add((i, j))
-    return digraph_of(pcm.n, arcs, equalities)
+    return digraph_of(pcm.n, arcs)
 
 
-def digraph_of(n: int, arcs, equality_pairs=()) -> BccDigraph:
-    """The record of an arc set and its equality pairs, each pair (i, j) as bit
-    (i - 1) n + (j - 1) of its mask, summed over the distinct pairs; the library
-    ORs a per-n table of pair bits instead."""
-    def mask(pairs):
-        return sum(1 << (i - 1) * n + (j - 1) for i, j in set(pairs))
-
-    return BccDigraph(n, mask(arcs), mask(equality_pairs))
+def digraph_of(n: int, arcs) -> BccDigraph:
+    """The record of an arc set, each arc (i, j) as bit (i - 1) n + (j - 1) of its
+    mask, summed over the distinct arcs; the library ORs a per-n table of pair
+    bits instead."""
+    return BccDigraph(n, sum(1 << (i - 1) * n + (j - 1) for i, j in set(arcs)))
 
 
 def strongly_connected_by_closure(g: BccDigraph) -> bool:

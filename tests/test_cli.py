@@ -22,7 +22,7 @@ from effpcm.errors import UsageError
 from effpcm.generators import generate_with_rng
 from effpcm.export import load_matrix
 from effpcm.geometry import PerturbTag, efficient_set, tetrahedron_for_cycle
-from effpcm.pcm import float_equality_band, format_rational, parse_pcm, pcm_from_upper
+from effpcm.pcm import DEFAULT_EQUALITY_BAND, format_rational, parse_pcm, pcm_from_upper
 from conftest import RUNNING_ROWS
 from oracles import entry, parse_exact_vertices
 from test_pcm import random_pcm4
@@ -100,6 +100,24 @@ class TestCheck:
         assert main([command, matrix_file, "--weights", wfile]) == 2
         assert capsys.readouterr().err == (
             "error: BadTolerance: EFFPCM_TOL='abc' is not a finite number >= 0\n")
+
+    @pytest.mark.parametrize("command", ["check", "member"])
+    @pytest.mark.parametrize("document", ['{"w": ["1", "x", "1", "1"]}', "not json"],
+                             ids=["bad-numeral", "not-json"])
+    def test_the_band_is_read_before_the_weights_document(self, tmp_path, capsys, monkeypatch,
+                                                          command, document):
+        """The band is read after the matrix document and before the weights document:
+        a faulty weights document under a malformed EFFPCM_TOL reports the band, and a
+        faulty matrix document still reports the matrix."""
+        monkeypatch.setenv("EFFPCM_TOL", "abc")
+        (tmp_path / "w.json").write_text(document, encoding="utf-8")
+        matrix = write_matrix(tmp_path / "matrix.json", RUNNING_ROWS)
+        assert main([command, matrix, "--weights", str(tmp_path / "w.json")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: BadTolerance: EFFPCM_TOL='abc' is not a finite number >= 0\n")
+        bad = write_matrix(tmp_path / "bad.json", [["1", "2"], ["1/3", "1"]])
+        assert main([command, bad, "--weights", str(tmp_path / "w.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ReciprocityViolation ")
 
     def test_float_weights_accepted(self, matrix_file, tmp_path):
         wfile = write_weights(tmp_path / "w.json", [0.25, 0.25, 0.25, 0.25])
@@ -333,7 +351,7 @@ class TestBandEdge:
         hold that cycle against its admissible orientation.
         """
         pcm = generate_with_rng(random.Random(seed), tag)
-        band = float_equality_band()
+        band = DEFAULT_EQUALITY_BAND
         weights = generic
         if weights is None:
             weights = [0.0] * 4
@@ -353,6 +371,49 @@ class TestBandEdge:
             tmp_path_factory.mktemp("band"), pcm.rows_as_strings(), weights)
         assert line == ("efficient: yes" if check_rc == 0 else "efficient: no")
         assert member_rc == check_rc
+
+
+class TestBandSetting:
+    """``EFFPCM_TOL`` as the console reads it: each command runs in process on
+    documents under ``tmp_path``, and a float vector is compared byte for byte
+    with its exact twin.  A default-band run on ``NEAR_ROWS`` is
+    ``TestBandEdge::test_recorded_near_consistent_cycle``."""
+
+    @staticmethod
+    def _run(capsys, command, matrix, weights, *options):
+        code = main([command, str(matrix), "--weights", str(weights), *options])
+        return code, *capsys.readouterr()
+
+    def test_an_exact_check_still_reads_the_band(self, tmp_path, monkeypatch, capsys):
+        """A consistent 6x6 matrix and its own exact weights: efficient, yet a malformed
+        band is an input error, one line on stderr and nothing on stdout."""
+        w = [6, 5, 4, 3, 2, 1]
+        matrix = write_matrix(tmp_path / "six.json", [[f"{a}/{b}" for b in w] for a in w])
+        weights = write_weights(tmp_path / "six_own.json", [str(c) for c in w])
+        monkeypatch.delenv("EFFPCM_TOL", raising=False)
+        assert self._run(capsys, "check", matrix, weights)[:1] == (0,)
+        monkeypatch.setenv("EFFPCM_TOL", "abc")
+        assert self._run(capsys, "check", matrix, weights) == (
+            2, "", "error: BadTolerance: EFFPCM_TOL='abc' is not a finite number >= 0\n")
+
+    @pytest.mark.parametrize("rows,floats,command,options", [
+        pytest.param([["1", "1000"], ["1/1000", "1"]], [1.0, 0.001], "check", (), id="thousand"),
+        pytest.param(NEAR_ROWS, NEAR_W, "member", (), id="near-member"),
+        pytest.param(NEAR_ROWS, NEAR_W, "check", ("--json",), id="near-check-json"),
+    ])
+    def test_a_zero_band_makes_a_float_vector_its_exact_twin(
+            self, tmp_path, monkeypatch, capsys, rows, floats, command, options):
+        """Under EFFPCM_TOL=0 a float vector is read as its exact values and nothing
+        else: 1.0 / 0.001 rounds to a_12 = 1000 but is not 1000, and the near vector
+        holds its cycle against the orientation only within the default band.  Both
+        vectors are inefficient and print the same bytes."""
+        monkeypatch.setenv("EFFPCM_TOL", "0")
+        matrix = write_matrix(tmp_path / "matrix.json", rows)
+        float_w = write_weights(tmp_path / "w.json", floats)
+        twin_w = write_weights(tmp_path / "x.json", [str(Fraction(c)) for c in floats])
+        run = self._run(capsys, command, matrix, float_w, *options)
+        assert run[0] == 1 and run[1] and run[2] == ""
+        assert self._run(capsys, command, matrix, twin_w, *options) == run
 
 
 # a_12, float weights and their exact twin, every other entry 1

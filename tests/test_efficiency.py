@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from effpcm.errors import BadToleranceError, DimensionMismatchError
+from effpcm.errors import BadToleranceError, DimensionMismatchError, NonPositiveWeightError
+from effpcm.export import load_weights
 from effpcm.pcm import (
     CANONICAL_CYCLES,
     DEFAULT_EQUALITY_BAND,
@@ -155,42 +156,50 @@ class TestBccDigraph:
         g = bcc_digraph(running_example, w)
         assert (1, 2) in g.equality_pairs
 
-    def test_band_override(self, running_example, monkeypatch):
-        """EFFPCM_TOL is read when a vector is built: it sets the band the vector keeps."""
+    def test_band_override(self, running_example):
+        """``float_band`` is taken when a vector is built: it sets the band the vector keeps."""
         floats = [0.25, 0.25 * (1 + 1e-7), 0.25, 0.25]
         w = weight_vector(floats)
         assert (1, 2) not in bcc_digraph(running_example, w).equality_pairs
-        monkeypatch.setenv("EFFPCM_TOL", "1e-5")
-        assert (1, 2) not in bcc_digraph(running_example, w).equality_pairs
-        w = weight_vector(floats)
+        assert w == weight_vector(floats, DEFAULT_EQUALITY_BAND)
+        w = weight_vector(floats, float_band=1e-5)
+        assert w.band == Fraction(1e-5)
         assert (1, 2) in bcc_digraph(running_example, w).equality_pairs
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-1e-9", "abc"])
-    def test_the_band_is_checked_where_it_enters(self, monkeypatch, text):
-        """EFFPCM_TOL must be finite and >= 0; it is read, and so checked, when any
-        vector is built through ``weight_vector``, exact or float."""
-        monkeypatch.setenv("EFFPCM_TOL", text)
+    @pytest.mark.parametrize("band", [math.nan, math.inf, -1e-9, "abc", True])
+    def test_the_band_is_checked_where_it_enters(self, band):
+        """``float_band`` must be a finite number >= 0; it is checked, after the values,
+        whenever a vector is built through ``weight_vector``, exact or float."""
         for values in ([0.25] * 4, [Fraction(1, 4)] * 4):
             with pytest.raises(BadToleranceError,
-                               match=rf"^BadTolerance: EFFPCM_TOL='{text}' is not a finite number >= 0$"):
-                weight_vector(values)
+                               match=rf"^BadTolerance: float_band={band!r} is not a finite number >= 0$"):
+                weight_vector(values, float_band=band)
+        with pytest.raises(NonPositiveWeightError):  # the values first
+            weight_vector([Fraction(1, 4), 0], float_band=band)
+
+    def test_the_library_reads_no_environment(self, running_example, tmp_path, monkeypatch):
+        """A malformed EFFPCM_TOL reaches no library call: only the CLI reads it."""
+        monkeypatch.setenv("EFFPCM_TOL", "abc")
+        path = tmp_path / "w.json"
+        path.write_text('{"w": [0.25, 0.25, 0.25, 0.25]}', encoding="utf-8")
+        for w in (weight_vector([0.25] * 4), weight_vector(["1/4"] * 4), load_weights(path)):
+            assert w.band in (0, Fraction(DEFAULT_EQUALITY_BAND))
+            assert bcc_digraph(running_example, w).equality_pairs == frozenset({(1, 2)})
 
     def test_a_finite_band_past_the_float_range_makes_every_pair_an_equality(self, running_example):
         g = bcc_digraph(running_example, WeightVector((1,) * 4, 4, Fraction(10**400)))
         assert len(g.equality_pairs) == 6
 
-    def test_a_float_vector_and_its_exact_twin_are_distinct_records(self, monkeypatch):
+    def test_a_float_vector_and_its_exact_twin_are_distinct_records(self):
         """Under the default band a float vector keeps it, so it is not the exact
         vector of the same values and need not get its digraph; under a zero band it is."""
-        monkeypatch.delenv("EFFPCM_TOL", raising=False)
         pcm = pcm_from_upper(2, {(1, 2): "2.0000000001"})
         w, twin = weight_vector([1.0, 0.5]), weight_vector(["1", "1/2"])
         assert w != twin and hash(w) != hash(twin)
         assert bcc_digraph(pcm, w).equality_pairs == frozenset({(1, 2)})
         assert bcc_digraph(pcm, w).equality_pairs != bcc_digraph(pcm, twin).equality_pairs
         assert WeightVector(*w.integer_form, 0) == twin
-        monkeypatch.setenv("EFFPCM_TOL", "0")
-        w = weight_vector([1.0, 0.5])
+        w = weight_vector([1.0, 0.5], float_band=0)
         assert w == twin and hash(w) == hash(twin)
         assert bcc_digraph(pcm, w) == bcc_digraph(pcm, twin)
 
@@ -223,7 +232,8 @@ class TestDigraphFromSigns:
 
     def test_each_sign_sets_its_arcs(self):
         g = digraph_from_signs(3, [1, -1, 0])  # pairs (1, 2), (1, 3), (2, 3)
-        assert g == digraph_of(3, {(1, 2), (3, 1), (2, 3), (3, 2)}, {(2, 3)})
+        assert g == digraph_of(3, {(1, 2), (3, 1), (2, 3), (3, 2)})
+        assert g.equality_pairs == frozenset({(2, 3)})
         with pytest.raises(TypeError):  # a missing sign is not read as an equality
             digraph_from_signs(3, [1, None, 0])
 
@@ -272,7 +282,8 @@ class TestStrongConnectivity:
 
     def test_complete_bidirectional(self):
         arcs = frozenset((i, j) for i in range(1, 5) for j in range(1, 5) if i != j)
-        g = digraph_of(4, arcs, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+        g = digraph_of(4, arcs)
+        assert g.equality_pairs == frozenset(itertools.combinations(range(1, 5), 2))
         assert strongly_connected(g)
 
     def test_single_directed_cycle(self):
@@ -332,7 +343,7 @@ class TestStrongConnectivity:
         n, draws = drawn
         diagonal = sum(1 << v * n + v for v in range(n))
         mask = functools.reduce(operator.and_, draws) & ~diagonal
-        g = BccDigraph(n, mask, 0)
+        g = BccDigraph(n, mask)
         assert strongly_connected(g) == strongly_connected_by_closure(g)
 
 

@@ -514,22 +514,20 @@ class TestRegions:
         twin = WeightVector(*w.integer_form, 0)
         assert not is_efficient(pcm, twin) and not is_efficient_geometric(pcm, twin)
 
-    @pytest.mark.parametrize("tol,within", [("0", False), ("4.9e-10", False), ("5e-10", True)])
-    def test_band_window_bounds(self, monkeypatch, tol, within):
+    @pytest.mark.parametrize("tol,within", [(0, False), (4.9e-10, False), (5e-10, True)])
+    def test_band_window_bounds(self, tol, within):
         """Of the cycle products 1 + 2e-9, about 1/30 and 5/24, the first lies within
         [(1 - t)^4, (1 - t)^-4] from t = 5e-10 on, and all three do for t >= 1."""
-        monkeypatch.setenv("EFFPCM_TOL", tol)
         pcm = pcm_from_upper(4, {**RUNNING_UPPER, (1, 4): Fraction(2, 3) / (1 + Fraction(2, 10**9))})
         orientations = canonical_orientations(pcm)
         assert [cycle_product(pcm, c) for c in CANONICAL_CYCLES] == [
             1 + Fraction(2, 10**9), Fraction(1, 30) / (1 + Fraction(2, 10**9)), Fraction(5, 24)]
-        regions = _band_orientations(pcm, weight_vector([0.25, 0.25, 0.25, 0.25]))
+        regions = _band_orientations(pcm, weight_vector([0.25, 0.25, 0.25, 0.25], tol))
         assert regions[0] == (_ORIENTATIONS[(1, 2, 3, 4), 0] if within else orientations[0])
         assert regions[1:] == orientations[1:]
-        monkeypatch.setenv("EFFPCM_TOL", "1")
         assert all(r.direction is Direction.CONSISTENT_BOTH
-                   for r in _band_orientations(pcm, weight_vector([0.25, 0.25, 0.25, 0.25])))
-        exact = _band_orientations(pcm, weight_vector([1, 1, 1, 1]))
+                   for r in _band_orientations(pcm, weight_vector([0.25, 0.25, 0.25, 0.25], 1)))
+        exact = _band_orientations(pcm, weight_vector([1, 1, 1, 1], 1))
         assert exact == canonical_orientations(pcm)
 
     @settings(max_examples=200, deadline=None)

@@ -41,6 +41,29 @@ def test_every_imported_name_is_used(module):
     assert _unused_imports(tree) == set()
 
 
+def _environment_names(tree: ast.Module) -> set[str]:
+    """Which of ``os``, ``environ`` and ``getenv`` the module names: as a name, an
+    attribute, or an imported module or name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            names |= {name.split(".")[0] for name in modules}
+    return names & {"os", "environ", "getenv"}
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "cli"))
+def test_only_the_cli_reads_the_environment(module):
+    """The float band is an argument of the library, and ``EFFPCM_TOL`` a setting of
+    the console alone: no other module reads the environment or imports ``os``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert _environment_names(tree) == set()
+
+
 ROOT_NAMES = {
     "efficiency": ["bcc_digraph", "is_efficient", "strongly_connected"],
     "errors": ["InputError"],

@@ -53,7 +53,7 @@ SAMPLES = {
     WeightVector: (("numerators", "denominator", "band"), W,
                    WeightVector(*W.integer_form, Fraction(1, 10**9))),
     Permutation: (("mapping",), Permutation((2, 1, 3, 4)), Permutation((1, 2, 3, 4))),
-    BccDigraph: (("n", "arc_mask", "equality_mask"), bcc_digraph(RUNNING, W),
+    BccDigraph: (("n", "arc_mask"), bcc_digraph(RUNNING, W),
                  bcc_digraph(RUNNING, weight_vector([4, 3, 2, 1]))),
     SpanningTree: (("n", "edges"), path_tree((1, 2, 3, 4)), path_tree((1, 3, 2, 4))),
     CycleOrientation: (("cycle", "direction", "directed"),
@@ -242,18 +242,21 @@ def test_records_built_from_lists_equal_their_tuple_twins_and_stay_unchanged():
         assert repr(built) == repr(twin)
 
 
-def test_a_digraph_reads_its_masks_as_pair_sets():
-    """Bit (i - 1) n + (j - 1) is the arc i -> j, or the equality pair i < j; the sets
-    are read from the masks and kept outside the fields."""
-    g = BccDigraph(3, 1 << 1 | 1 << 3 | 1 << 5 | 1 << 6, 1 << 1)
+def test_a_digraph_reads_its_mask_as_pair_sets():
+    """Bit (i - 1) n + (j - 1) is the arc i -> j; a pair i < j with both arcs is an
+    equality.  The sets are read from the mask and kept outside the fields."""
+    g = BccDigraph(3, 1 << 1 | 1 << 3 | 1 << 5 | 1 << 6)
     assert g.arcs == frozenset({(1, 2), (2, 1), (2, 3), (3, 1)})
     assert g.equality_pairs == frozenset({(1, 2)})
-    assert repr(g) == "BccDigraph(n=3, arc_mask=106, equality_mask=2)"
-    assert g == BccDigraph(3, 106, 2) and hash(g) == hash(BccDigraph(3, 106, 2))
-    assert BccDigraph(3, 0, 0).arcs == BccDigraph(3, 0, 0).equality_pairs == frozenset()
+    assert repr(g) == "BccDigraph(n=3, arc_mask=106)"
+    assert g == BccDigraph(3, 106) and hash(g) == hash(BccDigraph(3, 106))
+    assert BccDigraph(3, 0).arcs == BccDigraph(3, 0).equality_pairs == frozenset()
+    complete = BccDigraph(3, 0b011101110)  # every off-diagonal bit
+    assert complete.equality_pairs == frozenset({(1, 2), (1, 3), (2, 3)})
     running = bcc_digraph(RUNNING, W)
     assert running.arc_mask == sum(1 << (i - 1) * 4 + (j - 1) for i, j in running.arcs)
-    assert running.equality_mask == sum(1 << (i - 1) * 4 + (j - 1) for i, j in running.equality_pairs)
+    assert running.equality_pairs == frozenset(
+        (i, j) for i, j in running.arcs if i < j and (j, i) in running.arcs)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
