@@ -162,11 +162,18 @@ class TestRearrange:
 
 
 class TestVertices:
-    def test_exact_and_embedded(self, matrix_file, capsys):
+    def test_exact_and_embedded(self, matrix_file, tmp_path, capsys):
         assert main(["vertices", matrix_file]) == 0
         out = capsys.readouterr().out
         assert "1/4 1/4 1/8 3/8" in out
         assert "0.913043478" in out
+        # the twelve points the geometry document embeds, in its order
+        printed = [list(ast.literal_eval(line.split("->")[1].strip()))
+                   for line in out.splitlines() if "->" in line]
+        assert main(["export", matrix_file, "-o", str(tmp_path / "geometry.json")]) == 0
+        doc = json.loads((tmp_path / "geometry.json").read_text(encoding="utf-8"))
+        embedded = [point for tet in doc["tetrahedra"] for point in tet["vertices_embedded"]]
+        assert len(printed) == 12 and printed == embedded
 
 
 class TestMember:
@@ -321,8 +328,13 @@ class TestBandEdge:
         monkeypatch.delenv("EFFPCM_TOL", raising=False)
         matrix = write_matrix(tmp_path / "matrix.json", NEAR_ROWS)
         assert main(["member", matrix, "--weights", write_weights(tmp_path / "w.json", NEAR_W)]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == (
-            "cycle (1,2,3,4) backward, within the band of consistent: inside")
+        # the exact values lie outside the closed tetrahedron: no barycentric line
+        assert capsys.readouterr().out.splitlines() == [
+            "cycle (1,2,3,4) backward, within the band of consistent: inside",
+            "cycle (1,4,2,3) backward: outside",
+            "cycle (1,3,4,2) forward: outside",
+            "efficient: yes",
+        ]
         exact = write_weights(tmp_path / "x.json", [str(Fraction(c)) for c in NEAR_W])
         assert main(["member", matrix, "--weights", exact]) == 1
         assert capsys.readouterr().out.splitlines()[0] == "cycle (1,2,3,4) backward: outside"
@@ -386,12 +398,17 @@ class TestBandSetting:
 
     def test_an_exact_check_still_reads_the_band(self, tmp_path, monkeypatch, capsys):
         """A consistent 6x6 matrix and its own exact weights: efficient, yet a malformed
-        band is an input error, one line on stderr and nothing on stdout."""
+        band is an input error, one line on stderr and nothing on stdout.  Uniform
+        weights are inefficient: every arc runs from the higher to the lower index."""
         w = [6, 5, 4, 3, 2, 1]
         matrix = write_matrix(tmp_path / "six.json", [[f"{a}/{b}" for b in w] for a in w])
         weights = write_weights(tmp_path / "six_own.json", [str(c) for c in w])
+        uniform = write_weights(tmp_path / "six_uniform.json", ["1"] * 6)
         monkeypatch.delenv("EFFPCM_TOL", raising=False)
-        assert self._run(capsys, "check", matrix, weights)[:1] == (0,)
+        for wfile, verdict in ((weights, (0, "verdict: efficient")),
+                               (uniform, (1, "verdict: inefficient"))):
+            code, out, _ = self._run(capsys, "check", matrix, wfile)
+            assert (code, out.splitlines()[0]) == verdict
         monkeypatch.setenv("EFFPCM_TOL", "abc")
         assert self._run(capsys, "check", matrix, weights) == (
             2, "", "error: BadTolerance: EFFPCM_TOL='abc' is not a finite number >= 0\n")
@@ -494,6 +511,9 @@ class TestExport:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert sum(1 for line in lines if line.startswith("v ")) == 12
         assert sum(1 for line in lines if line.startswith("f ")) == 12
+        # the class test_json_round_trip reads off the JSON document
+        assert [line for line in lines if line.startswith("# classification: ")] == [
+            "# classification: triple"]
 
     def test_obj_degenerate_is_comments_only(self, tmp_path):
         rows = [["1", "5/2", "5", "7"], ["2/5", "1", "2", "14/5"],
@@ -569,11 +589,13 @@ class TestSample:
 class TestInputFaults:
     """Every malformed input ends with exit 2 and one error line, in a real process."""
 
-    # a document is read as bytes and decoded once as UTF-8; a BOM is not skipped
+    # a document is read as bytes and decoded once as UTF-8; a BOM is not skipped,
+    # and only ASCII whitespace pads a numeral (U+3000 is an ideographic space)
     _DOCUMENT_LINES = {
-        "non-utf8.json": "is not UTF-8 text (invalid start byte)",
-        "bom.json": "is not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
-        "utf16.json": "is not UTF-8 text (invalid start byte)",
+        "non-utf8.json": "non-utf8.json is not UTF-8 text (invalid start byte)",
+        "bom.json": "bom.json is not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
+        "utf16.json": "utf16.json is not UTF-8 text (invalid start byte)",
+        "wide.json": "'\\u30003\\u3000' is not 'p', 'p/q' or a short decimal",
     }
 
     @staticmethod
@@ -588,6 +610,7 @@ class TestInputFaults:
         small = json.dumps({"n": 2, "entries": [["1", "3"], ["1/3", "1"]]})
         (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + small.encode("utf-8"))
         (tmp_path / "utf16.json").write_bytes(small.encode("utf-16"))
+        write_matrix(tmp_path / "wide.json", [["1", "\u30003\u3000"], ["1/3", "1"]])
         (tmp_path / "deep.json").write_text("[" * 50_000 + "]" * 50_000, encoding="utf-8")
         (tmp_path / "long.json").write_text("1" * 5000, encoding="utf-8")
         for name, n, rows in (("n-true", True, [["1"]]), ("n-float", 4.0, RUNNING_ROWS),
@@ -596,9 +619,11 @@ class TestInputFaults:
                                                    encoding="utf-8")
 
     @pytest.mark.parametrize("argv,tol", [
+        pytest.param(["validate", "missing.json"], None, id="missing"),
         pytest.param(["validate", "non-utf8.json"], None, id="non-utf8"),
         pytest.param(["validate", "bom.json"], None, id="utf8-bom"),
         pytest.param(["validate", "utf16.json"], None, id="utf16"),
+        pytest.param(["validate", "wide.json"], None, id="ideographic-space"),
         pytest.param(["validate", "deep.json"], None, id="deep-json"),
         pytest.param(["validate", "long.json"], None, id="long-number"),
         *[pytest.param(["validate", f"{name}.json"], None, id=name)
@@ -637,7 +662,7 @@ class TestInputFaults:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
         if argv[-1] in self._DOCUMENT_LINES:
-            assert proc.stderr == f"error: BadNumeral: {argv[-1]} {self._DOCUMENT_LINES[argv[-1]]}\n"
+            assert proc.stderr == f"error: BadNumeral: {self._DOCUMENT_LINES[argv[-1]]}\n"
 
 
 @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4500,
@@ -770,6 +795,11 @@ class TestUsage:
         assert _run(["frobnicate", "m.json"]) == (2, "", (
             "error: Usage: effpcm: argument command: invalid choice: 'frobnicate' (choose from "
             "'validate', 'check', 'classify', 'rearrange', 'vertices', 'member', 'export', 'sample')\n"))
+
+    def test_extra_arguments_are_one_error_line(self):
+        """The command's parser reads the line, and the top-level parser reports what is left."""
+        assert _run(["check", "m.json", "--weights", "w.json", "extra"]) == (
+            2, "", "error: Usage: effpcm: unrecognized arguments: extra\n")
 
     def test_rejection_is_one_error_line(self, capsys):
         assert main(["sample", "--seed", "1", "--trials", "x", "--class", "triple"]) == 2

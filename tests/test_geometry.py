@@ -402,7 +402,7 @@ class TestTetrahedra:
                 assert tet.degenerate_rank in (0, 3)
 
 
-# near.json of the console smoke: the cycle (1,2,3,4) has product 1 + 1e-9, and the
+# NEAR_ROWS and NEAR_W of test_cli.py: the cycle (1,2,3,4) has product 1 + 1e-9, and the
 # float vector holds it backward within the default band
 NEAR_EXAMPLE = (
     pcm_from_upper(4, {(1, 2): Fraction(8, 3), (1, 3): Fraction(2, 3),
