@@ -57,27 +57,20 @@ def _cmd_validate(args) -> tuple[str, int]:
     return "ok", 0
 
 
-def _format_pair_list(pairs) -> str:
-    return ", ".join(f"{{{i},{j}}}" for (i, j) in sorted(pairs)) or "-"
-
-
 def _cmd_check(args) -> tuple[str, int]:
     pcm = load_matrix(args.matrix)
     w = load_weights(args.weights, float_equality_band())
     efficiency = _module("efficiency")
     digraph = efficiency.bcc_digraph(pcm, w)
     efficient = efficiency.strongly_connected(digraph)
-    arcs = sorted(digraph.arcs)
     if args.json:
-        text = json.dumps({
-            "efficient": efficient,
-            "arcs": [list(arc) for arc in arcs],
-            "equality_pairs": [list(p) for p in sorted(digraph.equality_pairs)],
-        }, indent=2)
-    else:
-        text = "\n".join(["verdict: " + ("efficient" if efficient else "inefficient"),
-                          "arcs: " + ", ".join(f"{a}->{b}" for (a, b) in arcs),
-                          "equality pairs: " + _format_pair_list(digraph.equality_pairs)])
+        text = json.dumps({"efficient": efficient, "arcs": digraph.arcs,
+                           "equality_pairs": digraph.equality_pairs}, indent=2)
+    else:  # each list in its sorted (i, j) order, "-" when empty
+        text = "verdict: " + ("efficient" if efficient else "inefficient")
+        for label, form, pairs in (("arcs", "%d->%d", digraph.arcs),
+                                   ("equality pairs", "{%d,%d}", digraph.equality_pairs)):
+            text += f"\n{label}: " + (", ".join([form % pair for pair in pairs]) or "-")
     return text, 0 if efficient else 1
 
 

@@ -6,7 +6,9 @@ this digraph is strongly connected; for tournaments (no perfectly estimated
 pair) that is in turn equivalent to having a directed Hamiltonian cycle.
 
 A digraph is its arc mask, bit (i-1)n + (j-1) for the arc i -> j, so row i
-is vertex i's successors.  ``bcc_digraph`` is the one place where a weight
+is vertex i's successors.  Only this module writes that layout (others call
+``arc_mask``), and it reads it in ascending bit order, the sorted (i, j)
+order.  ``bcc_digraph`` is the one place where a weight
 ratio meets its entry, and it signs every pair by one rule on integers.
 The weights are read as the numerators x_i of their integer form x / d,
 each entry as num/den from ``Pcm.upper``, and the vector's own equality
@@ -27,34 +29,38 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, IndexOutOfRangeError
 from .pcm import Pcm, Record, WeightVector
 
 
 class BccDigraph(Record):
-    """Arcs over the alternatives 1..n induced by comparing w_i/w_j to a_ij, as a mask:
-    bit (i-1)n + (j-1) of ``arc_mask`` is i -> j.  ``arcs`` reads it as a set, and
-    ``equality_pairs`` as the pairs i < j that carry both arcs."""
+    """Arcs over 1..n induced by comparing w_i/w_j to a_ij: bit (i-1)n + (j-1) of ``arc_mask``
+    is i -> j.  Both reads are tuples in ascending bit order: ``arcs`` each set bit's
+    pair, and ``equality_pairs`` the pairs i < j that carry both arcs."""
 
     n: int
     arc_mask: int
 
-    @functools.cached_property
-    def arcs(self) -> frozenset[tuple[int, int]]:  # each set bit's pair, lowest bit first
-        pairs = _pair_of_bit(self.n)
-        return frozenset([pairs[k] for k, bit in enumerate(bin(self.arc_mask)[:1:-1]) if bit == "1"])
+    def __post_init__(self):
+        n, mask = self.n, self.arc_mask
+        if type(n) is not int or n < 1 or type(mask) is not int or mask < 0 or mask >> n * n:
+            raise IndexOutOfRangeError(f"BccDigraph(n={n!r}, arc_mask={mask!r}): not 0 <= mask < 2**(n*n), n >= 1")
 
     @functools.cached_property
-    def equality_pairs(self) -> frozenset[tuple[int, int]]:  # unordered, stored with i < j
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        n = self.n
+        return tuple([(k // n + 1, k % n + 1) for k, bit in enumerate(bin(self.arc_mask)[:1:-1]) if bit == "1"])
+
+    @functools.cached_property
+    def equality_pairs(self) -> tuple[tuple[int, int], ...]:
         arcs = self.arc_mask
-        return frozenset([(i + 1, j + 1) for i, j, forward, backward in _pair_bits(self.n)
-                          if arcs & forward and arcs & backward])
+        return tuple([(i + 1, j + 1) for i, j, forward, backward in _pair_bits(self.n)
+                      if arcs & forward and arcs & backward])
 
 
-@functools.cache
-def _pair_of_bit(n: int) -> tuple[tuple[int, int], ...]:
-    """The pair (i, j) of each bit (i-1)n + (j-1) of an n-vertex mask, bit by bit."""
-    return tuple(itertools.product(range(1, n + 1), repeat=2))
+def arc_mask(n: int, arcs) -> int:
+    """The mask of an n-vertex digraph with the given arcs (i, j), each once or more."""
+    return sum({1 << (i - 1) * n + (j - 1) for i, j in arcs})
 
 
 @functools.cache
@@ -92,8 +98,6 @@ def strongly_connected(g: BccDigraph) -> bool:
     every vertex (push each reached vertex's row of successors), and every vertex reaches
     vertex 1 (pull each vertex whose row meets the set already reaching it)."""
     n, arcs, full = g.n, g.arc_mask, (1 << g.n) - 1
-    if n <= 1:
-        return True
     reached = frontier = 1
     while frontier:
         low = frontier & -frontier

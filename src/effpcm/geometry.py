@@ -54,7 +54,7 @@ from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 
-from .efficiency import BccDigraph, bcc_digraph
+from .efficiency import BccDigraph, arc_mask, bcc_digraph
 from .errors import (
     ConsistentTriadPresentError,
     DimensionMismatchError,
@@ -86,8 +86,8 @@ class CycleOrientation(Record):
     ``directed`` is the vertex listing to iterate arcs in the valid
     direction; a backward orientation stores the reversed listing so region
     tests never have to special-case the direction.  The arcs a region test
-    reads are built once and kept outside the fields, as ``_arc_masks`` laid out
-    as a 4-vertex ``BccDigraph.arc_mask``: the directed cycle's, and for a
+    reads are built once and kept outside the fields, as ``_arc_masks``, each a
+    4-vertex mask from ``efficiency.arc_mask``: the directed cycle's, and for a
     consistent cycle their reversal too.
     """
 
@@ -97,9 +97,8 @@ class CycleOrientation(Record):
 
     def __post_init__(self):
         listing = tuple(self.directed)
-        arcs = set(zip(listing, listing[1:] + listing[:1]))
-        masks = (sum(1 << 4 * (a - 1) + (b - 1) for a, b in arcs),
-                 sum(1 << 4 * (b - 1) + (a - 1) for a, b in arcs))
+        turned = listing[1:] + listing[:1]
+        masks = arc_mask(4, zip(listing, turned)), arc_mask(4, zip(turned, listing))
         self.__dict__["_arc_masks"] = masks if self.direction is Direction.CONSISTENT_BOTH else masks[:1]
 
 
@@ -227,6 +226,9 @@ _OUTWARD_FACES = {
 
 
 def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahedron:
+    """The tetrahedron of a canonical 4-cycle of a 4x4 matrix: the points of the cycle's
+    four path trees, its orientation, and rank 3, or 0 for a consistent cycle, whose
+    four points coincide.  Any other listing raises ``NotACanonicalCycle``."""
     _, cycle_signs = pcm.signs
     if cycle not in CANONICAL_CYCLES:  # compared by equality, so a list is refused too
         paths_of_cycle(cycle)  # raises NotACanonicalCycle

@@ -187,11 +187,11 @@ def contains_cycle_region_by_zip(digraph: BccDigraph, orientation: CycleOrientat
     """The region test with the orientation's arcs zipped from its listing on every
     call, and reversed for a consistent cycle that the digraph does not hold
     forward; the library keeps each orientation's arc sets."""
-    listing = orientation.directed
+    listing, held = orientation.directed, set(digraph.arcs)
     arcs = set(zip(listing, listing[1:] + listing[:1]))
-    if orientation.direction is Direction.CONSISTENT_BOTH and not arcs <= digraph.arcs:
+    if orientation.direction is Direction.CONSISTENT_BOTH and not arcs <= held:
         arcs = {(b, a) for a, b in arcs}
-    return arcs <= digraph.arcs
+    return arcs <= held
 
 
 def validate_by_cells(pairs) -> None:
@@ -265,7 +265,8 @@ def digraph_of(n: int, arcs) -> BccDigraph:
 
 def strongly_connected_by_closure(g: BccDigraph) -> bool:
     """Strong connectivity from the boolean transitive closure (Warshall)."""
-    reach = [[i == j or (i, j) in g.arcs for j in range(1, g.n + 1)] for i in range(1, g.n + 1)]
+    arcs = set(g.arcs)
+    reach = [[i == j or (i, j) in arcs for j in range(1, g.n + 1)] for i in range(1, g.n + 1)]
     for k in range(g.n):
         for i in range(g.n):
             if reach[i][k]:
@@ -279,11 +280,11 @@ def hamiltonian_cycle_exists(g: BccDigraph) -> bool:
         raise DimensionTooLargeError(f"Hamiltonian enumeration capped at n=8, got n={g.n}")
     if g.n == 1:
         return True
-    vertices = list(range(2, g.n + 1))
+    vertices, arcs = list(range(2, g.n + 1)), set(g.arcs)
     for rest in itertools.permutations(vertices):
         ordering = (1,) + rest
         if all(
-            (ordering[k], ordering[(k + 1) % g.n]) in g.arcs
+            (ordering[k], ordering[(k + 1) % g.n]) in arcs
             for k in range(g.n)
         ):
             return True

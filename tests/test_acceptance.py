@@ -46,7 +46,7 @@ ALL_TAGS = [tag.value for tag in PerturbTag]
 
 UNIFORM = weight_vector([Fraction(1, 4)] * 4)
 
-REFERENCE_ARCS = frozenset({(1, 2), (2, 1), (3, 1), (3, 2), (4, 2), (3, 4), (4, 1)})
+REFERENCE_ARCS = ((1, 2), (2, 1), (3, 1), (3, 2), (3, 4), (4, 1), (4, 2))
 
 REFERENCE_POINT = (Fraction(35, 61), Fraction(14, 61), Fraction(7, 61), Fraction(5, 61))
 
@@ -84,7 +84,7 @@ def test_criterion_1_reference_digraph(running_example):
         efficient = strongly_connected(digraph)
         best = min(best, time.perf_counter() - start)
     assert digraph.arcs == REFERENCE_ARCS
-    assert digraph.equality_pairs == frozenset({(1, 2)})
+    assert digraph.equality_pairs == ((1, 2),)
     assert efficient is False
     assert best < 1e-3, f"digraph verdict took {best * 1e3:.3f} ms"
     _verdict(1, f"digraph arcs and inefficiency verdict exact ({best * 1e6:.0f} us)")

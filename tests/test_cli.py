@@ -78,9 +78,17 @@ class TestCheck:
         assert main(["check", matrix_file, "--weights", wfile, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["efficient"] is False
-        assert sorted(map(tuple, payload["arcs"])) == [
-            (1, 2), (2, 1), (3, 1), (3, 2), (3, 4), (4, 1), (4, 2)]
+        assert payload["arcs"] == [[1, 2], [2, 1], [3, 1], [3, 2], [3, 4], [4, 1], [4, 2]]
         assert payload["equality_pairs"] == [[1, 2]]
+
+    def test_one_alternative_prints_a_dash_for_each_empty_list(self, tmp_path, capsys):
+        """A 1x1 matrix has no arc and no pair: both lists print "-", and dump as []."""
+        matrix = write_matrix(tmp_path / "m.json", [["1"]])
+        wfile = write_weights(tmp_path / "w.json", ["1"])
+        assert main(["check", matrix, "--weights", wfile]) == 0
+        assert capsys.readouterr().out == "verdict: efficient\narcs: -\nequality pairs: -\n"
+        assert main(["check", matrix, "--weights", wfile, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"efficient": True, "arcs": [], "equality_pairs": []}
 
     def test_efficient_vertex(self, matrix_file, tmp_path, capsys):
         wfile = write_weights(tmp_path / "w.json", ["7/20", "2/5", "1/5", "1/20"])

@@ -190,10 +190,21 @@ class TestRecords:
     (lambda: PerturbClass(PerturbTag.TRIPLE, 1, 0), ImpossibleCombinationError),
     (lambda: PerturbClass(None, 3, 3), ImpossibleCombinationError),
     (lambda: PerturbClass(None, 1, 1), ImpossibleCombinationError),
+    (lambda: BccDigraph(2, 0b0110 | 1 << 10), IndexOutOfRangeError),
+    (lambda: BccDigraph(2, 1 << 4), IndexOutOfRangeError),
+    (lambda: BccDigraph(True, 1), IndexOutOfRangeError),
+    (lambda: BccDigraph(-3, -1), IndexOutOfRangeError),
+    (lambda: BccDigraph(0, 0), IndexOutOfRangeError),
+    (lambda: BccDigraph(2.0, 0), IndexOutOfRangeError),
+    (lambda: BccDigraph(2, -1), IndexOutOfRangeError),
+    (lambda: BccDigraph(2, 6.0), IndexOutOfRangeError),
+    (lambda: BccDigraph(2, True), IndexOutOfRangeError),
 ], ids=["pcm-empty", "pcm-short-upper", "pcm-ragged", "pcm-negative", "pcm-reciprocity", "weights-empty",
         "weights-mixed", "permutation", "permutation-float", "permutation-bool",
         "permutation-fraction", "tree-short",
-        "tree-cycle", "class", "class-untagged-3-3", "class-untagged-1-1"])
+        "tree-cycle", "class", "class-untagged-3-3", "class-untagged-1-1",
+        "digraph-bit-past-n2", "digraph-bit-n2", "digraph-n-bool", "digraph-negative", "digraph-n-0",
+        "digraph-n-float", "digraph-mask-negative", "digraph-mask-float", "digraph-mask-bool"])
 def test_validation_still_raises(build, error):
     with pytest.raises(error):
         build()
@@ -242,20 +253,25 @@ def test_records_built_from_lists_equal_their_tuple_twins_and_stay_unchanged():
         assert repr(built) == repr(twin)
 
 
-def test_a_digraph_reads_its_mask_as_pair_sets():
+def test_a_digraph_reads_its_mask_as_pair_tuples():
     """Bit (i - 1) n + (j - 1) is the arc i -> j; a pair i < j with both arcs is an
-    equality.  The sets are read from the mask and kept outside the fields."""
+    equality.  Both reads are tuples in ascending bit order, which is the sorted
+    (i, j) order; they are read from the mask and kept outside the fields."""
     g = BccDigraph(3, 1 << 1 | 1 << 3 | 1 << 5 | 1 << 6)
-    assert g.arcs == frozenset({(1, 2), (2, 1), (2, 3), (3, 1)})
-    assert g.equality_pairs == frozenset({(1, 2)})
+    assert g.arcs == ((1, 2), (2, 1), (2, 3), (3, 1))
+    assert g.equality_pairs == ((1, 2),)
     assert repr(g) == "BccDigraph(n=3, arc_mask=106)"
     assert g == BccDigraph(3, 106) and hash(g) == hash(BccDigraph(3, 106))
-    assert BccDigraph(3, 0).arcs == BccDigraph(3, 0).equality_pairs == frozenset()
+    assert BccDigraph(3, 0).arcs == BccDigraph(3, 0).equality_pairs == ()
     complete = BccDigraph(3, 0b011101110)  # every off-diagonal bit
-    assert complete.equality_pairs == frozenset({(1, 2), (1, 3), (2, 3)})
+    assert complete.arcs == ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
+    assert complete.equality_pairs == ((1, 2), (1, 3), (2, 3))
+    assert BccDigraph(1, 0).arcs == BccDigraph(1, 0).equality_pairs == ()
     running = bcc_digraph(RUNNING, W)
+    bits = [k for k in range(16) if running.arc_mask >> k & 1]
+    assert running.arcs == tuple((k // 4 + 1, k % 4 + 1) for k in bits)
     assert running.arc_mask == sum(1 << (i - 1) * 4 + (j - 1) for i, j in running.arcs)
-    assert running.equality_pairs == frozenset(
+    assert running.equality_pairs == tuple(
         (i, j) for i, j in running.arcs if i < j and (j, i) in running.arcs)
 
 
