@@ -118,13 +118,10 @@ class ConsistentTriadPresentError(InputError):
 class ImpossibleCombinationError(InputError):
     code = "ImpossibleCombination"
 
-    def __init__(self, triads: int, cycles: int, expected: str | None = None,
-                 given: str | None = None):
+    def __init__(self, triads: int, cycles: int):
         self.counts = (triads, cycles)
         self._detail = f" ({triads},{cycles})"
-        super().__init__(
-            f"these counts make class {expected}, not {given}" if expected else
-            f"no admissible class has {triads} consistent triads and {cycles} consistent 4-cycles")
+        super().__init__(f"no admissible class has {triads} consistent triads and {cycles} consistent 4-cycles")
 
 
 class GenerationFailedError(RuntimeError):

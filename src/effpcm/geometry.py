@@ -10,8 +10,11 @@ reads the digraph.  A cycle's admissible orientation is fixed by whether its
 entry product lies below or above 1; a product of exactly 1 collapses the
 tetrahedron to a single point.  Each orientation keeps the arc masks it
 admits, built with the record, so a region test is one mask test per mask;
-the nine orientations of the canonical cycles are built at import.  A
-vector read from floats carries a nonzero equality band, which lets it hold
+the nine orientations of the canonical cycles are built at import.  Each
+record here keeps only what it cannot derive (an orientation its cycle and
+direction, a tetrahedron its orientation and points, a class its two
+counts), and derives the rest once as it is built: a directed listing, arc
+masks, a cycle, a rank, a tag.  A vector read from floats carries a nonzero equality band, which lets it hold
 a cycle whose product lies within a few bands of 1 in either direction, so
 for it such a cycle is read through its consistent orientation
 (``_band_orientations``).  ``bcc_digraph`` decides the band by one exact
@@ -59,6 +62,7 @@ from .errors import (
     ConsistentTriadPresentError,
     DimensionMismatchError,
     ImpossibleCombinationError,
+    IndexOutOfRangeError,
 )
 from .pcm import (
     CANONICAL_CYCLES,
@@ -71,7 +75,7 @@ from .pcm import (
     cycle_product,
     format_rational,
 )
-from .trees import paths_of_cycle, tree_integers
+from .trees import canonical_index, paths_of_cycle, tree_integers
 
 
 class Direction(str, Enum):
@@ -83,37 +87,35 @@ class Direction(str, Enum):
 class CycleOrientation(Record):
     """The admissible direction of a canonical 4-cycle for a given matrix.
 
-    ``directed`` is the vertex listing to iterate arcs in the valid
-    direction; a backward orientation stores the reversed listing so region
-    tests never have to special-case the direction.  The arcs a region test
-    reads are built once and kept outside the fields, as ``_arc_masks``, each a
-    4-vertex mask from ``efficiency.arc_mask``: the directed cycle's, and for a
-    consistent cycle their reversal too.
+    A record is its cycle, a listing of 1..4 as ints, and its ``Direction``;
+    anything else raises ``IndexOutOfRange``.  The rest is derived once and
+    kept outside the fields: ``directed``, the listing to iterate arcs in the
+    valid direction (the cycle, or its reversal from the first vertex when
+    backward), so region tests never have to special-case the direction; and
+    ``_arc_masks``, each a 4-vertex mask from ``efficiency.arc_mask``: the
+    directed cycle's, and for a consistent cycle their reversal too.
     """
 
     cycle: tuple[int, int, int, int]
     direction: Direction
-    directed: tuple[int, int, int, int]
 
     def __post_init__(self):
-        listing = tuple(self.directed)
+        cycle = self.__dict__["cycle"] = tuple(self.cycle)
+        if (any(type(v) is not int for v in cycle) or sorted(cycle) != [1, 2, 3, 4]
+                or not isinstance(self.direction, Direction)):  # "forward" == FORWARD holds
+            raise IndexOutOfRangeError(f"{cycle}, {self.direction!r}: not a listing of 1..4 and a Direction")
+        listing = cycle[:1] + cycle[:0:-1] if self.direction is Direction.BACKWARD else cycle
         turned = listing[1:] + listing[:1]
         masks = arc_mask(4, zip(listing, turned)), arc_mask(4, zip(turned, listing))
+        self.__dict__["directed"] = listing
         self.__dict__["_arc_masks"] = masks if self.direction is Direction.CONSISTENT_BOTH else masks[:1]
 
 
-def _oriented(cycle: tuple[int, int, int, int], sign: int) -> CycleOrientation:
-    """The orientation of a cycle whose product minus 1 has the given sign."""
-    if sign < 0:
-        return CycleOrientation(cycle, Direction.FORWARD, cycle)
-    if sign > 0:
-        reversed_listing = (cycle[0],) + tuple(reversed(cycle[1:]))
-        return CycleOrientation(cycle, Direction.BACKWARD, reversed_listing)
-    return CycleOrientation(cycle, Direction.CONSISTENT_BOTH, cycle)
-
-
-# (canonical cycle, sign) -> its orientation: the nine records, built once.
-_ORIENTATIONS = {(c, s): _oriented(c, s) for c in CANONICAL_CYCLES for s in (-1, 0, 1)}
+# (canonical cycle, sign of its product minus 1) -> its orientation: the nine records, built once.
+_ORIENTATIONS = {
+    (c, s): CycleOrientation(c, direction) for c in CANONICAL_CYCLES
+    for s, direction in ((-1, Direction.FORWARD), (0, Direction.CONSISTENT_BOTH), (1, Direction.BACKWARD))
+}
 
 
 def canonical_orientations(pcm: Pcm) -> tuple[CycleOrientation, CycleOrientation, CycleOrientation]:
@@ -184,16 +186,18 @@ def triad_rearrangement(pcm: Pcm) -> tuple[Permutation, Pcm, int]:
 
 
 class Tetrahedron(Record):
-    """One cycle's four path-tree vertices, vertex k the vector points[k] / sum(points[k]), with
-    exact degeneracy rank; each point is kept reduced, so equal vertices are equal points."""
+    """One cycle's four path-tree vertices, vertex k the vector points[k] / sum(points[k]);
+    each point is kept reduced, so equal vertices are equal points.  The cycle is the
+    orientation's, and ``cycle`` and ``degenerate_rank`` are kept outside the fields: the
+    rank is 0 for a consistent cycle, whose four points coincide, and 3 otherwise."""
 
-    cycle: tuple[int, int, int, int]
     orientation: CycleOrientation
     points: tuple[tuple[int, int, int, int], ...]
-    degenerate_rank: int
 
     def __post_init__(self):
         self.__dict__["points"] = tuple(tuple(x // g for x in p) for p in self.points for g in [math.gcd(*p)])
+        self.__dict__["cycle"] = self.orientation.cycle
+        self.__dict__["degenerate_rank"] = 0 if self.orientation.direction is Direction.CONSISTENT_BOTH else 3
 
     @functools.cached_property
     def vertices(self) -> tuple[WeightVector, WeightVector, WeightVector, WeightVector]:
@@ -226,17 +230,13 @@ _OUTWARD_FACES = {
 
 
 def tetrahedron_for_cycle(pcm: Pcm, cycle: tuple[int, int, int, int]) -> Tetrahedron:
-    """The tetrahedron of a canonical 4-cycle of a 4x4 matrix: the points of the cycle's
-    four path trees, its orientation, and rank 3, or 0 for a consistent cycle, whose
-    four points coincide.  Any other listing raises ``NotACanonicalCycle``."""
-    _, cycle_signs = pcm.signs
-    if cycle not in CANONICAL_CYCLES:  # compared by equality, so a list is refused too
-        paths_of_cycle(cycle)  # raises NotACanonicalCycle
-    sign = cycle_signs[CANONICAL_CYCLES.index(cycle)]
+    """The tetrahedron of a canonical 4-cycle of a 4x4 matrix: its orientation and the points
+    of its four path trees.  An inconsistent cycle's four inequalities have a strictly
+    feasible point, so its tetrahedron is solid; a consistent one's is a point.  Any other
+    listing raises ``NotACanonicalCycle``."""
+    sign = pcm.signs[1][canonical_index(cycle)]
     points = tuple(tree_integers(pcm, tree) for tree in PATH_TREES[cycle])
-    # an inconsistent cycle's four inequalities have a strictly feasible
-    # point, so its tetrahedron is solid; a consistent one's is a point
-    return Tetrahedron(cycle, _ORIENTATIONS[cycle, sign], points, 3 if sign else 0)
+    return Tetrahedron(_ORIENTATIONS[cycle, sign], points)
 
 
 def contains_cycle_region(digraph: BccDigraph, orientation: CycleOrientation) -> bool:
@@ -374,22 +374,20 @@ _ADMISSIBLE_COUNTS = {
 
 
 class PerturbClass(Record):
-    """Taxonomy by counts of exactly consistent triads and 4-cycles."""
+    """Taxonomy by counts of exactly consistent triads and 4-cycles: the counts fix ``tag``,
+    kept outside the fields, and a pair outside the six admissible ones raises."""
 
-    tag: PerturbTag
     consistent_triad_count: int
     consistent_cycle_count: int
 
     def __post_init__(self):
         counts = (self.consistent_triad_count, self.consistent_cycle_count)
-        expected = _ADMISSIBLE_COUNTS.get(counts)
-        if self.tag is None or expected is not self.tag:
-            raise ImpossibleCombinationError(
-                *counts, expected and expected.value, getattr(self.tag, "value", self.tag)
-            )
+        if counts not in _ADMISSIBLE_COUNTS:
+            raise ImpossibleCombinationError(*counts)
+        self.__dict__["tag"] = _ADMISSIBLE_COUNTS[counts]
 
 
-_CLASSES = {counts: PerturbClass(tag, *counts) for counts, tag in _ADMISSIBLE_COUNTS.items()}
+_CLASSES = {counts: PerturbClass(*counts) for counts in _ADMISSIBLE_COUNTS}
 
 
 def classify_signs(triad_signs: Sequence[int], cycle_signs: Sequence[int]) -> PerturbClass:
@@ -399,7 +397,7 @@ def classify_signs(triad_signs: Sequence[int], cycle_signs: Sequence[int]) -> Pe
     matrix should ever produce a pair outside the six admissible ones.
     """
     counts = triad_signs.count(0), cycle_signs.count(0)
-    return _CLASSES.get(counts) or PerturbClass(None, *counts)  # the constructor raises
+    return _CLASSES.get(counts) or PerturbClass(*counts)  # the constructor raises
 
 
 def classify(pcm: Pcm) -> PerturbClass:
@@ -508,17 +506,15 @@ def _coincidence_report(pcm: Pcm) -> CoincidenceReport:
 
 
 class EfficientSet(Record):
-    """The three tetrahedra, classification and coincidence structure."""
+    """The three tetrahedra, in ``CANONICAL_CYCLES`` order, classification and coincidence structure."""
 
     tetrahedra: tuple[Tetrahedron, Tetrahedron, Tetrahedron]
     classification: PerturbClass
     coincidences: CoincidenceReport
 
     def tetrahedron(self, cycle: tuple) -> Tetrahedron:
-        for tet in self.tetrahedra:
-            if tet.cycle == cycle:
-                return tet
-        raise KeyError(cycle)
+        """The tetrahedron of a canonical cycle; any other listing raises ``NotACanonicalCycle``."""
+        return self.tetrahedra[canonical_index(cycle)]
 
 
 def efficient_set(pcm: Pcm) -> EfficientSet:

@@ -381,10 +381,9 @@ def apply_permutation(pcm: Pcm, perm: Permutation) -> Pcm:
     """Reindex alternatives: the result has b_ij = a_{perm(i), perm(j)}."""
     if perm.n != pcm.n:
         raise DimensionMismatchError(f"permutation on 1..{perm.n} applied to a {pcm.n}x{pcm.n} matrix")
-    a = dict(zip(itertools.combinations(range(1, pcm.n + 1), 2), pcm.upper))
-    # b_ij for i < j is a_st, s = perm(i) and t = perm(j): a stored pair when s < t, else swapped
-    return Pcm(pcm.n, tuple([a[s, t] if s < t else a[t, s][::-1]
-                             for s, t in itertools.combinations(perm.mapping, 2)]))
+    grid = pcm.pairs
+    # b_ij for i < j is a_st, s = perm(i) and t = perm(j), read off the grid
+    return Pcm(pcm.n, tuple([grid[s - 1][t - 1] for s, t in itertools.combinations(perm.mapping, 2)]))
 
 
 def triad_product(pcm: Pcm, triad: Sequence[int]) -> Fraction:
@@ -450,15 +449,14 @@ def pcm_from_pairs(pairs: Sequence[tuple[int, int]], signs: tuple) -> Pcm:
 def consistent_weights(pcm: Pcm) -> WeightVector:
     """The unique normalized exact w with w_i/w_j = a_ij: the last column scaled to
     sum 1.  The matrix must be consistent, which holds exactly when a_ij * a_jn = a_in
-    for every i < j < n, one integer cross-multiplication on ``upper`` each."""
-    last = pcm.n - 1
-    a = dict(zip(itertools.combinations(range(pcm.n), 2), pcm.upper))
+    for every i < j < n, one integer cross-multiplication on the grid ``pairs`` each."""
+    last, a = pcm.n - 1, pcm.pairs
     for i, j in itertools.combinations(range(last), 2):
-        (p_ij, q_ij), (p_jn, q_jn), (p_in, q_in) = a[i, j], a[j, last], a[i, last]
+        (p_ij, q_ij), (p_jn, q_jn), (p_in, q_in) = a[i][j], a[j][last], a[i][last]
         if p_ij * p_jn * q_in != q_ij * q_jn * p_in:
             raise NotConsistentError(f"triad ({i + 1},{j + 1},{pcm.n}) is inconsistent")
     # a_nn = 1 makes x_n = d, so gcd(x) = gcd(d, x) = 1 and x / sum(x) is reduced
-    column = [a[i, last] for i in range(last)] + [(1, 1)]
+    column = [row[last] for row in a]
     d = math.lcm(*(q for _, q in column))
     x = tuple([p * (d // q) for p, q in column])
     return WeightVector(x, sum(x), 0)

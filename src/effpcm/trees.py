@@ -58,14 +58,21 @@ def _walk(n: int, edges: frozenset[tuple[int, int]]) -> list[tuple[int, int]]:
     return pairs
 
 
+def canonical_index(cycle: tuple[int, int, int, int]) -> int:
+    """The position of a canonical 4-cycle in CANONICAL_CYCLES.  Any other listing raises
+    ``NotACanonicalCycle``, a list too: it is compared by equality."""
+    if cycle not in CANONICAL_CYCLES:
+        raise NotACanonicalCycleError(f"{cycle} is not one of {CANONICAL_CYCLES}")
+    return CANONICAL_CYCLES.index(cycle)
+
+
 def paths_of_cycle(cycle: tuple[int, int, int, int]) -> list[SpanningTree]:
     """The four path trees of a canonical 4-cycle, each missing one cycle edge.
 
     The k-th tree omits the edge {cycle[k-1], cycle[k]}: it is the path that
     starts at the cycle's k-th vertex and walks the full cycle order.
     """
-    if cycle not in CANONICAL_CYCLES:
-        raise NotACanonicalCycleError(f"{cycle} is not one of {CANONICAL_CYCLES}")
+    canonical_index(cycle)
     # edges[k - 1] joins cycle[k - 1] and cycle[k]
     edges = [(min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
     return [SpanningTree(4, frozenset(edges) - {edges[k - 1]}) for k in range(4)]

@@ -47,7 +47,6 @@ from effpcm.geometry import (
     CycleOrientation,
     Direction,
     Tetrahedron,
-    _oriented,
     affine_rank,
 )
 from effpcm.errors import (
@@ -176,11 +175,20 @@ def vertex_points(tet: Tetrahedron) -> list[tuple[Fraction, ...]]:
 def cycle_orientation(pcm: Pcm, cycle: tuple[int, int, int, int]) -> CycleOrientation:
     """Forward when the cycle product is < 1, backward when > 1, both on equality.
 
-    Takes any vertex listing, through the Fraction product of its entries.
+    Takes any vertex listing, through the Fraction product of its entries.  The
+    record's ``directed`` must be the listing, or when backward the walk from its
+    first vertex the other way round, written out here vertex by vertex.
     """
     _require_n4(pcm)
     product = cycle_product(pcm, cycle)
-    return _oriented(cycle, (product > 1) - (product < 1))
+    a, b, c, d = cycle
+    if product > 1:
+        direction, directed = Direction.BACKWARD, (a, d, c, b)
+    else:
+        direction, directed = Direction.FORWARD if product < 1 else Direction.CONSISTENT_BOTH, (a, b, c, d)
+    orientation = CycleOrientation(cycle, direction)
+    assert orientation.directed == directed
+    return orientation
 
 
 def contains_cycle_region_by_zip(digraph: BccDigraph, orientation: CycleOrientation) -> bool:

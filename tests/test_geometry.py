@@ -47,7 +47,6 @@ from effpcm.geometry import (
     _ORIENTATIONS,
     _band_orientations,
     _embedded,
-    _oriented,
     CycleOrientation,
     Direction,
     PATH_TREES,
@@ -167,7 +166,6 @@ class TestCycleOrientation:
             orientations = canonical_orientations(pcm)
             table = tuple(_ORIENTATIONS[c, s] for c, s in zip(CANONICAL_CYCLES, signs))
             assert all(o is t for o, t in zip(orientations, table))
-            assert table == tuple(_oriented(c, s) for c, s in zip(CANONICAL_CYCLES, signs))
             assert table == tuple(cycle_orientation(pcm, c) for c in CANONICAL_CYCLES)
 
     def test_canonical_orientations_match_the_any_listing_reference(self):
@@ -176,6 +174,13 @@ class TestCycleOrientation:
             pcm = generate_with_rng(rng, ALL_TAGS[k % 6])
             expected = tuple(cycle_orientation(pcm, cycle) for cycle in CANONICAL_CYCLES)
             assert canonical_orientations(pcm) == expected
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_directed_is_the_listing_or_its_reversal(self, direction):
+        for listing in itertools.permutations((1, 2, 3, 4)):
+            a, b, c, d = listing
+            directed = CycleOrientation(listing, direction).directed
+            assert directed == ((a, d, c, b) if direction is Direction.BACKWARD else listing)
 
 
 class TestCanonicalRearrangement:
@@ -360,24 +365,37 @@ class TestTetrahedra:
         """Points are reduced on the way in, so a record given multiples of them
         equals, and hashes like, the one built from the primitive points."""
         tet = tetrahedron_for_cycle(running_example, (1, 2, 3, 4))
-        scaled = Tetrahedron(tet.cycle, tet.orientation,
-                             [[6 * x for x in p] for p in tet.points], tet.degenerate_rank)
+        scaled = Tetrahedron(tet.orientation, [[6 * x for x in p] for p in tet.points])
         assert scaled.points == tet.points
         assert scaled == tet and hash(scaled) == hash(tet)
         assert scaled.vertices == tet.vertices
 
     def test_rejects_non_canonical_cycle(self, running_example):
+        """By ``tetrahedron_for_cycle`` and the efficient set's lookup, in the same words."""
         for listing in ((1, 2, 4, 3), (2, 3, 4, 1), (1, 4, 3, 2)):
-            with pytest.raises(NotACanonicalCycleError):
+            with pytest.raises(NotACanonicalCycleError) as direct:
                 tetrahedron_for_cycle(running_example, listing)
+            with pytest.raises(NotACanonicalCycleError) as stored:
+                efficient_set(running_example).tetrahedron(listing)
+            assert str(stored.value) == str(direct.value)
 
     @pytest.mark.parametrize("cycle", CANONICAL_CYCLES)
     def test_a_canonical_cycle_given_as_a_list_is_refused(self, running_example, cycle):
-        # the trees' lookup and the tetrahedron's agree: a cycle is a tuple
+        # the trees' lookup and the tetrahedra's agree: a cycle is a tuple
         with pytest.raises(NotACanonicalCycleError):
             paths_of_cycle(list(cycle))
         with pytest.raises(NotACanonicalCycleError):
             tetrahedron_for_cycle(running_example, list(cycle))
+        with pytest.raises(NotACanonicalCycleError):
+            efficient_set(running_example).tetrahedron(list(cycle))
+
+    @pytest.mark.parametrize("sign", [-1, 0, 1])
+    def test_cycle_and_rank_follow_the_orientation(self, running_example, sign):
+        points = tetrahedron_for_cycle(running_example, (1, 3, 4, 2)).points
+        for cycle in CANONICAL_CYCLES:
+            tet = Tetrahedron(_ORIENTATIONS[cycle, sign], points)
+            assert tet.cycle == cycle
+            assert tet.degenerate_rank == (0 if sign == 0 else 3)
 
     def test_point_tetrahedron_of_consistent_cycle(self, double_one_cycle_example):
         tet = tetrahedron_for_cycle(double_one_cycle_example, (1, 4, 2, 3))
@@ -476,10 +494,9 @@ class TestRegions:
         assert cycle == 1 << 1 | 1 << 6 | 1 << 11 | 1 << 12
         assert forward._arc_masks == (cycle,)
         assert consistent._arc_masks == (cycle, digraph_of(4, {(2, 1), (3, 2), (4, 3), (1, 4)}).arc_mask)
-        twin = CycleOrientation((1, 2, 3, 4), Direction.FORWARD, (1, 2, 3, 4))
+        twin = CycleOrientation((1, 2, 3, 4), Direction.FORWARD)
         assert twin == forward and hash(twin) == hash(forward)
-        assert repr(twin) == ("CycleOrientation(cycle=(1, 2, 3, 4), "
-                              "direction=<Direction.FORWARD: 'forward'>, directed=(1, 2, 3, 4))")
+        assert repr(twin) == "CycleOrientation(cycle=(1, 2, 3, 4), direction=<Direction.FORWARD: 'forward'>)"
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -491,7 +508,7 @@ class TestRegions:
         """Every import-time record, and records built from tuple and list listings."""
         digraph = digraph_of(4, arcs)
         direction, listing, kind = built
-        user_built = CycleOrientation(tuple(listing), direction, kind(listing))
+        user_built = CycleOrientation(kind(listing), direction)
         for orientation in (*_ORIENTATIONS.values(), user_built):
             assert (contains_cycle_region(digraph, orientation)
                     == contains_cycle_region_by_zip(digraph, orientation))
@@ -640,11 +657,14 @@ class TestBarycentric:
                 barycentric(tet, weight_vector([1] * n))
 
     def test_point_tetrahedron_membership(self, double_one_cycle_example):
-        tet = tetrahedron_for_cycle(double_one_cycle_example, (1, 4, 2, 3))
-        lams = barycentric(tet, weight_vector(list(SHARED_POINT)))
-        assert lams == (1, 0, 0, 0)
-        assert barycentric(tet, weight_vector([61 * c for c in SHARED_POINT])) == lams
-        assert barycentric(tet, UNIFORM) is None
+        """Built by ``tetrahedron_for_cycle``, and by hand from a consistent orientation."""
+        built = tetrahedron_for_cycle(double_one_cycle_example, (1, 4, 2, 3))
+        by_hand = Tetrahedron(CycleOrientation((1, 4, 2, 3), Direction.CONSISTENT_BOTH), built.points)
+        for tet in (built, by_hand):
+            lams = barycentric(tet, weight_vector(list(SHARED_POINT)))
+            assert lams == (1, 0, 0, 0)
+            assert barycentric(tet, weight_vector([61 * c for c in SHARED_POINT])) == lams
+            assert barycentric(tet, UNIFORM) is None
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -686,9 +706,7 @@ class TestBarycentric:
         w = _inside_samples(rng, tet, 1)[0] if inside else random_exact_weights(rng)
         if not exact:
             w = weight_vector([float(c) * rng.choice((1, 3)) for c in w.components])
-        rebuilt = Tetrahedron(tet.cycle, tet.orientation,
-                              tuple(tuple(3 * x for x in p) for p in tet.points),
-                              tet.degenerate_rank)
+        rebuilt = Tetrahedron(tet.orientation, tuple(tuple(3 * x for x in p) for p in tet.points))
         twin = weight_vector([Fraction(c) for c in w.components])
         for t in (tet, rebuilt):
             lams = barycentric(t, w)
@@ -773,14 +791,14 @@ class TestClassify:
                 assert cls.tag is admissible[t, c]
                 assert (cls.consistent_triad_count, cls.consistent_cycle_count) == (t, c)
                 # one of the six records built at import, equal to a fresh one
-                assert cls == PerturbClass(admissible[t, c], t, c)
-                assert hash(cls) == hash(PerturbClass(admissible[t, c], t, c))
+                assert cls == PerturbClass(t, c)
+                assert hash(cls) == hash(PerturbClass(t, c))
                 assert classify_signs(list(triad_signs), list(cycle_signs)) is cls
             else:
                 with pytest.raises(ImpossibleCombinationError) as raised:
                     classify_signs(triad_signs, cycle_signs)
                 with pytest.raises(ImpossibleCombinationError) as fresh:
-                    PerturbClass(None, t, c)
+                    PerturbClass(t, c)
                 assert str(raised.value) == str(fresh.value)
 
 

@@ -27,9 +27,9 @@ from effpcm.errors import (
 from effpcm.geometry import (
     CoincidenceReport,
     CycleOrientation,
+    Direction,
     EfficientSet,
     PerturbClass,
-    PerturbTag,
     Tetrahedron,
     classify,
     canonical_orientations,
@@ -56,13 +56,13 @@ SAMPLES = {
     BccDigraph: (("n", "arc_mask"), bcc_digraph(RUNNING, W),
                  bcc_digraph(RUNNING, weight_vector([4, 3, 2, 1]))),
     SpanningTree: (("n", "edges"), path_tree((1, 2, 3, 4)), path_tree((1, 3, 2, 4))),
-    CycleOrientation: (("cycle", "direction", "directed"),
+    CycleOrientation: (("cycle", "direction"),
                        canonical_orientations(RUNNING)[0],
                        canonical_orientations(RUNNING)[2]),
-    Tetrahedron: (("cycle", "orientation", "points", "degenerate_rank"),
+    Tetrahedron: (("orientation", "points"),
                   tetrahedron_for_cycle(RUNNING, (1, 2, 3, 4)),
                   tetrahedron_for_cycle(SIMPLE, (1, 2, 3, 4))),
-    PerturbClass: (("tag", "consistent_triad_count", "consistent_cycle_count"),
+    PerturbClass: (("consistent_triad_count", "consistent_cycle_count"),
                    classify(RUNNING), classify(SIMPLE)),
     CoincidenceReport: (("shared_vertices", "collinear_edge_pairs", "coplanar_face_pairs",
                          "point_tetrahedra"),
@@ -187,9 +187,14 @@ class TestRecords:
     (lambda: Permutation((Fraction(2), Fraction(1))), IndexOutOfRangeError),
     (lambda: SpanningTree(3, frozenset({(1, 2)})), ValueError),
     (lambda: SpanningTree(3, frozenset({(1, 2), (2, 1)})), ValueError),
-    (lambda: PerturbClass(PerturbTag.TRIPLE, 1, 0), ImpossibleCombinationError),
-    (lambda: PerturbClass(None, 3, 3), ImpossibleCombinationError),
-    (lambda: PerturbClass(None, 1, 1), ImpossibleCombinationError),
+    (lambda: PerturbClass(3, 3), ImpossibleCombinationError),
+    (lambda: PerturbClass(1, 1), ImpossibleCombinationError),
+    (lambda: CycleOrientation((0, 1, 2, 3), Direction.FORWARD), IndexOutOfRangeError),
+    (lambda: CycleOrientation((1, 2, 3, 5), Direction.FORWARD), IndexOutOfRangeError),
+    (lambda: CycleOrientation((1, 2, 3, 3), Direction.BACKWARD), IndexOutOfRangeError),
+    (lambda: CycleOrientation((True, 2, 3, 4), Direction.FORWARD), IndexOutOfRangeError),
+    (lambda: CycleOrientation((1.0, 2, 3, 4), Direction.CONSISTENT_BOTH), IndexOutOfRangeError),
+    (lambda: CycleOrientation((1, 2, 3, 4), "forward"), IndexOutOfRangeError),
     (lambda: BccDigraph(2, 0b0110 | 1 << 10), IndexOutOfRangeError),
     (lambda: BccDigraph(2, 1 << 4), IndexOutOfRangeError),
     (lambda: BccDigraph(True, 1), IndexOutOfRangeError),
@@ -202,7 +207,8 @@ class TestRecords:
 ], ids=["pcm-empty", "pcm-short-upper", "pcm-ragged", "pcm-negative", "pcm-reciprocity", "weights-empty",
         "weights-mixed", "permutation", "permutation-float", "permutation-bool",
         "permutation-fraction", "tree-short",
-        "tree-cycle", "class", "class-untagged-3-3", "class-untagged-1-1",
+        "tree-cycle", "class-3-3", "class-1-1", "orientation-0", "orientation-5", "orientation-repeat",
+        "orientation-bool", "orientation-float", "orientation-direction-str",
         "digraph-bit-past-n2", "digraph-bit-n2", "digraph-n-bool", "digraph-negative", "digraph-n-0",
         "digraph-n-float", "digraph-mask-negative", "digraph-mask-float", "digraph-mask-bool"])
 def test_validation_still_raises(build, error):
@@ -210,14 +216,12 @@ def test_validation_still_raises(build, error):
         build()
 
 
-@pytest.mark.parametrize("tag,counts,message", [
-    (PerturbTag.TRIPLE, (1, 0), "(1,0): these counts make class double-triad, not triple"),
-    (None, (2, 1), "(2,1): these counts make class simple, not None"),
-    (PerturbTag.SIMPLE, (3, 3), "no admissible class has 3 consistent triads and 3 consistent"),
-], ids=["wrong-tag", "untagged", "no-class"])
-def test_impossible_class_message_names_the_class_of_the_counts(tag, counts, message):
+@pytest.mark.parametrize("counts,message", [
+    ((3, 3), "no admissible class has 3 consistent triads and 3 consistent"),
+], ids=["no-class"])
+def test_impossible_class_message_names_the_class_of_the_counts(counts, message):
     with pytest.raises(ImpossibleCombinationError, match=re.escape(message)):
-        PerturbClass(tag, *counts)
+        PerturbClass(*counts)
 
 
 def test_pcm_validation_is_an_own_method_called_through_the_instance(monkeypatch):
